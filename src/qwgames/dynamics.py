@@ -4,9 +4,12 @@ One step is coin -> shift -> interaction:
 
     U = P_I . [S_A (C(theta_A) x I) (x) S_B (C(theta_B) x I)]
 
-applied without ever materializing the 4L^2 x 4L^2 matrix.  All operations
-act on the (L, 2, L, 2) amplitude array (optionally with a leading batch
-axis, used by the strategy-sweep code) so the per-step cost is O(L^2).
+applied without ever materializing the 4L^2 x 4L^2 matrix.  Every operation
+runs in one channel layout, (B, L, L, 4) with joint coin channel
+c = 2 s_A + s_B, held flat as (B, 4L^2): the two coin rotations are one
+batched 4x4 matmul, the shift is one precomputed gather, and the interaction
+phase touches only the sites where its table is nonzero.  States handed to
+callers keep the (L, 2, L, 2) layout of `hilbert`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import numpy as np
 
 from . import interactions
 from .hilbert import (
+    LEFT,
+    RIGHT,
     Boundary,
     JointState,
     LatticeGeometry,
@@ -28,6 +33,10 @@ from .hilbert import (
     make_single_state,
 )
 from .interactions import InteractionKind, InteractionSpec
+
+# amplitudes evolved together: 0.9 MB of complex128, so a chunk of profiles
+# stays resident in a 2 MB per-core L2 cache through all T steps
+CHUNK_AMPLITUDES = 57_600
 
 
 class DomainError(ValueError):
@@ -77,170 +86,151 @@ def coin_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _coin_batch(amps: np.ndarray, theta_a: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
-    """Apply R_y(theta_A) on coin A and R_y(theta_B) on coin B.
-
-    amps: (B, L, 2, L, 2); theta_a, theta_b: (B,).
-    """
-    ca, sa = np.cos(theta_a / 2.0), np.sin(theta_a / 2.0)
-    cb, sb = np.cos(theta_b / 2.0), np.sin(theta_b / 2.0)
-    ra = np.empty((len(ca), 2, 2))
-    ra[:, 0, 0] = ca
-    ra[:, 0, 1] = -sa
-    ra[:, 1, 0] = sa
-    ra[:, 1, 1] = ca
-    rb = np.empty_like(ra)
-    rb[:, 0, 0] = cb
-    rb[:, 0, 1] = -sb
-    rb[:, 1, 0] = sb
-    rb[:, 1, 1] = cb
-    out = np.einsum("bij,bxjyl->bxiyl", ra, amps)
-    return np.einsum("bkl,bxiyl->bxiyk", rb, out)
+def chunk_profiles(geometry: LatticeGeometry) -> int:
+    """Profiles per cache-sized chunk of a batched evolution."""
+    return max(1, CHUNK_AMPLITUDES // (4 * geometry.size**2))
 
 
-# -- fast batched engine -----------------------------------------------------
-#
-# The sweep-critical path uses a (B, L, L, 4) layout with joint coin channel
-# c = 2 s_A + s_B, so the two coin rotations collapse to one batched 4x4
-# matmul and the shifts are slice moves on contiguous axes.
+# -- channel-layout kernel ---------------------------------------------------
 
 
-def _to_channels(amps: np.ndarray) -> np.ndarray:
-    """(B, L, 2, L, 2) -> (B, L, L, 4)."""
-    return np.ascontiguousarray(amps.transpose(0, 1, 3, 2, 4)).reshape(
-        amps.shape[0], amps.shape[1], amps.shape[3], 4
-    )
-
-def _from_channels(amps: np.ndarray) -> np.ndarray:
-    """(B, L, L, 4) -> (B, L, 2, L, 2)."""
-    b, L = amps.shape[0], amps.shape[1]
-    return np.ascontiguousarray(
-        amps.reshape(b, L, L, 2, 2).transpose(0, 1, 3, 2, 4)
-    )
+def _to_channels(state: JointState) -> np.ndarray:
+    """(L, 2, L, 2) state -> fresh (1, 4L^2) channel-layout array."""
+    return state.amplitudes.transpose(0, 2, 1, 3).copy().reshape(1, -1)
 
 
-def _joint_coin_matrices(theta_a: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
-    """kron(R_y(theta_A), R_y(theta_B)) per batch entry, shape (B, 4, 4)."""
-    ca, sa = np.cos(theta_a / 2.0), np.sin(theta_a / 2.0)
-    cb, sb = np.cos(theta_b / 2.0), np.sin(theta_b / 2.0)
-    ra = np.stack([np.stack([ca, -sa], -1), np.stack([sa, ca], -1)], -2)
-    rb = np.stack([np.stack([cb, -sb], -1), np.stack([sb, cb], -1)], -2)
-    m = np.einsum("bij,bkl->bikjl", ra, rb).reshape(-1, 4, 4)
-    return m.astype(complex)
+def _to_state(amps: np.ndarray, geometry: LatticeGeometry) -> JointState:
+    """(1, 4L^2) channel-layout array -> (L, 2, L, 2) state."""
+    L = geometry.size
+    return JointState(amps.reshape(L, L, 2, 2).transpose(0, 2, 1, 3).copy(), geometry)
 
 
-def _coin_channels(amps: np.ndarray, coin_t: np.ndarray) -> np.ndarray:
-    """amps: (B, L, L, 4); coin_t: (B, 4, 4) already transposed (M^T)."""
-    b, L = amps.shape[0], amps.shape[1]
-    return np.matmul(amps.reshape(b, L * L, 4), coin_t).reshape(b, L, L, 4)
+def _coin_transposes(thetas: np.ndarray) -> np.ndarray:
+    """kron(R_y(theta_A), R_y(theta_B))^T = kron(R_y(theta_A)^T, R_y(theta_B)^T)
+    per profile, shape (B, 4, 4)."""
+    c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    r_t = np.stack([c, s, -s, c], -1).reshape(-1, 2, 2, 2)  # (B, player, 2, 2)
+    kron = r_t[:, 0, :, None, :, None] * r_t[:, 1, None, :, None, :]
+    return kron.reshape(-1, 4, 4).astype(complex)
 
 
-def _shift_channels(amps: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Conditional shift of both walkers in channel layout."""
-    out = np.empty_like(amps)
+@lru_cache(maxsize=None)
+def _walker_shift(L: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray]:
+    """Source site and source coin of each destination (x, s) under one
+    walker's conditional shift: |R> arrives from x - 1, |L> from x + 1."""
+    x = np.arange(L)
+    src_x = np.stack([x - 1, x + 1], axis=1)
+    src_s = np.tile([RIGHT, LEFT], (L, 1))
     if boundary is Boundary.PERIODIC:
-        for c in range(4):
-            da = 1 if c < 2 else -1  # s_A = c // 2
-            db = 1 if c % 2 == 0 else -1
-            out[..., c] = np.roll(np.roll(amps[..., c], da, axis=1), db, axis=2)
-        return out
-    out[:] = 0.0
-    # walker A along axis 1, coin flips at the edges instead of stepping out
-    for sb in (0, 1):
-        r, l = amps[..., sb], amps[..., 2 + sb]
-        nr, nl = np.zeros_like(r), np.zeros_like(l)
-        nr[:, 1:] = r[:, :-1]
-        nl[:, :-1] = l[:, 1:]
-        nl[:, -1] += r[:, -1]
-        nr[:, 0] += l[:, 0]
-        out[..., sb], out[..., 2 + sb] = nr, nl
-    # walker B along axis 2
-    final = np.zeros_like(out)
-    for sa in (0, 1):
-        r, l = out[..., 2 * sa], out[..., 2 * sa + 1]
-        nr, nl = np.zeros_like(r), np.zeros_like(l)
-        nr[:, :, 1:] = r[:, :, :-1]
-        nl[:, :, :-1] = l[:, :, 1:]
-        nl[:, :, -1] += r[:, :, -1]
-        nr[:, :, 0] += l[:, :, 0]
-        final[..., 2 * sa], final[..., 2 * sa + 1] = nr, nl
-    return final
-
-
-def _shift_axis(amps: np.ndarray, pos_axis: int, coin_axis: int, boundary: Boundary) -> np.ndarray:
-    """Conditional shift of one walker: |R> moves +1, |L> moves -1."""
-    right = np.take(amps, 0, axis=coin_axis)
-    left = np.take(amps, 1, axis=coin_axis)
-    # after removing the coin axis, the position axis index may drop by one
-    p = pos_axis if pos_axis < coin_axis else pos_axis - 1
-    if boundary is Boundary.PERIODIC:
-        new_right = np.roll(right, 1, axis=p)
-        new_left = np.roll(left, -1, axis=p)
+        src_x %= L
     else:
-        new_right = np.zeros_like(right)
-        new_left = np.zeros_like(left)
-        idx_all = [slice(None)] * right.ndim
-
-        def at(sel):
-            idx = list(idx_all)
-            idx[p] = sel
-            return tuple(idx)
-
-        new_right[at(slice(1, None))] = right[at(slice(None, -1))]
-        new_left[at(slice(None, -1))] = left[at(slice(1, None))]
         # edge sites reflect: the coin flips instead of stepping out
-        new_left[at(-1)] += right[at(-1)]
-        new_right[at(0)] += left[at(0)]
-    return np.stack([new_right, new_left], axis=coin_axis)
+        src_x[0, RIGHT], src_s[0, RIGHT] = 0, LEFT
+        src_x[-1, LEFT], src_s[-1, LEFT] = L - 1, RIGHT
+    src_x.flags.writeable = src_s.flags.writeable = False  # shared by every caller
+    return src_x, src_s
 
 
-def _shift_batch(amps: np.ndarray, geometry: LatticeGeometry) -> np.ndarray:
-    out = _shift_axis(amps, pos_axis=1, coin_axis=2, boundary=geometry.boundary)
-    return _shift_axis(out, pos_axis=3, coin_axis=4, boundary=geometry.boundary)
+@lru_cache(maxsize=None)
+def _shift_permutation(L: int, boundary: Boundary) -> np.ndarray:
+    """Flat gather indices of the two-walker shift on channel-layout arrays.
+
+    The shift is a permutation of basis states, so one precomputed take()
+    realizes it: destination (x_A, x_B, s_A, s_B) reads the product of the
+    two walkers' sources.
+    """
+    x, s = _walker_shift(L, boundary)
+    site = x[:, None, :, None] * L + x[None, :, None, :]
+    coin = 2 * s[:, None, :, None] + s[None, :, None, :]
+    perm = (site * 4 + coin).reshape(-1)
+    perm.flags.writeable = False
+    return perm
 
 
-def _phase_factors(
-    spec: InteractionSpec, geometry: LatticeGeometry, theta_a: np.ndarray, theta_b: np.ndarray
-) -> np.ndarray | None:
-    """exp(i * coupling_b * table) with shape (B, L, 2, L, 2), or None for no-op."""
+def _cover(idx: np.ndarray) -> slice:
+    """Evenly strided slice covering the sorted indices idx; a superset of
+    them when they are not evenly spaced."""
+    if len(idx) == 0:
+        return slice(0, 0)
+    step = int(np.gcd.reduce(np.diff(idx))) if len(idx) > 1 else 1
+    return slice(int(idx[0]), int(idx[-1]) + 1, step)
+
+
+@lru_cache(maxsize=64)
+def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry):
+    """Strided (site, channel) slices of the (L^2, 4) channel layout that
+    cover the nonzero entries of the phase table, and the table there.
+
+    Off the support every phase factor is exactly 1, so skipping it changes
+    no bit.  The diagonal tables give sites ::L+1, a fraction 1/L of the
+    state; long range covers everything.
+    """
+    L = geometry.size
+    table = interactions.phase_table(spec, geometry).transpose(0, 2, 1, 3).reshape(L * L, 4)
+    sites = _cover(np.flatnonzero(table.any(axis=1)))
+    channels = _cover(np.flatnonzero(table.any(axis=0)))
+    values = table[sites, channels]
+    values.flags.writeable = False
+    return (slice(None), sites, channels), values
+
+
+def _phase_factors(spec: InteractionSpec, geometry: LatticeGeometry, thetas: np.ndarray):
+    """(support index, table on it, exp(i * coupling_b * table) on it per
+    profile); the factors are None when the phase is a no-op."""
+    index, values = _phase_support(spec, geometry)
     if spec.kind is InteractionKind.NONE or spec.strength == 0.0:
-        return None
-    coup = np.asarray(interactions.coupling(spec, theta_a, theta_b), dtype=float)
-    table = interactions.phase_table(spec, geometry)
-    return np.exp(1j * coup[:, None, None, None, None] * table[None])
+        return index, values, None
+    coup = np.asarray(interactions.coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
+    return index, values, np.exp(1j * coup[:, None, None] * values)
 
 
-def _noise_draws(spec: InteractionSpec, steps: int, rng) -> np.ndarray:
-    """One phase jitter eta_t per time step, uniform on [-sigma, sigma].
+def _noise_draws(spec: InteractionSpec, steps: int, seed) -> np.ndarray:
+    """One phase jitter eta_t per time step, uniform on [-sigma, sigma];
+    seed is an int or a Generator, which the draws advance.
 
     The jitter multiplies the interaction's spatial table (for the noisy
     collision, the x_A = x_B indicator), not the whole state: a spatially
     uniform phase would drop out of every observable.
     """
     if spec.kind is InteractionKind.NOISY_COLLISION and spec.noise_sigma > 0:
-        if rng is None:
+        if seed is None:
             raise ValidationError("noisy interaction requires a seeded rng")
+        rng = np.random.default_rng(seed)
         return rng.uniform(-spec.noise_sigma, spec.noise_sigma, size=steps)
     return np.zeros(steps)
 
 
-def _noise_factor(
-    spec: InteractionSpec, geometry: LatticeGeometry, eta_t: float
-) -> np.ndarray:
-    """exp(i * eta_t * table) with shape (L, 2, L, 2)."""
-    return np.exp(1j * eta_t * interactions.phase_table(spec, geometry))
+def _interact(support: np.ndarray, factors, values: np.ndarray, eta: float):
+    """Multiply the support view of (B, 4L^2) amplitudes in place by the
+    interaction phase factors and by the step's noise jitter."""
+    if factors is not None:
+        support *= factors
+    if eta != 0.0:
+        support *= np.exp(1j * eta * values)
 
 
-@lru_cache(maxsize=None)
-def _shift_permutation(L: int, boundary: Boundary) -> np.ndarray:
-    """Flat gather indices realizing _shift_channels on (L, L, 4) arrays.
+def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray):
+    """Channel-layout amplitudes (B, 4L^2) after each step t = 1 ... T.
 
-    The shift is a permutation of basis states, so one precomputed take()
-    replaces the slice shuffling on the sweep-critical path.
+    Every step overwrites the one array that is yielded, so a caller keeping
+    more than the latest state copies it.
     """
-    src = np.arange(L * L * 4, dtype=float).reshape(1, L, L, 4)
-    dst = _shift_channels(src.astype(complex), boundary)
-    return dst.real.astype(np.intp).reshape(-1)
+    geom = config.geometry
+    L = geom.size
+    init = make_initial_state(geom, config.coin_a, config.coin_b)
+    amps = np.empty((len(thetas), L * L, 4), dtype=complex)
+    amps[:] = _to_channels(init).reshape(L * L, 4)
+    coined = np.empty_like(amps)
+    flat, coined_flat = amps.reshape(len(amps), -1), coined.reshape(len(amps), -1)
+    coin_t = _coin_transposes(thetas)
+    perm = _shift_permutation(L, geom.boundary)
+    index, values, factors = _phase_factors(config.interaction, geom, thetas)
+    support = amps[index]
+    for eta in etas:
+        np.matmul(amps, coin_t, out=coined)
+        coined_flat.take(perm, axis=1, out=flat, mode="clip")
+        _interact(support, factors, values, eta)
+        yield flat
 
 
 def evolve_batch(
@@ -249,9 +239,11 @@ def evolve_batch(
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
-    amplitudes with shape (B, L, 2, L, 2).  The per-step noise draws are
-    shared across the batch (common random numbers), so a batched sweep is
-    bit-identical to per-profile evolve calls with the same seed.
+    amplitudes with shape (B, L, 2, L, 2).  Profiles run in chunks of
+    `chunk_profiles` so each chunk stays cache-resident for all T steps.  The
+    per-step noise draws are shared across the batch (common random numbers),
+    so a batched sweep is bit-identical to per-profile evolve calls with the
+    same seed.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
@@ -259,48 +251,35 @@ def evolve_batch(
     if not np.all(np.isfinite(thetas)) or thetas.min() < 0 or thetas.max() > np.pi:
         raise DomainError("all strategy angles must lie in [0, pi]")
 
-    init = make_initial_state(config.geometry, config.coin_a, config.coin_b)
-    amps = _to_channels(init.amplitudes[None])
-    amps = np.broadcast_to(amps, (len(thetas),) + amps.shape[1:]).copy()
-
-    factors = _phase_factors(config.interaction, config.geometry, thetas[:, 0], thetas[:, 1])
-    if factors is not None:
-        L = config.geometry.size
-        factors = factors.transpose(0, 1, 3, 2, 4).reshape(len(thetas), L, L, 4)
-    coin_t = _joint_coin_matrices(thetas[:, 0], thetas[:, 1]).transpose(0, 2, 1).copy()
-    rng = np.random.default_rng(seed) if seed is not None else None
-    etas = _noise_draws(config.interaction, config.steps, rng)
-
+    etas = _noise_draws(config.interaction, config.steps, seed)
     L = config.geometry.size
-    perm = _shift_permutation(L, config.geometry.boundary)
-    for t in range(config.steps):
-        amps = _coin_channels(amps, coin_t)
-        amps = amps.reshape(len(thetas), -1).take(perm, axis=1).reshape(-1, L, L, 4)
-        if factors is not None:
-            amps *= factors
-        if etas[t] != 0.0:
-            noise = _noise_factor(config.interaction, config.geometry, etas[t])
-            amps *= noise.transpose(0, 2, 1, 3).reshape(L, L, 4)
-    return _from_channels(amps)
+    out = np.empty((len(thetas), L, 2, L, 2), dtype=complex)
+    size = chunk_profiles(config.geometry)
+    for lo in range(0, len(thetas), size):
+        *_, amps = _steps(config, thetas[lo : lo + size], etas)
+        out[lo : lo + size] = amps.reshape(-1, L, L, 2, 2).transpose(0, 1, 3, 2, 4)
+    return out
 
 
 # -- single-profile public operations ---------------------------------------
 
 
+def _profile_thetas(profile: StrategyProfile) -> np.ndarray:
+    return np.array([[profile.theta_a, profile.theta_b]])
+
+
 def apply_coin(state: JointState, profile: StrategyProfile) -> JointState:
     """Rotate each walker's coin by its strategy angle."""
-    amps = _coin_batch(
-        state.amplitudes[None],
-        np.array([profile.theta_a]),
-        np.array([profile.theta_b]),
-    )[0]
-    return JointState(amps, state.geometry)
+    L = state.geometry.size
+    coin_t = _coin_transposes(_profile_thetas(profile))
+    amps = np.matmul(_to_channels(state).reshape(1, L * L, 4), coin_t)
+    return _to_state(amps, state.geometry)
 
 
 def apply_shift(state: JointState) -> JointState:
     """Conditionally shift both walkers, honoring the boundary rule."""
-    amps = _shift_batch(state.amplitudes[None], state.geometry)[0]
-    return JointState(amps, state.geometry)
+    perm = _shift_permutation(state.geometry.size, state.geometry.boundary)
+    return _to_state(_to_channels(state)[:, perm], state.geometry)
 
 
 def apply_interaction(
@@ -310,16 +289,11 @@ def apply_interaction(
     rng=None,
 ) -> JointState:
     """Multiply each amplitude by exp(i * I(...)); moduli are untouched."""
-    factors = _phase_factors(
-        spec, state.geometry, np.array([profile.theta_a]), np.array([profile.theta_b])
-    )
-    amps = state.amplitudes
-    if factors is not None:
-        amps = amps * factors[0]
-    eta = _noise_draws(spec, 1, rng)[0]
-    if eta != 0.0:
-        amps = amps * _noise_factor(spec, state.geometry, eta)
-    return JointState(np.ascontiguousarray(amps), state.geometry)
+    amps = _to_channels(state)
+    index, values, factors = _phase_factors(spec, state.geometry, _profile_thetas(profile))
+    support = amps.reshape(1, -1, 4)[index]
+    _interact(support, factors, values, _noise_draws(spec, 1, rng)[0])
+    return _to_state(amps, state.geometry)
 
 
 def step(
@@ -333,7 +307,7 @@ def step(
 
 def evolve(config: WalkConfig, profile: StrategyProfile, seed: int | None = 0) -> JointState:
     """T-step evolution from the standard initial state; deterministic in seed."""
-    amps = evolve_batch(config, np.array([[profile.theta_a, profile.theta_b]]), seed)[0]
+    amps = evolve_batch(config, _profile_thetas(profile), seed)[0]
     return JointState(amps, config.geometry)
 
 
@@ -341,27 +315,9 @@ def evolve_trajectory(
     config: WalkConfig, profile: StrategyProfile, seed: int | None = 0
 ) -> list[JointState]:
     """States after each of the T steps (t = 1 ... T), same conventions as evolve."""
-    state = make_initial_state(config.geometry, config.coin_a, config.coin_b)
-    rng = np.random.default_rng(seed) if seed is not None else None
-    etas = _noise_draws(config.interaction, config.steps, rng)
-    out = []
-    for t in range(config.steps):
-        state = apply_coin(state, profile)
-        state = apply_shift(state)
-        factors = _phase_factors(
-            config.interaction,
-            config.geometry,
-            np.array([profile.theta_a]),
-            np.array([profile.theta_b]),
-        )
-        amps = state.amplitudes
-        if factors is not None:
-            amps = amps * factors[0]
-        if etas[t] != 0.0:
-            amps = amps * _noise_factor(config.interaction, config.geometry, etas[t])
-        state = JointState(np.ascontiguousarray(amps), config.geometry)
-        out.append(state)
-    return out
+    etas = _noise_draws(config.interaction, config.steps, seed)
+    states = _steps(config, _profile_thetas(profile), etas)
+    return [_to_state(amps, config.geometry) for amps in states]
 
 
 def evolve_single(
@@ -370,10 +326,9 @@ def evolve_single(
     """Non-interacting single-walker walk with the same coin/shift conventions."""
     if not 0.0 <= theta <= np.pi:
         raise DomainError(f"theta = {theta!r} outside [0, pi]")
-    state = make_single_state(geometry, coin)
-    amps = state.amplitudes.copy()
+    amps = make_single_state(geometry, coin).amplitudes
+    src_x, src_s = _walker_shift(geometry.size, geometry.boundary)
     r = coin_matrix(theta)
     for _ in range(steps):
-        amps = amps @ r.T
-        amps = _shift_axis(amps[None], pos_axis=1, coin_axis=2, boundary=geometry.boundary)[0]
+        amps = (amps @ r.T)[src_x, src_s]
     return SingleState(amps, geometry)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import WalkConfig, evolve_batch
-from .games import GameSpec, PayoffPoint, payoff
-from .hilbert import JointDistribution, ValidationError
+from .dynamics import WalkConfig, chunk_profiles, evolve_batch
+from .games import GameSpec, PayoffPoint, payoffs
+from .hilbert import ValidationError, check_distributions
 from .interactions import InteractionKind
 
 PI = np.pi
@@ -111,40 +111,32 @@ class WalkEvaluator:
         self.seeds = list(range(seed, seed + ensemble)) if noisy else [seed]
 
     def distributions(self, thetas: np.ndarray, seed: int) -> np.ndarray:
-        # chunked so huge sweeps stay within a bounded amplitude working set
-        max_batch = max(1, 4_000_000 // self.config.geometry.size ** 2)
-        chunks = []
-        for lo in range(0, len(thetas), max_batch):
-            amps = evolve_batch(self.config, thetas[lo : lo + max_batch], seed)
-            chunks.append(np.sum(np.abs(amps) ** 2, axis=(2, 4)))
-        return np.concatenate(chunks, axis=0)
+        """P(x_A, x_B) per profile, shape (B, L, L).  Each cache-sized chunk
+        is reduced and validated as soon as it is evolved, so the amplitudes
+        of the whole batch never exist at once."""
+        geom = self.config.geometry
+        size = chunk_profiles(geom)
+        probs = np.empty((len(thetas), geom.size, geom.size))
+        for lo in range(0, len(thetas), size):
+            amps = evolve_batch(self.config, thetas[lo : lo + size], seed)
+            block = probs[lo : lo + size]
+            block[:] = np.sum(np.abs(amps) ** 2, axis=(2, 4))
+            check_distributions(block)
+        return probs
 
     def points(self, thetas) -> list[PayoffPoint]:
         thetas = np.asarray(thetas, dtype=float)
         geom = self.config.geometry
-        per_seed = []
-        for s in self.seeds:
-            probs = self.distributions(thetas, s)
-            per_seed.append(
-                [payoff(JointDistribution(p, geom), self.game) for p in probs]
-            )
-        if len(per_seed) == 1:
-            return per_seed[0]
-        out = []
-        for k in range(len(thetas)):
-            pts = [ps[k] for ps in per_seed]
-            aux = {
-                key: float(np.mean([p.aux[key] for p in pts]))
-                for key in pts[0].aux
-            }
-            out.append(
-                PayoffPoint(
-                    float(np.mean([p.u_a for p in pts])),
-                    float(np.mean([p.u_b for p in pts])),
-                    aux,
-                )
-            )
-        return out
+        per_seed = [payoffs(self.distributions(thetas, s), geom, self.game) for s in self.seeds]
+        keys = list(per_seed[0][2])
+        # (profile, u_A | u_B | aux..., seed), averaged over the seed ensemble;
+        # one seed is taken as is, because a sum would turn -0.0 into 0.0
+        table = np.stack(
+            [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_seed],
+            axis=-1,
+        )
+        rows = table[..., 0] if len(per_seed) == 1 else table.mean(axis=-1)
+        return [PayoffPoint(r[0], r[1], dict(zip(keys, r[2:]))) for r in rows.tolist()]
 
     def evaluate_many(self, thetas) -> np.ndarray:
         pts = self.points(thetas)
@@ -388,7 +380,7 @@ def jacobian_at(
         ta, tb = float(point[0]), float(point[1])
     offs_a, w1a, w2a = _stencil_1d(ta, h)
     offs_b, w1b, w2b = _stencil_1d(tb, h)
-    caveat = ta - h < 0 or ta + h > PI or tb - h < 0 or tb + h > PI
+    caveat = bool(ta - h < 0 or ta + h > PI or tb - h < 0 or tb + h > PI)
 
     pts = np.array([[ta + oa, tb + ob] for oa in offs_a for ob in offs_b])
     u = evaluator.evaluate_many(pts)

@@ -1,8 +1,8 @@
 """Payoff observables over the final joint position distribution.
 
 All payoffs are classical functions of the measured positions: the quantum
-side of the model ends at measure_joint, and everything here works on the
-(L, L) probability matrix.
+side of the model ends at measure_joint, and everything here works on
+(L, L) probability matrices, reduced a whole (B, L, L) stack at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import JointDistribution, LatticeGeometry, marginals
+from .hilbert import JointDistribution, LatticeGeometry
 
 
 class GameKind(Enum):
@@ -52,47 +52,56 @@ class PayoffPoint:
     aux: dict = field(default_factory=dict)
 
 
-def payoff(dist: JointDistribution, game: GameSpec) -> PayoffPoint:
-    """Expected utilities of both players plus named transport diagnostics."""
-    p = dist.probabilities
-    x = dist.geometry.positions.astype(float)
+def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec):
+    """Utilities and transport diagnostics of a stack of distributions.
+
+    probs: (B, L, L).  Every quantity is a linear functional of P, reduced
+    for the whole stack at once; returns (u_a, u_b, aux), each value of
+    shape (B,).
+    """
+    L = geometry.size
+    x = geometry.positions.astype(float)
     xa = x[:, None]
     xb = x[None, :]
 
-    p_a, p_b = marginals(dist)
-    mean_a = float(p_a @ x)
-    mean_b = float(p_b @ x)
-    sep = float(np.sum(p * np.abs(xa - xb)))
-    meet = float(np.trace(p))
-    com = 0.5 * (mean_a + mean_b)
+    mean_a = np.vecdot(probs.sum(axis=2), x)
+    mean_b = np.vecdot(probs.sum(axis=1), x)
+    sep = np.sum(probs * np.abs(xa - xb), axis=(1, 2))
     aux = {
         "mean_x_A": mean_a,
         "mean_x_B": mean_b,
         "mean_separation": sep,
-        "meeting_probability": meet,
-        "center_of_mass": com,
+        "meeting_probability": np.trace(probs, axis1=1, axis2=2),
+        "center_of_mass": 0.5 * (mean_a + mean_b),
     }
 
     if game.kind is GameKind.RACE:
-        u_a = float(np.sum(p * (xa - xb)))
-        return PayoffPoint(u_a, -u_a, aux)
+        u_a = np.sum(probs * (xa - xb), axis=(1, 2))
+        return u_a, -u_a, aux
     if game.kind is GameKind.RENDEZVOUS:
-        return PayoffPoint(-sep, -sep, aux)
+        return -sep, -sep, aux
     if game.kind is GameKind.TUG_OF_WAR:
-        u_a = float(np.sum(p * 0.5 * (xa + xb)))
-        return PayoffPoint(u_a, -u_a, aux)
+        u_a = np.sum(probs * (0.5 * (xa + xb)), axis=(1, 2))
+        return u_a, -u_a, aux
     if game.kind is GameKind.CUSTOM_TABLE:
-        L = dist.geometry.size
         for name, table in (("A", game.table_a), ("B", game.table_b)):
             if np.asarray(table).shape != (L, L):
                 raise ShapeError(
                     f"payoff table for player {name} has shape "
                     f"{np.asarray(table).shape}, lattice needs {(L, L)}"
                 )
-        u_a = float(np.sum(p * game.table_a))
-        u_b = float(np.sum(p * game.table_b))
-        return PayoffPoint(u_a, u_b, aux)
+        u_a = np.sum(probs * game.table_a, axis=(1, 2))
+        u_b = np.sum(probs * game.table_b, axis=(1, 2))
+        return u_a, u_b, aux
     raise ValueError(f"unknown game kind {game.kind!r}")
+
+
+def payoff(dist: JointDistribution, game: GameSpec) -> PayoffPoint:
+    """Expected utilities of both players plus named transport diagnostics."""
+    u_a, u_b, aux = payoffs(dist.probabilities[None], dist.geometry, game)
+    return PayoffPoint(
+        float(u_a[0]), float(u_b[0]), {key: float(v[0]) for key, v in aux.items()}
+    )
 
 
 def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:

@@ -154,11 +154,18 @@ class JointDistribution:
             raise ValidationError(
                 f"distribution must have shape {(L, L)}, got {self.probabilities.shape}"
             )
-        if np.any(self.probabilities < -1e-14):
-            raise ValidationError("distribution has negative entries")
-        total = float(self.probabilities.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValidationError(f"distribution sums to {total!r}, not 1")
+        check_distributions(self.probabilities[None])
+
+
+def check_distributions(probs: np.ndarray):
+    """Raise ValidationError unless every (L, L) block of the (B, L, L) stack
+    is non-negative and sums to 1; one vectorized pass over the stack."""
+    if np.any(probs < -1e-14):
+        raise ValidationError("distribution has negative entries")
+    totals = probs.sum(axis=(1, 2))
+    off = np.abs(totals - 1.0) > NORM_TOL
+    if np.any(off):
+        raise ValidationError(f"distribution sums to {float(totals[off][0])!r}, not 1")
 
 
 def _coin_vector(coin, player: str) -> np.ndarray:

@@ -16,13 +16,8 @@ import numpy as np
 
 from .dynamics import StrategyProfile, WalkConfig, evolve_single, evolve_trajectory
 from .equilibrium import StrategyGrid, WalkEvaluator, surface_from_evaluator
-from .games import GameSpec, payoff
-from .hilbert import (
-    JointDistribution,
-    LatticeGeometry,
-    ValidationError,
-    measure_joint,
-)
+from .games import GameSpec, payoffs
+from .hilbert import LatticeGeometry, ValidationError, check_distributions, measure_joint
 from .interactions import InteractionSpec
 
 
@@ -70,8 +65,7 @@ def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray
     """Payoff of the product of the two single-walker walks at each pair."""
     uniq_a = {}
     uniq_b = {}
-    out = np.empty(len(thetas))
-    for k, (ta, tb) in enumerate(thetas):
+    for ta, tb in thetas:
         if ta not in uniq_a:
             uniq_a[ta] = evolve_single(
                 config.geometry, config.steps, ta, config.coin_a
@@ -80,9 +74,9 @@ def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray
             uniq_b[tb] = evolve_single(
                 config.geometry, config.steps, tb, config.coin_b
             ).distribution()
-        joint = JointDistribution(np.outer(uniq_a[ta], uniq_b[tb]), config.geometry)
-        out[k] = payoff(joint, game).u_a
-    return out
+    probs = np.stack([np.outer(uniq_a[ta], uniq_b[tb]) for ta, tb in thetas])
+    check_distributions(probs)
+    return payoffs(probs, config.geometry, game)[0]
 
 
 def separability_residual(

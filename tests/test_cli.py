@@ -234,3 +234,13 @@ def test_coin_catalog_is_normalized():
     for label, coin in COIN_CATALOG.items():
         norm = np.linalg.norm([complex(re, im) for re, im in coin])
         assert norm == pytest.approx(1.0, abs=1e-12), label
+
+
+def test_tug_of_war_defaults_report_interior_jacobian(tmp_path):
+    out = tmp_path / "tug"
+    assert main(["--recipe", "tug-of-war", "--out", str(out)]) == 0
+    points = json.loads((out / "stationary.json").read_text())
+    interior = [p for p in points if p["status"] != "boundary"]
+    assert interior
+    assert all(len(p["jacobian"]) == 2 for p in interior)
+    assert all(isinstance(p["boundary_caveat"], bool) for p in interior)

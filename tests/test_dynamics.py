@@ -16,6 +16,7 @@ from qwgames.dynamics import (
     apply_coin,
     apply_interaction,
     apply_shift,
+    chunk_profiles,
     coin_matrix,
     evolve,
     evolve_batch,
@@ -185,6 +186,23 @@ def test_batch_matches_individual_evolutions():
     for k, (ta, tb) in enumerate(thetas):
         single = evolve(config, StrategyProfile(ta, tb), seed=5).amplitudes
         np.testing.assert_array_equal(batch[k], single)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
+@pytest.mark.parametrize("kind", list(InteractionKind))
+def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
+    geom = LatticeGeometry(31, boundary)
+    size = chunk_profiles(geom)
+    n = 2 * size + size // 2 + 1  # more than two chunks, the last one partial
+    assert n > 2 * size and n % size != 0
+    spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
+    config = WalkConfig(geom, 6, (1, 0), (0.6, 0.8j), spec)
+    thetas = np.random.default_rng(7).uniform(0, np.pi, size=(n, 2))
+    thetas[0] = (0.0, np.pi)
+    batch = evolve_batch(config, thetas, seed=11)
+    for k, (ta, tb) in enumerate(thetas):
+        single = evolve(config, StrategyProfile(ta, tb), seed=11).amplitudes
+        assert np.array_equal(batch[k], single), k
 
 
 def test_batch_rejects_bad_shapes_and_angles():

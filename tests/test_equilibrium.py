@@ -17,9 +17,9 @@ from qwgames.equilibrium import (
     surface_from_evaluator,
     vector_field,
 )
-from qwgames.dynamics import WalkConfig
-from qwgames.games import GameKind, GameSpec
-from qwgames.hilbert import LatticeGeometry, ValidationError
+from qwgames.dynamics import StrategyProfile, WalkConfig, chunk_profiles, evolve
+from qwgames.games import GameKind, GameSpec, payoff
+from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError, measure_joint
 from qwgames.interactions import InteractionKind, InteractionSpec
 
 A_STAR, B_STAR = 1.5, 1.2
@@ -178,3 +178,39 @@ def test_walk_evaluator_ensemble_averages_noise():
     np.testing.assert_allclose(avg, manual, atol=1e-12)
     with pytest.raises(ValidationError):
         WalkEvaluator(config, game, ensemble=0)
+
+
+def per_profile_utilities(p, x, game):
+    """u_A, u_B of one (L, L) distribution, written out per game."""
+    xa, xb = x[:, None], x[None, :]
+    if game.kind is GameKind.RACE:
+        u = float(np.sum(p * (xa - xb)))
+        return u, -u
+    if game.kind is GameKind.RENDEZVOUS:
+        sep = float(np.sum(p * np.abs(xa - xb)))
+        return -sep, -sep
+    if game.kind is GameKind.TUG_OF_WAR:
+        u = float(np.sum(p * 0.5 * (xa + xb)))
+        return u, -u
+    return float(np.sum(p * game.table_a)), float(np.sum(p * game.table_b))
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+def test_walk_evaluator_points_are_bitwise_per_profile_payoffs(kind):
+    geom = LatticeGeometry(31, Boundary.REFLECTING)
+    rng = np.random.default_rng(5)
+    tables = rng.random((2, 31, 31)) if kind is GameKind.CUSTOM_TABLE else ()
+    game = GameSpec(kind, *tables)
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 2.0)
+    config = WalkConfig(geom, 8, (1, 0), (0.6, 0.8j), spec)
+    thetas = rng.uniform(0, np.pi, size=(2 * chunk_profiles(geom) + 3, 2))
+    points = WalkEvaluator(config, game, seed=0).points(thetas)
+    x = geom.positions.astype(float)
+    for (ta, tb), got in zip(thetas, points):
+        dist = measure_joint(evolve(config, StrategyProfile(ta, tb)))
+        want = payoff(dist, game)
+        assert (got.u_a, got.u_b) == (want.u_a, want.u_b)
+        assert (got.u_a, got.u_b) == per_profile_utilities(dist.probabilities, x, game)
+        assert got.aux.keys() == want.aux.keys()
+        for key, value in want.aux.items():
+            assert got.aux[key] == pytest.approx(value, abs=1e-15)

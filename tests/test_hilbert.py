@@ -11,6 +11,7 @@ from qwgames.hilbert import (
     JointState,
     LatticeGeometry,
     ValidationError,
+    check_distributions,
     decode_index,
     distribution_from_csv,
     distribution_from_json,
@@ -132,6 +133,21 @@ def test_marginals_sum_to_one(seed):
 def test_distribution_rejects_unnormalized():
     with pytest.raises(ValidationError):
         JointDistribution(np.full((5, 5), 0.1), GEOM5)
+
+
+def test_batched_check_rejects_one_bad_distribution():
+    rng = np.random.default_rng(4)
+    probs = rng.random((6, 5, 5))
+    probs /= probs.sum(axis=(1, 2), keepdims=True)
+    check_distributions(probs)
+    off = probs.copy()
+    off[3] *= 1.0 + 1e-6
+    with pytest.raises(ValidationError, match="sums to"):
+        check_distributions(off)
+    negative = probs.copy()
+    negative[1, 0, 0] = -1e-12
+    with pytest.raises(ValidationError, match="negative"):
+        check_distributions(negative)
 
 
 def test_csv_round_trip(tmp_path):
