@@ -164,6 +164,10 @@ class ExperimentConfig:
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
+            # cfg still holds the defaults: an int/bool field takes only that type
+            kind = type(getattr(cfg, key))
+            if kind in (int, bool) and type(value) is not kind:
+                raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
             if key in ("interaction_strength", "noise_sigma", "eta", "grad_h",
                        "hess_h", "start_radius", "base_theta_a", "base_theta_b"):
                 value = parse_angle(value)
@@ -654,6 +658,8 @@ def config_from_args(args) -> ExperimentConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config}: expected a JSON object, got {data!r}")
     overrides = {
         "recipe": args.recipe.replace("-", "_") if args.recipe else None,
         "seed": args.seed if args.seed is not None else _env_default("SEED", int),

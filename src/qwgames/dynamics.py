@@ -76,7 +76,7 @@ class WalkConfig:
                 f"boundary reachable: T = {self.steps} >= (L-1)/2 = "
                 f"{(self.geometry.size - 1) // 2}; results depend on the "
                 f"boundary rule ({self.geometry.boundary.value})",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
 

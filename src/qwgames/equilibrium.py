@@ -264,22 +264,28 @@ def vector_field(evaluator, grid: StrategyGrid, h: float = 1e-3):
     return g[:, 0].reshape(n, n), g[:, 1].reshape(n, n)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Golden-section maximization of a unimodal scalar function on [lo, hi]."""
+def _golden_max(f, lo, hi, tol: float = 1e-6) -> np.ndarray:
+    """Golden-section maximization of unimodal functions on [lo[k], hi[k]],
+    one lane per interval.  f(t, lanes) returns the values at probes t of
+    lanes `lanes`; each round probes every live lane through one call.  Each
+    lane runs the scalar recurrence, so it ends where a search of its own would."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    lanes = np.arange(len(a))
+    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([lanes, lanes])), 2)
+    live = lanes[b - a > tol]
+    while live.size:
+        left = fc[live] >= fd[live]
+        k, m = live[left], live[~left]
+        b[k], d[k], fd[k] = d[k], c[k], fc[k]
+        c[k] = b[k] - invphi * (b[k] - a[k])
+        a[m], c[m], fc[m] = c[m], d[m], fd[m]
+        d[m] = a[m] + invphi * (b[m] - a[m])
+        probes = f(np.where(left, c[live], d[live]), live)
+        fc[k], fd[m] = probes[left], probes[~left]
+        live = live[b[live] - a[live] > tol]
     return 0.5 * (a + b)
 
 
@@ -301,6 +307,10 @@ def find_stationary(
     """Best-response intersections on the grid, optionally polished by
     alternating coordinate ascent with golden-section line searches.
 
+    All candidates are refined in lockstep: every probe round of the
+    golden searches and every gradient check is one `evaluate_many` call over
+    the candidates still moving, each on the iterates a lone refinement takes.
+
     Non-convergent refinements are reported with status "unrefined"; points
     that end up on the domain boundary are flagged "boundary" and exempt from
     the interior first-order residual bound.
@@ -317,38 +327,39 @@ def find_stationary(
         if len(candidates) >= max_candidates:
             break
 
+    if not candidates:
+        return []
     w = surface.grid.spacing
-    results = []
-    for i, j in candidates:
-        ta, tb = float(vals[i]), float(vals[j])
-        status = "unrefined"
-        ga, gb = np.inf, np.inf
+    ta, tb = vals[np.array(candidates).T]
+    grad = np.full((len(candidates), 2), np.inf)
+    # lanes still refining; refine=False takes one residual check instead
+    live = np.arange(len(candidates))
+    for _ in range(max_iters if refine else 1):
         if refine:
-            for _ in range(max_iters):
-                ta = _golden_max(
-                    lambda t: evaluator.evaluate(t, tb)[0],
-                    max(0.0, ta - w),
-                    min(PI, ta + w),
-                )
-                tb = _golden_max(
-                    lambda t: evaluator.evaluate(ta, t)[1],
-                    max(0.0, tb - w),
-                    min(PI, tb + w),
-                )
-                ga, gb = gradients(evaluator, [[ta, tb]], grad_h)[0]
-                if abs(ga) < grad_tol and abs(gb) < grad_tol:
-                    status = "refined"
-                    break
-        else:
-            ga, gb = gradients(evaluator, [[ta, tb]], grad_h)[0]
-            if abs(ga) < grad_tol and abs(gb) < grad_tol:
-                status = "refined"
-        if _classify_position(ta, tb):
-            status = "boundary"
-        u_a, u_b = evaluator.evaluate(ta, tb)
-        results.append(
-            StationaryPoint(ta, tb, u_a, u_b, status, (float(ga), float(gb)))
+            ta[live] = _golden_max(
+                lambda t, k: evaluator.evaluate_many(np.column_stack([t, tb[live[k]]]))[:, 0],
+                np.maximum(0.0, ta[live] - w),
+                np.minimum(PI, ta[live] + w),
+            )
+            tb[live] = _golden_max(
+                lambda t, k: evaluator.evaluate_many(np.column_stack([ta[live[k]], t]))[:, 1],
+                np.maximum(0.0, tb[live] - w),
+                np.minimum(PI, tb[live] + w),
+            )
+        grad[live] = gradients(evaluator, np.column_stack([ta[live], tb[live]]), grad_h)
+        live = live[~np.all(np.abs(grad[live]) < grad_tol, axis=1)]
+        if not live.size:
+            break
+    u = evaluator.evaluate_many(np.column_stack([ta, tb]))
+    results = [
+        StationaryPoint(
+            float(ta[k]), float(tb[k]), float(u[k, 0]), float(u[k, 1]),
+            "boundary" if _classify_position(ta[k], tb[k]) else
+            ("refined" if np.all(np.abs(grad[k]) < grad_tol) else "unrefined"),
+            (float(grad[k, 0]), float(grad[k, 1])),
         )
+        for k in range(len(candidates))
+    ]
 
     # merge near-duplicates, keeping the smallest gradient residual
     merged: list[StationaryPoint] = []

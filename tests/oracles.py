@@ -1,5 +1,6 @@
 """Independent reference implementations used to cross-check the structured
-evolution: explicit dense unitaries and the component recurrence relations.
+evolution (explicit dense unitaries and the component recurrence relations)
+and the lockstep stationary-point search (a one-lane golden-section search).
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout.
@@ -104,3 +105,23 @@ def random_joint_state(geometry: LatticeGeometry, rng) -> np.ndarray:
     L = geometry.size
     amps = rng.normal(size=(L, 2, L, 2)) + 1j * rng.normal(size=(L, 2, L, 2))
     return amps / np.linalg.norm(amps)
+
+
+def golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
+    """Golden-section maximization of a unimodal scalar function on [lo, hi],
+    one probe per call of f."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)

@@ -217,6 +217,28 @@ def test_main_rejects_missing_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ([1, 2], "JSON object"),
+        ({"recipe": "race", "steps": "20"}, "steps"),
+        ({"recipe": "race", "lattice_size": 15.0}, "lattice_size"),
+        ({"recipe": "race", "seed": True}, "seed"),
+        ({"recipe": "race", "refine": "no"}, "refine"),
+    ],
+    ids=["top-level-list", "int-as-string", "int-as-float", "int-as-bool", "bool-as-string"],
+)
+def test_main_rejects_malformed_config_with_exit_1(tmp_path, capsys, content, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_env_defaults_fill_missing_flags(tmp_path, monkeypatch):
     out = tmp_path / "env_out"
     monkeypatch.setenv("QWG_SEED", "9")

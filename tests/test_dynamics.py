@@ -56,8 +56,10 @@ def test_strategy_profile_domain():
 
 
 def test_config_warns_when_boundary_reachable():
-    with pytest.warns(UserWarning, match="boundary reachable"):
+    with pytest.warns(UserWarning, match="boundary reachable") as record:
         WalkConfig(LatticeGeometry(15), 20)
+    # the warning names the line that builds the config
+    assert record[0].filename == __file__
 
 
 def test_coin_matrix_half_angle_values():

@@ -5,10 +5,15 @@ stationary points, Jacobians, and learning behavior are known in closed form.
 import numpy as np
 import pytest
 
+from oracles import golden_max
 from qwgames.equilibrium import (
+    BOUNDARY_TOL,
     FunctionEvaluator,
+    PayoffSurface,
+    StationaryPoint,
     StrategyGrid,
     WalkEvaluator,
+    _golden_max,
     best_responses,
     find_stationary,
     gradients,
@@ -214,3 +219,144 @@ def test_walk_evaluator_points_are_bitwise_per_profile_payoffs(kind):
         assert got.aux.keys() == want.aux.keys()
         for key, value in want.aux.items():
             assert got.aux[key] == pytest.approx(value, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "g", [lambda t, p: -(t - p) * (t - p), lambda t, p: 0.0 * t], ids=["peaked", "flat"]
+)
+def test_lanewise_golden_max_matches_scalar_oracle(g):
+    # lanes of different widths, two clipped at 0 and pi, peaks inside and
+    # outside their intervals; on the flat function every comparison ties
+    peaks = np.array([0.3, 1.0, 2.9, -0.2, 3.3, 1.7, 2.2])
+    lo = np.array([0.0, 0.9, 2.8, 0.0, 3.0, 1.0, 2.1])
+    hi = np.array([0.5, 1.3, np.pi, 0.05, np.pi, 2.5, 2.1 + 1e-6])
+    calls = []
+
+    def f(t, lanes):
+        calls.append(len(lanes))
+        return g(t, peaks[lanes])
+
+    got = _golden_max(f, lo, hi)
+    rounds = []
+    for k in range(len(lo)):
+        probes = []
+        want = golden_max(lambda t: probes.append(t) or g(t, peaks[k]), lo[k], hi[k])
+        assert got[k] == want
+        rounds.append(len(probes) - 1)
+    # one call per probe round; lanes leave as their intervals close
+    assert len(set(rounds)) > 1
+    assert len(calls) == max(rounds)
+    assert calls[0] == 2 * len(lo) and calls[-1] == rounds.count(max(rounds))
+
+
+def sequential_find_stationary(
+    surface, evaluator, refine=True, grad_h=1e-3, grad_tol=1e-3, max_iters=200,
+    max_candidates=64,
+):
+    """find_stationary refining one candidate at a time through scalar
+    golden-section searches and single-profile evaluations; also returns the
+    rounds each candidate took."""
+    vals = surface.grid.values
+    br_a, br_b = best_responses(surface)
+    candidates = [(i, j) for j in range(surface.grid.n) for i in br_a[j] if j in br_b[i]]
+    w = surface.grid.spacing
+    results, rounds = [], []
+    for i, j in candidates[:max_candidates]:
+        ta, tb = float(vals[i]), float(vals[j])
+        status, (ga, gb), n = "unrefined", (np.inf, np.inf), 0
+        for n in range(1, (max_iters if refine else 1) + 1):
+            if refine:
+                ta = golden_max(
+                    lambda t: evaluator.evaluate(t, tb)[0], max(0.0, ta - w), min(np.pi, ta + w)
+                )
+                tb = golden_max(
+                    lambda t: evaluator.evaluate(ta, t)[1], max(0.0, tb - w), min(np.pi, tb + w)
+                )
+            ga, gb = gradients(evaluator, [[ta, tb]], grad_h)[0]
+            if abs(ga) < grad_tol and abs(gb) < grad_tol:
+                status = "refined"
+                break
+        if min(ta, np.pi - ta) < BOUNDARY_TOL or min(tb, np.pi - tb) < BOUNDARY_TOL:
+            status = "boundary"
+        u_a, u_b = evaluator.evaluate(ta, tb)
+        results.append(StationaryPoint(ta, tb, u_a, u_b, status, (float(ga), float(gb))))
+        rounds.append(n)
+    merged = []
+    for pt in sorted(results, key=lambda p: max(np.abs(p.grad_residual))):
+        if all(np.hypot(pt.theta_a - q.theta_a, pt.theta_b - q.theta_b) > 5e-3 for q in merged):
+            merged.append(pt)
+    return merged, rounds
+
+
+def tied_surface(n, interior_only=False):
+    """All-tie surface: every grid point (or every interior one) is a candidate."""
+    u_a, u_b = np.zeros((n, n)), np.zeros((n, n))
+    if interior_only:
+        u_a[[0, -1], :] = u_b[:, [0, -1]] = -1.0
+    return PayoffSurface(StrategyGrid(n), u_a, u_b)
+
+
+def waves(ta, tb):
+    """Many local stationary points, reached in different numbers of rounds."""
+    return np.cos(4 * ta - tb), np.cos(4 * tb - ta)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"refine": False}, {"max_iters": 1}, {"max_candidates": 5}]
+)
+def test_find_stationary_matches_sequential_refinement(kwargs):
+    surface = tied_surface(9)  # 81 candidates over the whole domain, 64 kept
+    ev = FunctionEvaluator(waves)
+    got = find_stationary(surface, ev, **kwargs)
+    want, rounds = sequential_find_stationary(surface, ev, **kwargs)
+    assert got == want
+    if not kwargs:
+        # lanes leave the lockstep in different rounds; some never converge
+        assert len(set(rounds)) > 3 and max(rounds) == 200
+        assert {p.status for p in want} == {"refined", "boundary"}
+    if "max_iters" in kwargs:
+        assert "unrefined" in {p.status for p in want}
+
+
+def test_find_stationary_matches_sequential_refinement_on_interior_game():
+    surface = surface_from_evaluator(QUAD, StrategyGrid(21))
+    got = find_stationary(surface, QUAD)
+    assert got == sequential_find_stationary(surface, QUAD)[0]
+    assert any(p.status == "refined" for p in got)
+
+
+def test_find_stationary_matches_sequential_refinement_on_flat_walk():
+    # symmetric initial coins give a race surface that is zero up to
+    # rounding, so every grid point ties and golden comparisons see noise
+    coin = (1 / np.sqrt(2), 1j / np.sqrt(2))
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    config = WalkConfig(LatticeGeometry(9), 3, coin, coin, spec)
+    ev = WalkEvaluator(config, GameSpec(GameKind.RACE), seed=0)
+    surface = surface_from_evaluator(ev, StrategyGrid(9))
+    assert np.max(np.abs(surface.u_a)) < 1e-14
+    got = find_stationary(surface, ev)
+    assert len(got) == 64
+    assert got == sequential_find_stationary(surface, ev)[0]
+
+
+class CountingEvaluator(FunctionEvaluator):
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.calls = self.profiles = 0
+
+    def evaluate_many(self, thetas):
+        self.calls += 1
+        self.profiles += len(thetas)
+        return super().evaluate_many(thetas)
+
+
+def test_refinement_calls_do_not_grow_with_candidates():
+    # flat game on interior candidates: every lane runs the same rounds
+    surface = tied_surface(15, interior_only=True)
+    counts = []
+    for n in (1, 8, 64):
+        ev = CountingEvaluator(lambda a, b: (0.0, 0.0))
+        assert len(find_stationary(surface, ev, max_candidates=n)) == n
+        counts.append((ev.calls, ev.profiles))
+    assert counts[0][0] == counts[1][0] == counts[2][0]
+    assert counts[0][1] < counts[1][1] < counts[2][1]
