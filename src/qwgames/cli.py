@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import shutil
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,11 +42,11 @@ from .equilibrium import (
     jacobian_at,
     learn,
     surface_from_evaluator,
-    sweep_surface,
     vector_field,
 )
 from .games import GameKind, GameSpec, table_from_csv
 from .hilbert import (
+    NORM_TOL,
     Boundary,
     LatticeGeometry,
     distribution_to_csv,
@@ -55,6 +56,7 @@ from .hilbert import (
 from .interactions import InteractionKind, InteractionSpec
 
 PI = np.pi
+INF = math.inf
 
 
 class ConfigError(ValueError):
@@ -66,37 +68,75 @@ _ANGLE_RE = re.compile(r"^\s*(-?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))
 
 def parse_angle(value) -> float:
     """Accept decimal radians or fraction strings like 'pi/2' or '5pi/6'."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    m = _ANGLE_RE.match(str(value))
-    if m:
-        sign = -1.0 if m.group(1) else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * PI / den
     try:
+        if type(value) in (int, float):
+            return float(value)
+        m = _ANGLE_RE.match(value)
+        if m:
+            sign = -1.0 if m.group(1) else 1.0
+            num = float(m.group(2)) if m.group(2) else 1.0
+            den = float(m.group(3)) if m.group(3) else 1.0
+            return sign * num * PI / den
         return float(value)
-    except ValueError:
+    except (TypeError, ValueError, ArithmeticError):
         raise ConfigError(f"cannot parse angle {value!r}") from None
+
+
+def _typed(what, *kinds):
+    """Parser that passes a JSON value of one of `kinds` and rejects any other."""
+    def parse(value):
+        if type(value) not in kinds:
+            raise ConfigError(f"expected {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+_int = _typed("an integer", int)
+_bool = _typed("true or false", bool)
+_text = _typed("a string", str)
+_path = _typed("a string or null", str, type(None))
+_real = _typed("a number", int, float)
+_sequence = _typed("a list", list, tuple)
+
+
+def _number(value) -> float:
+    return parse_angle(_real(value))
+
+
+def _angles(value) -> tuple:
+    return tuple(parse_angle(v) for v in _sequence(value))
+
+
+def _coin(value) -> tuple:
+    pairs = _sequence(value)
+    if len(pairs) != 2 or any(type(p) not in (list, tuple) or len(p) != 2 for p in pairs):
+        raise ConfigError(f"expected [[re, im], [re, im]], got {value!r}")
+    return tuple(tuple(_number(x) for x in p) for p in pairs)
+
+
+def _field(default, parse, check=lambda value: True, need=""):
+    """A config field: its default, the parser of its JSON value, the check on
+    the parsed value, and the phrase that states what the check requires."""
+    return field(default=default, metadata={"parse": parse, "check": check, "need": need})
+
+
+def _one_of(default, names, parse=_text):
+    return _field(default, parse, names.__contains__, "one of " + ", ".join(names))
+
+
+def _unit_coin(coin) -> bool:
+    return abs(np.linalg.norm([complex(re, im) for re, im in coin]) - 1.0) <= NORM_TOL
 
 
 # documented initial-coin catalog used by the calibrate recipe
 COIN_CATALOG = {
     "right": ((1.0, 0.0), (0.0, 0.0)),
     "left": ((0.0, 0.0), (1.0, 0.0)),
-    "symmetric": ((1 / np.sqrt(2), 0.0), (0.0, 1 / np.sqrt(2))),
-    "plus": ((1 / np.sqrt(2), 0.0), (1 / np.sqrt(2), 0.0)),
-    "minus": ((1 / np.sqrt(2), 0.0), (-1 / np.sqrt(2), 0.0)),
+    "symmetric": ((1 / math.sqrt(2), 0.0), (0.0, 1 / math.sqrt(2))),
+    "plus": ((1 / math.sqrt(2), 0.0), (1 / math.sqrt(2), 0.0)),
+    "minus": ((1 / math.sqrt(2), 0.0), (-1 / math.sqrt(2), 0.0)),
 }
-
-RECIPES = (
-    "race",
-    "rendezvous",
-    "tug_of_war",
-    "perturbation",
-    "learning",
-    "calibrate",
-)
 
 # (T, L, interaction strength) defaults per recipe, mirroring the headline runs
 RECIPE_DEFAULTS = {
@@ -127,55 +167,60 @@ CALIBRATION_TARGETS = {
 
 @dataclass
 class ExperimentConfig:
-    recipe: str = "race"
-    lattice_size: int = 15
-    steps: int = 20
-    boundary: str = "periodic"
-    coin_a: tuple = COIN_CATALOG["right"]  # ((re, im), (re, im))
-    coin_b: tuple = COIN_CATALOG["right"]
-    interaction_kind: str = "collision_phase"
-    interaction_strength: float = PI
-    range_exponent: float = 2.0
-    noise_sigma: float = 0.0
-    game: str = "race"
-    table_a_path: str | None = None
-    table_b_path: str | None = None
-    grid_n: int = 61
-    refine: bool = True
-    eta: float = 0.05
-    max_iters: int = 500
-    grad_h: float = 1e-3
-    hess_h: float = 1e-2
-    ensemble: int = 1
-    n_starts: int = 8
-    start_radius: float = 0.3
-    phi_sweep: tuple = tuple(k * PI / 8 for k in range(9))
-    base_theta_a: float = 1.0
-    base_theta_b: float = 2.0
-    lambda_schedule: tuple = (0.1, 0.05, 0.025, 0.0125)
-    seed: int = 0
-    workers: int = 0  # 0 = available parallelism
-    out_dir: str = "out"
+    """Every experiment parameter. Each field states beside its default how
+    its JSON value is parsed and what the parsed value must satisfy."""
+
+    recipe: str = _one_of("race", RECIPE_DEFAULTS, lambda v: _text(v).replace("-", "_"))
+    lattice_size: int = _field(15, _int, lambda v: v >= 3 and v % 2 == 1, "odd and >= 3")
+    steps: int = _field(20, _int, lambda v: v >= 1, ">= 1")
+    boundary: str = _one_of("periodic", [b.value for b in Boundary])
+    # ((re, im), (re, im)) amplitudes of |R> and |L>
+    coin_a: tuple = _field(COIN_CATALOG["right"], _coin, _unit_coin, "a normalized coin state")
+    coin_b: tuple = _field(COIN_CATALOG["right"], _coin, _unit_coin, "a normalized coin state")
+    interaction_kind: str = _one_of("collision_phase", [k.value for k in InteractionKind])
+    interaction_strength: float = _field(PI, parse_angle, math.isfinite, "finite")
+    range_exponent: float = _field(2.0, _number, lambda v: 0 < v < INF, "finite and > 0")
+    noise_sigma: float = _field(0.0, parse_angle, lambda v: 0 <= v < INF, "finite and >= 0")
+    game: str = _one_of("race", [g.value for g in GameKind])
+    table_a_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
+    table_b_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
+    grid_n: int = _field(61, _int, lambda v: v >= 2, ">= 2")
+    refine: bool = _field(True, _bool)
+    eta: float = _field(0.05, parse_angle, lambda v: 0 < v < INF, "finite and > 0")
+    max_iters: int = _field(500, _int, lambda v: v >= 0, ">= 0")
+    # equilibrium._stencil_1d samples up to 2h from the point when it is within
+    # h of an edge, so h <= pi/3 keeps every stencil inside [0, pi]
+    grad_h: float = _field(1e-3, parse_angle, lambda v: 0 < v <= PI / 3, "in (0, pi/3]")
+    hess_h: float = _field(1e-2, parse_angle, lambda v: 0 < v <= PI / 3, "in (0, pi/3]")
+    ensemble: int = _field(1, _int, lambda v: v >= 1, ">= 1")
+    n_starts: int = _field(8, _int, lambda v: v >= 1, ">= 1")
+    start_radius: float = _field(0.3, parse_angle, lambda v: 0 <= v < INF, "finite and >= 0")
+    phi_sweep: tuple = _field(
+        tuple(k * PI / 8 for k in range(9)), _angles,
+        lambda v: all(map(math.isfinite, v)), "a list of finite angles",
+    )
+    base_theta_a: float = _field(1.0, parse_angle, lambda v: 0 <= v <= PI, "in [0, pi]")
+    base_theta_b: float = _field(2.0, parse_angle, lambda v: 0 <= v <= PI, "in [0, pi]")
+    lambda_schedule: tuple = _field(
+        (0.1, 0.05, 0.025, 0.0125), _angles,
+        lambda v: len(v) >= 2 and all(0 < b < a < INF for a, b in zip(v, v[1:])),
+        "two or more finite strengths, positive and strictly decreasing",
+    )
+    seed: int = _field(0, _int, lambda v: v >= 0, ">= 0")
+    workers: int = _field(0, _int, lambda v: v >= 0, ">= 0 (0 = available parallelism)")
+    out_dir: str = _field("out", _text, lambda v: v != "", "a non-empty path")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        parsers = {f.name: f.metadata["parse"] for f in fields(cls)}
         cfg = cls()
-        known = set(asdict(cfg))
         for key, value in data.items():
-            if key not in known:
+            if key not in parsers:
                 raise ConfigError(f"unknown config field {key!r}")
-            # cfg still holds the defaults: an int/bool field takes only that type
-            kind = type(getattr(cfg, key))
-            if kind in (int, bool) and type(value) is not kind:
-                raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-            if key in ("interaction_strength", "noise_sigma", "eta", "grad_h",
-                       "hess_h", "start_radius", "base_theta_a", "base_theta_b"):
-                value = parse_angle(value)
-            if key in ("phi_sweep", "lambda_schedule"):
-                value = tuple(parse_angle(v) for v in value)
-            if key in ("coin_a", "coin_b"):
-                value = tuple(tuple(float(c) for c in comp) for comp in value)
-            setattr(cfg, key, value)
+            try:
+                setattr(cfg, key, parsers[key](value))
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         if cfg.recipe in RECIPE_DEFAULTS:
             t, l, phi = RECIPE_DEFAULTS[cfg.recipe]
             if "steps" not in data:
@@ -187,11 +232,6 @@ class ExperimentConfig:
         if "game" not in data and cfg.recipe in RECIPE_GAMES:
             cfg.game = RECIPE_GAMES[cfg.recipe].value
         return cfg
-
-    def resolved(self) -> dict:
-        out = asdict(self)
-        out["recipe"] = self.recipe
-        return out
 
     # -- object construction ------------------------------------------------
 
@@ -206,53 +246,27 @@ class ExperimentConfig:
             self.noise_sigma,
         )
 
-    def coins(self) -> tuple:
-        def to_complex(coin):
-            return tuple(complex(re, im) for re, im in coin)
-
-        return to_complex(self.coin_a), to_complex(self.coin_b)
-
     def walk_config(self) -> WalkConfig:
-        ca, cb = self.coins()
+        ca, cb = (tuple(complex(re, im) for re, im in c) for c in (self.coin_a, self.coin_b))
         return WalkConfig(self.geometry(), self.steps, ca, cb, self.interaction())
 
     def game_spec(self) -> GameSpec:
         kind = GameKind(self.game)
-        if kind is GameKind.CUSTOM_TABLE:
-            if not self.table_a_path or not self.table_b_path:
-                raise ConfigError("custom_table game requires table_a_path and table_b_path")
-            geom = self.geometry()
-            return GameSpec(
-                kind,
-                table_from_csv(self.table_a_path, geom),
-                table_from_csv(self.table_b_path, geom),
-            )
-        return GameSpec(kind)
+        if kind is not GameKind.CUSTOM_TABLE:
+            return GameSpec(kind)
+        paths = (self.table_a_path, self.table_b_path)
+        return GameSpec(kind, *(table_from_csv(p, self.geometry()) for p in paths))
 
 
 def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     """Field-level errors plus non-fatal warnings."""
     errors, warns = [], []
-    if config.recipe not in RECIPES:
-        errors.append(f"recipe: unknown recipe {config.recipe!r}")
-    if config.lattice_size < 3 or config.lattice_size % 2 == 0:
-        errors.append(f"lattice_size: must be odd and >= 3, got {config.lattice_size}")
-    if config.steps < 1:
-        errors.append(f"steps: must be >= 1, got {config.steps}")
-    if config.boundary not in ("periodic", "reflecting"):
-        errors.append(f"boundary: must be periodic or reflecting, got {config.boundary!r}")
-    try:
-        InteractionKind(config.interaction_kind)
-    except ValueError:
-        errors.append(f"interaction_kind: unknown kind {config.interaction_kind!r}")
-    if config.grid_n < 2:
-        errors.append(f"grid_n: must be >= 2, got {config.grid_n}")
-    if config.eta <= 0:
-        errors.append(f"eta: learning rate must be > 0, got {config.eta}")
-    for name, coin in (("coin_a", config.coin_a), ("coin_b", config.coin_b)):
-        norm = np.linalg.norm([complex(re, im) for re, im in coin])
-        if abs(norm - 1.0) > 1e-10:
-            errors.append(f"{name}: coin state not normalized (||c|| = {norm})")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not f.metadata["check"](value):
+            errors.append(f"{f.name}: must be {f.metadata['need']}, got {value!r}")
+    if config.game == "custom_table" and not (config.table_a_path and config.table_b_path):
+        errors.append("game: custom_table needs both table_a_path and table_b_path")
     if not errors:
         if config.steps >= (config.lattice_size - 1) // 2:
             warns.append(
@@ -440,12 +454,9 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
         w = csv.writer(fh)
         w.writerow(["lambda", "slope", "difference", "ratio"])
         for k, lam in enumerate(est.lambdas):
-            diff = est.differences[k - 1] if k >= 1 else ""
-            ratio = est.ratios[k - 2] if k >= 2 else ""
-            w.writerow(
-                [_fmt(lam), _fmt(est.slopes[k]),
-                 _fmt(diff) if diff != "" else "", _fmt(ratio) if ratio != "" else ""]
-            )
+            diff = _fmt(est.differences[k - 1]) if k >= 1 else ""
+            ratio = _fmt(est.ratios[k - 2]) if k >= 2 else ""
+            w.writerow([_fmt(lam), _fmt(est.slopes[k]), diff, ratio])
 
     cert = pert.nonseparability_certificate(walk, game, config.seed)
     _dump_json(
@@ -511,15 +522,11 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
 def _calibrate_candidate(args):
     game_name, boundary, coin_label, config = args
     coin = COIN_CATALOG[coin_label]
-    sub = replace(
-        config,
-        boundary=boundary,
-        coin_a=coin,
-        coin_b=coin,
-        game=RECIPE_GAMES[game_name].value,
-    )
     t, l, phi = RECIPE_DEFAULTS[game_name]
-    sub = replace(sub, steps=t, lattice_size=l, interaction_strength=phi, grid_n=31)
+    sub = replace(
+        config, boundary=boundary, coin_a=coin, coin_b=coin, game=RECIPE_GAMES[game_name].value,
+        steps=t, lattice_size=l, interaction_strength=phi, grid_n=31,
+    )
     walk = sub.walk_config()
     game = sub.game_spec()
     grid = StrategyGrid(sub.grid_n)
@@ -577,18 +584,18 @@ def _run_calibrate(config: ExperimentConfig, out: str) -> int:
         rows = [r for r in pool.map(_calibrate_candidate, jobs) if r is not None]
     rows.sort(key=lambda r: (r["game"], r["target_distance"], r["boundary"], r["coin"]))
 
-    fields = [
+    columns = [
         "game", "boundary", "coin", "theta_A", "theta_B", "target_distance",
         "u_B", "mean_x_A", "mean_x_B", "center_of_mass",
         "meeting_probability", "mean_separation",
     ]
     with open(os.path.join(out, "calibration.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(fields)
+        w.writerow(columns)
         for r in rows:
             w.writerow(
                 [r.get(f, "") if not isinstance(r.get(f), float) else _fmt(r[f])
-                 for f in fields]
+                 for f in columns]
             )
     return 0
 
@@ -619,7 +626,7 @@ def run_recipe(config: ExperimentConfig) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _dump_json(os.path.join(out, "resolved_config.json"), config.resolved())
+            _dump_json(os.path.join(out, "resolved_config.json"), asdict(config))
             status = _RECIPE_RUNNERS[config.recipe](config, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
@@ -637,17 +644,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run quantum walk game experiments",
     )
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--recipe", choices=[r.replace("_", "-") for r in RECIPES] + list(RECIPES))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--recipe", help="one of " + ", ".join(RECIPE_DEFAULTS))
+    p.add_argument("--seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--grid", type=int, help="strategy grid points per axis")
+    p.add_argument("--workers")
+    p.add_argument("--grid", help="strategy grid points per axis")
     return p
 
 
-def _env_default(name: str, cast):
-    raw = os.environ.get(f"QWG_{name}")
-    return cast(raw) if raw is not None else None
+def _flag_or_env(flag, name: str, cast):
+    """The --flag value, else the QWG_<name> environment value, cast; None if unset."""
+    raw, source = flag, f"--{name.lower()}"
+    if raw is None:
+        raw, source = os.environ.get(f"QWG_{name}"), f"QWG_{name}"
+    try:
+        return cast(raw) if raw is not None else None
+    except ValueError:
+        raise ConfigError(f"{source}: expected {cast.__name__}, got {raw!r}") from None
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -656,16 +669,16 @@ def config_from_args(args) -> ExperimentConfig:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config}: expected a JSON object, got {data!r}")
     overrides = {
-        "recipe": args.recipe.replace("-", "_") if args.recipe else None,
-        "seed": args.seed if args.seed is not None else _env_default("SEED", int),
-        "out_dir": args.out or _env_default("OUT", str),
-        "workers": args.workers if args.workers is not None else _env_default("WORKERS", int),
-        "grid_n": args.grid if args.grid is not None else _env_default("GRID", int),
+        "recipe": args.recipe,
+        "seed": _flag_or_env(args.seed, "SEED", int),
+        "out_dir": _flag_or_env(args.out, "OUT", str),
+        "workers": _flag_or_env(args.workers, "WORKERS", int),
+        "grid_n": _flag_or_env(args.grid, "GRID", int),
     }
     for key, value in overrides.items():
         if value is not None:

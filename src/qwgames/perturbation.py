@@ -10,15 +10,14 @@ linearly in lambda wherever the expansion is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import StrategyProfile, WalkConfig, evolve_single, evolve_trajectory
-from .equilibrium import StrategyGrid, WalkEvaluator, surface_from_evaluator
+from .equilibrium import StrategyGrid, WalkEvaluator
 from .games import GameSpec, payoffs
 from .hilbert import LatticeGeometry, ValidationError, check_distributions, measure_joint
-from .interactions import InteractionSpec
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,6 @@ class Certificate:
     baseline: float  # same stencil with the interaction removed
     base_point: tuple
     step: float
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    thetas: np.ndarray
-    f_values: np.ndarray
-    separability_residual: float
-    g_grid: np.ndarray | None = None
-    g_grid_thetas: np.ndarray | None = None
-    slope: SlopeEstimate | None = None
-    certificate: Certificate | None = None
-    collision_weights: dict = field(default_factory=dict)
 
 
 def drift(geometry: LatticeGeometry, steps: int, theta: float, coin) -> float:

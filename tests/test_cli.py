@@ -1,18 +1,28 @@
 import json
 import os
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwgames.cli import (
     COIN_CATALOG,
     ConfigError,
     ExperimentConfig,
+    build_parser,
+    config_from_args,
     main,
     parse_angle,
     run_recipe,
     validate,
 )
+from qwgames.dynamics import StrategyProfile
+from qwgames.equilibrium import _stencil_1d
+
+FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
 
 
 def test_parse_angle_fractions():
@@ -178,7 +188,10 @@ def test_exit_code_1_on_config_error(tmp_path, capsys):
 
 
 def test_exit_code_2_on_runtime_failure(tmp_path, capsys):
-    cfg = _small_race(tmp_path / "crash", game="custom_table")
+    missing = str(tmp_path / "missing.csv")
+    cfg = _small_race(
+        tmp_path / "crash", game="custom_table", table_a_path=missing, table_b_path=missing
+    )
     assert run_recipe(cfg) == 2
     assert "runtime failure" in capsys.readouterr().err
     # partially written output is cleaned up
@@ -218,25 +231,163 @@ def test_main_rejects_missing_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content, field",
+    "content, field, env",
     [
-        ([1, 2], "JSON object"),
-        ({"recipe": "race", "steps": "20"}, "steps"),
-        ({"recipe": "race", "lattice_size": 15.0}, "lattice_size"),
-        ({"recipe": "race", "seed": True}, "seed"),
-        ({"recipe": "race", "refine": "no"}, "refine"),
+        ([1, 2], "JSON object", {}),
+        ({"recipe": "race", "steps": "20"}, "steps", {}),
+        ({"recipe": "race", "lattice_size": 15.0}, "lattice_size", {}),
+        ({"recipe": "race", "seed": True}, "seed", {}),
+        ({"recipe": "race", "refine": "no"}, "refine", {}),
+        ({"phi_sweep": 3}, "phi_sweep", {}),
+        ({"coin_a": [1, 0]}, "coin_a", {}),
+        ({"coin_a": "right"}, "coin_a", {}),
+        ({"out_dir": ""}, "out_dir", {}),
+        ({"recipe": "race"}, "QWG_SEED", {"QWG_SEED": "abc"}),
+        ({"ensemble": 0}, "ensemble", {}),
+        ({"recipe": "calibrate", "workers": -1}, "workers", {}),
+        ({"interaction_strength": "nan"}, "interaction_strength", {}),
+        ({"interaction_kind": "noisy_collision", "noise_sigma": -1}, "noise_sigma", {}),
+        ({"interaction_kind": "long_range", "range_exponent": 0}, "range_exponent", {}),
+        ({"interaction_kind": "long_range", "range_exponent": "2"}, "range_exponent", {}),
+        ({"game": "nope"}, "game", {}),
+        ({"interaction_kind": "noisy_collision", "noise_sigma": 0.3, "seed": -1}, "seed", {}),
+        ({"recipe": "perturbation", "base_theta_a": 5}, "base_theta_a", {}),
+        ({"recipe": "perturbation", "lambda_schedule": [0.1, 0.2]}, "lambda_schedule", {}),
+        ({"recipe": "tug_of_war", "hess_h": 0}, "hess_h", {}),
+        ({"game": "custom_table"}, "game", {}),
+        ({"grad_h": 0}, "grad_h", {}),
+        ({"grad_h": "pi/2"}, "grad_h", {}),
+        ({"game": "custom_table", "table_a_path": 5, "table_b_path": "b.csv"}, "table_a_path", {}),
+        ({"interaction_strength": True}, "interaction_strength", {}),
     ],
-    ids=["top-level-list", "int-as-string", "int-as-float", "int-as-bool", "bool-as-string"],
+    ids=[
+        "top-level-list", "int-as-string", "int-as-float", "int-as-bool", "bool-as-string",
+        "phi-sweep-number", "coin-flat-list", "coin-label", "empty-out-dir", "env-seed-text",
+        "ensemble-0", "workers-negative", "strength-nan", "noise-negative", "range-exponent-0",
+        "range-exponent-string", "unknown-game", "seed-negative", "theta-outside",
+        "lambda-increasing", "hess-h-0", "custom-table-no-paths", "grad-h-0", "grad-h-too-wide",
+        "table-path-number", "strength-bool",
+    ],
 )
-def test_main_rejects_malformed_config_with_exit_1(tmp_path, capsys, content, field):
+def test_main_rejects_malformed_config_with_exit_1(
+    tmp_path, capsys, monkeypatch, content, field, env
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(content))
     out = tmp_path / "out"
-    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    # a config that sets out_dir itself is run without --out, which would replace it
+    out_flag = [] if "out_dir" in content else ["--out", str(out)]
+    assert main(["--config", str(cfg_path), *out_flag]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_recipe_spelling_is_normalized_in_config_files_and_flags():
+    cfg = ExperimentConfig.from_dict({"recipe": "tug-of-war"})
+    assert (cfg.recipe, cfg.game) == ("tug_of_war", "tug_of_war")
+    args = build_parser().parse_args(["--recipe", "tug-of-war"])
+    assert config_from_args(args).recipe == "tug_of_war"
+
+
+def test_step_bound_keeps_every_stencil_inside_the_strategy_square():
+    # _stencil_1d goes one-sided within h of an edge and then samples 2h away,
+    # so the widest step that stays inside [0, pi] is pi/3
+    bound = np.pi / 3
+    checks = {f.name: f.metadata["check"] for f in fields(ExperimentConfig)}
+    for name in ("grad_h", "hess_h"):
+        assert checks[name](bound) and not checks[name](np.nextafter(bound, 4.0))
+
+    def escapes(h):
+        near_edges = [np.nextafter(h, 0.0), h, np.pi - h, np.nextafter(np.pi - h, 4.0)]
+        for p in np.concatenate([np.linspace(0.0, np.pi, 2001), near_edges]):
+            reach = p + _stencil_1d(p, h)[0]
+            if reach.min() < 0.0 or reach.max() > np.pi:
+                return True
+        return False
+
+    assert not escapes(bound)
+    assert escapes(bound * (1 + 1e-6))
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["pi/2", "-pi", "nan", "tug-of-war", "long_range", "reflecting"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+_DEFAULTS = json.loads(json.dumps(asdict(ExperimentConfig())))
+# valid settings under which a field's value may fail in a different way
+_CONTEXTS = [
+    {},
+    {"interaction_kind": "long_range"},
+    {"interaction_kind": "noisy_collision", "noise_sigma": 0.3},
+    {"game": "custom_table", "table_a_path": "a.csv", "table_b_path": "b.csv"},
+    {"recipe": "perturbation"},
+]
+
+
+def _like(value):
+    """JSON values of the shape of `value`, with each number redrawn."""
+    if isinstance(value, list):
+        return st.tuples(*map(_like, value)).map(list)
+    if type(value) in (int, float):
+        return st.integers(-2, 40) | st.floats(-1.0, 4.0) | st.sampled_from([np.nan, np.inf])
+    return st.just(value)
+
+
+def _field_value(name):
+    """Any JSON value, the field's default, the default with its numbers
+    redrawn, or the default list with one entry replaced by any JSON leaf."""
+    default = _DEFAULTS[name]
+    values = _JSON_VALUES | st.just(default) | _like(default)
+    if isinstance(default, list):
+        values |= st.tuples(st.integers(0, len(default) - 1), _JSON_LEAVES).map(
+            lambda kv: [kv[1] if i == kv[0] else v for i, v in enumerate(default)]
+        )
+    return values
+
+
+@st.composite
+def _configs(draw):
+    name = draw(st.sampled_from(FIELD_NAMES))
+    return {**draw(st.sampled_from(_CONTEXTS)), name: draw(_field_value(name))}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_configs())
+def test_any_json_config_is_rejected_by_field_or_builds(data):
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+    except ConfigError as exc:
+        assert str(exc).split(":")[0] in data
+        return
+    errors, _ = validate(cfg)
+    if errors:
+        assert all(e.split(":")[0] in data for e in errors), errors
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg.walk_config()
+    for phi in cfg.phi_sweep:  # the rendezvous recipe's strength sweep
+        cfg.interaction().with_strength(phi)
+    StrategyProfile(cfg.base_theta_a, cfg.base_theta_b)
+
+
+def test_flag_value_that_does_not_parse_exits_1(tmp_path, capsys):
+    assert main(["--recipe", "race", "--seed", "abc", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_env_defaults_fill_missing_flags(tmp_path, monkeypatch):
