@@ -188,10 +188,6 @@ class ExperimentConfig:
     refine: bool = _field(True, _bool)
     eta: float = _field(0.05, parse_angle, lambda v: 0 < v < INF, "finite and > 0")
     max_iters: int = _field(500, _int, lambda v: v >= 0, ">= 0")
-    # equilibrium._stencil_1d samples up to 2h from the point when it is within
-    # h of an edge, so h <= pi/3 keeps every stencil inside [0, pi]
-    grad_h: float = _field(1e-3, parse_angle, lambda v: 0 < v <= PI / 3, "in (0, pi/3]")
-    hess_h: float = _field(1e-2, parse_angle, lambda v: 0 < v <= PI / 3, "in (0, pi/3]")
     ensemble: int = _field(1, _int, lambda v: v >= 1, ">= 1")
     n_starts: int = _field(8, _int, lambda v: v >= 1, ">= 1")
     start_radius: float = _field(0.3, parse_angle, lambda v: 0 <= v < INF, "finite and >= 0")
@@ -286,30 +282,23 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_surface(path, grid: StrategyGrid, values: np.ndarray):
-    vals = grid.values
+def _write_csv(path, header, rows):
+    """One CSV table; floats (numpy's too) go through _fmt, the rest as is."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["theta_A", "theta_B", "value"])
-        for i, ta in enumerate(vals):
-            for j, tb in enumerate(vals):
-                w.writerow([_fmt(ta), _fmt(tb), _fmt(values[i, j])])
+        w.writerow(header)
+        w.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _write_best_responses(path, grid: StrategyGrid, br_a, br_b):
-    vals = grid.values
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["player", "theta_opponent", "theta_best"])
-        for j, rows in enumerate(br_a):
-            for i in rows:
-                w.writerow(["A", _fmt(vals[j]), _fmt(vals[i])])
-        for i, cols in enumerate(br_b):
-            for j in cols:
-                w.writerow(["B", _fmt(vals[i]), _fmt(vals[j])])
+SURFACE_HEADER = ["theta_A", "theta_B", "value"]
 
 
-def _stationary_payload(points, evaluator, hess_h, eta):
+def _grid_rows(grid: StrategyGrid, *values: np.ndarray) -> np.ndarray:
+    """(theta_A, theta_B, value...) rows over the grid, theta_A-major."""
+    return np.column_stack([grid.profiles, *(v.ravel() for v in values)])
+
+
+def _stationary_payload(points, evaluator, eta):
     payload = []
     for pt in points:
         entry = {
@@ -321,7 +310,7 @@ def _stationary_payload(points, evaluator, hess_h, eta):
             "grad_residual": list(pt.grad_residual),
         }
         if pt.interior:
-            rep = jacobian_at(pt, evaluator, h=hess_h, eta=eta)
+            rep = jacobian_at(pt, evaluator, eta=eta)
             entry["jacobian"] = rep.matrix.tolist()
             entry["eigenvalues"] = [[z.real, z.imag] for z in rep.eigenvalues]
             entry["verdict"] = rep.verdict
@@ -348,17 +337,21 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
     grid = StrategyGrid(config.grid_n)
     evaluator = WalkEvaluator(walk, game, config.seed, config.ensemble)
     surface = surface_from_evaluator(evaluator, grid)
-    _write_surface(os.path.join(out, "surface_uA.csv"), grid, surface.u_a)
-    _write_surface(os.path.join(out, "surface_uB.csv"), grid, surface.u_b)
+    _write_csv(os.path.join(out, "surface_uA.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_a))
+    _write_csv(os.path.join(out, "surface_uB.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_b))
     br_a, br_b = best_responses(surface)
-    _write_best_responses(os.path.join(out, "best_response.csv"), grid, br_a, br_b)
-
-    points = find_stationary(
-        surface, evaluator, refine=config.refine, grad_h=config.grad_h
+    vals = grid.values
+    _write_csv(
+        os.path.join(out, "best_response.csv"),
+        ["player", "theta_opponent", "theta_best"],
+        [["A", vals[j], vals[i]] for j, rows in enumerate(br_a) for i in rows]
+        + [["B", vals[i], vals[j]] for i, cols in enumerate(br_b) for j in cols],
     )
+
+    points = find_stationary(surface, evaluator, refine=config.refine)
     _dump_json(
         os.path.join(out, "stationary.json"),
-        _stationary_payload(points, evaluator, config.hess_h, config.eta),
+        _stationary_payload(points, evaluator, config.eta),
     )
     if not points:
         return 3
@@ -369,11 +362,10 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
     dist = measure_joint(evolve(walk, profile, config.seed))
     distribution_to_csv(dist, os.path.join(out, "ne_distribution.csv"))
     p_a, p_b = marginals(dist)
-    with open(os.path.join(out, "ne_marginals.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "p_A", "p_B"])
-        for x, a, b in zip(walk.geometry.positions, p_a, p_b):
-            w.writerow([x, _fmt(a), _fmt(b)])
+    _write_csv(
+        os.path.join(out, "ne_marginals.csv"), ["x", "p_A", "p_B"],
+        zip(walk.geometry.positions, p_a, p_b),
+    )
     return 0
 
 
@@ -383,45 +375,38 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
     grid = StrategyGrid(config.grid_n)
     evaluator = WalkEvaluator(walk, game, config.seed, config.ensemble)
     surface = surface_from_evaluator(evaluator, grid)
-    _write_surface(os.path.join(out, "surface_u.csv"), grid, surface.u_a)
-    _write_surface(
-        os.path.join(out, "separation_surface.csv"), grid, surface.aux["mean_separation"]
-    )
-    _write_surface(
-        os.path.join(out, "meeting_surface.csv"), grid, surface.aux["meeting_probability"]
-    )
+    for name, values in (
+        ("surface_u.csv", surface.u_a),
+        ("separation_surface.csv", surface.aux["mean_separation"]),
+        ("meeting_surface.csv", surface.aux["meeting_probability"]),
+    ):
+        _write_csv(os.path.join(out, name), SURFACE_HEADER, _grid_rows(grid, values))
 
     i, j = np.unravel_index(np.argmax(surface.u_a), surface.u_a.shape)
     ta, tb = grid.values[i], grid.values[j]
-    pt = evaluator.points([[ta, tb]])[0]
     _dump_json(
         os.path.join(out, "optimum.json"),
         {
             "theta_A": float(ta),
             "theta_B": float(tb),
-            "payoff": pt.u_a,
-            "mean_separation": pt.aux["mean_separation"],
-            "meeting_probability": pt.aux["meeting_probability"],
+            "payoff": float(surface.u_a[i, j]),
+            "mean_separation": float(surface.aux["mean_separation"][i, j]),
+            "meeting_probability": float(surface.aux["meeting_probability"][i, j]),
         },
     )
 
-    with open(os.path.join(out, "phi_sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phi", "meeting_probability", "payoff"])
-        for phi in config.phi_sweep:
-            walk_phi = replace(
-                walk, interaction=walk.interaction.with_strength(float(phi))
-            )
-            p = WalkEvaluator(walk_phi, game, config.seed, config.ensemble).points(
-                [[ta, tb]]
-            )[0]
-            w.writerow([_fmt(phi), _fmt(p.aux["meeting_probability"]), _fmt(p.u_a)])
-
-    with open(os.path.join(out, "cross_section.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta_A", "value"])
-        for k, v in enumerate(surface.u_a[:, j]):
-            w.writerow([_fmt(grid.values[k]), _fmt(v)])
+    sweep = []
+    for phi in config.phi_sweep:
+        walk_phi = replace(walk, interaction=walk.interaction.with_strength(float(phi)))
+        p = WalkEvaluator(walk_phi, game, config.seed, config.ensemble).points([[ta, tb]])[0]
+        sweep.append([phi, p.aux["meeting_probability"], p.u_a])
+    _write_csv(
+        os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"], sweep
+    )
+    _write_csv(
+        os.path.join(out, "cross_section.csv"), ["theta_A", "value"],
+        zip(grid.values, surface.u_a[:, j]),
+    )
 
     dist = measure_joint(evolve(walk, StrategyProfile(float(ta), float(tb)), config.seed))
     distribution_to_csv(dist, os.path.join(out, "opt_distribution.csv"))
@@ -435,28 +420,26 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
     thetas = StrategyGrid(config.grid_n).values
 
     f_vals = pert.drift_sweep(geom, walk.steps, thetas, walk.coin_a)
-    with open(os.path.join(out, "f_sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "F"])
-        for th, f in zip(thetas, f_vals):
-            w.writerow([_fmt(th), _fmt(f)])
+    _write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], zip(thetas, f_vals))
 
     grid13 = StrategyGrid(13)
     residual = pert.separability_residual(walk, game, grid13, config.seed)
     _dump_json(os.path.join(out, "separability.json"), {"max_residual": residual})
 
     g = pert.g_estimate_grid(walk, game, grid13, config.lambda_schedule[:2], config.seed)
-    _write_surface(os.path.join(out, "g_grid.csv"), grid13, g)
+    _write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
 
     profile = StrategyProfile(config.base_theta_a, config.base_theta_b)
     est = pert.first_order_slope(walk, game, profile, config.lambda_schedule, config.seed)
-    with open(os.path.join(out, "convergence_table.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "slope", "difference", "ratio"])
-        for k, lam in enumerate(est.lambdas):
-            diff = _fmt(est.differences[k - 1]) if k >= 1 else ""
-            ratio = _fmt(est.ratios[k - 2]) if k >= 2 else ""
-            w.writerow([_fmt(lam), _fmt(est.slopes[k]), diff, ratio])
+    _write_csv(
+        os.path.join(out, "convergence_table.csv"),
+        ["lambda", "slope", "difference", "ratio"],
+        [
+            [lam, est.slopes[k],
+             est.differences[k - 1] if k >= 1 else "", est.ratios[k - 2] if k >= 2 else ""]
+            for k, lam in enumerate(est.lambdas)
+        ],
+    )
 
     cert = pert.nonseparability_certificate(walk, game, config.seed)
     _dump_json(
@@ -479,17 +462,15 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
     grid = StrategyGrid(min(config.grid_n, 31))
     evaluator = WalkEvaluator(walk, game, config.seed, config.ensemble)
 
-    ga, gb = vector_field(evaluator, grid, config.grad_h)
-    vals = grid.values
-    with open(os.path.join(out, "vector_field.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta_A", "theta_B", "dUA_dthetaA", "dUB_dthetaB"])
-        for i, ta in enumerate(vals):
-            for j, tb in enumerate(vals):
-                w.writerow([_fmt(ta), _fmt(tb), _fmt(ga[i, j]), _fmt(gb[i, j])])
+    ga, gb = vector_field(evaluator, grid)
+    _write_csv(
+        os.path.join(out, "vector_field.csv"),
+        ["theta_A", "theta_B", "dUA_dthetaA", "dUB_dthetaB"],
+        _grid_rows(grid, ga, gb),
+    )
 
     surface = surface_from_evaluator(evaluator, grid)
-    points = find_stationary(surface, evaluator, refine=config.refine, grad_h=config.grad_h)
+    points = find_stationary(surface, evaluator, refine=config.refine)
     interior = [p for p in points if p.interior]
     center = interior[0] if interior else (points[0] if points else None)
     if center is None:
@@ -506,16 +487,16 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
                 min(max(cb + config.start_radius * np.sin(ang), 0.0), PI),
             )
         )
-    with open(os.path.join(out, "trajectories.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start", "iter", "theta_A", "theta_B", "u_A", "u_B"])
-        for sid, start in enumerate(starts):
-            res = learn(
-                evaluator, start, config.eta, config.grad_h,
-                max_iters=config.max_iters,
-            )
-            for it, ((ta, tb), (ua, ub)) in enumerate(zip(res.trajectory, res.payoffs)):
-                w.writerow([sid, it, _fmt(ta), _fmt(tb), _fmt(ua), _fmt(ub)])
+    rows = []
+    for sid, start in enumerate(starts):
+        res = learn(evaluator, start, config.eta, max_iters=config.max_iters)
+        for it, ((ta, tb), (ua, ub)) in enumerate(zip(res.trajectory, res.payoffs)):
+            rows.append([sid, it, ta, tb, ua, ub])
+    _write_csv(
+        os.path.join(out, "trajectories.csv"),
+        ["start", "iter", "theta_A", "theta_B", "u_A", "u_B"],
+        rows,
+    )
     return 0
 
 
@@ -537,12 +518,11 @@ def _calibrate_candidate(args):
     if game_name == "rendezvous":
         i, j = np.unravel_index(np.argmax(surface.u_a), surface.u_a.shape)
         ta, tb = float(grid.values[i]), float(grid.values[j])
-        pt = evaluator.points([[ta, tb]])[0]
         extras = {
-            "meeting_probability": pt.aux["meeting_probability"],
-            "mean_separation": pt.aux["mean_separation"],
+            key: float(surface.aux[key][i, j])
+            for key in ("meeting_probability", "mean_separation")
         }
-        u_b = pt.u_b
+        u_b = float(surface.u_b[i, j])
     else:
         points = find_stationary(surface, evaluator, refine=True)
         interior = [p for p in points if p.interior] or points
@@ -589,14 +569,8 @@ def _run_calibrate(config: ExperimentConfig, out: str) -> int:
         "u_B", "mean_x_A", "mean_x_B", "center_of_mass",
         "meeting_probability", "mean_separation",
     ]
-    with open(os.path.join(out, "calibration.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for r in rows:
-            w.writerow(
-                [r.get(f, "") if not isinstance(r.get(f), float) else _fmt(r[f])
-                 for f in columns]
-            )
+    table = [[r.get(f, "") for f in columns] for r in rows]
+    _write_csv(os.path.join(out, "calibration.csv"), columns, table)
     return 0
 
 

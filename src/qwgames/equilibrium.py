@@ -14,6 +14,7 @@ machinery.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,12 @@ class StrategyGrid:
     @property
     def spacing(self) -> float:
         return PI / (self.n - 1)
+
+    @property
+    def profiles(self) -> np.ndarray:
+        """Every (theta_A, theta_B) pair, shape (n*n, 2), theta_A-major."""
+        ta, tb = np.meshgrid(self.values, self.values, indexing="ij")
+        return np.column_stack([ta.ravel(), tb.ravel()])
 
 
 @dataclass(frozen=True)
@@ -165,11 +172,8 @@ class FunctionEvaluator:
 
 
 def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
-    vals = grid.values
     n = grid.n
-    ta, tb = np.meshgrid(vals, vals, indexing="ij")
-    thetas = np.column_stack([ta.ravel(), tb.ravel()])
-    pts = evaluator.points(thetas)
+    pts = evaluator.points(grid.profiles)
     u_a = np.array([p.u_a for p in pts]).reshape(n, n)
     u_b = np.array([p.u_b for p in pts]).reshape(n, n)
     aux = {}
@@ -256,10 +260,7 @@ def gradients(evaluator, pts, h: float = 1e-3) -> np.ndarray:
 
 def vector_field(evaluator, grid: StrategyGrid, h: float = 1e-3):
     """Gradient pairs over the whole grid, shaped (n, n) each."""
-    vals = grid.values
-    ta, tb = np.meshgrid(vals, vals, indexing="ij")
-    pts = np.column_stack([ta.ravel(), tb.ravel()])
-    g = gradients(evaluator, pts, h)
+    g = gradients(evaluator, grid.profiles, h)
     n = grid.n
     return g[:, 0].reshape(n, n), g[:, 1].reshape(n, n)
 
@@ -311,29 +312,31 @@ def find_stationary(
     golden searches and every gradient check is one `evaluate_many` call over
     the candidates still moving, each on the iterates a lone refinement takes.
 
+    Only the first `max_candidates` intersections, column by column, are
+    refined, with a warning when more were found.
+
     Non-convergent refinements are reported with status "unrefined"; points
     that end up on the domain boundary are flagged "boundary" and exempt from
     the interior first-order residual bound.
     """
     vals = surface.grid.values
-    br_a, br_b = best_responses(surface)
-    candidates = []
-    for j in range(surface.grid.n):
-        for i in br_a[j]:
-            if j in br_b[i]:
-                candidates.append((i, j))
-            if len(candidates) >= max_candidates:
-                break
-        if len(candidates) >= max_candidates:
-            break
-
-    if not candidates:
+    u_a, u_b = surface.u_a, surface.u_b
+    # best-response intersections, read column by column (theta_B-major)
+    mask = (u_a >= u_a.max(axis=0) - TIE_TOL) & (u_b >= u_b.max(axis=1, keepdims=True) - TIE_TOL)
+    cols, rows = np.argwhere(mask.T).T
+    if len(cols) > max_candidates:
+        warnings.warn(
+            f"{len(cols)} best-response intersections, refining the first {max_candidates}",
+            stacklevel=2,
+        )
+    cols, rows = cols[:max_candidates], rows[:max_candidates]
+    if not cols.size:
         return []
     w = surface.grid.spacing
-    ta, tb = vals[np.array(candidates).T]
-    grad = np.full((len(candidates), 2), np.inf)
+    ta, tb = vals[rows], vals[cols]
+    grad = np.full((len(cols), 2), np.inf)
     # lanes still refining; refine=False takes one residual check instead
-    live = np.arange(len(candidates))
+    live = np.arange(len(cols))
     for _ in range(max_iters if refine else 1):
         if refine:
             ta[live] = _golden_max(
@@ -358,7 +361,7 @@ def find_stationary(
             ("refined" if np.all(np.abs(grad[k]) < grad_tol) else "unrefined"),
             (float(grad[k, 0]), float(grad[k, 1])),
         )
-        for k in range(len(candidates))
+        for k in range(len(cols))
     ]
 
     # merge near-duplicates, keeping the smallest gradient residual

@@ -20,7 +20,6 @@ from qwgames.cli import (
     validate,
 )
 from qwgames.dynamics import StrategyProfile
-from qwgames.equilibrium import _stencil_1d
 
 FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
 
@@ -253,10 +252,8 @@ def test_main_rejects_missing_config(tmp_path, capsys):
         ({"interaction_kind": "noisy_collision", "noise_sigma": 0.3, "seed": -1}, "seed", {}),
         ({"recipe": "perturbation", "base_theta_a": 5}, "base_theta_a", {}),
         ({"recipe": "perturbation", "lambda_schedule": [0.1, 0.2]}, "lambda_schedule", {}),
-        ({"recipe": "tug_of_war", "hess_h": 0}, "hess_h", {}),
+        ({"recipe": "tug_of_war", "hess_h": 1e-200}, "hess_h", {}),
         ({"game": "custom_table"}, "game", {}),
-        ({"grad_h": 0}, "grad_h", {}),
-        ({"grad_h": "pi/2"}, "grad_h", {}),
         ({"game": "custom_table", "table_a_path": 5, "table_b_path": "b.csv"}, "table_a_path", {}),
         ({"interaction_strength": True}, "interaction_strength", {}),
     ],
@@ -265,8 +262,8 @@ def test_main_rejects_missing_config(tmp_path, capsys):
         "phi-sweep-number", "coin-flat-list", "coin-label", "empty-out-dir", "env-seed-text",
         "ensemble-0", "workers-negative", "strength-nan", "noise-negative", "range-exponent-0",
         "range-exponent-string", "unknown-game", "seed-negative", "theta-outside",
-        "lambda-increasing", "hess-h-0", "custom-table-no-paths", "grad-h-0", "grad-h-too-wide",
-        "table-path-number", "strength-bool",
+        "lambda-increasing", "hess-h-removed", "custom-table-no-paths", "table-path-number",
+        "strength-bool",
     ],
 )
 def test_main_rejects_malformed_config_with_exit_1(
@@ -291,26 +288,6 @@ def test_recipe_spelling_is_normalized_in_config_files_and_flags():
     assert (cfg.recipe, cfg.game) == ("tug_of_war", "tug_of_war")
     args = build_parser().parse_args(["--recipe", "tug-of-war"])
     assert config_from_args(args).recipe == "tug_of_war"
-
-
-def test_step_bound_keeps_every_stencil_inside_the_strategy_square():
-    # _stencil_1d goes one-sided within h of an edge and then samples 2h away,
-    # so the widest step that stays inside [0, pi] is pi/3
-    bound = np.pi / 3
-    checks = {f.name: f.metadata["check"] for f in fields(ExperimentConfig)}
-    for name in ("grad_h", "hess_h"):
-        assert checks[name](bound) and not checks[name](np.nextafter(bound, 4.0))
-
-    def escapes(h):
-        near_edges = [np.nextafter(h, 0.0), h, np.pi - h, np.nextafter(np.pi - h, 4.0)]
-        for p in np.concatenate([np.linspace(0.0, np.pi, 2001), near_edges]):
-            reach = p + _stencil_1d(p, h)[0]
-            if reach.min() < 0.0 or reach.max() > np.pi:
-                return True
-        return False
-
-    assert not escapes(bound)
-    assert escapes(bound * (1 + 1e-6))
 
 
 _JSON_LEAVES = (

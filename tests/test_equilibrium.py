@@ -2,6 +2,8 @@
 stationary points, Jacobians, and learning behavior are known in closed form.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -360,3 +362,32 @@ def test_refinement_calls_do_not_grow_with_candidates():
         counts.append((ev.calls, ev.profiles))
     assert counts[0][0] == counts[1][0] == counts[2][0]
     assert counts[0][1] < counts[1][1] < counts[2][1]
+
+
+def test_grid_profiles_are_theta_a_major_pairs():
+    grid = StrategyGrid(3)
+    vals = grid.values
+    want = [[vals[i], vals[j]] for i in range(3) for j in range(3)]
+    assert grid.profiles.tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_candidate_mask_matches_best_response_loop(seed):
+    # small integer payoffs tie often, so columns hold several best responses
+    rng = np.random.default_rng(seed)
+    u_a, u_b = rng.integers(0, 3, size=(2, 11, 11)).astype(float)
+    surface = PayoffSurface(StrategyGrid(11), u_a, u_b)
+    got = find_stationary(surface, QUAD, refine=False)
+    assert got
+    assert got == sequential_find_stationary(surface, QUAD, refine=False)[0]
+
+
+def test_find_stationary_warns_when_it_cuts_candidates():
+    surface = tied_surface(9)
+    ev = FunctionEvaluator(waves)
+    with pytest.warns(UserWarning, match="81 best-response intersections, refining the first 64"):
+        got = find_stationary(surface, ev, refine=False)
+    assert got == sequential_find_stationary(surface, ev, refine=False)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        find_stationary(surface, ev, refine=False, max_candidates=81)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qwgames.dynamics import StrategyProfile, WalkConfig
-from qwgames.equilibrium import StrategyGrid
+from qwgames.equilibrium import StrategyGrid, WalkEvaluator
 from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
@@ -11,11 +11,18 @@ from qwgames.perturbation import (
     drift,
     drift_sweep,
     first_order_slope,
+    g_estimate_grid,
     nonseparability_certificate,
     separability_residual,
 )
 
 RACE = GameSpec(GameKind.RACE)
+# a small coupled walk for the batched-slope checks
+SMALL = WalkConfig(
+    LatticeGeometry(21), 6, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+)
+SCHEDULES = [(0.1, 0.05), (0.1, 0.03, 0.02)]  # halving: Richardson step; not: last slope
+BAD_SCHEDULES = [(0.1,), (0.05, 0.1), (0.1, 0.0)]
 
 
 def test_drift_of_frozen_coin_is_ballistic():
@@ -103,3 +110,67 @@ def test_collision_weight_ignores_interaction_strength():
     )
     w_off = collision_weight(WalkConfig(geom, 4), profile)
     assert w_on == pytest.approx(w_off, abs=1e-12)
+
+
+def per_point_g_grid(config, game, grid, schedule, seed=0):
+    """g_estimate_grid as one first_order_slope call per grid point."""
+    vals = grid.values
+    return np.array([
+        [first_order_slope(config, game, StrategyProfile(a, b), schedule, seed).g_estimate
+         for b in vals]
+        for a in vals
+    ])
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_g_estimate_grid_is_bitwise_the_per_point_slopes(schedule):
+    grid = StrategyGrid(5)
+    got = g_estimate_grid(SMALL, RACE, grid, schedule)
+    want = per_point_g_grid(SMALL, RACE, grid, schedule)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got) > 5  # not a trivially zero grid
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_certificate_is_bitwise_the_four_corner_stencil(schedule):
+    ta, tb, h = np.pi / 3, 2 * np.pi / 3, 0.1
+    corners = [(ta + h, tb + h), (ta + h, tb - h), (ta - h, tb + h), (ta - h, tb - h)]
+    g = [first_order_slope(SMALL, RACE, StrategyProfile(a, b), schedule).g_estimate
+         for a, b in corners]
+    u0 = WalkEvaluator(WalkConfig(LatticeGeometry(21), 6), RACE).evaluate_many(corners)[:, 0]
+    cert = nonseparability_certificate(SMALL, RACE, lambda_schedule=schedule)
+    assert cert.mixed_partial == (g[0] - g[1] - g[2] + g[3]) / (4 * h * h)
+    assert cert.baseline == float((u0[0] - u0[1] - u0[2] + u0[3]) / (4 * h * h))
+
+
+@pytest.mark.parametrize("schedule", BAD_SCHEDULES)
+def test_every_slope_routine_rejects_a_bad_schedule(schedule):
+    with pytest.raises(ValidationError):
+        first_order_slope(SMALL, RACE, StrategyProfile(1.0, 2.0), schedule)
+    with pytest.raises(ValidationError):
+        g_estimate_grid(SMALL, RACE, StrategyGrid(3), schedule)
+    with pytest.raises(ValidationError):
+        nonseparability_certificate(SMALL, RACE, lambda_schedule=schedule)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_g_estimate_grid_evaluates_one_batch_per_row_and_strength(monkeypatch, schedule):
+    sizes = []
+    points = WalkEvaluator.points
+
+    def counted(self, thetas):
+        sizes.append(len(thetas))
+        return points(self, thetas)
+
+    monkeypatch.setattr(WalkEvaluator, "points", counted)
+    g_estimate_grid(SMALL, RACE, StrategyGrid(5), schedule)
+    assert sizes == [5] * (5 * (1 + len(schedule)))
+
+
+def test_richardson_step_only_for_a_halving_schedule():
+    profile = StrategyProfile(1.0, 2.0)
+    halving = first_order_slope(SMALL, RACE, profile, SCHEDULES[0])
+    assert halving.g_estimate == 2.0 * halving.slopes[-1] - halving.slopes[-2]
+    other = first_order_slope(SMALL, RACE, profile, SCHEDULES[1])
+    assert other.g_estimate == other.slopes[-1]
+    assert halving.g_estimate != halving.slopes[-1]
