@@ -398,8 +398,8 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
     sweep = []
     for phi in config.phi_sweep:
         walk_phi = replace(walk, interaction=walk.interaction.with_strength(float(phi)))
-        p = WalkEvaluator(walk_phi, game, config.seed, config.ensemble).points([[ta, tb]])[0]
-        sweep.append([phi, p.aux["meeting_probability"], p.u_a])
+        u_a, _, aux = WalkEvaluator(walk_phi, game, config.seed, config.ensemble).points([[ta, tb]])
+        sweep.append([phi, aux["meeting_probability"][0], u_a[0]])
     _write_csv(
         os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"], sweep
     )
@@ -533,12 +533,8 @@ def _calibrate_candidate(args):
             key=lambda p: np.hypot(p.theta_a - target[0], p.theta_b - target[1]),
         )
         ta, tb, u_b = best.theta_a, best.theta_b, best.u_b
-        pt = evaluator.points([[ta, tb]])[0]
-        extras = {
-            "mean_x_A": pt.aux["mean_x_A"],
-            "mean_x_B": pt.aux["mean_x_B"],
-            "center_of_mass": pt.aux["center_of_mass"],
-        }
+        _, _, aux = evaluator.points([[ta, tb]])
+        extras = {key: float(aux[key][0]) for key in ("mean_x_A", "mean_x_B", "center_of_mass")}
     dist = float(np.hypot(ta - target[0], tb - target[1]))
     return {
         "game": game_name,
@@ -596,7 +592,11 @@ def run_recipe(config: ExperimentConfig) -> int:
 
     out = config.out_dir
     created = not os.path.exists(out)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out_dir: cannot create {out!r}: {exc.strerror}", file=sys.stderr)
+        return 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

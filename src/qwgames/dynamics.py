@@ -209,12 +209,8 @@ def _interact(support: np.ndarray, factors, values: np.ndarray, eta: float):
         support *= np.exp(1j * eta * values)
 
 
-def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray):
-    """Channel-layout amplitudes (B, 4L^2) after each step t = 1 ... T.
-
-    Every step overwrites the one array that is yielded, so a caller keeping
-    more than the latest state copies it.
-    """
+def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Channel-layout amplitudes (B, 4L^2) after one step per noise draw in etas."""
     geom = config.geometry
     L = geom.size
     init = make_initial_state(geom, config.coin_a, config.coin_b)
@@ -230,7 +226,7 @@ def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray):
         np.matmul(amps, coin_t, out=coined)
         coined_flat.take(perm, axis=1, out=flat, mode="clip")
         _interact(support, factors, values, eta)
-        yield flat
+    return flat
 
 
 def evolve_batch(
@@ -256,7 +252,7 @@ def evolve_batch(
     out = np.empty((len(thetas), L, 2, L, 2), dtype=complex)
     size = chunk_profiles(config.geometry)
     for lo in range(0, len(thetas), size):
-        *_, amps = _steps(config, thetas[lo : lo + size], etas)
+        amps = _steps(config, thetas[lo : lo + size], etas)
         out[lo : lo + size] = amps.reshape(-1, L, L, 2, 2).transpose(0, 1, 3, 2, 4)
     return out
 
@@ -309,15 +305,6 @@ def evolve(config: WalkConfig, profile: StrategyProfile, seed: int | None = 0) -
     """T-step evolution from the standard initial state; deterministic in seed."""
     amps = evolve_batch(config, _profile_thetas(profile), seed)[0]
     return JointState(amps, config.geometry)
-
-
-def evolve_trajectory(
-    config: WalkConfig, profile: StrategyProfile, seed: int | None = 0
-) -> list[JointState]:
-    """States after each of the T steps (t = 1 ... T), same conventions as evolve."""
-    etas = _noise_draws(config.interaction, config.steps, seed)
-    states = _steps(config, _profile_thetas(profile), etas)
-    return [_to_state(amps, config.geometry) for amps in states]
 
 
 def evolve_single(

@@ -4,7 +4,8 @@ Jacobian stability, and gradient learning dynamics.
 All searches work through a payoff evaluator with the interface
 
     evaluate(theta_a, theta_b) -> (u_a, u_b)
-    points(thetas)             -> list[PayoffPoint]   # batched
+    evaluate_many(thetas)      -> (B, 2) array of (u_a, u_b)
+    points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
 WalkEvaluator backs this with the quantum-walk simulation (optionally
 ensemble-averaged over seeds for noisy interactions); FunctionEvaluator wraps
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import WalkConfig, chunk_profiles, evolve_batch
-from .games import GameSpec, PayoffPoint, payoffs
+from .games import GameSpec, payoffs
 from .hilbert import ValidationError, check_distributions
 from .interactions import InteractionKind
 
@@ -131,23 +132,24 @@ class WalkEvaluator:
             check_distributions(block)
         return probs
 
-    def points(self, thetas) -> list[PayoffPoint]:
+    def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
+        """u_A, u_B and the named diagnostics of each profile, each (B,)."""
         thetas = np.asarray(thetas, dtype=float)
         geom = self.config.geometry
         per_seed = [payoffs(self.distributions(thetas, s), geom, self.game) for s in self.seeds]
-        keys = list(per_seed[0][2])
-        # (profile, u_A | u_B | aux..., seed), averaged over the seed ensemble;
-        # one seed is taken as is, because a sum would turn -0.0 into 0.0
+        if len(per_seed) == 1:
+            # taken as is, because a sum would turn -0.0 into 0.0
+            return per_seed[0]
+        # (profile, u_A | u_B | aux..., seed), averaged over the seed ensemble
         table = np.stack(
             [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_seed],
             axis=-1,
-        )
-        rows = table[..., 0] if len(per_seed) == 1 else table.mean(axis=-1)
-        return [PayoffPoint(r[0], r[1], dict(zip(keys, r[2:]))) for r in rows.tolist()]
+        ).mean(axis=-1)
+        return table[:, 0], table[:, 1], dict(zip(per_seed[0][2], table[:, 2:].T))
 
     def evaluate_many(self, thetas) -> np.ndarray:
-        pts = self.points(thetas)
-        return np.array([[p.u_a, p.u_b] for p in pts])
+        u_a, u_b, _ = self.points(thetas)
+        return np.column_stack([u_a, u_b])
 
     def evaluate(self, theta_a: float, theta_b: float) -> tuple[float, float]:
         u = self.evaluate_many([[theta_a, theta_b]])[0]
@@ -167,20 +169,18 @@ class FunctionEvaluator:
     def evaluate_many(self, thetas) -> np.ndarray:
         return np.array([self.evaluate(ta, tb) for ta, tb in np.asarray(thetas)])
 
-    def points(self, thetas) -> list[PayoffPoint]:
-        return [PayoffPoint(u[0], u[1]) for u in self.evaluate_many(thetas)]
+    def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
+        u = self.evaluate_many(thetas)
+        return u[:, 0], u[:, 1], {}
 
 
 def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
-    n = grid.n
-    pts = evaluator.points(grid.profiles)
-    u_a = np.array([p.u_a for p in pts]).reshape(n, n)
-    u_b = np.array([p.u_b for p in pts]).reshape(n, n)
-    aux = {}
-    if pts[0].aux:
-        for key in pts[0].aux:
-            aux[key] = np.array([p.aux[key] for p in pts]).reshape(n, n)
-    return PayoffSurface(grid, u_a, u_b, aux)
+    shape = (grid.n, grid.n)
+    u_a, u_b, aux = evaluator.points(grid.profiles)
+    return PayoffSurface(
+        grid, u_a.reshape(shape), u_b.reshape(shape),
+        {key: v.reshape(shape) for key, v in aux.items()},
+    )
 
 
 def sweep_surface(
@@ -197,18 +197,19 @@ def sweep_surface(
 TIE_TOL = 1e-9
 
 
+def _best_response_masks(surface: PayoffSurface, tol: float):
+    """(n, n) masks of the best responses, ties within tol kept: mask_a[i, j]
+    when row i maximizes u_a in column j, mask_b[i, j] when column j
+    maximizes u_b in row i."""
+    u_a, u_b = surface.u_a, surface.u_b
+    return u_a >= u_a.max(axis=0) - tol, u_b >= u_b.max(axis=1, keepdims=True) - tol
+
+
 def best_responses(surface: PayoffSurface, tol: float = TIE_TOL):
     """Argmax sets: br_a[j] = rows maximizing u_a in column j (ties kept),
     br_b[i] = columns maximizing u_b in row i."""
-    br_a = []
-    for j in range(surface.grid.n):
-        col = surface.u_a[:, j]
-        br_a.append(np.flatnonzero(col >= col.max() - tol))
-    br_b = []
-    for i in range(surface.grid.n):
-        row = surface.u_b[i, :]
-        br_b.append(np.flatnonzero(row >= row.max() - tol))
-    return br_a, br_b
+    mask_a, mask_b = _best_response_masks(surface, tol)
+    return [np.flatnonzero(col) for col in mask_a.T], [np.flatnonzero(row) for row in mask_b]
 
 
 BOUNDARY_TOL = 1e-6
@@ -320,10 +321,9 @@ def find_stationary(
     the interior first-order residual bound.
     """
     vals = surface.grid.values
-    u_a, u_b = surface.u_a, surface.u_b
+    mask_a, mask_b = _best_response_masks(surface, TIE_TOL)
     # best-response intersections, read column by column (theta_B-major)
-    mask = (u_a >= u_a.max(axis=0) - TIE_TOL) & (u_b >= u_b.max(axis=1, keepdims=True) - TIE_TOL)
-    cols, rows = np.argwhere(mask.T).T
+    cols, rows = np.argwhere((mask_a & mask_b).T).T
     if len(cols) > max_candidates:
         warnings.warn(
             f"{len(cols)} best-response intersections, refining the first {max_candidates}",

@@ -13,7 +13,6 @@ x in {-(L-1)/2, ..., +(L-1)/2} to an array offset in [0, L).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,26 +63,6 @@ class LatticeGeometry:
             raise ValidationError(f"site {x} outside lattice of size {self.size}")
         return int(x) + self.half
 
-    def site(self, offset: int) -> int:
-        return int(offset) - self.half
-
-
-def encode_index(geometry: LatticeGeometry, x_a: int, s_a: int, x_b: int, s_b: int) -> int:
-    """Flat basis index of (x_A, s_A, x_B, s_B) in the documented layout."""
-    L = geometry.size
-    return ((geometry.offset(x_a) * 2 + s_a) * L + geometry.offset(x_b)) * 2 + s_b
-
-
-def decode_index(geometry: LatticeGeometry, k: int) -> tuple[int, int, int, int]:
-    """Inverse of encode_index."""
-    L = geometry.size
-    if not 0 <= k < 4 * L * L:
-        raise ValidationError(f"basis index {k} outside [0, {4 * L * L})")
-    k, s_b = divmod(k, 2)
-    k, off_b = divmod(k, L)
-    off_a, s_a = divmod(k, 2)
-    return geometry.site(off_a), s_a, geometry.site(off_b), s_b
-
 
 def _check_norm(amplitudes: np.ndarray, what: str):
     norm = np.linalg.norm(amplitudes)
@@ -107,10 +86,6 @@ class SingleState:
             )
         _check_norm(self.amplitudes, "single-walker state")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def distribution(self) -> np.ndarray:
         """Position distribution p(x), coin traced out."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
@@ -131,14 +106,6 @@ class JointState:
                 f"got {self.amplitudes.shape}"
             )
         _check_norm(self.amplitudes, "joint state")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def flat(self) -> np.ndarray:
-        """Row-major flattened copy, index layout per the module docstring."""
-        return self.amplitudes.reshape(-1).copy()
 
 
 @dataclass(frozen=True)
@@ -219,32 +186,3 @@ def distribution_to_csv(dist: JointDistribution, path):
             for j, xb in enumerate(xs):
                 w.writerow([xa, xb, f"{dist.probabilities[i, j]:.17g}"])
 
-
-def distribution_from_csv(path, geometry: LatticeGeometry) -> JointDistribution:
-    p = np.zeros((geometry.size, geometry.size))
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            i = geometry.offset(int(row["x_A"]))
-            j = geometry.offset(int(row["x_B"]))
-            p[i, j] = float(row["p"])
-    return JointDistribution(p, geometry)
-
-
-def distribution_to_json(dist: JointDistribution) -> str:
-    payload = {
-        "geometry": {
-            "size": dist.geometry.size,
-            "boundary": dist.geometry.boundary.value,
-            "positions": dist.geometry.positions.tolist(),
-        },
-        "probabilities": dist.probabilities.tolist(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def distribution_from_json(text: str) -> JointDistribution:
-    payload = json.loads(text)
-    geom = LatticeGeometry(
-        payload["geometry"]["size"], Boundary(payload["geometry"]["boundary"])
-    )
-    return JointDistribution(np.asarray(payload["probabilities"], dtype=float), geom)

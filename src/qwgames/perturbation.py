@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import StrategyProfile, WalkConfig, evolve_single, evolve_trajectory
+from .dynamics import StrategyProfile, WalkConfig, evolve_single
 from .equilibrium import StrategyGrid, WalkEvaluator
 from .games import GameSpec, payoffs
-from .hilbert import LatticeGeometry, ValidationError, check_distributions, measure_joint
+from .hilbert import LatticeGeometry, ValidationError, check_distributions
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,3 @@ def nonseparability_certificate(
         mixed(_richardson(lambdas, slopes)), mixed(u0), (float(ta), float(tb)), h
     )
 
-
-def collision_weight(
-    config: WalkConfig, profile: StrategyProfile, seed: int = 0
-) -> float:
-    """Time-accumulated coincidence probability sum_t sum_x P_t(x, x) of the
-    strength-0 walk, t = 1 ... T.  Bounded by [0, T]."""
-    cfg0 = replace(config, interaction=config.interaction.with_strength(0.0))
-    total = 0.0
-    for state in evolve_trajectory(cfg0, profile, seed):
-        total += float(np.trace(measure_joint(state).probabilities))
-    return total

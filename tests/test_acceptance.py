@@ -96,7 +96,7 @@ def test_01_unitarity():
         config = WalkConfig(LatticeGeometry(L, boundary), T, interaction=spec)
         profile = StrategyProfile(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
         final = evolve(config, profile, seed=k)
-        worst = max(worst, abs(final.norm - 1.0))
+        worst = max(worst, abs(np.linalg.norm(final.amplitudes) - 1.0))
     elapsed = time.perf_counter() - start
     report(
         1,

@@ -186,6 +186,17 @@ def test_exit_code_1_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])
+def test_out_dir_that_cannot_be_created_exits_1(tmp_path, capsys, sub):
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    assert main(["--recipe", "race", "--grid", "3", "--out", str(blocker / sub)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: out_dir: cannot create" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
+
+
 def test_exit_code_2_on_runtime_failure(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     cfg = _small_race(

@@ -10,6 +10,7 @@ import pytest
 from oracles import golden_max
 from qwgames.equilibrium import (
     BOUNDARY_TOL,
+    TIE_TOL,
     FunctionEvaluator,
     PayoffSurface,
     StationaryPoint,
@@ -25,7 +26,7 @@ from qwgames.equilibrium import (
     vector_field,
 )
 from qwgames.dynamics import StrategyProfile, WalkConfig, chunk_profiles, evolve
-from qwgames.games import GameKind, GameSpec, payoff
+from qwgames.games import GameKind, GameSpec, payoff, payoffs
 from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError, measure_joint
 from qwgames.interactions import InteractionKind, InteractionSpec
 
@@ -171,6 +172,19 @@ def test_walk_evaluator_matches_surface_sweep():
     assert surface.u_b[1, 3] == pytest.approx(ub, abs=1e-12)
 
 
+def seed_average(columns):
+    """Mean over seeds of per-seed (B,) columns, one profile at a time; a
+    single seed is taken as is."""
+    if len(columns) == 1:
+        return columns[0]
+    return np.array([np.mean(per_profile) for per_profile in np.column_stack(columns)])
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_walk_evaluator_ensemble_averages_noise():
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
     config = WalkConfig(LatticeGeometry(11), 4, interaction=spec)
@@ -185,6 +199,32 @@ def test_walk_evaluator_ensemble_averages_noise():
     np.testing.assert_allclose(avg, manual, atol=1e-12)
     with pytest.raises(ValidationError):
         WalkEvaluator(config, game, ensemble=0)
+
+    # every points column is the per-seed payoffs' mean, bit for bit; (0, 0)
+    # and (pi, pi) keep both walkers together, so one seed gives u_B = -0.0
+    thetas = np.array([[0.0, 0.0], [1.0, 2.0], [2.5, 0.3], [np.pi, np.pi]])
+    for ensemble in (1, 3, 9):
+        ev = WalkEvaluator(config, game, seed=2, ensemble=ensemble)
+        per_seed = [payoffs(ev.distributions(thetas, s), config.geometry, game) for s in ev.seeds]
+        u_a, u_b, aux = ev.points(thetas)
+        assert_same_bits(u_a, seed_average([p[0] for p in per_seed]))
+        assert_same_bits(u_b, seed_average([p[1] for p in per_seed]))
+        assert aux.keys() == per_seed[0][2].keys()
+        for key, value in aux.items():
+            assert_same_bits(value, seed_average([p[2][key] for p in per_seed]))
+        assert_same_bits(ev.evaluate_many(thetas), np.column_stack([u_a, u_b]))
+
+
+def test_function_evaluator_points_are_two_columns_and_no_aux():
+    thetas = np.array([[0.5, 1.0], [1.5, 1.2], [2.0, 0.1]])
+    u_a, u_b, aux = QUAD.points(thetas)
+    want = np.array([quad_game(ta, tb) for ta, tb in thetas])
+    assert_same_bits(u_a, want[:, 0])
+    assert_same_bits(u_b, want[:, 1])
+    assert aux == {}
+    surface = surface_from_evaluator(QUAD, StrategyGrid(3))
+    assert surface.u_a.shape == surface.u_b.shape == (3, 3)
+    assert surface.aux == {}
 
 
 def per_profile_utilities(p, x, game):
@@ -211,16 +251,39 @@ def test_walk_evaluator_points_are_bitwise_per_profile_payoffs(kind):
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 2.0)
     config = WalkConfig(geom, 8, (1, 0), (0.6, 0.8j), spec)
     thetas = rng.uniform(0, np.pi, size=(2 * chunk_profiles(geom) + 3, 2))
-    points = WalkEvaluator(config, game, seed=0).points(thetas)
+    u_a, u_b, aux = WalkEvaluator(config, game, seed=0).points(thetas)
     x = geom.positions.astype(float)
-    for (ta, tb), got in zip(thetas, points):
+    for k, (ta, tb) in enumerate(thetas):
         dist = measure_joint(evolve(config, StrategyProfile(ta, tb)))
         want = payoff(dist, game)
-        assert (got.u_a, got.u_b) == (want.u_a, want.u_b)
-        assert (got.u_a, got.u_b) == per_profile_utilities(dist.probabilities, x, game)
-        assert got.aux.keys() == want.aux.keys()
+        assert (u_a[k], u_b[k]) == (want.u_a, want.u_b)
+        assert (u_a[k], u_b[k]) == per_profile_utilities(dist.probabilities, x, game)
+        assert aux.keys() == want.aux.keys()
         for key, value in want.aux.items():
-            assert got.aux[key] == pytest.approx(value, abs=1e-15)
+            assert aux[key][k] == pytest.approx(value, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+def test_surface_from_evaluator_reshapes_points_theta_a_major(kind):
+    geom = LatticeGeometry(11)
+    rng = np.random.default_rng(7)
+    tables = rng.random((2, 11, 11)) if kind is GameKind.CUSTOM_TABLE else ()
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
+    config = WalkConfig(geom, 4, (1, 0), (0.6, 0.8j), spec)
+    ev = WalkEvaluator(config, GameSpec(kind, *tables), seed=1, ensemble=3)
+    grid = StrategyGrid(4)
+    surface = surface_from_evaluator(ev, grid)
+    u_a, u_b, aux = ev.points(grid.profiles)
+    assert surface.aux.keys() == aux.keys()
+    got = [surface.u_a, surface.u_b, *surface.aux.values()]
+    want = [u_a, u_b, *aux.values()]
+    for i, ta in enumerate(grid.values):
+        for j, tb in enumerate(grid.values):
+            one_a, one_b, one_aux = ev.points(np.array([[ta, tb]]))
+            for g, w, one in zip(got, want, [one_a, one_b, *one_aux.values()]):
+                assert g.shape == (4, 4)
+                assert_same_bits(g[i, j], w[i * 4 + j])
+                assert_same_bits(g[i, j], one[0])
 
 
 @pytest.mark.parametrize(
@@ -251,6 +314,19 @@ def test_lanewise_golden_max_matches_scalar_oracle(g):
     assert calls[0] == 2 * len(lo) and calls[-1] == rounds.count(max(rounds))
 
 
+def loop_best_responses(surface, tol=TIE_TOL):
+    """best_responses written as a loop over columns and rows."""
+    br_a = []
+    for j in range(surface.grid.n):
+        col = surface.u_a[:, j]
+        br_a.append(np.flatnonzero(col >= col.max() - tol))
+    br_b = []
+    for i in range(surface.grid.n):
+        row = surface.u_b[i, :]
+        br_b.append(np.flatnonzero(row >= row.max() - tol))
+    return br_a, br_b
+
+
 def sequential_find_stationary(
     surface, evaluator, refine=True, grad_h=1e-3, grad_tol=1e-3, max_iters=200,
     max_candidates=64,
@@ -259,7 +335,7 @@ def sequential_find_stationary(
     golden-section searches and single-profile evaluations; also returns the
     rounds each candidate took."""
     vals = surface.grid.values
-    br_a, br_b = best_responses(surface)
+    br_a, br_b = loop_best_responses(surface)
     candidates = [(i, j) for j in range(surface.grid.n) for i in br_a[j] if j in br_b[i]]
     w = surface.grid.spacing
     results, rounds = [], []
@@ -377,6 +453,11 @@ def test_candidate_mask_matches_best_response_loop(seed):
     rng = np.random.default_rng(seed)
     u_a, u_b = rng.integers(0, 3, size=(2, 11, 11)).astype(float)
     surface = PayoffSurface(StrategyGrid(11), u_a, u_b)
+    for tol in (TIE_TOL, 1.5):
+        for got, want in zip(best_responses(surface, tol), loop_best_responses(surface, tol)):
+            assert len(got) == len(want) == 11
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
     got = find_stationary(surface, QUAD, refine=False)
     assert got
     assert got == sequential_find_stationary(surface, QUAD, refine=False)[0]

@@ -7,7 +7,6 @@ from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
 from qwgames.perturbation import (
-    collision_weight,
     drift,
     drift_sweep,
     first_order_slope,
@@ -85,31 +84,6 @@ def test_certificate_baseline_is_negligible():
     cert = nonseparability_certificate(config, RACE, lambda_schedule=(0.1, 0.05))
     assert abs(cert.baseline) < 1e-8
     assert cert.base_point == (np.pi / 3, 2 * np.pi / 3)
-
-
-def test_collision_weight_bounds_and_extremes():
-    geom = LatticeGeometry(13)
-    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
-    # frozen coins moving in lockstep coincide after every step
-    locked = WalkConfig(geom, 5, (1, 0), (1, 0), spec)
-    assert collision_weight(locked, StrategyProfile(0.0, 0.0)) == pytest.approx(5.0)
-    # frozen coins moving apart never coincide (T < L/2)
-    apart = WalkConfig(geom, 5, (1, 0), (0, 1), spec)
-    assert collision_weight(apart, StrategyProfile(0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
-    # generic angles land strictly inside [0, T]
-    mid = collision_weight(locked, StrategyProfile(1.0, 2.0))
-    assert 0.0 < mid < 5.0
-
-
-def test_collision_weight_ignores_interaction_strength():
-    geom = LatticeGeometry(13)
-    profile = StrategyProfile(1.2, 0.7)
-    w_on = collision_weight(
-        WalkConfig(geom, 4, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)),
-        profile,
-    )
-    w_off = collision_weight(WalkConfig(geom, 4), profile)
-    assert w_on == pytest.approx(w_off, abs=1e-12)
 
 
 def per_point_g_grid(config, game, grid, schedule, seed=0):
