@@ -17,7 +17,6 @@ from .equilibrium import (
     jacobian_at,
     learn,
     surface_from_evaluator,
-    sweep_surface,
     vector_field,
 )
 from .games import GameKind, GameSpec, payoff
@@ -31,7 +30,7 @@ from .hilbert import (
     marginals,
     measure_joint,
 )
-from .interactions import InteractionKind, InteractionSpec, race_default
+from .interactions import InteractionKind, InteractionSpec
 
 __all__ = [
     "Boundary",
@@ -58,8 +57,6 @@ __all__ = [
     "marginals",
     "measure_joint",
     "payoff",
-    "race_default",
     "surface_from_evaluator",
-    "sweep_surface",
     "vector_field",
 ]

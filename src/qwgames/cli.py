@@ -244,7 +244,9 @@ class ExperimentConfig:
 
     def walk_config(self) -> WalkConfig:
         ca, cb = (tuple(complex(re, im) for re, im in c) for c in (self.coin_a, self.coin_b))
-        return WalkConfig(self.geometry(), self.steps, ca, cb, self.interaction())
+        return WalkConfig(
+            self.geometry(), self.steps, ca, cb, self.interaction(), self.seed, self.ensemble
+        )
 
     def game_spec(self) -> GameSpec:
         kind = GameKind(self.game)
@@ -268,7 +270,10 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
             warns.append(
                 "boundary reachable: T >= (L-1)/2, results depend on the boundary rule"
             )
-        if config.noise_sigma > 0 and config.ensemble <= 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the boundary warning is stated above
+            walk = config.walk_config()
+        if walk.interaction.noisy and walk.ensemble == 1:
             warns.append("noisy interaction with ensemble = 1: payoffs will be jittery")
         if not config.refine:
             warns.append("refinement disabled: off-grid equilibria will be missed")
@@ -331,12 +336,26 @@ def _dump_json(path, payload):
 # -- recipes -----------------------------------------------------------------
 
 
-def _run_competitive(config: ExperimentConfig, out: str) -> int:
-    walk = config.walk_config()
-    game = config.game_spec()
+def _surface(config: ExperimentConfig):
+    """The config's walk evaluator, its strategy grid and the payoff surface."""
+    evaluator = WalkEvaluator(config.walk_config(), config.game_spec())
     grid = StrategyGrid(config.grid_n)
-    evaluator = WalkEvaluator(walk, game, config.seed, config.ensemble)
-    surface = surface_from_evaluator(evaluator, grid)
+    return evaluator, grid, surface_from_evaluator(evaluator, grid)
+
+
+def _optimum(surface) -> tuple:
+    """Grid indices (i, j) of the rendezvous optimum, the argmax of u_A."""
+    return np.unravel_index(np.argmax(surface.u_a), surface.u_a.shape)
+
+
+def _interior_first(points) -> list:
+    """The interior stationary points, or every point when none is interior."""
+    return [p for p in points if p.interior] or points
+
+
+def _run_competitive(config: ExperimentConfig, out: str) -> int:
+    evaluator, grid, surface = _surface(config)
+    walk = evaluator.config
     _write_csv(os.path.join(out, "surface_uA.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_a))
     _write_csv(os.path.join(out, "surface_uB.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_b))
     br_a, br_b = best_responses(surface)
@@ -356,10 +375,8 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
     if not points:
         return 3
 
-    interior = [p for p in points if p.interior]
-    best = interior[0] if interior else points[0]
-    profile = StrategyProfile(best.theta_a, best.theta_b)
-    dist = measure_joint(evolve(walk, profile, config.seed))
+    best = _interior_first(points)[0]
+    dist = measure_joint(evolve(walk, StrategyProfile(best.theta_a, best.theta_b)))
     distribution_to_csv(dist, os.path.join(out, "ne_distribution.csv"))
     p_a, p_b = marginals(dist)
     _write_csv(
@@ -370,11 +387,8 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
 
 
 def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
-    walk = config.walk_config()
-    game = config.game_spec()
-    grid = StrategyGrid(config.grid_n)
-    evaluator = WalkEvaluator(walk, game, config.seed, config.ensemble)
-    surface = surface_from_evaluator(evaluator, grid)
+    evaluator, grid, surface = _surface(config)
+    walk = evaluator.config
     for name, values in (
         ("surface_u.csv", surface.u_a),
         ("separation_surface.csv", surface.aux["mean_separation"]),
@@ -382,7 +396,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
     ):
         _write_csv(os.path.join(out, name), SURFACE_HEADER, _grid_rows(grid, values))
 
-    i, j = np.unravel_index(np.argmax(surface.u_a), surface.u_a.shape)
+    i, j = _optimum(surface)
     ta, tb = grid.values[i], grid.values[j]
     _dump_json(
         os.path.join(out, "optimum.json"),
@@ -398,7 +412,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
     sweep = []
     for phi in config.phi_sweep:
         walk_phi = replace(walk, interaction=walk.interaction.with_strength(float(phi)))
-        u_a, _, aux = WalkEvaluator(walk_phi, game, config.seed, config.ensemble).points([[ta, tb]])
+        u_a, _, aux = WalkEvaluator(walk_phi, evaluator.game).points([[ta, tb]])
         sweep.append([phi, aux["meeting_probability"][0], u_a[0]])
     _write_csv(
         os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"], sweep
@@ -408,7 +422,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         zip(grid.values, surface.u_a[:, j]),
     )
 
-    dist = measure_joint(evolve(walk, StrategyProfile(float(ta), float(tb)), config.seed))
+    dist = measure_joint(evolve(walk, StrategyProfile(float(ta), float(tb))))
     distribution_to_csv(dist, os.path.join(out, "opt_distribution.csv"))
     return 0
 
@@ -423,14 +437,14 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
     _write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], zip(thetas, f_vals))
 
     grid13 = StrategyGrid(13)
-    residual = pert.separability_residual(walk, game, grid13, config.seed)
+    residual = pert.separability_residual(walk, game, grid13)
     _dump_json(os.path.join(out, "separability.json"), {"max_residual": residual})
 
-    g = pert.g_estimate_grid(walk, game, grid13, config.lambda_schedule[:2], config.seed)
+    g = pert.g_estimate_grid(walk, game, grid13, config.lambda_schedule[:2])
     _write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
 
     profile = StrategyProfile(config.base_theta_a, config.base_theta_b)
-    est = pert.first_order_slope(walk, game, profile, config.lambda_schedule, config.seed)
+    est = pert.first_order_slope(walk, game, profile, config.lambda_schedule)
     _write_csv(
         os.path.join(out, "convergence_table.csv"),
         ["lambda", "slope", "difference", "ratio"],
@@ -441,7 +455,7 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
         ],
     )
 
-    cert = pert.nonseparability_certificate(walk, game, config.seed)
+    cert = pert.nonseparability_certificate(walk, game)
     _dump_json(
         os.path.join(out, "certificate.json"),
         {
@@ -457,11 +471,7 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
 
 
 def _run_learning(config: ExperimentConfig, out: str) -> int:
-    walk = config.walk_config()
-    game = config.game_spec()
-    grid = StrategyGrid(min(config.grid_n, 31))
-    evaluator = WalkEvaluator(walk, game, config.seed, config.ensemble)
-
+    evaluator, grid, surface = _surface(replace(config, grid_n=min(config.grid_n, 31)))
     ga, gb = vector_field(evaluator, grid)
     _write_csv(
         os.path.join(out, "vector_field.csv"),
@@ -469,14 +479,8 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
         _grid_rows(grid, ga, gb),
     )
 
-    surface = surface_from_evaluator(evaluator, grid)
-    points = find_stationary(surface, evaluator, refine=config.refine)
-    interior = [p for p in points if p.interior]
-    center = interior[0] if interior else (points[0] if points else None)
-    if center is None:
-        ca, cb = PI / 2, PI / 2
-    else:
-        ca, cb = center.theta_a, center.theta_b
+    points = _interior_first(find_stationary(surface, evaluator, refine=config.refine))
+    ca, cb = (points[0].theta_a, points[0].theta_b) if points else (PI / 2, PI / 2)
 
     starts = []
     for k in range(config.n_starts):
@@ -508,15 +512,11 @@ def _calibrate_candidate(args):
         config, boundary=boundary, coin_a=coin, coin_b=coin, game=RECIPE_GAMES[game_name].value,
         steps=t, lattice_size=l, interaction_strength=phi, grid_n=31,
     )
-    walk = sub.walk_config()
-    game = sub.game_spec()
-    grid = StrategyGrid(sub.grid_n)
-    evaluator = WalkEvaluator(walk, game, sub.seed, sub.ensemble)
-    surface = surface_from_evaluator(evaluator, grid)
+    evaluator, grid, surface = _surface(sub)
     target = CALIBRATION_TARGETS[game_name]
 
     if game_name == "rendezvous":
-        i, j = np.unravel_index(np.argmax(surface.u_a), surface.u_a.shape)
+        i, j = _optimum(surface)
         ta, tb = float(grid.values[i]), float(grid.values[j])
         extras = {
             key: float(surface.aux[key][i, j])
@@ -524,12 +524,11 @@ def _calibrate_candidate(args):
         }
         u_b = float(surface.u_b[i, j])
     else:
-        points = find_stationary(surface, evaluator, refine=True)
-        interior = [p for p in points if p.interior] or points
-        if not interior:
+        points = _interior_first(find_stationary(surface, evaluator, refine=True))
+        if not points:
             return None
         best = min(
-            interior,
+            points,
             key=lambda p: np.hypot(p.theta_a - target[0], p.theta_b - target[1]),
         )
         ta, tb, u_b = best.theta_a, best.theta_b, best.u_b
@@ -591,7 +590,10 @@ def run_recipe(config: ExperimentConfig) -> int:
         print(f"warning: {wmsg}", file=sys.stderr)
 
     out = config.out_dir
-    created = not os.path.exists(out)
+    # the top-most directory makedirs creates, removed again on a runtime failure
+    top, parent = None, os.path.abspath(out)
+    while not os.path.lexists(parent):
+        top, parent = parent, os.path.dirname(parent)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -604,8 +606,8 @@ def run_recipe(config: ExperimentConfig) -> int:
             status = _RECIPE_RUNNERS[config.recipe](config, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
+        if top is not None:
+            shutil.rmtree(top, ignore_errors=True)
         return 2
     if status == 3:
         print("no stationary point found", file=sys.stderr)

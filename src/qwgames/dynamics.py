@@ -60,17 +60,26 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Everything needed to run one T-step evolution except the strategies."""
+    """Everything needed to run one T-step evolution except the strategies.
+
+    A noisy interaction draws its phase jitter from `seed`; a payoff is the
+    mean over `ensemble` noise realizations, seeded seed, seed+1, ...  A
+    deterministic walk ignores both.
+    """
 
     geometry: LatticeGeometry
     steps: int
     coin_a: tuple = (1.0, 0.0)
     coin_b: tuple = (1.0, 0.0)
     interaction: InteractionSpec = field(default_factory=InteractionSpec)
+    seed: int = 0
+    ensemble: int = 1
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if self.ensemble < 1:
+            raise ValidationError(f"ensemble must be >= 1, got {self.ensemble}")
         if self.steps >= (self.geometry.size - 1) // 2:
             warnings.warn(
                 f"boundary reachable: T = {self.steps} >= (L-1)/2 = "
@@ -192,7 +201,7 @@ def _noise_draws(spec: InteractionSpec, steps: int, seed) -> np.ndarray:
     collision, the x_A = x_B indicator), not the whole state: a spatially
     uniform phase would drop out of every observable.
     """
-    if spec.kind is InteractionKind.NOISY_COLLISION and spec.noise_sigma > 0:
+    if spec.noisy:
         if seed is None:
             raise ValidationError("noisy interaction requires a seeded rng")
         rng = np.random.default_rng(seed)
@@ -229,17 +238,15 @@ def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray) -> np.ndarr
     return flat
 
 
-def evolve_batch(
-    config: WalkConfig, thetas: np.ndarray, seed: int | None = 0
-) -> np.ndarray:
+def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
     amplitudes with shape (B, L, 2, L, 2).  Profiles run in chunks of
-    `chunk_profiles` so each chunk stays cache-resident for all T steps.  The
-    per-step noise draws are shared across the batch (common random numbers),
-    so a batched sweep is bit-identical to per-profile evolve calls with the
-    same seed.
+    `chunk_profiles` so each chunk stays cache-resident for all T steps.  A
+    noisy walk runs the one realization config.seed, whose per-step draws are
+    shared across the batch (common random numbers), so a batched sweep is
+    bit-identical to per-profile evolve calls.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
@@ -247,7 +254,7 @@ def evolve_batch(
     if not np.all(np.isfinite(thetas)) or thetas.min() < 0 or thetas.max() > np.pi:
         raise DomainError("all strategy angles must lie in [0, pi]")
 
-    etas = _noise_draws(config.interaction, config.steps, seed)
+    etas = _noise_draws(config.interaction, config.steps, config.seed)
     L = config.geometry.size
     out = np.empty((len(thetas), L, 2, L, 2), dtype=complex)
     size = chunk_profiles(config.geometry)
@@ -301,9 +308,10 @@ def step(
     return apply_interaction(out, profile, config.interaction, rng)
 
 
-def evolve(config: WalkConfig, profile: StrategyProfile, seed: int | None = 0) -> JointState:
-    """T-step evolution from the standard initial state; deterministic in seed."""
-    amps = evolve_batch(config, _profile_thetas(profile), seed)[0]
+def evolve(config: WalkConfig, profile: StrategyProfile) -> JointState:
+    """T-step evolution from the standard initial state; deterministic in
+    config.seed."""
+    amps = evolve_batch(config, _profile_thetas(profile))[0]
     return JointState(amps, config.geometry)
 
 

@@ -7,8 +7,8 @@ All searches work through a payoff evaluator with the interface
     evaluate_many(thetas)      -> (B, 2) array of (u_a, u_b)
     points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
-WalkEvaluator backs this with the quantum-walk simulation (optionally
-ensemble-averaged over seeds for noisy interactions); FunctionEvaluator wraps
+WalkEvaluator backs this with the quantum-walk simulation (averaged over
+the walk's noise ensemble for noisy interactions); FunctionEvaluator wraps
 a plain callable, which is how the synthetic-game tests exercise the same
 machinery.
 """
@@ -16,14 +16,13 @@ machinery.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import WalkConfig, chunk_profiles, evolve_batch
 from .games import GameSpec, payoffs
 from .hilbert import ValidationError, check_distributions
-from .interactions import InteractionKind
 
 PI = np.pi
 
@@ -99,53 +98,55 @@ class LearnResult:
     message: str
 
 
+def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
+    """P(x_A, x_B) per profile of one noise realization, shape (B, L, L).
+    Each cache-sized chunk is reduced and validated as soon as it is evolved,
+    so the amplitudes of the whole batch never exist at once."""
+    geom = walk.geometry
+    size = chunk_profiles(geom)
+    probs = np.empty((len(thetas), geom.size, geom.size))
+    for lo in range(0, len(thetas), size):
+        amps = evolve_batch(walk, thetas[lo : lo + size])
+        block = probs[lo : lo + size]
+        block[:] = np.sum(np.abs(amps) ** 2, axis=(2, 4))
+        check_distributions(block)
+    return probs
+
+
 class WalkEvaluator:
     """Payoff of the T-step walk as a function of the strategy pair.
 
-    For noisy interactions the payoff is averaged over `ensemble` seeds
-    (seed, seed+1, ...); the same seed schedule is reused for every strategy
-    pair, so finite differences see common random numbers.
+    For a noisy interaction the payoff is the mean over the config's
+    `ensemble` realizations, seeded config.seed, config.seed+1, ...; the
+    same realizations serve every strategy pair, so finite differences see
+    common random numbers.  A deterministic walk is its own one realization.
     """
 
-    def __init__(self, config: WalkConfig, game: GameSpec, seed: int = 0, ensemble: int = 1):
-        if ensemble < 1:
-            raise ValidationError(f"ensemble must be >= 1, got {ensemble}")
-        noisy = (
-            config.interaction.kind is InteractionKind.NOISY_COLLISION
-            and config.interaction.noise_sigma > 0
-        )
+    def __init__(self, config: WalkConfig, game: GameSpec):
         self.config = config
         self.game = game
-        self.seeds = list(range(seed, seed + ensemble)) if noisy else [seed]
-
-    def distributions(self, thetas: np.ndarray, seed: int) -> np.ndarray:
-        """P(x_A, x_B) per profile, shape (B, L, L).  Each cache-sized chunk
-        is reduced and validated as soon as it is evolved, so the amplitudes
-        of the whole batch never exist at once."""
-        geom = self.config.geometry
-        size = chunk_profiles(geom)
-        probs = np.empty((len(thetas), geom.size, geom.size))
-        for lo in range(0, len(thetas), size):
-            amps = evolve_batch(self.config, thetas[lo : lo + size], seed)
-            block = probs[lo : lo + size]
-            block[:] = np.sum(np.abs(amps) ** 2, axis=(2, 4))
-            check_distributions(block)
-        return probs
+        self.realizations = (
+            [replace(config, seed=config.seed + k) for k in range(config.ensemble)]
+            if config.interaction.noisy
+            else [config]
+        )
 
     def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
         """u_A, u_B and the named diagnostics of each profile, each (B,)."""
         thetas = np.asarray(thetas, dtype=float)
         geom = self.config.geometry
-        per_seed = [payoffs(self.distributions(thetas, s), geom, self.game) for s in self.seeds]
-        if len(per_seed) == 1:
+        per_walk = [
+            payoffs(distributions(walk, thetas), geom, self.game) for walk in self.realizations
+        ]
+        if len(per_walk) == 1:
             # taken as is, because a sum would turn -0.0 into 0.0
-            return per_seed[0]
-        # (profile, u_A | u_B | aux..., seed), averaged over the seed ensemble
+            return per_walk[0]
+        # (profile, u_A | u_B | aux..., realization), averaged over the ensemble
         table = np.stack(
-            [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_seed],
+            [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_walk],
             axis=-1,
         ).mean(axis=-1)
-        return table[:, 0], table[:, 1], dict(zip(per_seed[0][2], table[:, 2:].T))
+        return table[:, 0], table[:, 1], dict(zip(per_walk[0][2], table[:, 2:].T))
 
     def evaluate_many(self, thetas) -> np.ndarray:
         u_a, u_b, _ = self.points(thetas)
@@ -181,17 +182,6 @@ def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
         grid, u_a.reshape(shape), u_b.reshape(shape),
         {key: v.reshape(shape) for key, v in aux.items()},
     )
-
-
-def sweep_surface(
-    config: WalkConfig,
-    game: GameSpec,
-    grid: StrategyGrid,
-    seed: int = 0,
-    ensemble: int = 1,
-) -> PayoffSurface:
-    """Payoff of both players at every grid strategy pair (deterministic in seed)."""
-    return surface_from_evaluator(WalkEvaluator(config, game, seed, ensemble), grid)
 
 
 TIE_TOL = 1e-9

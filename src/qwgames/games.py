@@ -40,10 +40,6 @@ class GameSpec:
         elif self.table_a is not None or self.table_b is not None:
             raise ShapeError(f"{self.kind.value} takes no payoff tables")
 
-    @property
-    def zero_sum(self) -> bool:
-        return self.kind in (GameKind.RACE, GameKind.TUG_OF_WAR)
-
 
 @dataclass(frozen=True)
 class PayoffPoint:

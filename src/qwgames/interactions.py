@@ -57,13 +57,13 @@ class InteractionSpec:
         if self.kind is InteractionKind.NOISY_COLLISION and self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be >= 0")
 
+    @property
+    def noisy(self) -> bool:
+        """Whether the walk draws a per-step phase jitter."""
+        return self.kind is InteractionKind.NOISY_COLLISION and self.noise_sigma > 0
+
     def with_strength(self, strength: float) -> "InteractionSpec":
         return InteractionSpec(self.kind, strength, self.range_exponent, self.noise_sigma)
-
-
-def race_default() -> InteractionSpec:
-    """Collision phase at full strength pi, the quantum-race interaction."""
-    return InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
 
 
 def _distance_table(geometry: LatticeGeometry) -> np.ndarray:

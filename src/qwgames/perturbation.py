@@ -66,18 +66,16 @@ def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray
     return payoffs(probs, config.geometry, game)[0]
 
 
-def separability_residual(
-    config: WalkConfig, game: GameSpec, grid: StrategyGrid, seed: int = 0
-) -> float:
+def separability_residual(config: WalkConfig, game: GameSpec, grid: StrategyGrid) -> float:
     """Max deviation of the interacting payoff from the non-interacting
     product prediction over the grid (for the race, F(t_A) - F(t_B))."""
     thetas = grid.profiles
-    u = WalkEvaluator(config, game, seed).evaluate_many(thetas)[:, 0]
+    u = WalkEvaluator(config, game).evaluate_many(thetas)[:, 0]
     return float(np.max(np.abs(u - _separable_prediction(config, game, thetas))))
 
 
 def _slope_matrix(
-    config: WalkConfig, game: GameSpec, thetas, lambda_schedule, seed: int
+    config: WalkConfig, game: GameSpec, thetas, lambda_schedule
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked schedule, u_A(0) per profile and the (profiles x
     strengths) slopes (u_A(l_k) - u_A(0)) / l_k, from one batched
@@ -91,7 +89,7 @@ def _slope_matrix(
 
     def u_at(strength: float) -> np.ndarray:
         cfg = replace(config, interaction=config.interaction.with_strength(strength))
-        return WalkEvaluator(cfg, game, seed).evaluate_many(thetas)[:, 0]
+        return WalkEvaluator(cfg, game).evaluate_many(thetas)[:, 0]
 
     u0 = u_at(0.0)
     return lambdas, u0, np.column_stack([(u_at(lam) - u0) / lam for lam in lambdas])
@@ -110,7 +108,6 @@ def first_order_slope(
     game: GameSpec,
     profile: StrategyProfile,
     lambda_schedule=(0.1, 0.05, 0.025, 0.0125),
-    seed: int = 0,
 ) -> SlopeEstimate:
     """Slope of the payoff in the interaction strength, extrapolated to 0.
 
@@ -118,7 +115,7 @@ def first_order_slope(
     rather than silently extrapolating outside the perturbative regime.
     """
     thetas = [[profile.theta_a, profile.theta_b]]
-    lambdas, _, (slopes,) = _slope_matrix(config, game, thetas, lambda_schedule, seed)
+    lambdas, _, (slopes,) = _slope_matrix(config, game, thetas, lambda_schedule)
     diffs = np.abs(np.diff(slopes))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = diffs[1:] / diffs[:-1]
@@ -132,7 +129,6 @@ def g_estimate_grid(
     game: GameSpec,
     grid: StrategyGrid,
     lambda_schedule=(0.1, 0.05),
-    seed: int = 0,
 ) -> np.ndarray:
     """First-order coupling estimate over the strategy grid (coarse schedule).
 
@@ -144,7 +140,7 @@ def g_estimate_grid(
     out = np.empty((grid.n, grid.n))
     for i, ta in enumerate(vals):
         row = np.column_stack([np.full(grid.n, ta), vals])
-        lambdas, _, slopes = _slope_matrix(config, game, row, lambda_schedule, seed)
+        lambdas, _, slopes = _slope_matrix(config, game, row, lambda_schedule)
         out[i] = _richardson(lambdas, slopes)
     return out
 
@@ -152,7 +148,6 @@ def g_estimate_grid(
 def nonseparability_certificate(
     config: WalkConfig,
     game: GameSpec,
-    seed: int = 0,
     base_point=(np.pi / 3, 2 * np.pi / 3),
     step: float = 0.1,
     lambda_schedule=(0.1, 0.05, 0.025),
@@ -166,7 +161,7 @@ def nonseparability_certificate(
     ta, tb = base_point
     h = step
     corners = [[ta + h, tb + h], [ta + h, tb - h], [ta - h, tb + h], [ta - h, tb - h]]
-    lambdas, u0, slopes = _slope_matrix(config, game, corners, lambda_schedule, seed)
+    lambdas, u0, slopes = _slope_matrix(config, game, corners, lambda_schedule)
 
     def mixed(v: np.ndarray) -> float:
         return float((v[0] - v[1] - v[2] + v[3]) / (4 * h * h))

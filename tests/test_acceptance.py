@@ -27,11 +27,11 @@ from qwgames.equilibrium import (
     FunctionEvaluator,
     StrategyGrid,
     WalkEvaluator,
+    distributions,
     find_stationary,
     jacobian_at,
     learn,
     surface_from_evaluator,
-    sweep_surface,
 )
 from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import (
@@ -93,9 +93,9 @@ def test_01_unitarity():
         spec = InteractionSpec(
             kind, float(rng.uniform(0, np.pi)), noise_sigma=0.3
         )
-        config = WalkConfig(LatticeGeometry(L, boundary), T, interaction=spec)
+        config = WalkConfig(LatticeGeometry(L, boundary), T, interaction=spec, seed=k)
         profile = StrategyProfile(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
-        final = evolve(config, profile, seed=k)
+        final = evolve(config, profile)
         worst = max(worst, abs(np.linalg.norm(final.amplitudes) - 1.0))
     elapsed = time.perf_counter() - start
     report(
@@ -151,8 +151,8 @@ def test_04_separability_without_interaction():
     ta, tb = np.meshgrid(vals, vals, indexing="ij")
     thetas = np.column_stack([ta.ravel(), tb.ravel()])
 
-    ev = WalkEvaluator(config, RACE, 0)
-    probs = ev.distributions(thetas, 0)
+    probs = distributions(config, thetas)
+    ev = WalkEvaluator(config, RACE)
     singles = {th: evolve_single(geom, 10, th, (1, 0)).distribution() for th in vals}
     worst_p = max(
         float(np.max(np.abs(p - np.outer(singles[a], singles[b]))))
@@ -172,7 +172,7 @@ def test_04_separability_without_interaction():
 
 def test_05_degenerate_noninteracting_equilibrium():
     config = WalkConfig(LatticeGeometry(25), 10, (1, 0), (1, 0))
-    ev = WalkEvaluator(config, RACE, 0)
+    ev = WalkEvaluator(config, RACE)
     interior_found = []
     for n in (61, 121):
         surface = surface_from_evaluator(ev, StrategyGrid(n))
@@ -219,7 +219,7 @@ def test_07_first_order_convergence():
 def walk_stationary(game, phi, lattice_size, steps):
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, phi)
     config = WalkConfig(LatticeGeometry(lattice_size), steps, interaction=spec)
-    ev = WalkEvaluator(config, game, 0)
+    ev = WalkEvaluator(config, game)
     surface = surface_from_evaluator(ev, StrategyGrid(61))
     return find_stationary(surface, ev), ev, surface
 
@@ -302,7 +302,7 @@ def test_10_zero_sum_exactness():
     for kind, phi in ((GameKind.RACE, 0.2), (GameKind.TUG_OF_WAR, np.pi)):
         spec = InteractionSpec(InteractionKind.COLLISION_PHASE, phi)
         config = WalkConfig(LatticeGeometry(15), 6, interaction=spec)
-        surface = sweep_surface(config, GameSpec(kind), StrategyGrid(21))
+        surface = surface_from_evaluator(WalkEvaluator(config, GameSpec(kind)), StrategyGrid(21))
         ok = ok and bool(np.all(surface.u_a + surface.u_b == 0.0))
     report(10, "zero-sum payoffs cancel bitwise", ok)
 
@@ -393,7 +393,7 @@ def test_performance_gate():
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
     config = WalkConfig(LatticeGeometry(15), 20, interaction=spec)
     start = time.perf_counter()
-    sweep_surface(config, RACE, StrategyGrid(61))
+    surface_from_evaluator(WalkEvaluator(config, RACE), StrategyGrid(61))
     elapsed = time.perf_counter() - start
     report(
         0,

@@ -87,6 +87,13 @@ def test_validate_warns_on_reachable_boundary_and_noise():
     _, warns = validate(cfg)
     assert any("ensemble" in w for w in warns)
 
+    # noise_sigma jitters only the noisy collision, so nothing is drawn here
+    cfg = ExperimentConfig.from_dict(
+        {"recipe": "race", "steps": 4, "lattice_size": 15, "noise_sigma": 0.5}
+    )
+    _, warns = validate(cfg)
+    assert not any("ensemble" in w for w in warns)
+
 
 def _small_race(out_dir, **extra):
     data = {
@@ -197,15 +204,22 @@ def test_out_dir_that_cannot_be_created_exits_1(tmp_path, capsys, sub):
     assert blocker.read_text() == "kept\n"
 
 
-def test_exit_code_2_on_runtime_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "out_dir, existing, created",
+    [("crash", ".", "crash"), ("nest/a/b", ".", "nest"), ("nest/a/b", "nest", "nest/a")],
+)
+def test_exit_code_2_on_runtime_failure(tmp_path, capsys, out_dir, existing, created):
+    (tmp_path / existing).mkdir(exist_ok=True)
     missing = str(tmp_path / "missing.csv")
     cfg = _small_race(
-        tmp_path / "crash", game="custom_table", table_a_path=missing, table_b_path=missing
+        tmp_path / out_dir, game="custom_table", table_a_path=missing, table_b_path=missing
     )
     assert run_recipe(cfg) == 2
     assert "runtime failure" in capsys.readouterr().err
-    # partially written output is cleaned up
-    assert not (tmp_path / "crash").exists()
+    # partially written output is cleaned up with every directory made for
+    # it; a parent that already existed stays
+    assert not (tmp_path / created).exists()
+    assert (tmp_path / existing).is_dir()
 
 
 def test_exit_code_3_when_no_stationary_point(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from qwgames.hilbert import (
     Boundary,
     JointState,
     LatticeGeometry,
+    ValidationError,
     make_initial_state,
     measure_joint,
     marginals,
@@ -59,6 +62,11 @@ def test_config_warns_when_boundary_reachable():
         WalkConfig(LatticeGeometry(15), 20)
     # the warning names the line that builds the config
     assert record[0].filename == __file__
+
+
+def test_config_rejects_an_empty_ensemble():
+    with pytest.raises(ValidationError, match="ensemble must be >= 1, got 0"):
+        WalkConfig(GEOM5, 1, ensemble=0)
 
 
 def test_coin_matrix_half_angle_values():
@@ -169,11 +177,11 @@ def test_marginal_matches_single_walk():
 def test_evolve_is_deterministic_in_seed():
     geom = LatticeGeometry(11)
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.4)
-    config = WalkConfig(geom, 5, interaction=spec)
+    config = WalkConfig(geom, 5, interaction=spec, seed=42)
     profile = StrategyProfile(1.0, 2.0)
-    a = evolve(config, profile, seed=42).amplitudes
-    b = evolve(config, profile, seed=42).amplitudes
-    c = evolve(config, profile, seed=43).amplitudes
+    a = evolve(config, profile).amplitudes
+    b = evolve(config, profile).amplitudes
+    c = evolve(replace(config, seed=43), profile).amplitudes
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -181,11 +189,11 @@ def test_evolve_is_deterministic_in_seed():
 def test_batch_matches_individual_evolutions():
     geom = LatticeGeometry(9, Boundary.REFLECTING)
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.3)
-    config = WalkConfig(geom, 5, interaction=spec)
+    config = WalkConfig(geom, 5, interaction=spec, seed=5)
     thetas = np.array([[0.3, 2.0], [1.5, 1.5], [np.pi, 0.0]])
-    batch = evolve_batch(config, thetas, seed=5)
+    batch = evolve_batch(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
-        single = evolve(config, StrategyProfile(ta, tb), seed=5).amplitudes
+        single = evolve(config, StrategyProfile(ta, tb)).amplitudes
         np.testing.assert_array_equal(batch[k], single)
 
 
@@ -197,12 +205,12 @@ def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     n = 2 * size + size // 2 + 1  # more than two chunks, the last one partial
     assert n > 2 * size and n % size != 0
     spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
-    config = WalkConfig(geom, 6, (1, 0), (0.6, 0.8j), spec)
+    config = WalkConfig(geom, 6, (1, 0), (0.6, 0.8j), spec, seed=11)
     thetas = np.random.default_rng(7).uniform(0, np.pi, size=(n, 2))
     thetas[0] = (0.0, np.pi)
-    batch = evolve_batch(config, thetas, seed=11)
+    batch = evolve_batch(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
-        single = evolve(config, StrategyProfile(ta, tb), seed=11).amplitudes
+        single = evolve(config, StrategyProfile(ta, tb)).amplitudes
         assert np.array_equal(batch[k], single), k
 
 

@@ -3,6 +3,7 @@ stationary points, Jacobians, and learning behavior are known in closed form.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qwgames.equilibrium import (
     WalkEvaluator,
     _golden_max,
     best_responses,
+    distributions,
     find_stationary,
     gradients,
     jacobian_at,
@@ -164,7 +166,7 @@ def test_walk_evaluator_matches_surface_sweep():
         interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi),
     )
     game = GameSpec(GameKind.RACE)
-    ev = WalkEvaluator(config, game, seed=0)
+    ev = WalkEvaluator(config, game)
     grid = StrategyGrid(5)
     surface = surface_from_evaluator(ev, grid)
     ua, ub = ev.evaluate(grid.values[1], grid.values[3])
@@ -189,23 +191,24 @@ def test_walk_evaluator_ensemble_averages_noise():
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
     config = WalkConfig(LatticeGeometry(11), 4, interaction=spec)
     game = GameSpec(GameKind.RACE)
-    one = WalkEvaluator(config, game, seed=0, ensemble=1).evaluate(1.0, 2.0)
-    avg = WalkEvaluator(config, game, seed=0, ensemble=4).evaluate(1.0, 2.0)
+    one = WalkEvaluator(config, game).evaluate(1.0, 2.0)
+    avg = WalkEvaluator(replace(config, ensemble=4), game).evaluate(1.0, 2.0)
     manual = np.mean(
-        [WalkEvaluator(config, game, seed=s).evaluate(1.0, 2.0) for s in range(4)],
+        [WalkEvaluator(replace(config, seed=s), game).evaluate(1.0, 2.0) for s in range(4)],
         axis=0,
     )
     assert avg != one
     np.testing.assert_allclose(avg, manual, atol=1e-12)
-    with pytest.raises(ValidationError):
-        WalkEvaluator(config, game, ensemble=0)
 
     # every points column is the per-seed payoffs' mean, bit for bit; (0, 0)
     # and (pi, pi) keep both walkers together, so one seed gives u_B = -0.0
     thetas = np.array([[0.0, 0.0], [1.0, 2.0], [2.5, 0.3], [np.pi, np.pi]])
     for ensemble in (1, 3, 9):
-        ev = WalkEvaluator(config, game, seed=2, ensemble=ensemble)
-        per_seed = [payoffs(ev.distributions(thetas, s), config.geometry, game) for s in ev.seeds]
+        ev = WalkEvaluator(replace(config, seed=2, ensemble=ensemble), game)
+        assert [walk.seed for walk in ev.realizations] == list(range(2, 2 + ensemble))
+        per_seed = [
+            payoffs(distributions(walk, thetas), config.geometry, game) for walk in ev.realizations
+        ]
         u_a, u_b, aux = ev.points(thetas)
         assert_same_bits(u_a, seed_average([p[0] for p in per_seed]))
         assert_same_bits(u_b, seed_average([p[1] for p in per_seed]))
@@ -213,6 +216,21 @@ def test_walk_evaluator_ensemble_averages_noise():
         for key, value in aux.items():
             assert_same_bits(value, seed_average([p[2][key] for p in per_seed]))
         assert_same_bits(ev.evaluate_many(thetas), np.column_stack([u_a, u_b]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0, noise_sigma=0.5),
+        InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0),
+    ],
+    ids=["collision-with-sigma", "noisy-without-sigma"],
+)
+def test_deterministic_walk_is_its_one_realization(spec):
+    config = WalkConfig(LatticeGeometry(11), 4, interaction=spec, ensemble=3)
+    # no copy is built, so no copy repeats the config's boundary warning
+    (walk,) = WalkEvaluator(config, GameSpec(GameKind.RACE)).realizations
+    assert walk is config
 
 
 def test_function_evaluator_points_are_two_columns_and_no_aux():
@@ -251,7 +269,7 @@ def test_walk_evaluator_points_are_bitwise_per_profile_payoffs(kind):
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 2.0)
     config = WalkConfig(geom, 8, (1, 0), (0.6, 0.8j), spec)
     thetas = rng.uniform(0, np.pi, size=(2 * chunk_profiles(geom) + 3, 2))
-    u_a, u_b, aux = WalkEvaluator(config, game, seed=0).points(thetas)
+    u_a, u_b, aux = WalkEvaluator(config, game).points(thetas)
     x = geom.positions.astype(float)
     for k, (ta, tb) in enumerate(thetas):
         dist = measure_joint(evolve(config, StrategyProfile(ta, tb)))
@@ -269,8 +287,8 @@ def test_surface_from_evaluator_reshapes_points_theta_a_major(kind):
     rng = np.random.default_rng(7)
     tables = rng.random((2, 11, 11)) if kind is GameKind.CUSTOM_TABLE else ()
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
-    config = WalkConfig(geom, 4, (1, 0), (0.6, 0.8j), spec)
-    ev = WalkEvaluator(config, GameSpec(kind, *tables), seed=1, ensemble=3)
+    config = WalkConfig(geom, 4, (1, 0), (0.6, 0.8j), spec, seed=1, ensemble=3)
+    ev = WalkEvaluator(config, GameSpec(kind, *tables))
     grid = StrategyGrid(4)
     surface = surface_from_evaluator(ev, grid)
     u_a, u_b, aux = ev.points(grid.profiles)
@@ -409,7 +427,7 @@ def test_find_stationary_matches_sequential_refinement_on_flat_walk():
     coin = (1 / np.sqrt(2), 1j / np.sqrt(2))
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
     config = WalkConfig(LatticeGeometry(9), 3, coin, coin, spec)
-    ev = WalkEvaluator(config, GameSpec(GameKind.RACE), seed=0)
+    ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
     surface = surface_from_evaluator(ev, StrategyGrid(9))
     assert np.max(np.abs(surface.u_a)) < 1e-14
     got = find_stationary(surface, ev)

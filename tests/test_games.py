@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qwgames.dynamics import WalkConfig
-from qwgames.equilibrium import StrategyGrid, sweep_surface
+from qwgames.equilibrium import StrategyGrid, WalkEvaluator, surface_from_evaluator
 from qwgames.games import (
     GameKind,
     GameSpec,
@@ -11,7 +11,7 @@ from qwgames.games import (
     table_from_csv,
 )
 from qwgames.hilbert import JointDistribution, LatticeGeometry
-from qwgames.interactions import race_default
+from qwgames.interactions import InteractionKind, InteractionSpec
 
 GEOM = LatticeGeometry(7)
 
@@ -83,12 +83,6 @@ def test_custom_table_shape_mismatch():
         payoff(dist, spec)
 
 
-def test_zero_sum_flag():
-    assert GameSpec(GameKind.RACE).zero_sum
-    assert GameSpec(GameKind.TUG_OF_WAR).zero_sum
-    assert not GameSpec(GameKind.RENDEZVOUS).zero_sum
-
-
 def test_table_from_csv(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("x_A,x_B,value\n-3,3,1.5\n0,0,-2.0\n")
@@ -100,7 +94,9 @@ def test_table_from_csv(tmp_path):
 
 def test_race_surface_is_antisymmetric():
     """With identical coins, swapping the players mirrors the payoff."""
-    config = WalkConfig(LatticeGeometry(11), 4, (1, 0), (1, 0), race_default())
-    surface = sweep_surface(config, GameSpec(GameKind.RACE), StrategyGrid(7))
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    config = WalkConfig(LatticeGeometry(11), 4, (1, 0), (1, 0), spec)
+    ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
+    surface = surface_from_evaluator(ev, StrategyGrid(7))
     np.testing.assert_allclose(surface.u_a, -surface.u_a.T, atol=1e-9)
     np.testing.assert_allclose(surface.u_b, -surface.u_a, atol=0)

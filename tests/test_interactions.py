@@ -10,7 +10,6 @@ from qwgames.interactions import (
     coupling,
     phase,
     phase_table,
-    race_default,
 )
 
 GEOM = LatticeGeometry(7)
@@ -35,10 +34,13 @@ def test_with_strength_preserves_shape_parameters():
     assert out.kind is InteractionKind.LONG_RANGE
 
 
-def test_race_default_is_full_strength_collision():
-    spec = race_default()
-    assert spec.kind is InteractionKind.COLLISION_PHASE
-    assert spec.strength == np.pi
+def test_noisy_only_for_a_jittered_noisy_collision():
+    assert InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.3).noisy
+    assert not InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0).noisy
+    # noise_sigma shapes the noisy collision only
+    for kind in InteractionKind:
+        if kind is not InteractionKind.NOISY_COLLISION:
+            assert not InteractionSpec(kind, 1.0, noise_sigma=0.3).noisy
 
 
 def test_collision_phase_arithmetic():
@@ -112,8 +114,8 @@ def test_noise_sigma_zero_matches_plain_collision_bitwise():
         4,
         interaction=InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.0),
     )
-    a = evolve(plain, profile, seed=7).amplitudes
-    b = evolve(noisy, profile, seed=7).amplitudes
+    a = evolve(plain, profile).amplitudes
+    b = evolve(noisy, profile).amplitudes
     np.testing.assert_array_equal(a, b)
 
 

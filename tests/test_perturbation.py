@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qwgames.perturbation import (
     drift_sweep,
     first_order_slope,
     g_estimate_grid,
+    _separable_prediction,
     nonseparability_certificate,
     separability_residual,
 )
@@ -86,11 +89,11 @@ def test_certificate_baseline_is_negligible():
     assert cert.base_point == (np.pi / 3, 2 * np.pi / 3)
 
 
-def per_point_g_grid(config, game, grid, schedule, seed=0):
+def per_point_g_grid(config, game, grid, schedule):
     """g_estimate_grid as one first_order_slope call per grid point."""
     vals = grid.values
     return np.array([
-        [first_order_slope(config, game, StrategyProfile(a, b), schedule, seed).g_estimate
+        [first_order_slope(config, game, StrategyProfile(a, b), schedule).g_estimate
          for b in vals]
         for a in vals
     ])
@@ -148,3 +151,32 @@ def test_richardson_step_only_for_a_halving_schedule():
     other = first_order_slope(SMALL, RACE, profile, SCHEDULES[1])
     assert other.g_estimate == other.slopes[-1]
     assert halving.g_estimate != halving.slopes[-1]
+
+
+def test_noisy_residual_and_slopes_are_the_ensemble_mean():
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
+    config = WalkConfig(LatticeGeometry(11), 4, interaction=spec, ensemble=3)
+    grid, schedule = StrategyGrid(3), (0.1, 0.05)
+
+    def u_a(cfg, strength):
+        walk = replace(cfg, interaction=spec.with_strength(strength))
+        return WalkEvaluator(walk, RACE).evaluate_many(grid.profiles)[:, 0]
+
+    def by_hand(cfg):
+        u = u_a(cfg, 1.0)
+        residual = float(np.max(np.abs(u - _separable_prediction(cfg, RACE, grid.profiles))))
+        u0 = u_a(cfg, 0.0)
+        s1, s2 = ((u_a(cfg, lam) - u0) / lam for lam in schedule)
+        return residual, (2.0 * s2 - s1).reshape(grid.n, grid.n)
+
+    results = {}
+    for ensemble in (1, 3):
+        cfg = replace(config, ensemble=ensemble)
+        residual = separability_residual(cfg, RACE, grid)
+        g = g_estimate_grid(cfg, RACE, grid, schedule)
+        want_residual, want_g = by_hand(cfg)
+        assert residual == want_residual
+        assert g.tobytes() == want_g.tobytes()
+        results[ensemble] = residual, g
+    assert results[1][0] != results[3][0]
+    assert not np.array_equal(results[1][1], results[3][1])
