@@ -275,6 +275,10 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
             walk = config.walk_config()
         if walk.interaction.noisy and walk.ensemble == 1:
             warns.append("noisy interaction with ensemble = 1: payoffs will be jittery")
+        for name, kind in [("noise_sigma", "noisy_collision"), ("range_exponent", "long_range")]:
+            moved = getattr(config, name) != getattr(ExperimentConfig, name)  # off its default
+            if moved and config.interaction_kind != kind:
+                warns.append(f"{name} is ignored: only interaction_kind {kind} uses it")
         if not config.refine:
             warns.append("refinement disabled: off-grid equilibria will be missed")
     return errors, warns

@@ -5,15 +5,15 @@ One step is coin -> shift -> interaction:
     U = P_I . [S_A (C(theta_A) x I) (x) S_B (C(theta_B) x I)]
 
 applied without ever materializing the 4L^2 x 4L^2 matrix.  Every operation
-runs in one channel layout, (B, L, L, 4) with joint coin channel
-c = 2 s_A + s_B, held flat as (B, 4L^2): the two coin rotations are one
-batched 4x4 matmul, the shift is one precomputed gather, and the interaction
-phase touches only the sites where its table is nonzero.  States handed to
-callers keep the (L, 2, L, 2) layout of `hilbert`.
+runs in one channel-major layout, (B, 4, L^2) with channel c = 2 s_A + s_B:
+the two coin rotations are one real batched 4x4 matmul, the shift is one
+precomputed gather, and the phase touches only the channel-plane sites where
+its table is nonzero.  Callers see the (L, 2, L, 2) layout of `hilbert`.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -81,11 +81,15 @@ class WalkConfig:
         if self.ensemble < 1:
             raise ValidationError(f"ensemble must be >= 1, got {self.ensemble}")
         if self.steps >= (self.geometry.size - 1) // 2:
+            # name the caller, past the generated __init__ and dataclasses.replace
+            frame, level = sys._getframe(1), 2
+            while frame.f_code.co_filename in ("<string>", field.__code__.co_filename):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"boundary reachable: T = {self.steps} >= (L-1)/2 = "
                 f"{(self.geometry.size - 1) // 2}; results depend on the "
                 f"boundary rule ({self.geometry.boundary.value})",
-                stacklevel=3,  # past the dataclass __init__, to the caller
+                stacklevel=level,
             )
 
 
@@ -100,27 +104,30 @@ def chunk_profiles(geometry: LatticeGeometry) -> int:
     return max(1, CHUNK_AMPLITUDES // (4 * geometry.size**2))
 
 
-# -- channel-layout kernel ---------------------------------------------------
+# -- channel-major kernel ----------------------------------------------------
 
 
 def _to_channels(state: JointState) -> np.ndarray:
-    """(L, 2, L, 2) state -> fresh (1, 4L^2) channel-layout array."""
-    return state.amplitudes.transpose(0, 2, 1, 3).copy().reshape(1, -1)
+    """(L, 2, L, 2) state -> fresh (1, 4, L^2) channel-major array."""
+    return state.amplitudes.transpose(1, 3, 0, 2).copy().reshape(1, 4, -1)
+
+
+def _joint_view(amps: np.ndarray, L: int) -> np.ndarray:
+    """(B, 4, L^2) channel-major array -> (B, L, 2, L, 2) view of it."""
+    return amps.reshape(-1, 2, 2, L, L).transpose(0, 3, 1, 4, 2)
 
 
 def _to_state(amps: np.ndarray, geometry: LatticeGeometry) -> JointState:
-    """(1, 4L^2) channel-layout array -> (L, 2, L, 2) state."""
-    L = geometry.size
-    return JointState(amps.reshape(L, L, 2, 2).transpose(0, 2, 1, 3).copy(), geometry)
+    """(1, 4, L^2) channel-major array -> (L, 2, L, 2) state."""
+    return JointState(_joint_view(amps, geometry.size)[0].copy(), geometry)
 
 
-def _coin_transposes(thetas: np.ndarray) -> np.ndarray:
-    """kron(R_y(theta_A), R_y(theta_B))^T = kron(R_y(theta_A)^T, R_y(theta_B)^T)
-    per profile, shape (B, 4, 4)."""
+def _coin_krons(thetas: np.ndarray) -> np.ndarray:
+    """kron(R_y(theta_A), R_y(theta_B)) per profile, (B, 4, 4); real, so it acts
+    on (B, 4, L^2) amplitudes as one matmul on their float view (B, 4, 2L^2)."""
     c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    r_t = np.stack([c, s, -s, c], -1).reshape(-1, 2, 2, 2)  # (B, player, 2, 2)
-    kron = r_t[:, 0, :, None, :, None] * r_t[:, 1, None, :, None, :]
-    return kron.reshape(-1, 4, 4).astype(complex)
+    r = np.stack([c, -s, s, c], -1).reshape(-1, 2, 2, 2)  # (B, player, 2, 2)
+    return (r[:, 0, :, None, :, None] * r[:, 1, None, :, None, :]).reshape(-1, 4, 4)
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +149,16 @@ def _walker_shift(L: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _shift_permutation(L: int, boundary: Boundary) -> np.ndarray:
-    """Flat gather indices of the two-walker shift on channel-layout arrays.
+    """Flat gather indices of the two-walker shift on channel-major arrays.
 
     The shift is a permutation of basis states, so one precomputed take()
-    realizes it: destination (x_A, x_B, s_A, s_B) reads the product of the
+    realizes it: destination (s_A, s_B, x_A, x_B) reads the product of the
     two walkers' sources.
     """
-    x, s = _walker_shift(L, boundary)
+    x, s = (a.T for a in _walker_shift(L, boundary))  # (s, x)
     site = x[:, None, :, None] * L + x[None, :, None, :]
     coin = 2 * s[:, None, :, None] + s[None, :, None, :]
-    perm = (site * 4 + coin).reshape(-1)
+    perm = (coin * L * L + site).reshape(-1)
     perm.flags.writeable = False
     return perm
 
@@ -167,20 +174,19 @@ def _cover(idx: np.ndarray) -> slice:
 
 @lru_cache(maxsize=64)
 def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry):
-    """Strided (site, channel) slices of the (L^2, 4) channel layout that
-    cover the nonzero entries of the phase table, and the table there.
+    """Strided (channel, site) slices of the (4, L^2) channel-major layout
+    that cover the nonzero entries of the phase table, and the table there.
 
     Off the support every phase factor is exactly 1, so skipping it changes
-    no bit.  The diagonal tables give sites ::L+1, a fraction 1/L of the
-    state; long range covers everything.
+    no bit.  The diagonal tables give the stride-(L+1) diagonal of each
+    channel plane (coin-dependent: channels ::3); long range covers all.
     """
-    L = geometry.size
-    table = interactions.phase_table(spec, geometry).transpose(0, 2, 1, 3).reshape(L * L, 4)
-    sites = _cover(np.flatnonzero(table.any(axis=1)))
-    channels = _cover(np.flatnonzero(table.any(axis=0)))
-    values = table[sites, channels]
+    table = interactions.phase_table(spec, geometry).transpose(1, 3, 0, 2).reshape(4, -1)
+    channels = _cover(np.flatnonzero(table.any(axis=1)))
+    sites = _cover(np.flatnonzero(table.any(axis=0)))
+    values = table[channels, sites]
     values.flags.writeable = False
-    return (slice(None), sites, channels), values
+    return (slice(None), channels, sites), values
 
 
 def _phase_factors(spec: InteractionSpec, geometry: LatticeGeometry, thetas: np.ndarray):
@@ -210,7 +216,7 @@ def _noise_draws(spec: InteractionSpec, steps: int, seed) -> np.ndarray:
 
 
 def _interact(support: np.ndarray, factors, values: np.ndarray, eta: float):
-    """Multiply the support view of (B, 4L^2) amplitudes in place by the
+    """Multiply the support view of (B, 4, L^2) amplitudes in place by the
     interaction phase factors and by the step's noise jitter."""
     if factors is not None:
         support *= factors
@@ -218,32 +224,29 @@ def _interact(support: np.ndarray, factors, values: np.ndarray, eta: float):
         support *= np.exp(1j * eta * values)
 
 
-def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Channel-layout amplitudes (B, 4L^2) after one step per noise draw in etas."""
+def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray, amps: np.ndarray):
+    """Evolve the (B, 4, L^2) buffer amps from the initial state, in place."""
     geom = config.geometry
-    L = geom.size
-    init = make_initial_state(geom, config.coin_a, config.coin_b)
-    amps = np.empty((len(thetas), L * L, 4), dtype=complex)
-    amps[:] = _to_channels(init).reshape(L * L, 4)
+    amps[:] = _to_channels(make_initial_state(geom, config.coin_a, config.coin_b))
     coined = np.empty_like(amps)
     flat, coined_flat = amps.reshape(len(amps), -1), coined.reshape(len(amps), -1)
-    coin_t = _coin_transposes(thetas)
-    perm = _shift_permutation(L, geom.boundary)
+    krons = _coin_krons(thetas)
+    perm = _shift_permutation(geom.size, geom.boundary)
     index, values, factors = _phase_factors(config.interaction, geom, thetas)
     support = amps[index]
     for eta in etas:
-        np.matmul(amps, coin_t, out=coined)
+        np.matmul(krons, amps.view(float), out=coined.view(float))
         coined_flat.take(perm, axis=1, out=flat, mode="clip")
         _interact(support, factors, values, eta)
-    return flat
 
 
 def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
-    amplitudes with shape (B, L, 2, L, 2).  Profiles run in chunks of
-    `chunk_profiles` so each chunk stays cache-resident for all T steps.  A
+    amplitudes as a (B, L, 2, L, 2) view of the (B, 4, L^2) kernel buffer.
+    Profiles run in chunks of `chunk_profiles` so each chunk stays
+    cache-resident for all T steps.  A
     noisy walk runs the one realization config.seed, whose per-step draws are
     shared across the batch (common random numbers), so a batched sweep is
     bit-identical to per-profile evolve calls.
@@ -256,12 +259,11 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
 
     etas = _noise_draws(config.interaction, config.steps, config.seed)
     L = config.geometry.size
-    out = np.empty((len(thetas), L, 2, L, 2), dtype=complex)
+    amps = np.empty((len(thetas), 4, L * L), dtype=complex)
     size = chunk_profiles(config.geometry)
     for lo in range(0, len(thetas), size):
-        amps = _steps(config, thetas[lo : lo + size], etas)
-        out[lo : lo + size] = amps.reshape(-1, L, L, 2, 2).transpose(0, 1, 3, 2, 4)
-    return out
+        _steps(config, thetas[lo : lo + size], etas, amps[lo : lo + size])
+    return _joint_view(amps, L)
 
 
 # -- single-profile public operations ---------------------------------------
@@ -273,16 +275,15 @@ def _profile_thetas(profile: StrategyProfile) -> np.ndarray:
 
 def apply_coin(state: JointState, profile: StrategyProfile) -> JointState:
     """Rotate each walker's coin by its strategy angle."""
-    L = state.geometry.size
-    coin_t = _coin_transposes(_profile_thetas(profile))
-    amps = np.matmul(_to_channels(state).reshape(1, L * L, 4), coin_t)
+    krons = _coin_krons(_profile_thetas(profile))
+    amps = np.matmul(krons, _to_channels(state).view(float)).view(complex)
     return _to_state(amps, state.geometry)
 
 
 def apply_shift(state: JointState) -> JointState:
     """Conditionally shift both walkers, honoring the boundary rule."""
     perm = _shift_permutation(state.geometry.size, state.geometry.boundary)
-    return _to_state(_to_channels(state)[:, perm], state.geometry)
+    return _to_state(_to_channels(state).reshape(1, -1)[:, perm], state.geometry)
 
 
 def apply_interaction(
@@ -294,8 +295,7 @@ def apply_interaction(
     """Multiply each amplitude by exp(i * I(...)); moduli are untouched."""
     amps = _to_channels(state)
     index, values, factors = _phase_factors(spec, state.geometry, _profile_thetas(profile))
-    support = amps.reshape(1, -1, 4)[index]
-    _interact(support, factors, values, _noise_draws(spec, 1, rng)[0])
+    _interact(amps[index], factors, values, _noise_draws(spec, 1, rng)[0])
     return _to_state(amps, state.geometry)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import WalkConfig, chunk_profiles, evolve_batch
 from .games import GameSpec, payoffs
-from .hilbert import ValidationError, check_distributions
+from .hilbert import ValidationError, born, check_distributions
 
 PI = np.pi
 
@@ -106,9 +106,8 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     size = chunk_profiles(geom)
     probs = np.empty((len(thetas), geom.size, geom.size))
     for lo in range(0, len(thetas), size):
-        amps = evolve_batch(walk, thetas[lo : lo + size])
         block = probs[lo : lo + size]
-        block[:] = np.sum(np.abs(amps) ** 2, axis=(2, 4))
+        block[:] = born(evolve_batch(walk, thetas[lo : lo + size]))
         check_distributions(block)
     return probs
 

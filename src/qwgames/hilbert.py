@@ -165,10 +165,16 @@ def make_single_state(geometry: LatticeGeometry, coin, x: int = 0) -> SingleStat
     return SingleState(amps, geometry)
 
 
+def born(amps: np.ndarray) -> np.ndarray:
+    """P(x_A, x_B) of (..., L, 2, L, 2) amplitudes, coins traced out in a
+    fixed order (s_B, then s_A) that gives the same bits in every layout."""
+    a = np.abs(amps) ** 2
+    return (a[..., 0, :, 0] + a[..., 0, :, 1]) + (a[..., 1, :, 0] + a[..., 1, :, 1])
+
+
 def measure_joint(state: JointState) -> JointDistribution:
     """Born-rule position distribution, both coins traced out."""
-    p = np.sum(np.abs(state.amplitudes) ** 2, axis=(1, 3))
-    return JointDistribution(p, state.geometry)
+    return JointDistribution(born(state.amplitudes), state.geometry)
 
 
 def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:

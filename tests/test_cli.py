@@ -95,6 +95,22 @@ def test_validate_warns_on_reachable_boundary_and_noise():
     assert not any("ensemble" in w for w in warns)
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("noise_sigma", 0.5, "noisy_collision"), ("range_exponent", 1.5, "long_range")],
+)
+def test_validate_warns_on_a_field_the_interaction_does_not_use(field, value, kind):
+    def unused_warnings(data):
+        _, warns = validate(ExperimentConfig.from_dict({"steps": 4, **data}))
+        return [w for w in warns if "ignored" in w]
+
+    assert unused_warnings({}) == []  # the defaults set neither field
+    warns = unused_warnings({field: value})
+    assert len(warns) == 1 and field in warns[0] and kind in warns[0]
+    # the interaction that reads the field takes it without a word
+    assert unused_warnings({field: value, "interaction_kind": kind}) == []
+
+
 def _small_race(out_dir, **extra):
     data = {
         "recipe": "race",

@@ -59,9 +59,12 @@ def test_strategy_profile_domain():
 
 def test_config_warns_when_boundary_reachable():
     with pytest.warns(UserWarning, match="boundary reachable") as record:
-        WalkConfig(LatticeGeometry(15), 20)
-    # the warning names the line that builds the config
+        config = WalkConfig(LatticeGeometry(15), 20)
+    # the warning names the line that builds the config, also through replace()
     assert record[0].filename == __file__
+    with pytest.warns(UserWarning, match="boundary reachable") as record:
+        replace(config, seed=1)
+    assert [r.filename for r in record] == [__file__]
 
 
 def test_config_rejects_an_empty_ensemble():
@@ -127,6 +130,27 @@ def test_evolve_matches_repeated_dense_steps(boundary, steps):
         psi = u @ psi
     got = evolve(config, profile).amplitudes
     np.testing.assert_allclose(got, psi.reshape(7, 2, 7, 2), atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:boundary reachable")
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
+@pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
+def test_evolve_batch_matches_repeated_dense_steps(boundary, kind):
+    # T = 4 reaches the edges of L = 7; the complex coin makes every channel
+    # plane and both quadratures of the real coin matmul carry amplitude
+    geom = LatticeGeometry(7, boundary)
+    spec = InteractionSpec(kind, 1.3, range_exponent=1.5)
+    config = WalkConfig(geom, 4, (0.6, 0.8j), (1, 0), spec)
+    thetas = np.array([[1.1, 2.3], [0.0, np.pi], [2.9, 0.4]])
+    psi0 = make_initial_state(geom, (0.6, 0.8j), (1, 0)).amplitudes.reshape(-1)
+
+    got = evolve_batch(config, thetas)
+    for k, (ta, tb) in enumerate(thetas):
+        u = dense_joint_step(spec, geom, ta, tb)
+        psi = psi0
+        for _ in range(config.steps):
+            psi = u @ psi
+        np.testing.assert_allclose(got[k], psi.reshape(7, 2, 7, 2), atol=1e-12)
 
 
 def test_single_step_matches_dense_oracle():

@@ -187,6 +187,18 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_distribution_rows_are_measure_joint_of_evolve():
+    geom = LatticeGeometry(31, Boundary.REFLECTING)
+    spec = InteractionSpec(InteractionKind.COIN_DEPENDENT, 1.3)
+    config = WalkConfig(geom, 6, (1, 0), (0.6, 0.8j), spec)
+    n = chunk_profiles(geom) + 3  # a full chunk and a partial one
+    thetas = np.random.default_rng(2).uniform(0, np.pi, size=(n, 2))
+    probs = distributions(config, thetas)
+    for k, (ta, tb) in enumerate(thetas):
+        want = measure_joint(evolve(config, StrategyProfile(ta, tb))).probabilities
+        assert probs[k].tobytes() == want.tobytes(), k
+
+
 def test_walk_evaluator_ensemble_averages_noise():
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
     config = WalkConfig(LatticeGeometry(11), 4, interaction=spec)

@@ -9,6 +9,7 @@ from qwgames.hilbert import (
     JointState,
     LatticeGeometry,
     ValidationError,
+    born,
     check_distributions,
     distribution_to_csv,
     make_initial_state,
@@ -147,3 +148,18 @@ def test_single_state_distribution():
     s = make_single_state(LatticeGeometry(7, Boundary.REFLECTING), (0.6, 0.8j), x=2)
     p = s.distribution()
     assert p[LatticeGeometry(7).offset(2)] == pytest.approx(1.0)
+
+
+def test_born_gives_the_same_bits_in_every_layout():
+    rng = np.random.default_rng(5)
+    shape = (6, 9, 2, 9, 2)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # the (B, 4, L^2) channel-major layout of the kernel, seen as (B, L, 2, L, 2)
+    view = amps.transpose(0, 2, 4, 1, 3).copy().transpose(0, 3, 1, 4, 2)
+    assert not view.flags.c_contiguous and np.array_equal(view, amps)
+    contiguous = np.ascontiguousarray(view)
+    want = np.sum(np.abs(contiguous) ** 2, axis=(2, 4))
+    assert born(view).tobytes() == born(contiguous).tobytes() == want.tobytes()
+    # one state, no batch axis: the reduction of measure_joint
+    one = np.sum(np.abs(contiguous[0]) ** 2, axis=(1, 3))
+    assert born(view[0]).tobytes() == one.tobytes()
