@@ -41,6 +41,7 @@ from .equilibrium import (
     find_stationary,
     jacobian_at,
     learn,
+    shared_surfaces,
     surface_from_evaluator,
     vector_field,
 )
@@ -508,17 +509,34 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _calibrate_candidate(args):
-    game_name, boundary, coin_label, config = args
+def _calibrate_walk(args) -> list:
+    """The calibration rows of every game that runs on one (boundary, coin)
+    walk: the 31x31 grid is evolved once per noise realization and reduced
+    for each game, then each game is searched with its own evaluator."""
+    boundary, coin_label, game_names, config = args
     coin = COIN_CATALOG[coin_label]
-    t, l, phi = RECIPE_DEFAULTS[game_name]
+    t, l, phi = RECIPE_DEFAULTS[game_names[0]]
     sub = replace(
-        config, boundary=boundary, coin_a=coin, coin_b=coin, game=RECIPE_GAMES[game_name].value,
-        steps=t, lattice_size=l, interaction_strength=phi, grid_n=31,
+        config, boundary=boundary, coin_a=coin, coin_b=coin,
+        steps=t, lattice_size=l, interaction_strength=phi,
     )
-    evaluator, grid, surface = _surface(sub)
-    target = CALIBRATION_TARGETS[game_name]
+    walk = sub.walk_config()
+    evaluators = [WalkEvaluator(walk, GameSpec(RECIPE_GAMES[name])) for name in game_names]
+    grid = StrategyGrid(31)
+    rows = []
+    for name, evaluator, surface in zip(
+        game_names, evaluators, shared_surfaces(evaluators, grid)
+    ):
+        row = _calibrate_row(name, evaluator, grid, surface)
+        if row is not None:
+            rows.append({"game": name, "boundary": boundary, "coin": coin_label, **row})
+    return rows
 
+
+def _calibrate_row(game_name, evaluator, grid, surface):
+    """The game's calibration candidate on its surface, or None when it has
+    no stationary point."""
+    target = CALIBRATION_TARGETS[game_name]
     if game_name == "rendezvous":
         i, j = _optimum(surface)
         ta, tb = float(grid.values[i]), float(grid.values[j])
@@ -539,28 +557,23 @@ def _calibrate_candidate(args):
         _, _, aux = evaluator.points([[ta, tb]])
         extras = {key: float(aux[key][0]) for key in ("mean_x_A", "mean_x_B", "center_of_mass")}
     dist = float(np.hypot(ta - target[0], tb - target[1]))
-    return {
-        "game": game_name,
-        "boundary": boundary,
-        "coin": coin_label,
-        "theta_A": ta,
-        "theta_B": tb,
-        "target_distance": dist,
-        "u_B": u_b,
-        **extras,
-    }
+    return {"theta_A": ta, "theta_B": tb, "target_distance": dist, "u_B": u_b, **extras}
 
 
 def _run_calibrate(config: ExperimentConfig, out: str) -> int:
-    jobs = [
-        (game, boundary, coin, config)
-        for game in ("race", "rendezvous", "tug_of_war")
-        for boundary in ("periodic", "reflecting")
-        for coin in COIN_CATALOG
-    ]
+    # one job per distinct walk: games whose (T, L, phi) agree share it
+    walks: dict = {}
+    for game in ("race", "rendezvous", "tug_of_war"):
+        for boundary in ("periodic", "reflecting"):
+            for coin in COIN_CATALOG:
+                walks.setdefault((boundary, coin, RECIPE_DEFAULTS[game]), []).append(game)
+    jobs = [(boundary, coin, games, config) for (boundary, coin, _), games in walks.items()]
     workers = config.workers or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = [r for r in pool.map(_calibrate_candidate, jobs) if r is not None]
+        # one worker maps in this thread: a lone pool thread adds only its own
+        # malloc arena, whose retained free blocks cost ~2 MB of peak RSS (glibc)
+        run = pool.map if workers > 1 else map
+        rows = [r for job_rows in run(_calibrate_walk, jobs) for r in job_rows]
     rows.sort(key=lambda r: (r["game"], r["target_distance"], r["boundary"], r["coin"]))
 
     columns = [

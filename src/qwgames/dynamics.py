@@ -34,9 +34,11 @@ from .hilbert import (
 )
 from .interactions import InteractionKind, InteractionSpec
 
-# amplitudes evolved together: 0.9 MB of complex128, so a chunk of profiles
-# stays resident in a 2 MB per-core L2 cache through all T steps
-CHUNK_AMPLITUDES = 57_600
+# amplitudes evolved together.  `_steps` keeps two complex128 buffers of a
+# chunk (amps and coined), 32 B per amplitude: 512 KiB here, a quarter of a
+# 2 MB per-core L2, which leaves room for the gather indices and BLAS's own
+# buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
+CHUNK_AMPLITUDES = 16_384
 
 
 class DomainError(ValueError):
@@ -93,10 +95,12 @@ class WalkConfig:
             )
 
 
-def coin_matrix(theta: float) -> np.ndarray:
-    """R_y(theta) acting on (|R>, |L>), half-angle convention."""
+def coin_matrix(theta) -> np.ndarray:
+    """R_y(theta) acting on (|R>, |L>), half-angle convention; an array of
+    angles gives the stack of their matrices, shape (..., 2, 2)."""
+    theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([c, -s, s, c], -1).reshape(*theta.shape, 2, 2)
 
 
 def chunk_profiles(geometry: LatticeGeometry) -> int:
@@ -125,8 +129,7 @@ def _to_state(amps: np.ndarray, geometry: LatticeGeometry) -> JointState:
 def _coin_krons(thetas: np.ndarray) -> np.ndarray:
     """kron(R_y(theta_A), R_y(theta_B)) per profile, (B, 4, 4); real, so it acts
     on (B, 4, L^2) amplitudes as one matmul on their float view (B, 4, 2L^2)."""
-    c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    r = np.stack([c, -s, s, c], -1).reshape(-1, 2, 2, 2)  # (B, player, 2, 2)
+    r = coin_matrix(thetas)  # (B, player, 2, 2)
     return (r[:, 0, :, None, :, None] * r[:, 1, None, :, None, :]).reshape(-1, 4, 4)
 
 
@@ -315,15 +318,29 @@ def evolve(config: WalkConfig, profile: StrategyProfile) -> JointState:
     return JointState(amps, config.geometry)
 
 
+def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
+    """Final (B, L, 2) amplitudes of B non-interacting single walkers, one per
+    angle in thetas, with the coin/shift conventions of the joint walk.
+
+    The coin is one real batched matmul on the float view (B, L, 2, 2) of the
+    state, the shift one gather of `_walker_shift`.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(thetas)) or np.any((thetas < 0) | (thetas > np.pi)):
+        raise DomainError("all strategy angles must lie in [0, pi]")
+    start = make_single_state(geometry, coin).amplitudes
+    amps = np.broadcast_to(start, (len(thetas), *start.shape)).copy()
+    r = coin_matrix(thetas)[:, None]  # (B, 1, 2, 2), broadcast over sites
+    src_x, src_s = _walker_shift(geometry.size, geometry.boundary)
+    perm = (2 * src_x + src_s).reshape(-1)  # flat (x, s) gather indices
+    for _ in range(steps):
+        coined = np.matmul(r, amps.view(float).reshape(*amps.shape, 2))
+        amps = coined.view(complex).reshape(len(amps), -1).take(perm, axis=1).reshape(amps.shape)
+    return amps
+
+
 def evolve_single(
     geometry: LatticeGeometry, steps: int, theta: float, coin
 ) -> SingleState:
     """Non-interacting single-walker walk with the same coin/shift conventions."""
-    if not 0.0 <= theta <= np.pi:
-        raise DomainError(f"theta = {theta!r} outside [0, pi]")
-    amps = make_single_state(geometry, coin).amplitudes
-    src_x, src_s = _walker_shift(geometry.size, geometry.boundary)
-    r = coin_matrix(theta)
-    for _ in range(steps):
-        amps = (amps @ r.T)[src_x, src_s]
-    return SingleState(amps, geometry)
+    return SingleState(evolve_singles(geometry, steps, [theta], coin)[0], geometry)

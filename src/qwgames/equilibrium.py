@@ -8,7 +8,8 @@ All searches work through a payoff evaluator with the interface
     points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
 WalkEvaluator backs this with the quantum-walk simulation (averaged over
-the walk's noise ensemble for noisy interactions); FunctionEvaluator wraps
+the walk's noise ensemble for noisy interactions, and built from two
+single-walker walks when the interaction is inert); FunctionEvaluator wraps
 a plain callable, which is how the synthetic-game tests exercise the same
 machinery.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import WalkConfig, chunk_profiles, evolve_batch
+from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles
 from .games import GameSpec, payoffs
 from .hilbert import ValidationError, born, check_distributions
 
@@ -112,6 +113,54 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     return probs
 
 
+def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
+    """P = p_A (x) p_B per profile, shape (B, L, L): the walk without its
+    interaction, from one single-walker walk per distinct angle of each
+    player.  When the interaction is inert this is `distributions` up to
+    rounding, at the cost of O(n) single walks instead of n^2 joint ones."""
+    thetas = np.asarray(thetas, dtype=float)
+
+    def walker(column: int, coin) -> np.ndarray:
+        """p(x) of one player's walker at each profile's angle, (B, L)."""
+        angles, profile_angle = np.unique(thetas[:, column], return_inverse=True)
+        amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
+        return np.sum(np.abs(amps) ** 2, axis=2)[profile_angle]
+
+    probs = walker(0, walk.coin_a)[:, :, None] * walker(1, walk.coin_b)[:, None, :]
+    check_distributions(probs)
+    return probs
+
+
+def _ensemble_points(evaluators, thetas) -> list[tuple]:
+    """`points(thetas)` of each WalkEvaluator in evaluators, which share one
+    walk: every noise realization is evolved once, reduced for each game,
+    and dropped before the next."""
+    first = evaluators[0]
+    if any(ev.config != first.config for ev in evaluators):
+        raise ValidationError("evaluators sharing an evolution must share one walk")
+    thetas = np.asarray(thetas, dtype=float)
+    geom = first.config.geometry
+    per_walk = []  # [realization][evaluator] -> (u_a, u_b, aux)
+    for walk in first.realizations:
+        inert = walk.interaction.inert
+        probs = (product_distributions if inert else distributions)(walk, thetas)
+        per_walk.append([payoffs(probs, geom, ev.game) for ev in evaluators])
+    return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(evaluators))]
+
+
+def _ensemble_mean(per_walk: list[tuple]) -> tuple:
+    """The (u_a, u_b, aux) columns averaged over the realizations."""
+    if len(per_walk) == 1:
+        # taken as is, because a sum would turn -0.0 into 0.0
+        return per_walk[0]
+    # (profile, u_A | u_B | aux..., realization), averaged over the ensemble
+    table = np.stack(
+        [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_walk],
+        axis=-1,
+    ).mean(axis=-1)
+    return table[:, 0], table[:, 1], dict(zip(per_walk[0][2], table[:, 2:].T))
+
+
 class WalkEvaluator:
     """Payoff of the T-step walk as a function of the strategy pair.
 
@@ -119,6 +168,8 @@ class WalkEvaluator:
     `ensemble` realizations, seeded config.seed, config.seed+1, ...; the
     same realizations serve every strategy pair, so finite differences see
     common random numbers.  A deterministic walk is its own one realization.
+    A walk whose interaction is inert takes the product path,
+    `product_distributions`.
     """
 
     def __init__(self, config: WalkConfig, game: GameSpec):
@@ -132,20 +183,7 @@ class WalkEvaluator:
 
     def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
         """u_A, u_B and the named diagnostics of each profile, each (B,)."""
-        thetas = np.asarray(thetas, dtype=float)
-        geom = self.config.geometry
-        per_walk = [
-            payoffs(distributions(walk, thetas), geom, self.game) for walk in self.realizations
-        ]
-        if len(per_walk) == 1:
-            # taken as is, because a sum would turn -0.0 into 0.0
-            return per_walk[0]
-        # (profile, u_A | u_B | aux..., realization), averaged over the ensemble
-        table = np.stack(
-            [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_walk],
-            axis=-1,
-        ).mean(axis=-1)
-        return table[:, 0], table[:, 1], dict(zip(per_walk[0][2], table[:, 2:].T))
+        return _ensemble_points([self], thetas)[0]
 
     def evaluate_many(self, thetas) -> np.ndarray:
         u_a, u_b, _ = self.points(thetas)
@@ -174,13 +212,24 @@ class FunctionEvaluator:
         return u[:, 0], u[:, 1], {}
 
 
-def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
+def _as_surface(grid: StrategyGrid, points: tuple) -> PayoffSurface:
+    """The (u_a, u_b, aux) columns over grid.profiles as (n, n) surfaces."""
     shape = (grid.n, grid.n)
-    u_a, u_b, aux = evaluator.points(grid.profiles)
+    u_a, u_b, aux = points
     return PayoffSurface(
         grid, u_a.reshape(shape), u_b.reshape(shape),
         {key: v.reshape(shape) for key, v in aux.items()},
     )
+
+
+def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
+    return _as_surface(grid, evaluator.points(grid.profiles))
+
+
+def shared_surfaces(evaluators, grid: StrategyGrid) -> list[PayoffSurface]:
+    """`surface_from_evaluator` of each WalkEvaluator in evaluators, which
+    share one walk, from one evolution of the grid per noise realization."""
+    return [_as_surface(grid, pts) for pts in _ensemble_points(evaluators, grid.profiles)]
 
 
 TIE_TOL = 1e-9

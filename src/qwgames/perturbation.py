@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import StrategyProfile, WalkConfig, evolve_single
-from .equilibrium import StrategyGrid, WalkEvaluator
+from .dynamics import StrategyProfile, WalkConfig, evolve_singles
+from .equilibrium import StrategyGrid, WalkEvaluator, product_distributions
 from .games import GameSpec, payoffs
-from .hilbert import LatticeGeometry, ValidationError, check_distributions
+from .hilbert import LatticeGeometry, ValidationError
 
 
 @dataclass(frozen=True)
@@ -40,30 +40,18 @@ class Certificate:
 
 def drift(geometry: LatticeGeometry, steps: int, theta: float, coin) -> float:
     """Expected final position of a single non-interacting walker."""
-    state = evolve_single(geometry, steps, theta, coin)
-    return float(state.distribution() @ geometry.positions)
+    return float(drift_sweep(geometry, steps, [theta], coin)[0])
 
 
 def drift_sweep(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
-    return np.array([drift(geometry, steps, th, coin) for th in thetas])
+    """`drift` at each angle, from one batched single-walker walk."""
+    amps = evolve_singles(geometry, steps, thetas, coin)
+    return np.vecdot(np.sum(np.abs(amps) ** 2, axis=2), geometry.positions)
 
 
 def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray) -> np.ndarray:
     """Payoff of the product of the two single-walker walks at each pair."""
-    uniq_a = {}
-    uniq_b = {}
-    for ta, tb in thetas:
-        if ta not in uniq_a:
-            uniq_a[ta] = evolve_single(
-                config.geometry, config.steps, ta, config.coin_a
-            ).distribution()
-        if tb not in uniq_b:
-            uniq_b[tb] = evolve_single(
-                config.geometry, config.steps, tb, config.coin_b
-            ).distribution()
-    probs = np.stack([np.outer(uniq_a[ta], uniq_b[tb]) for ta, tb in thetas])
-    check_distributions(probs)
-    return payoffs(probs, config.geometry, game)[0]
+    return payoffs(product_distributions(config, thetas), config.geometry, game)[0]
 
 
 def separability_residual(config: WalkConfig, game: GameSpec, grid: StrategyGrid) -> float:
@@ -132,9 +120,9 @@ def g_estimate_grid(
 ) -> np.ndarray:
     """First-order coupling estimate over the strategy grid (coarse schedule).
 
-    One batch per theta_A row, not one for the whole grid: a 13-profile row
-    fits one cache-sized chunk at L = 31, and a whole 13x13 batch raised the
-    perturbation recipe's peak RSS by 0.3 MB (2-core Xeon) for no speed-up.
+    One batch per theta_A row, not one for the whole grid: a whole 13x13
+    batch raised the perturbation recipe's peak RSS by 0.3 MB (2-core Xeon)
+    for no speed-up.
     """
     vals = grid.values
     out = np.empty((grid.n, grid.n))

@@ -33,7 +33,7 @@ from qwgames.equilibrium import (
     learn,
     surface_from_evaluator,
 )
-from qwgames.games import GameKind, GameSpec
+from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import (
     Boundary,
     LatticeGeometry,
@@ -151,8 +151,9 @@ def test_04_separability_without_interaction():
     ta, tb = np.meshgrid(vals, vals, indexing="ij")
     thetas = np.column_stack([ta.ravel(), tb.ravel()])
 
+    # both sides stay on the joint kernel: WalkEvaluator would take the
+    # product path here and compare the product with itself
     probs = distributions(config, thetas)
-    ev = WalkEvaluator(config, RACE)
     singles = {th: evolve_single(geom, 10, th, (1, 0)).distribution() for th in vals}
     worst_p = max(
         float(np.max(np.abs(p - np.outer(singles[a], singles[b]))))
@@ -160,7 +161,7 @@ def test_04_separability_without_interaction():
     )
 
     f = {th: drift(geom, 10, th, (1, 0)) for th in vals}
-    u = ev.evaluate_many(thetas)[:, 0]
+    u = payoffs(probs, geom, RACE)[0]
     worst_u = max(abs(ua - (f[a] - f[b])) for ua, (a, b) in zip(u, thetas))
     report(
         4,

@@ -23,6 +23,7 @@ from qwgames.dynamics import (
     evolve,
     evolve_batch,
     evolve_single,
+    evolve_singles,
     step,
 )
 from qwgames.hilbert import (
@@ -177,6 +178,24 @@ def test_single_walker_matches_recurrence():
         expected = recurrence_evolve(geom, steps, theta, coin)
         got = evolve_single(geom, steps, theta, coin).amplitudes
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+def test_single_walker_batch_rows_are_lone_walks(boundary):
+    geom = LatticeGeometry(9, boundary)
+    thetas = np.linspace(0, np.pi, 13)
+    coin = (1 / np.sqrt(2), 1j / np.sqrt(2))
+    batch = evolve_singles(geom, 7, thetas, coin)
+    assert batch.shape == (13, 9, 2)
+    for theta, got in zip(thetas, batch):
+        assert got.tobytes() == evolve_single(geom, 7, theta, coin).amplitudes.tobytes()
+        psi = np.zeros(18, dtype=complex)
+        psi[2 * geom.offset(0) : 2 * geom.offset(0) + 2] = coin
+        for _ in range(7):
+            psi = dense_single_step(geom, theta) @ psi
+        np.testing.assert_allclose(got, psi.reshape(9, 2), atol=1e-12)
+    with pytest.raises(DomainError):
+        evolve_singles(geom, 2, [0.5, np.pi + 0.1], coin)
 
 
 def test_no_interaction_factorizes():

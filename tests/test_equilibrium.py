@@ -24,9 +24,11 @@ from qwgames.equilibrium import (
     gradients,
     jacobian_at,
     learn,
+    shared_surfaces,
     surface_from_evaluator,
     vector_field,
 )
+import qwgames.equilibrium as equilibrium
 from qwgames.dynamics import StrategyProfile, WalkConfig, chunk_profiles, evolve
 from qwgames.games import GameKind, GameSpec, payoff, payoffs
 from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError, measure_joint
@@ -243,6 +245,116 @@ def test_deterministic_walk_is_its_one_realization(spec):
     # no copy is built, so no copy repeats the config's boundary warning
     (walk,) = WalkEvaluator(config, GameSpec(GameKind.RACE)).realizations
     assert walk is config
+
+
+# the complex pair right (x) symmetric, whose first-order coupling is nonzero
+RIGHT_SYMMETRIC = ((1, 0), (1 / np.sqrt(2), 1j / np.sqrt(2)))
+NO_OP_KINDS = [
+    InteractionKind.NONE,
+    InteractionKind.COLLISION_PHASE,
+    InteractionKind.ATTRACTIVE_COLLISION,
+    InteractionKind.LONG_RANGE,
+    InteractionKind.COIN_DEPENDENT,
+]
+THREE_GAMES = [GameSpec(k) for k in (GameKind.RACE, GameKind.RENDEZVOUS, GameKind.TUG_OF_WAR)]
+
+
+def joint_points(walks, thetas, game):
+    """The seed-averaged payoff columns of walks, from the joint kernel."""
+    per_seed = [payoffs(distributions(walk, thetas), walk.geometry, game) for walk in walks]
+    u_a, u_b = (seed_average([p[k] for p in per_seed]) for k in (0, 1))
+    return u_a, u_b, {key: seed_average([p[2][key] for p in per_seed]) for key in per_seed[0][2]}
+
+
+def count_evolved_profiles(monkeypatch) -> list:
+    """Patch the joint kernel as the evaluators see it; returns the list that
+    collects the batch size of every call."""
+    sizes = []
+
+    def counted(config, thetas):
+        sizes.append(len(thetas))
+        return evolve_batch(config, thetas)
+
+    evolve_batch = equilibrium.evolve_batch
+    monkeypatch.setattr(equilibrium, "evolve_batch", counted)
+    return sizes
+
+
+@pytest.mark.filterwarnings("ignore:boundary reachable")
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind", NO_OP_KINDS, ids=lambda k: k.value)
+def test_inert_walk_takes_the_product_path_and_agrees_with_the_joint_kernel(
+    kind, boundary, monkeypatch
+):
+    # T = 6 reaches the edges of L = 11, so the boundary rule matters
+    config = WalkConfig(LatticeGeometry(11, boundary), 6, *RIGHT_SYMMETRIC, InteractionSpec(kind))
+    assert config.interaction.inert
+    thetas = StrategyGrid(7).profiles
+    sizes = count_evolved_profiles(monkeypatch)
+    for game in THREE_GAMES:
+        want = joint_points([config], thetas, game)
+        sizes.clear()
+        got = WalkEvaluator(config, game).points(thetas)
+        assert sizes == []  # no joint evolution
+        for g, w in zip(got[:2], want[:2]):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        assert got[2].keys() == want[2].keys()
+        for key in want[2]:
+            np.testing.assert_allclose(got[2][key], want[2][key], rtol=0, atol=1e-12)
+
+
+def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
+    # the jitter still rides on the collision diagonal, so the walkers interact
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 0.0, noise_sigma=0.5)
+    config = WalkConfig(LatticeGeometry(11), 4, *RIGHT_SYMMETRIC, spec, seed=3, ensemble=3)
+    assert not spec.inert
+    thetas = StrategyGrid(5).profiles
+    ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
+    u_a, u_b, aux = ev.points(thetas)
+    want = joint_points(ev.realizations, thetas, ev.game)
+    for got, w in zip([u_a, u_b, *aux.values()], [*want[:2], *want[2].values()]):
+        assert_same_bits(got, w)
+    product = payoffs(
+        equilibrium.product_distributions(config, thetas), config.geometry, ev.game
+    )[0]
+    assert np.max(np.abs(u_a - product)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "spec, ensemble",
+    [
+        (InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi), 1),
+        (InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5), 3),
+        (InteractionSpec(InteractionKind.COLLISION_PHASE, 0.0), 1),
+    ],
+    ids=["collision", "noisy-ensemble-3", "inert"],
+)
+def test_shared_surfaces_are_bitwise_per_game_surfaces(spec, ensemble, monkeypatch):
+    config = WalkConfig(LatticeGeometry(11), 4, *RIGHT_SYMMETRIC, spec, seed=1, ensemble=ensemble)
+    evaluators = [WalkEvaluator(config, GameSpec(k)) for k in (GameKind.RACE, GameKind.TUG_OF_WAR)]
+    grid = StrategyGrid(6)
+    sizes = count_evolved_profiles(monkeypatch)
+    shared = shared_surfaces(evaluators, grid)
+    # the grid is evolved once per noise realization, whatever the game count
+    assert sum(sizes) == (0 if spec.inert else grid.n**2 * ensemble)
+    for ev, surface in zip(evaluators, shared):
+        alone = surface_from_evaluator(ev, grid)
+        assert surface.aux.keys() == alone.aux.keys()
+        for got, want in zip(
+            [surface.u_a, surface.u_b, *surface.aux.values()],
+            [alone.u_a, alone.u_b, *alone.aux.values()],
+        ):
+            assert_same_bits(got, want)
+
+
+def test_shared_surfaces_need_one_walk():
+    config = WalkConfig(LatticeGeometry(11), 4)
+    evaluators = [
+        WalkEvaluator(config, GameSpec(GameKind.RACE)),
+        WalkEvaluator(replace(config, steps=3), GameSpec(GameKind.RACE)),
+    ]
+    with pytest.raises(ValidationError, match="share one walk"):
+        shared_surfaces(evaluators, StrategyGrid(3))
 
 
 def test_function_evaluator_points_are_two_columns_and_no_aux():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qwgames.dynamics import StrategyProfile, WalkConfig
-from qwgames.equilibrium import StrategyGrid, WalkEvaluator
-from qwgames.games import GameKind, GameSpec
+from qwgames.equilibrium import StrategyGrid, WalkEvaluator, distributions
+from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
 from qwgames.perturbation import (
@@ -44,7 +44,12 @@ def test_drift_sweep_is_continuous():
 
 def test_separability_residual_vanishes_without_interaction():
     config = WalkConfig(LatticeGeometry(21), 6)
-    assert separability_residual(config, RACE, StrategyGrid(5)) < 1e-10
+    grid = StrategyGrid(5)
+    # an inert walk's evaluator takes the product path, which is the prediction
+    assert separability_residual(config, RACE, grid) == 0.0
+    # so the joint kernel is what shows that the walk really factorizes
+    joint = payoffs(distributions(config, grid.profiles), config.geometry, RACE)[0]
+    assert np.max(np.abs(joint - _separable_prediction(config, RACE, grid.profiles))) < 1e-12
 
 
 def test_separability_residual_small_at_tiny_coupling():
