@@ -4,7 +4,6 @@ Jacobian stability, and gradient learning dynamics.
 All searches work through a payoff evaluator with the interface
 
     evaluate(theta_a, theta_b) -> (u_a, u_b)
-    evaluate_many(thetas)      -> (B, 2) array of (u_a, u_b)
     points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
 WalkEvaluator backs this with the quantum-walk simulation (averaged over
@@ -23,7 +22,7 @@ import numpy as np
 
 from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles
 from .games import GameSpec, payoffs
-from .hilbert import ValidationError, born, check_distributions
+from .hilbert import ValidationError, born, born_single, check_distributions
 
 PI = np.pi
 
@@ -124,7 +123,7 @@ def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
         """p(x) of one player's walker at each profile's angle, (B, L)."""
         angles, profile_angle = np.unique(thetas[:, column], return_inverse=True)
         amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
-        return np.sum(np.abs(amps) ** 2, axis=2)[profile_angle]
+        return born_single(amps)[profile_angle]
 
     probs = walker(0, walk.coin_a)[:, :, None] * walker(1, walk.coin_b)[:, None, :]
     check_distributions(probs)
@@ -185,13 +184,9 @@ class WalkEvaluator:
         """u_A, u_B and the named diagnostics of each profile, each (B,)."""
         return _ensemble_points([self], thetas)[0]
 
-    def evaluate_many(self, thetas) -> np.ndarray:
-        u_a, u_b, _ = self.points(thetas)
-        return np.column_stack([u_a, u_b])
-
     def evaluate(self, theta_a: float, theta_b: float) -> tuple[float, float]:
-        u = self.evaluate_many([[theta_a, theta_b]])[0]
-        return float(u[0]), float(u[1])
+        u_a, u_b, _ = self.points([[theta_a, theta_b]])
+        return float(u_a[0]), float(u_b[0])
 
 
 class FunctionEvaluator:
@@ -204,11 +199,8 @@ class FunctionEvaluator:
         u_a, u_b = self.fn(theta_a, theta_b)
         return float(u_a), float(u_b)
 
-    def evaluate_many(self, thetas) -> np.ndarray:
-        return np.array([self.evaluate(ta, tb) for ta, tb in np.asarray(thetas)])
-
     def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
-        u = self.evaluate_many(thetas)
+        u = np.array([self.evaluate(ta, tb) for ta, tb in np.asarray(thetas)])
         return u[:, 0], u[:, 1], {}
 
 
@@ -253,53 +245,51 @@ def best_responses(surface: PayoffSurface, tol: float = TIE_TOL):
 BOUNDARY_TOL = 1e-6
 
 
-def _stencil_1d(p: float, h: float, lo: float = 0.0, hi: float = PI):
-    """First/second derivative stencils that stay inside [lo, hi].
+# Finite-difference steps, and the tolerances and budgets of the searches
+GRAD_H = 1e-3  # step of every gradient: residuals, learning, vector fields
+GRAD_TOL = 1e-3  # a point whose gradient is below this in both axes is stationary
+JACOBIAN_H = 1e-2
+CURVATURE_TOL = 1e-8  # Jacobian eigenvalues below this in size count as zero
+MAX_ROUNDS = 200  # refinement rounds of find_stationary
+MAX_CANDIDATES = 64  # best-response intersections find_stationary refines
 
-    Returns (offsets, w1, w2): offsets to sample at, first-derivative weights,
-    second-derivative weights.
-    """
-    if p - h < lo:
-        offs = np.array([0.0, h, 2 * h])
-        w1 = np.array([-1.5, 2.0, -0.5]) / h
-    elif p + h > hi:
-        offs = np.array([-2 * h, -h, 0.0])
-        w1 = np.array([0.5, -2.0, 1.5]) / h
-    else:
-        offs = np.array([-h, 0.0, h])
-        w1 = np.array([-0.5, 0.0, 0.5]) / h
-    w2 = np.array([1.0, -2.0, 1.0]) / h**2
-    return offs, w1, w2
+# 3-point stencils that stay inside [0, pi], one row each: forward (within h
+# of 0), central, backward (within h of pi).  Row k probes at offsets
+# _OFFSETS[k] * h, whose zero sits at index k; _SECOND serves every row.
+_OFFSETS = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [-2.0, -1.0, 0.0]])
+_FIRST = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
+_SECOND = np.array([1.0, -2.0, 1.0])
 
 
-def gradients(evaluator, pts, h: float = 1e-3) -> np.ndarray:
+def _stencil(theta: np.ndarray, h: float):
+    """Stencil row, probe offsets and first-derivative weights of each
+    angle, shaped theta.shape, (*theta.shape, 3) and (*theta.shape, 3)."""
+    row = np.where(theta - h < 0.0, 0, np.where(theta + h > PI, 2, 1))
+    return row, _OFFSETS[row] * h, _FIRST[row] / h
+
+
+def gradients(evaluator, pts) -> np.ndarray:
     """Own-payoff gradients (dU_A/dtheta_A, dU_B/dtheta_B) at each point.
 
-    One-sided stencils are used within h of the domain boundary.  All
-    evaluations go through one batched call.
+    One-sided stencils are used within GRAD_H of the domain boundary.  Every
+    probe with a nonzero weight goes through one batched call.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    evals = []
-    plans = []
-    for ta, tb in pts:
-        offs_a, w1a, _ = _stencil_1d(ta, h)
-        offs_b, w1b, _ = _stencil_1d(tb, h)
-        ia = [len(evals) + k for k in range(3)]
-        evals.extend([[ta + o, tb] for o in offs_a])
-        ib = [len(evals) + k for k in range(3)]
-        evals.extend([[ta, tb + o] for o in offs_b])
-        plans.append((ia, w1a, ib, w1b))
-    u = evaluator.evaluate_many(np.array(evals))
-    out = np.empty_like(pts)
-    for k, (ia, w1a, ib, w1b) in enumerate(plans):
-        out[k, 0] = float(w1a @ u[ia, 0])
-        out[k, 1] = float(w1b @ u[ib, 1])
-    return out
+    _, offs, w1 = _stencil(pts, GRAD_H)
+    # probes[k, i, j] moves point k by offs[k, i, j] along player i's angle
+    probes = np.broadcast_to(pts[:, None, None, :], (len(pts), 2, 3, 2)).copy()
+    probes[:, 0, :, 0] += offs[:, 0]
+    probes[:, 1, :, 1] += offs[:, 1]
+    used = w1 != 0.0
+    u_a, u_b, _ = evaluator.points(probes[used])
+    u = np.zeros(w1.shape)
+    u[used] = np.where(np.nonzero(used)[1] == 0, u_a, u_b)
+    return np.vecdot(u, w1)
 
 
-def vector_field(evaluator, grid: StrategyGrid, h: float = 1e-3):
+def vector_field(evaluator, grid: StrategyGrid):
     """Gradient pairs over the whole grid, shaped (n, n) each."""
-    g = gradients(evaluator, grid.profiles, h)
+    g = gradients(evaluator, grid.profiles)
     n = grid.n
     return g[:, 0].reshape(n, n), g[:, 1].reshape(n, n)
 
@@ -336,22 +326,16 @@ def _classify_position(ta: float, tb: float) -> bool:
 
 
 def find_stationary(
-    surface: PayoffSurface,
-    evaluator,
-    refine: bool = True,
-    grad_h: float = 1e-3,
-    grad_tol: float = 1e-3,
-    max_iters: int = 200,
-    max_candidates: int = 64,
+    surface: PayoffSurface, evaluator, refine: bool = True
 ) -> list[StationaryPoint]:
     """Best-response intersections on the grid, optionally polished by
     alternating coordinate ascent with golden-section line searches.
 
     All candidates are refined in lockstep: every probe round of the
-    golden searches and every gradient check is one `evaluate_many` call over
+    golden searches and every gradient check is one `points` call over
     the candidates still moving, each on the iterates a lone refinement takes.
 
-    Only the first `max_candidates` intersections, column by column, are
+    Only the first MAX_CANDIDATES intersections, column by column, are
     refined, with a warning when more were found.
 
     Non-convergent refinements are reported with status "unrefined"; points
@@ -362,12 +346,12 @@ def find_stationary(
     mask_a, mask_b = _best_response_masks(surface, TIE_TOL)
     # best-response intersections, read column by column (theta_B-major)
     cols, rows = np.argwhere((mask_a & mask_b).T).T
-    if len(cols) > max_candidates:
+    if len(cols) > MAX_CANDIDATES:
         warnings.warn(
-            f"{len(cols)} best-response intersections, refining the first {max_candidates}",
+            f"{len(cols)} best-response intersections, refining the first {MAX_CANDIDATES}",
             stacklevel=2,
         )
-    cols, rows = cols[:max_candidates], rows[:max_candidates]
+    cols, rows = cols[:MAX_CANDIDATES], rows[:MAX_CANDIDATES]
     if not cols.size:
         return []
     w = surface.grid.spacing
@@ -375,28 +359,28 @@ def find_stationary(
     grad = np.full((len(cols), 2), np.inf)
     # lanes still refining; refine=False takes one residual check instead
     live = np.arange(len(cols))
-    for _ in range(max_iters if refine else 1):
+    for _ in range(MAX_ROUNDS if refine else 1):
         if refine:
             ta[live] = _golden_max(
-                lambda t, k: evaluator.evaluate_many(np.column_stack([t, tb[live[k]]]))[:, 0],
+                lambda t, k: evaluator.points(np.column_stack([t, tb[live[k]]]))[0],
                 np.maximum(0.0, ta[live] - w),
                 np.minimum(PI, ta[live] + w),
             )
             tb[live] = _golden_max(
-                lambda t, k: evaluator.evaluate_many(np.column_stack([ta[live[k]], t]))[:, 1],
+                lambda t, k: evaluator.points(np.column_stack([ta[live[k]], t]))[1],
                 np.maximum(0.0, tb[live] - w),
                 np.minimum(PI, tb[live] + w),
             )
-        grad[live] = gradients(evaluator, np.column_stack([ta[live], tb[live]]), grad_h)
-        live = live[~np.all(np.abs(grad[live]) < grad_tol, axis=1)]
+        grad[live] = gradients(evaluator, np.column_stack([ta[live], tb[live]]))
+        live = live[~np.all(np.abs(grad[live]) < GRAD_TOL, axis=1)]
         if not live.size:
             break
-    u = evaluator.evaluate_many(np.column_stack([ta, tb]))
+    u_a, u_b, _ = evaluator.points(np.column_stack([ta, tb]))
     results = [
         StationaryPoint(
-            float(ta[k]), float(tb[k]), float(u[k, 0]), float(u[k, 1]),
+            float(ta[k]), float(tb[k]), float(u_a[k]), float(u_b[k]),
             "boundary" if _classify_position(ta[k], tb[k]) else
-            ("refined" if np.all(np.abs(grad[k]) < grad_tol) else "unrefined"),
+            ("refined" if np.all(np.abs(grad[k]) < GRAD_TOL) else "unrefined"),
             (float(grad[k, 0]), float(grad[k, 1])),
         )
         for k in range(len(cols))
@@ -413,46 +397,39 @@ def find_stationary(
     return merged
 
 
-def jacobian_at(
-    point,
-    evaluator,
-    h: float = 1e-2,
-    eta: float = 0.05,
-    curvature_tol: float = 1e-8,
-) -> JacobianReport:
+def jacobian_at(point, evaluator, eta: float = 0.05) -> JacobianReport:
     """Jacobian of the gradient dynamics at a strategy pair, from a 9-point
     second-difference stencil, with eigenvalue stability classification.
 
-    Points within h of the boundary fall back to one-sided stencils and carry
-    a caveat flag.
+    Points within JACOBIAN_H of the boundary fall back to one-sided stencils
+    and carry a caveat flag.
     """
     if isinstance(point, StationaryPoint):
         ta, tb = point.theta_a, point.theta_b
     else:
         ta, tb = float(point[0]), float(point[1])
-    offs_a, w1a, w2a = _stencil_1d(ta, h)
-    offs_b, w1b, w2b = _stencil_1d(tb, h)
-    caveat = bool(ta - h < 0 or ta + h > PI or tb - h < 0 or tb + h > PI)
+    (row_a, row_b), (offs_a, offs_b), (w1a, w1b) = _stencil(np.array([ta, tb]), JACOBIAN_H)
+    w2 = _SECOND / JACOBIAN_H**2
+    caveat = bool(row_a != 1 or row_b != 1)  # a one-sided stencil
 
     pts = np.array([[ta + oa, tb + ob] for oa in offs_a for ob in offs_b])
-    u = evaluator.evaluate_many(pts)
+    # columns of a (9, 2) array: contiguous ones change the sums' last bits
+    u = np.column_stack(evaluator.points(pts)[:2])
     u_a = u[:, 0].reshape(3, 3)
     u_b = u[:, 1].reshape(3, 3)
-    # u_x[i, j] samples (ta + offs_a[i], tb + offs_b[j])
-    center_b = int(np.argmin(np.abs(offs_b)))
-    center_a = int(np.argmin(np.abs(offs_a)))
-    j11 = float(w2a @ u_a[:, center_b])
-    j22 = float(w2b @ u_b[center_a, :])
+    # u_x[i, j] samples (ta + offs_a[i], tb + offs_b[j]); row k centres at k
+    j11 = float(w2 @ u_a[:, row_b])
+    j22 = float(w2 @ u_b[row_a, :])
     j12 = float(w1a @ u_a @ w1b)
     j21 = float(w1a @ u_b @ w1b)
     J = np.array([[j11, j12], [j21, j22]])
 
     eigs = np.linalg.eigvals(J)
-    if np.max(np.abs(eigs)) < curvature_tol:
+    if np.max(np.abs(eigs)) < CURVATURE_TOL:
         verdict = "marginal"
-    elif np.all(eigs.real < -curvature_tol):
+    elif np.all(eigs.real < -CURVATURE_TOL):
         verdict = "stable"
-    elif np.any(eigs.real > curvature_tol):
+    elif np.any(eigs.real > CURVATURE_TOL):
         verdict = "unstable"
     else:
         verdict = "marginal"
@@ -460,14 +437,7 @@ def jacobian_at(
     return JacobianReport(J, eigs, verdict, rho, eta, caveat)
 
 
-def learn(
-    evaluator,
-    start,
-    eta: float = 0.05,
-    grad_h: float = 1e-3,
-    grad_tol: float = 1e-3,
-    max_iters: int = 1000,
-) -> LearnResult:
+def learn(evaluator, start, eta: float = 0.05, max_iters: int = 1000) -> LearnResult:
     """Simultaneous gradient ascent theta_i <- theta_i + eta dU_i/dtheta_i,
     clamped to [0, pi], with oscillation-divergence detection."""
     ta, tb = float(start[0]), float(start[1])
@@ -479,8 +449,8 @@ def learn(
     diverged = False
     message = "max_iters reached"
     for _ in range(max_iters):
-        g = gradients(evaluator, [[ta, tb]], grad_h)[0]
-        if abs(g[0]) < grad_tol and abs(g[1]) < grad_tol:
+        g = gradients(evaluator, [[ta, tb]])[0]
+        if abs(g[0]) < GRAD_TOL and abs(g[1]) < GRAD_TOL:
             converged = True
             message = "gradient below tolerance"
             break

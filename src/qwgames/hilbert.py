@@ -88,7 +88,7 @@ class SingleState:
 
     def distribution(self) -> np.ndarray:
         """Position distribution p(x), coin traced out."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+        return born_single(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,11 @@ def born(amps: np.ndarray) -> np.ndarray:
     fixed order (s_B, then s_A) that gives the same bits in every layout."""
     a = np.abs(amps) ** 2
     return (a[..., 0, :, 0] + a[..., 0, :, 1]) + (a[..., 1, :, 0] + a[..., 1, :, 1])
+
+
+def born_single(amps: np.ndarray) -> np.ndarray:
+    """p(x) of (..., L, 2) single-walker amplitudes, coin traced out."""
+    return np.sum(np.abs(amps) ** 2, axis=-1)
 
 
 def measure_joint(state: JointState) -> JointDistribution:

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import StrategyProfile, WalkConfig, evolve_singles
 from .equilibrium import StrategyGrid, WalkEvaluator, product_distributions
 from .games import GameSpec, payoffs
-from .hilbert import LatticeGeometry, ValidationError
+from .hilbert import LatticeGeometry, ValidationError, born_single
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def drift(geometry: LatticeGeometry, steps: int, theta: float, coin) -> float:
 def drift_sweep(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
     """`drift` at each angle, from one batched single-walker walk."""
     amps = evolve_singles(geometry, steps, thetas, coin)
-    return np.vecdot(np.sum(np.abs(amps) ** 2, axis=2), geometry.positions)
+    return np.vecdot(born_single(amps), geometry.positions)
 
 
 def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray) -> np.ndarray:
@@ -58,7 +58,7 @@ def separability_residual(config: WalkConfig, game: GameSpec, grid: StrategyGrid
     """Max deviation of the interacting payoff from the non-interacting
     product prediction over the grid (for the race, F(t_A) - F(t_B))."""
     thetas = grid.profiles
-    u = WalkEvaluator(config, game).evaluate_many(thetas)[:, 0]
+    u = WalkEvaluator(config, game).points(thetas)[0]
     return float(np.max(np.abs(u - _separable_prediction(config, game, thetas))))
 
 
@@ -77,7 +77,7 @@ def _slope_matrix(
 
     def u_at(strength: float) -> np.ndarray:
         cfg = replace(config, interaction=config.interaction.with_strength(strength))
-        return WalkEvaluator(cfg, game).evaluate_many(thetas)[:, 0]
+        return WalkEvaluator(cfg, game).points(thetas)[0]
 
     u0 = u_at(0.0)
     return lambdas, u0, np.column_stack([(u_at(lam) - u0) / lam for lam in lambdas])

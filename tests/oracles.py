@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the structured
-evolution (explicit dense unitaries and the component recurrence relations)
-and the lockstep stationary-point search (a one-lane golden-section search).
+evolution (explicit dense unitaries and the component recurrence relations),
+the lockstep stationary-point search (a one-lane golden-section search) and
+the batched finite differences (a scalar 3-point stencil per point).
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout.
@@ -125,3 +126,51 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def stencil_1d(p: float, h: float, lo: float = 0.0, hi: float = np.pi):
+    """First/second derivative stencils that stay inside [lo, hi].
+
+    Returns (offsets, w1, w2): offsets to sample at, first-derivative weights,
+    second-derivative weights.
+    """
+    if p - h < lo:
+        offs = np.array([0.0, h, 2 * h])
+        w1 = np.array([-1.5, 2.0, -0.5]) / h
+    elif p + h > hi:
+        offs = np.array([-2 * h, -h, 0.0])
+        w1 = np.array([0.5, -2.0, 1.5]) / h
+    else:
+        offs = np.array([-h, 0.0, h])
+        w1 = np.array([-0.5, 0.0, 0.5]) / h
+    w2 = np.array([1.0, -2.0, 1.0]) / h**2
+    return offs, w1, w2
+
+
+def fd_gradients(evaluator, pts, h: float = 1e-3) -> np.ndarray:
+    """Own-payoff gradients (dU_A/dtheta_A, dU_B/dtheta_B) at each point, one
+    stencil and one evaluation per probe at a time, the centre included."""
+    out = []
+    for ta, tb in np.asarray(pts, dtype=float).reshape(-1, 2):
+        offs_a, w1a, _ = stencil_1d(ta, h)
+        offs_b, w1b, _ = stencil_1d(tb, h)
+        u_a = np.array([evaluator.evaluate(ta + o, tb)[0] for o in offs_a])
+        u_b = np.array([evaluator.evaluate(ta, tb + o)[1] for o in offs_b])
+        out.append([float(w1a @ u_a), float(w1b @ u_b)])
+    return np.array(out)
+
+
+def fd_jacobian(evaluator, ta: float, tb: float, h: float = 1e-2) -> np.ndarray:
+    """Game Jacobian [[d2U_A/dA2, d2U_A/dAdB], [d2U_B/dAdB, d2U_B/dB2]] from
+    the 3x3 grid of stencil probes around (ta, tb)."""
+    offs_a, w1a, w2a = stencil_1d(ta, h)
+    offs_b, w1b, w2b = stencil_1d(tb, h)
+    u = np.array([[evaluator.evaluate(ta + oa, tb + ob) for ob in offs_b] for oa in offs_a])
+    u_a, u_b = u[..., 0], u[..., 1]  # [i, j] samples (ta + offs_a[i], tb + offs_b[j])
+    ca, cb = int(np.argmin(np.abs(offs_a))), int(np.argmin(np.abs(offs_b)))
+    return np.array(
+        [
+            [float(w2a @ u_a[:, cb]), float(w1a @ u_a @ w1b)],
+            [float(w1a @ u_b @ w1b), float(w2b @ u_b[ca, :])],
+        ]
+    )

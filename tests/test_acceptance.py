@@ -254,7 +254,7 @@ def test_09_learning_stability(small_coupling):
         for p in points:
             if not p.interior:
                 continue
-            rep = jacobian_at(p, ev, h=1e-2, eta=0.05)
+            rep = jacobian_at(p, ev, eta=0.05)
             if not rep.stable:
                 continue
             checked += 1
@@ -277,7 +277,7 @@ def test_09_learning_stability(small_coupling):
             -((b - 1.2) ** 2) + (a - 1.5) * (b - 1.2),
         )
     )
-    rep = jacobian_at((1.5, 1.2), quad, h=1e-2, eta=0.05)
+    rep = jacobian_at((1.5, 1.2), quad, eta=0.05)
     jac_ok = bool(
         np.allclose(rep.matrix, [[-2, 1], [1, -2]], atol=1e-4)
         and rep.stable
@@ -308,25 +308,43 @@ def test_10_zero_sum_exactness():
     report(10, "zero-sum payoffs cancel bitwise", ok)
 
 
+# each rerun recipe, with the outputs it must write
+RERUNS = {
+    "race": ({"grid_n": 9}, ("stationary.json",)),
+    # the finite-difference outputs
+    "learning": (
+        {"grid_n": 7, "n_starts": 3, "max_iters": 40},
+        ("vector_field.csv", "trajectories.csv"),
+    ),
+}
+
+
 def test_11_cli_determinism(tmp_path):
-    def run(out):
+    def run(out, recipe, extra):
         cfg = ExperimentConfig.from_dict(
             {
-                "recipe": "race",
+                "recipe": recipe,
                 "steps": 6,
                 "lattice_size": 13,
-                "grid_n": 9,
                 "seed": 5,
                 "out_dir": str(out),
+                **extra,
             }
         )
         assert run_recipe(cfg) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
-    first = run(tmp_path / "run")
-    (tmp_path / "run").rename(tmp_path / "saved")
-    second = run(tmp_path / "run")
-    report(11, "byte-identical repeated CLI runs", first == second)
+    same = {}
+    for recipe, (extra, outputs) in RERUNS.items():
+        first = run(tmp_path / recipe, recipe, extra)
+        (tmp_path / recipe).rename(tmp_path / f"{recipe}-saved")
+        second = run(tmp_path / recipe, recipe, extra)
+        assert first.keys() >= set(outputs)
+        same[recipe] = first == second
+    report(
+        11, "byte-identical repeated CLI runs", all(same.values()),
+        ", ".join(f"{recipe}: {'same' if ok else 'differs'}" for recipe, ok in same.items()),
+    )
 
 
 @pytest.fixture(scope="module")

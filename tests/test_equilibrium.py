@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import golden_max
+from oracles import fd_gradients, fd_jacobian, golden_max
 from qwgames.equilibrium import (
     BOUNDARY_TOL,
     TIE_TOL,
@@ -67,7 +67,7 @@ def test_best_responses_ignore_payoff_scaling():
 
 def test_gradients_match_analytic():
     pts = [[1.0, 2.0], [0.0, np.pi], [2.5, 0.3]]  # includes boundary stencils
-    g = gradients(QUAD, pts, h=1e-4)
+    g = gradients(QUAD, pts)
     for (ta, tb), (ga, gb) in zip(pts, g):
         assert ga == pytest.approx(-2 * (ta - A_STAR) + (tb - B_STAR), abs=1e-6)
         assert gb == pytest.approx(-2 * (tb - B_STAR) + (ta - A_STAR), abs=1e-6)
@@ -75,7 +75,7 @@ def test_gradients_match_analytic():
 
 def test_vector_field_shapes_and_values():
     grid = StrategyGrid(5)
-    ga, gb = vector_field(QUAD, grid, h=1e-4)
+    ga, gb = vector_field(QUAD, grid)
     assert ga.shape == gb.shape == (5, 5)
     ta = grid.values[2]
     tb = grid.values[1]
@@ -107,7 +107,7 @@ def test_find_stationary_flags_boundary_points():
 
 
 def test_jacobian_matches_analytic():
-    rep = jacobian_at((A_STAR, B_STAR), QUAD, h=1e-2)
+    rep = jacobian_at((A_STAR, B_STAR), QUAD)
     np.testing.assert_allclose(rep.matrix, [[-2, 1], [1, -2]], atol=1e-4)
     assert rep.verdict == "stable"
     assert rep.stable
@@ -117,7 +117,7 @@ def test_jacobian_matches_analytic():
 
 
 def test_jacobian_near_boundary_carries_caveat():
-    rep = jacobian_at((0.0, 1.0), QUAD, h=1e-2)
+    rep = jacobian_at((0.0, 1.0), QUAD)
     assert rep.boundary_caveat
 
 
@@ -130,7 +130,7 @@ def test_jacobian_unstable_and_marginal_verdicts():
 
 def test_uncoupled_game_has_zero_cross_terms():
     ev = FunctionEvaluator(lambda a, b: (-((a - 1) ** 2), -((b - 2) ** 2)))
-    rep = jacobian_at((1.0, 2.0), ev, h=1e-2)
+    rep = jacobian_at((1.0, 2.0), ev)
     assert rep.matrix[0, 1] == pytest.approx(0.0, abs=1e-8)
     assert rep.matrix[1, 0] == pytest.approx(0.0, abs=1e-8)
 
@@ -229,7 +229,8 @@ def test_walk_evaluator_ensemble_averages_noise():
         assert aux.keys() == per_seed[0][2].keys()
         for key, value in aux.items():
             assert_same_bits(value, seed_average([p[2][key] for p in per_seed]))
-        assert_same_bits(ev.evaluate_many(thetas), np.column_stack([u_a, u_b]))
+        evaluated = np.array([ev.evaluate(ta, tb) for ta, tb in thetas])
+        assert_same_bits(evaluated, np.column_stack([u_a, u_b]))
 
 
 @pytest.mark.parametrize(
@@ -492,7 +493,7 @@ def sequential_find_stationary(
                 tb = golden_max(
                     lambda t: evaluator.evaluate(ta, t)[1], max(0.0, tb - w), min(np.pi, tb + w)
                 )
-            ga, gb = gradients(evaluator, [[ta, tb]], grad_h)[0]
+            ga, gb = fd_gradients(evaluator, [[ta, tb]], grad_h)[0]
             if abs(ga) < grad_tol and abs(gb) < grad_tol:
                 status = "refined"
                 break
@@ -521,13 +522,20 @@ def waves(ta, tb):
     return np.cos(4 * ta - tb), np.cos(4 * tb - ta)
 
 
+# the sequential oracle's limits and the module constants find_stationary reads
+LIMITS = {"max_iters": "MAX_ROUNDS", "max_candidates": "MAX_CANDIDATES"}
+
+
 @pytest.mark.parametrize(
     "kwargs", [{}, {"refine": False}, {"max_iters": 1}, {"max_candidates": 5}]
 )
-def test_find_stationary_matches_sequential_refinement(kwargs):
+def test_find_stationary_matches_sequential_refinement(kwargs, monkeypatch):
+    for key, constant in LIMITS.items():
+        if key in kwargs:
+            monkeypatch.setattr(equilibrium, constant, kwargs[key])
     surface = tied_surface(9)  # 81 candidates over the whole domain, 64 kept
     ev = FunctionEvaluator(waves)
-    got = find_stationary(surface, ev, **kwargs)
+    got = find_stationary(surface, ev, refine=kwargs.get("refine", True))
     want, rounds = sequential_find_stationary(surface, ev, **kwargs)
     assert got == want
     if not kwargs:
@@ -564,19 +572,20 @@ class CountingEvaluator(FunctionEvaluator):
         super().__init__(fn)
         self.calls = self.profiles = 0
 
-    def evaluate_many(self, thetas):
+    def points(self, thetas):
         self.calls += 1
         self.profiles += len(thetas)
-        return super().evaluate_many(thetas)
+        return super().points(thetas)
 
 
-def test_refinement_calls_do_not_grow_with_candidates():
+def test_refinement_calls_do_not_grow_with_candidates(monkeypatch):
     # flat game on interior candidates: every lane runs the same rounds
     surface = tied_surface(15, interior_only=True)
     counts = []
     for n in (1, 8, 64):
+        monkeypatch.setattr(equilibrium, "MAX_CANDIDATES", n)
         ev = CountingEvaluator(lambda a, b: (0.0, 0.0))
-        assert len(find_stationary(surface, ev, max_candidates=n)) == n
+        assert len(find_stationary(surface, ev)) == n
         counts.append((ev.calls, ev.profiles))
     assert counts[0][0] == counts[1][0] == counts[2][0]
     assert counts[0][1] < counts[1][1] < counts[2][1]
@@ -605,12 +614,74 @@ def test_candidate_mask_matches_best_response_loop(seed):
     assert got == sequential_find_stationary(surface, QUAD, refine=False)[0]
 
 
-def test_find_stationary_warns_when_it_cuts_candidates():
+def test_find_stationary_warns_when_it_cuts_candidates(monkeypatch):
     surface = tied_surface(9)
     ev = FunctionEvaluator(waves)
     with pytest.warns(UserWarning, match="81 best-response intersections, refining the first 64"):
         got = find_stationary(surface, ev, refine=False)
     assert got == sequential_find_stationary(surface, ev, refine=False)[0]
+    monkeypatch.setattr(equilibrium, "MAX_CANDIDATES", 81)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        find_stationary(surface, ev, refine=False, max_candidates=81)
+        find_stationary(surface, ev, refine=False)
+
+
+H = equilibrium.GRAD_H
+# both ends, within the step of each end, and an interior angle
+STENCIL_ANGLES = [0.0, H / 2, 1.0, np.pi - H / 2, np.pi]
+NOISY_WALK = WalkEvaluator(
+    WalkConfig(
+        LatticeGeometry(11),
+        4,
+        *RIGHT_SYMMETRIC,
+        InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5),
+        seed=1,
+        ensemble=2,
+    ),
+    GameSpec(GameKind.TUG_OF_WAR),
+)
+
+
+@pytest.mark.parametrize(
+    "ev", [FunctionEvaluator(waves), NOISY_WALK], ids=["waves", "noisy-walk-ensemble-2"]
+)
+def test_gradients_are_bitwise_the_scalar_stencil(ev):
+    pts = np.array([[ta, tb] for ta in STENCIL_ANGLES for tb in STENCIL_ANGLES])
+    assert_same_bits(gradients(ev, pts), fd_gradients(ev, pts, H))
+
+
+# a deterministic walk, whose payoff columns are contiguous arrays
+WALK = WalkEvaluator(
+    WalkConfig(
+        LatticeGeometry(11),
+        4,
+        *RIGHT_SYMMETRIC,
+        InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi),
+    ),
+    GameSpec(GameKind.TUG_OF_WAR),
+)
+
+
+@pytest.mark.parametrize(
+    "ev",
+    [FunctionEvaluator(waves), NOISY_WALK, WALK],
+    ids=["waves", "noisy-walk-ensemble-2", "walk"],
+)
+def test_jacobian_is_bitwise_the_scalar_stencil(ev):
+    h = equilibrium.JACOBIAN_H
+    for ta, tb in [(1.0, 2.0), (0.0, h / 2), (np.pi, 1.0), (np.pi - h / 2, np.pi)]:
+        rep = jacobian_at((ta, tb), ev)
+        assert_same_bits(rep.matrix, fd_jacobian(ev, ta, tb, h))
+        assert rep.boundary_caveat == ((ta, tb) != (1.0, 2.0))
+
+
+@pytest.mark.parametrize("n", [2, 5, 31])
+def test_vector_field_is_one_call_without_the_centre_probes(n):
+    # interior angles take 2 probes per axis, the two ends 3
+    ev = CountingEvaluator(waves)
+    grid = StrategyGrid(n)
+    ga, gb = vector_field(ev, grid)
+    assert (ev.calls, ev.profiles) == (1, 4 * n * n + 4 * n)
+    want = fd_gradients(ev, grid.profiles, H)
+    assert_same_bits(ga.ravel(), want[:, 0])
+    assert_same_bits(gb.ravel(), want[:, 1])

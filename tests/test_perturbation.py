@@ -119,7 +119,7 @@ def test_certificate_is_bitwise_the_four_corner_stencil(schedule):
     corners = [(ta + h, tb + h), (ta + h, tb - h), (ta - h, tb + h), (ta - h, tb - h)]
     g = [first_order_slope(SMALL, RACE, StrategyProfile(a, b), schedule).g_estimate
          for a, b in corners]
-    u0 = WalkEvaluator(WalkConfig(LatticeGeometry(21), 6), RACE).evaluate_many(corners)[:, 0]
+    u0 = WalkEvaluator(WalkConfig(LatticeGeometry(21), 6), RACE).points(corners)[0]
     cert = nonseparability_certificate(SMALL, RACE, lambda_schedule=schedule)
     assert cert.mixed_partial == (g[0] - g[1] - g[2] + g[3]) / (4 * h * h)
     assert cert.baseline == float((u0[0] - u0[1] - u0[2] + u0[3]) / (4 * h * h))
@@ -165,7 +165,7 @@ def test_noisy_residual_and_slopes_are_the_ensemble_mean():
 
     def u_a(cfg, strength):
         walk = replace(cfg, interaction=spec.with_strength(strength))
-        return WalkEvaluator(walk, RACE).evaluate_many(grid.profiles)[:, 0]
+        return WalkEvaluator(walk, RACE).points(grid.profiles)[0]
 
     def by_hand(cfg):
         u = u_a(cfg, 1.0)
