@@ -7,9 +7,8 @@ package simulates the dynamics, computes payoff landscapes, and locates and
 classifies equilibria.
 """
 
-from .dynamics import StrategyProfile, WalkConfig, evolve, evolve_single
+from .dynamics import WalkConfig, evolve, evolve_single
 from .equilibrium import (
-    FunctionEvaluator,
     StrategyGrid,
     WalkEvaluator,
     best_responses,
@@ -23,9 +22,7 @@ from .games import GameKind, GameSpec, payoff
 from .hilbert import (
     Boundary,
     JointDistribution,
-    JointState,
     LatticeGeometry,
-    SingleState,
     make_initial_state,
     marginals,
     measure_joint,
@@ -34,17 +31,13 @@ from .interactions import InteractionKind, InteractionSpec
 
 __all__ = [
     "Boundary",
-    "FunctionEvaluator",
     "GameKind",
     "GameSpec",
     "InteractionKind",
     "InteractionSpec",
     "JointDistribution",
-    "JointState",
     "LatticeGeometry",
-    "SingleState",
     "StrategyGrid",
-    "StrategyProfile",
     "WalkConfig",
     "WalkEvaluator",
     "best_responses",

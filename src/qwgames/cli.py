@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import perturbation as pert
-from .dynamics import StrategyProfile, WalkConfig, evolve
+from .dynamics import WalkConfig, evolve
 from .equilibrium import (
     StrategyGrid,
     WalkEvaluator,
@@ -381,7 +381,7 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
         return 3
 
     best = _interior_first(points)[0]
-    dist = measure_joint(evolve(walk, StrategyProfile(best.theta_a, best.theta_b)))
+    dist = measure_joint(evolve(walk, best.theta_a, best.theta_b), walk.geometry)
     distribution_to_csv(dist, os.path.join(out, "ne_distribution.csv"))
     p_a, p_b = marginals(dist)
     _write_csv(
@@ -427,7 +427,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         zip(grid.values, surface.u_a[:, j]),
     )
 
-    dist = measure_joint(evolve(walk, StrategyProfile(float(ta), float(tb))))
+    dist = measure_joint(evolve(walk, float(ta), float(tb)), walk.geometry)
     distribution_to_csv(dist, os.path.join(out, "opt_distribution.csv"))
     return 0
 
@@ -448,8 +448,8 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
     g = pert.g_estimate_grid(walk, game, grid13, config.lambda_schedule[:2])
     _write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
 
-    profile = StrategyProfile(config.base_theta_a, config.base_theta_b)
-    est = pert.first_order_slope(walk, game, profile, config.lambda_schedule)
+    base = (config.base_theta_a, config.base_theta_b)
+    est = pert.first_order_slope(walk, game, base, config.lambda_schedule)
     _write_csv(
         os.path.join(out, "convergence_table.csv"),
         ["lambda", "slope", "difference", "ratio"],

@@ -1,4 +1,4 @@
-"""Structured one-step and T-step evolution of the two-walker system.
+"""Structured T-step evolution of the two-walker system.
 
 One step is coin -> shift -> interaction:
 
@@ -25,9 +25,7 @@ from .hilbert import (
     LEFT,
     RIGHT,
     Boundary,
-    JointState,
     LatticeGeometry,
-    SingleState,
     ValidationError,
     make_initial_state,
     make_single_state,
@@ -43,21 +41,6 @@ CHUNK_AMPLITUDES = 16_384
 
 class DomainError(ValueError):
     """Raised when a strategy angle leaves [0, pi]."""
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """The two coin angles, each in [0, pi]."""
-
-    theta_a: float
-    theta_b: float
-
-    def __post_init__(self):
-        for name, th in (("theta_a", self.theta_a), ("theta_b", self.theta_b)):
-            if not np.isfinite(th):
-                raise DomainError(f"{name} must be finite, got {th!r}")
-            if not 0.0 <= th <= np.pi:
-                raise DomainError(f"{name} = {th!r} outside [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -111,19 +94,9 @@ def chunk_profiles(geometry: LatticeGeometry) -> int:
 # -- channel-major kernel ----------------------------------------------------
 
 
-def _to_channels(state: JointState) -> np.ndarray:
-    """(L, 2, L, 2) state -> fresh (1, 4, L^2) channel-major array."""
-    return state.amplitudes.transpose(1, 3, 0, 2).copy().reshape(1, 4, -1)
-
-
 def _joint_view(amps: np.ndarray, L: int) -> np.ndarray:
     """(B, 4, L^2) channel-major array -> (B, L, 2, L, 2) view of it."""
     return amps.reshape(-1, 2, 2, L, L).transpose(0, 3, 1, 4, 2)
-
-
-def _to_state(amps: np.ndarray, geometry: LatticeGeometry) -> JointState:
-    """(1, 4, L^2) channel-major array -> (L, 2, L, 2) state."""
-    return JointState(_joint_view(amps, geometry.size)[0].copy(), geometry)
 
 
 def _coin_krons(thetas: np.ndarray) -> np.ndarray:
@@ -203,8 +176,8 @@ def _phase_factors(spec: InteractionSpec, geometry: LatticeGeometry, thetas: np.
 
 
 def _noise_draws(spec: InteractionSpec, steps: int, seed) -> np.ndarray:
-    """One phase jitter eta_t per time step, uniform on [-sigma, sigma];
-    seed is an int or a Generator, which the draws advance.
+    """One phase jitter eta_t per time step, uniform on [-sigma, sigma],
+    from a generator seeded with seed.
 
     The jitter multiplies the interaction's spatial table (for the noisy
     collision, the x_A = x_B indicator), not the whole state: a spatially
@@ -218,19 +191,11 @@ def _noise_draws(spec: InteractionSpec, steps: int, seed) -> np.ndarray:
     return np.zeros(steps)
 
 
-def _interact(support: np.ndarray, factors, values: np.ndarray, eta: float):
-    """Multiply the support view of (B, 4, L^2) amplitudes in place by the
-    interaction phase factors and by the step's noise jitter."""
-    if factors is not None:
-        support *= factors
-    if eta != 0.0:
-        support *= np.exp(1j * eta * values)
-
-
 def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray, amps: np.ndarray):
-    """Evolve the (B, 4, L^2) buffer amps from the initial state, in place."""
+    """Evolve the (B, 4, L^2) channel-major buffer amps in place, one step
+    per noise jitter in etas: coin, shift, then the interaction phase and
+    the step's jitter on the support of the phase table."""
     geom = config.geometry
-    amps[:] = _to_channels(make_initial_state(geom, config.coin_a, config.coin_b))
     coined = np.empty_like(amps)
     flat, coined_flat = amps.reshape(len(amps), -1), coined.reshape(len(amps), -1)
     krons = _coin_krons(thetas)
@@ -240,7 +205,10 @@ def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray, amps: np.nd
     for eta in etas:
         np.matmul(krons, amps.view(float), out=coined.view(float))
         coined_flat.take(perm, axis=1, out=flat, mode="clip")
-        _interact(support, factors, values, eta)
+        if factors is not None:
+            support *= factors
+        if eta != 0.0:
+            support *= np.exp(1j * eta * values)
 
 
 def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
@@ -261,61 +229,22 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
         raise DomainError("all strategy angles must lie in [0, pi]")
 
     etas = _noise_draws(config.interaction, config.steps, config.seed)
-    L = config.geometry.size
-    amps = np.empty((len(thetas), 4, L * L), dtype=complex)
-    size = chunk_profiles(config.geometry)
+    geom = config.geometry
+    start = make_initial_state(geom, config.coin_a, config.coin_b)
+    start = start.transpose(1, 3, 0, 2).reshape(4, -1)  # channel-major
+    amps = np.empty((len(thetas), 4, geom.size**2), dtype=complex)
+    size = chunk_profiles(geom)
     for lo in range(0, len(thetas), size):
-        _steps(config, thetas[lo : lo + size], etas, amps[lo : lo + size])
-    return _joint_view(amps, L)
+        chunk = amps[lo : lo + size]
+        chunk[:] = start
+        _steps(config, thetas[lo : lo + size], etas, chunk)
+    return _joint_view(amps, geom.size)
 
 
-# -- single-profile public operations ---------------------------------------
-
-
-def _profile_thetas(profile: StrategyProfile) -> np.ndarray:
-    return np.array([[profile.theta_a, profile.theta_b]])
-
-
-def apply_coin(state: JointState, profile: StrategyProfile) -> JointState:
-    """Rotate each walker's coin by its strategy angle."""
-    krons = _coin_krons(_profile_thetas(profile))
-    amps = np.matmul(krons, _to_channels(state).view(float)).view(complex)
-    return _to_state(amps, state.geometry)
-
-
-def apply_shift(state: JointState) -> JointState:
-    """Conditionally shift both walkers, honoring the boundary rule."""
-    perm = _shift_permutation(state.geometry.size, state.geometry.boundary)
-    return _to_state(_to_channels(state).reshape(1, -1)[:, perm], state.geometry)
-
-
-def apply_interaction(
-    state: JointState,
-    profile: StrategyProfile,
-    spec: InteractionSpec,
-    rng=None,
-) -> JointState:
-    """Multiply each amplitude by exp(i * I(...)); moduli are untouched."""
-    amps = _to_channels(state)
-    index, values, factors = _phase_factors(spec, state.geometry, _profile_thetas(profile))
-    _interact(amps[index], factors, values, _noise_draws(spec, 1, rng)[0])
-    return _to_state(amps, state.geometry)
-
-
-def step(
-    state: JointState, profile: StrategyProfile, config: WalkConfig, rng=None
-) -> JointState:
-    """One full evolution step: coin, then shift, then interaction phase."""
-    out = apply_coin(state, profile)
-    out = apply_shift(out)
-    return apply_interaction(out, profile, config.interaction, rng)
-
-
-def evolve(config: WalkConfig, profile: StrategyProfile) -> JointState:
-    """T-step evolution from the standard initial state; deterministic in
-    config.seed."""
-    amps = evolve_batch(config, _profile_thetas(profile))[0]
-    return JointState(amps, config.geometry)
+def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
+    """(L, 2, L, 2) amplitudes after T steps from the standard initial state
+    under one strategy pair; deterministic in config.seed."""
+    return evolve_batch(config, [[theta_a, theta_b]])[0]
 
 
 def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
@@ -328,7 +257,7 @@ def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.nd
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if not np.all(np.isfinite(thetas)) or np.any((thetas < 0) | (thetas > np.pi)):
         raise DomainError("all strategy angles must lie in [0, pi]")
-    start = make_single_state(geometry, coin).amplitudes
+    start = make_single_state(geometry, coin)
     amps = np.broadcast_to(start, (len(thetas), *start.shape)).copy()
     r = coin_matrix(thetas)[:, None]  # (B, 1, 2, 2), broadcast over sites
     src_x, src_s = _walker_shift(geometry.size, geometry.boundary)
@@ -339,8 +268,6 @@ def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.nd
     return amps
 
 
-def evolve_single(
-    geometry: LatticeGeometry, steps: int, theta: float, coin
-) -> SingleState:
-    """Non-interacting single-walker walk with the same coin/shift conventions."""
-    return SingleState(evolve_singles(geometry, steps, [theta], coin)[0], geometry)
+def evolve_single(geometry: LatticeGeometry, steps: int, theta: float, coin) -> np.ndarray:
+    """(L, 2) amplitudes of one non-interacting walker after steps steps."""
+    return evolve_singles(geometry, steps, [theta], coin)[0]

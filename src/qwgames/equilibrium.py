@@ -8,9 +8,9 @@ All searches work through a payoff evaluator with the interface
 
 WalkEvaluator backs this with the quantum-walk simulation (averaged over
 the walk's noise ensemble for noisy interactions, and built from two
-single-walker walks when the interaction is inert); FunctionEvaluator wraps
-a plain callable, which is how the synthetic-game tests exercise the same
-machinery.
+single-walker walks when the interaction is inert).  Any object with these
+two methods serves: the synthetic-game tests drive the same searches with an
+analytic payoff function.
 """
 
 from __future__ import annotations
@@ -187,21 +187,6 @@ class WalkEvaluator:
     def evaluate(self, theta_a: float, theta_b: float) -> tuple[float, float]:
         u_a, u_b, _ = self.points([[theta_a, theta_b]])
         return float(u_a[0]), float(u_b[0])
-
-
-class FunctionEvaluator:
-    """Adapter for an analytic payoff function (theta_a, theta_b) -> (u_a, u_b)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def evaluate(self, theta_a, theta_b):
-        u_a, u_b = self.fn(theta_a, theta_b)
-        return float(u_a), float(u_b)
-
-    def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
-        u = np.array([self.evaluate(ta, tb) for ta, tb in np.asarray(thetas)])
-        return u[:, 0], u[:, 1], {}
 
 
 def _as_surface(grid: StrategyGrid, points: tuple) -> PayoffSurface:

@@ -24,7 +24,7 @@ class GameKind(Enum):
 
 
 class ShapeError(ValueError):
-    """Raised when custom payoff tables do not match the lattice."""
+    """Raised when custom payoff tables are malformed or do not match the lattice."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,31 @@ def payoff(dist: JointDistribution, game: GameSpec) -> PayoffPoint:
 
 
 def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:
-    """Load an L x L payoff table from x_A,x_B,value rows (site labels)."""
+    """Load an L x L payoff table from x_A,x_B,value rows (site labels);
+    a site pair without a row pays 0.
+
+    Raises ShapeError, naming the file and line, for a missing column, a
+    label or value that does not parse, a value that is not finite, a label
+    off the lattice, and a repeated (x_A, x_B) row.
+    """
     table = np.zeros((geometry.size, geometry.size))
+    seen = set()
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            i = geometry.offset(int(row["x_A"]))
-            j = geometry.offset(int(row["x_B"]))
-            table[i, j] = float(row["value"])
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("x_A", "x_B", "value") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ShapeError(f"{path}:1: missing column {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                site = geometry.offset(int(row["x_A"])), geometry.offset(int(row["x_B"]))
+                value = float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise ShapeError(f"{where}: {exc}") from None
+            if not np.isfinite(value):
+                raise ShapeError(f"{where}: value {row['value']!r} is not finite")
+            if site in seen:
+                raise ShapeError(f"{where}: second row for x_A={row['x_A']}, x_B={row['x_B']}")
+            seen.add(site)
+            table[site] = value
     return table

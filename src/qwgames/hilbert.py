@@ -30,7 +30,7 @@ class Boundary(Enum):
 
 
 class ValidationError(ValueError):
-    """Raised when a state, geometry, or coin vector violates its contract."""
+    """Raised when a distribution, geometry, or coin vector violates its contract."""
 
 
 @dataclass(frozen=True)
@@ -62,50 +62,6 @@ class LatticeGeometry:
         if not -self.half <= x <= self.half:
             raise ValidationError(f"site {x} outside lattice of size {self.size}")
         return int(x) + self.half
-
-
-def _check_norm(amplitudes: np.ndarray, what: str):
-    norm = np.linalg.norm(amplitudes)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValidationError(f"{what} not normalized: ||psi|| = {norm!r}")
-
-
-@dataclass(frozen=True)
-class SingleState:
-    """One walker's wavefunction, shape (L, 2) over (x, s)."""
-
-    amplitudes: np.ndarray
-    geometry: LatticeGeometry
-
-    def __post_init__(self):
-        expected = (self.geometry.size, 2)
-        if self.amplitudes.shape != expected:
-            raise ValidationError(
-                f"single-walker amplitudes must have shape {expected}, "
-                f"got {self.amplitudes.shape}"
-            )
-        _check_norm(self.amplitudes, "single-walker state")
-
-    def distribution(self) -> np.ndarray:
-        """Position distribution p(x), coin traced out."""
-        return born_single(self.amplitudes)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Two-walker wavefunction, shape (L, 2, L, 2) over (x_A, s_A, x_B, s_B)."""
-
-    amplitudes: np.ndarray
-    geometry: LatticeGeometry
-
-    def __post_init__(self):
-        L = self.geometry.size
-        if self.amplitudes.shape != (L, 2, L, 2):
-            raise ValidationError(
-                f"joint amplitudes must have shape {(L, 2, L, 2)}, "
-                f"got {self.amplitudes.shape}"
-            )
-        _check_norm(self.amplitudes, "joint state")
 
 
 @dataclass(frozen=True)
@@ -147,22 +103,23 @@ def _coin_vector(coin, player: str) -> np.ndarray:
     return v
 
 
-def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> JointState:
-    """Both walkers at x = 0 with coin states coin_a (x) coin_b."""
+def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
+    """(L, 2, L, 2) amplitudes of both walkers at x = 0 with coin states
+    coin_a (x) coin_b."""
     ca = _coin_vector(coin_a, "A")
     cb = _coin_vector(coin_b, "B")
     L = geometry.size
     amps = np.zeros((L, 2, L, 2), dtype=complex)
     o = geometry.offset(0)
     amps[o, :, o, :] = np.outer(ca, cb)
-    return JointState(amps, geometry)
+    return amps
 
 
-def make_single_state(geometry: LatticeGeometry, coin, x: int = 0) -> SingleState:
-    c = _coin_vector(coin, "single")
+def make_single_state(geometry: LatticeGeometry, coin, x: int = 0) -> np.ndarray:
+    """(L, 2) amplitudes of one walker at site x with coin state coin."""
     amps = np.zeros((geometry.size, 2), dtype=complex)
-    amps[geometry.offset(x), :] = c
-    return SingleState(amps, geometry)
+    amps[geometry.offset(x), :] = _coin_vector(coin, "single")
+    return amps
 
 
 def born(amps: np.ndarray) -> np.ndarray:
@@ -177,9 +134,10 @@ def born_single(amps: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(amps) ** 2, axis=-1)
 
 
-def measure_joint(state: JointState) -> JointDistribution:
-    """Born-rule position distribution, both coins traced out."""
-    return JointDistribution(born(state.amplitudes), state.geometry)
+def measure_joint(amps: np.ndarray, geometry: LatticeGeometry) -> JointDistribution:
+    """Born-rule position distribution of (L, 2, L, 2) amplitudes, both
+    coins traced out."""
+    return JointDistribution(born(amps), geometry)
 
 
 def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -134,8 +134,12 @@ def phase(
 ) -> float:
     """Phase (radians) applied to one joint basis state during one step.
 
-    eta_t is the per-step stochastic phase; it contributes only for the
-    noisy functional and is owned by the caller's RNG.
+    The scalar reference of the factored form above: the kernel reads
+    `phase_table` and `coupling` directly, while the dense test oracles
+    (tests/oracles.py) and the benchmark's output check build their phase
+    unitary from this function one basis state at a time.  eta_t is the
+    per-step stochastic phase; it contributes only for the noisy functional
+    and is owned by the caller's RNG.
     """
     i = geometry.offset(x_a)
     j = geometry.offset(x_b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import StrategyProfile, WalkConfig, evolve_singles
+from .dynamics import WalkConfig, evolve_singles
 from .equilibrium import StrategyGrid, WalkEvaluator, product_distributions
 from .games import GameSpec, payoffs
 from .hilbert import LatticeGeometry, ValidationError, born_single
@@ -94,15 +94,16 @@ def _richardson(lambdas: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 def first_order_slope(
     config: WalkConfig,
     game: GameSpec,
-    profile: StrategyProfile,
+    point,
     lambda_schedule=(0.1, 0.05, 0.025, 0.0125),
 ) -> SlopeEstimate:
-    """Slope of the payoff in the interaction strength, extrapolated to 0.
+    """Slope of the payoff in the interaction strength at the strategy pair
+    point = (theta_A, theta_B), extrapolated to 0.
 
     Flags the estimate when the successive slope differences fail to shrink,
     rather than silently extrapolating outside the perturbative regime.
     """
-    thetas = [[profile.theta_a, profile.theta_b]]
+    thetas = [[float(point[0]), float(point[1])]]
     lambdas, _, (slopes,) = _slope_matrix(config, game, thetas, lambda_schedule)
     diffs = np.abs(np.diff(slopes))
     with np.errstate(divide="ignore", invalid="ignore"):

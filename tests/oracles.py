@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the structured
 evolution (explicit dense unitaries and the component recurrence relations),
 the lockstep stationary-point search (a one-lane golden-section search) and
-the batched finite differences (a scalar 3-point stencil per point).
+the batched finite differences (a scalar 3-point stencil per point), and the
+evaluator adapter that drives the searches with an analytic payoff function.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout.
@@ -100,6 +101,22 @@ def recurrence_evolve(
             new_l[x] = s * psi_r[(x + 1) % L] + c * psi_l[(x + 1) % L]
         psi_r, psi_l = new_r, new_l
     return np.stack([psi_r, psi_l], axis=1)
+
+
+class FunctionEvaluator:
+    """Payoff evaluator of an analytic function (theta_a, theta_b) -> (u_a, u_b),
+    with the `evaluate`/`points` interface of `qwgames.equilibrium.WalkEvaluator`."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate(self, theta_a, theta_b):
+        u_a, u_b = self.fn(theta_a, theta_b)
+        return float(u_a), float(u_b)
+
+    def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
+        u = np.array([self.evaluate(ta, tb) for ta, tb in np.asarray(thetas)])
+        return u[:, 0], u[:, 1], {}
 
 
 def random_joint_state(geometry: LatticeGeometry, rng) -> np.ndarray:

@@ -15,16 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dense_joint_step, recurrence_evolve
+from oracles import FunctionEvaluator, dense_joint_step, recurrence_evolve
 from qwgames.cli import ExperimentConfig, run_recipe
-from qwgames.dynamics import (
-    StrategyProfile,
-    WalkConfig,
-    evolve,
-    evolve_single,
-)
+from qwgames.dynamics import WalkConfig, evolve, evolve_single
 from qwgames.equilibrium import (
-    FunctionEvaluator,
     StrategyGrid,
     WalkEvaluator,
     distributions,
@@ -34,12 +28,7 @@ from qwgames.equilibrium import (
     surface_from_evaluator,
 )
 from qwgames.games import GameKind, GameSpec, payoffs
-from qwgames.hilbert import (
-    Boundary,
-    LatticeGeometry,
-    make_initial_state,
-    measure_joint,
-)
+from qwgames.hilbert import Boundary, LatticeGeometry, born_single, make_initial_state
 from qwgames.interactions import InteractionKind, InteractionSpec
 from qwgames.perturbation import drift, first_order_slope, nonseparability_certificate
 
@@ -94,9 +83,9 @@ def test_01_unitarity():
             kind, float(rng.uniform(0, np.pi)), noise_sigma=0.3
         )
         config = WalkConfig(LatticeGeometry(L, boundary), T, interaction=spec, seed=k)
-        profile = StrategyProfile(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
-        final = evolve(config, profile)
-        worst = max(worst, abs(np.linalg.norm(final.amplitudes) - 1.0))
+        ta, tb = rng.uniform(0, np.pi), rng.uniform(0, np.pi)
+        final = evolve(config, ta, tb)
+        worst = max(worst, abs(np.linalg.norm(final) - 1.0))
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -116,14 +105,14 @@ def test_02_dense_oracle_equivalence():
         boundary = Boundary.PERIODIC if k % 2 else Boundary.REFLECTING
         geom = LatticeGeometry(L, boundary)
         spec = InteractionSpec(kinds[k % len(kinds)], float(rng.uniform(0, np.pi)))
-        profile = StrategyProfile(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
+        ta, tb = rng.uniform(0, np.pi), rng.uniform(0, np.pi)
         config = WalkConfig(geom, T, (1, 0), (0, 1), spec)
 
-        u = dense_joint_step(spec, geom, profile.theta_a, profile.theta_b)
-        psi = make_initial_state(geom, (1, 0), (0, 1)).amplitudes.reshape(-1)
+        u = dense_joint_step(spec, geom, ta, tb)
+        psi = make_initial_state(geom, (1, 0), (0, 1)).reshape(-1)
         for _ in range(T):
             psi = u @ psi
-        got = evolve(config, profile).amplitudes.reshape(-1)
+        got = evolve(config, ta, tb).reshape(-1)
         worst = max(worst, float(np.max(np.abs(got - psi))))
     report(2, "dense-unitary oracle equivalence", worst < 1e-12, f"max dev = {worst:.2e}")
 
@@ -138,7 +127,7 @@ def test_03_recurrence_oracle():
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         c /= np.linalg.norm(c)
         expected = recurrence_evolve(geom, steps, theta, tuple(c))
-        got = evolve_single(geom, steps, theta, tuple(c)).amplitudes
+        got = evolve_single(geom, steps, theta, tuple(c))
         worst = max(worst, float(np.max(np.abs(got - expected))))
     report(3, "single-walker recurrence oracle", worst < 1e-12, f"max dev = {worst:.2e}")
 
@@ -154,7 +143,7 @@ def test_04_separability_without_interaction():
     # both sides stay on the joint kernel: WalkEvaluator would take the
     # product path here and compare the product with itself
     probs = distributions(config, thetas)
-    singles = {th: evolve_single(geom, 10, th, (1, 0)).distribution() for th in vals}
+    singles = {th: born_single(evolve_single(geom, 10, th, (1, 0))) for th in vals}
     worst_p = max(
         float(np.max(np.abs(p - np.outer(singles[a], singles[b]))))
         for p, (a, b) in zip(probs, thetas)
@@ -205,7 +194,7 @@ def test_07_first_order_convergence():
     config = WalkConfig(LatticeGeometry(31), 10, interaction=spec)
     all_ratios = []
     for base in ((1.0, 2.0), (np.pi / 3, 2 * np.pi / 3)):
-        est = first_order_slope(config, RACE, StrategyProfile(*base))
+        est = first_order_slope(config, RACE, base)
         all_ratios.extend(est.ratios)
     all_ratios = np.array(all_ratios)
     ok = bool(np.all((all_ratios > 0.35) & (all_ratios < 0.65)))

@@ -19,7 +19,7 @@ from qwgames.cli import (
     run_recipe,
     validate,
 )
-from qwgames.dynamics import StrategyProfile
+from qwgames.dynamics import evolve
 
 FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
 
@@ -238,6 +238,21 @@ def test_exit_code_2_on_runtime_failure(tmp_path, capsys, out_dir, existing, cre
     assert (tmp_path / existing).is_dir()
 
 
+def test_malformed_payoff_table_exits_2_naming_the_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("x_A,x_B,value\n0,0,1.0\n")
+    bad.write_text("x_A,x_B,value\n0,0,1.0\n1,1,nan\n")
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(
+        {"game": "custom_table", "table_a_path": str(good), "table_b_path": str(bad)}
+    ))
+    code = main(["--config", str(cfg_path), "--recipe", "race", "--grid", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"runtime failure: {bad}:3: value 'nan' is not finite" in err
+    assert not out.exists()
+
+
 def test_exit_code_3_when_no_stationary_point(tmp_path, capsys):
     # opposed-chirality coins leave the best-response maps without a common
     # grid point, so the competitive recipe reports an empty search
@@ -396,10 +411,10 @@ def test_any_json_config_is_rejected_by_field_or_builds(data):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg.walk_config()
+        walk = cfg.walk_config()
     for phi in cfg.phi_sweep:  # the rendezvous recipe's strength sweep
         cfg.interaction().with_strength(phi)
-    StrategyProfile(cfg.base_theta_a, cfg.base_theta_b)
+    evolve(walk, cfg.base_theta_a, cfg.base_theta_b)  # the perturbation base point
 
 
 def test_flag_value_that_does_not_parse_exits_1(tmp_path, capsys):

@@ -13,24 +13,21 @@ from oracles import (
 )
 from qwgames.dynamics import (
     DomainError,
-    StrategyProfile,
     WalkConfig,
-    apply_coin,
-    apply_interaction,
-    apply_shift,
+    _joint_view,
+    _steps,
     chunk_profiles,
     coin_matrix,
     evolve,
     evolve_batch,
     evolve_single,
     evolve_singles,
-    step,
 )
 from qwgames.hilbert import (
     Boundary,
-    JointState,
     LatticeGeometry,
     ValidationError,
+    born_single,
     make_initial_state,
     measure_joint,
     marginals,
@@ -48,14 +45,28 @@ DETERMINISTIC_KINDS = [
 ]
 
 
-def test_strategy_profile_domain():
-    StrategyProfile(0.0, np.pi)
+def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
+    """(L, 2, L, 2) state psi after one `_steps` call, one kernel step per
+    noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
+    L = config.geometry.size
+    amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
+    _steps(config, np.array([[theta_a, theta_b]]), np.asarray(etas, dtype=float), amps)
+    return _joint_view(amps, L)[0]
+
+
+@pytest.mark.parametrize(
+    "thetas", [[-0.1, 1.0], [1.0, np.pi + 0.1], [np.nan, 1.0], [1.0, np.inf]]
+)
+def test_angles_outside_the_domain_are_rejected(thetas):
+    config = WalkConfig(GEOM5, 1)
+    evolve_batch(config, [[0.0, np.pi]])
+    evolve_singles(GEOM5, 1, [0.0, np.pi], (1, 0))
     with pytest.raises(DomainError):
-        StrategyProfile(-0.1, 1.0)
+        evolve_batch(config, [[0.5, 0.5], thetas])
     with pytest.raises(DomainError):
-        StrategyProfile(1.0, np.pi + 0.1)
+        evolve(config, *thetas)
     with pytest.raises(DomainError):
-        StrategyProfile(np.nan, 1.0)
+        evolve_singles(GEOM5, 1, thetas, (1, 0))
 
 
 def test_config_warns_when_boundary_reachable():
@@ -83,22 +94,23 @@ def test_coin_matrix_half_angle_values():
     np.testing.assert_allclose(m @ m.T, np.eye(2), atol=1e-15)
 
 
-def test_apply_shift_moves_right_coin_right():
-    state = make_initial_state(GEOM5, (1, 0), (0, 1))
-    out = apply_shift(state)
+def test_shift_moves_right_coin_right():
+    # the coin at angle 0 is the identity, so one step is the shift alone
+    out = evolve(WalkConfig(GEOM5, 1, (1, 0), (0, 1)), 0.0, 0.0)
     o = GEOM5.offset(0)
     # A carries |R> and moves +1; B carries |L> and moves -1
-    assert out.amplitudes[o + 1, 0, o - 1, 1] == pytest.approx(1.0)
+    assert out[o + 1, 0, o - 1, 1] == pytest.approx(1.0)
+    assert np.count_nonzero(out) == 1
 
 
-def test_apply_interaction_preserves_moduli():
+def test_interaction_preserves_moduli():
     rng = np.random.default_rng(0)
-    state = JointState(random_joint_state(GEOM5, rng), GEOM5)
+    psi = random_joint_state(GEOM5, rng)
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
-    out = apply_interaction(state, StrategyProfile(1.0, 2.0), spec)
-    np.testing.assert_allclose(
-        np.abs(out.amplitudes), np.abs(state.amplitudes), atol=1e-14
-    )
+    plain = kernel_steps(WalkConfig(GEOM5, 1), 1.0, 2.0, [0.0], psi)
+    out = kernel_steps(WalkConfig(GEOM5, 1, interaction=spec), 1.0, 2.0, [0.0], psi)
+    np.testing.assert_allclose(np.abs(out), np.abs(plain), atol=1e-14)
+    assert not np.allclose(out, plain)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
@@ -107,14 +119,45 @@ def test_step_matches_dense_oracle(boundary, kind):
     geom = LatticeGeometry(5, boundary)
     spec = InteractionSpec(kind, 0.8, range_exponent=2.0)
     rng = np.random.default_rng(hash((boundary, kind)) % 2**32)
-    profile = StrategyProfile(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
+    ta, tb = rng.uniform(0, np.pi, size=2)
     psi = random_joint_state(geom, rng)
     config = WalkConfig(geom, 1, interaction=spec)
 
-    u = dense_joint_step(spec, geom, profile.theta_a, profile.theta_b)
+    u = dense_joint_step(spec, geom, ta, tb)
     expected = (u @ psi.reshape(-1)).reshape(5, 2, 5, 2)
-    got = step(JointState(psi, geom), profile, config).amplitudes
+    got = kernel_steps(config, ta, tb, [0.0], psi)
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
+def test_noisy_step_matches_dense_oracle(boundary):
+    # one noise draw eta rides on the collision support with the coupling
+    geom = LatticeGeometry(5, boundary)
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 0.8, noise_sigma=0.5)
+    rng = np.random.default_rng(17)
+    ta, tb = rng.uniform(0, np.pi, size=2)
+    psi = random_joint_state(geom, rng)
+    config = WalkConfig(geom, 1, interaction=spec)
+    eta = 0.37
+
+    u = dense_joint_step(spec, geom, ta, tb, eta)
+    expected = (u @ psi.reshape(-1)).reshape(5, 2, 5, 2)
+    np.testing.assert_allclose(kernel_steps(config, ta, tb, [eta], psi), expected, atol=1e-12)
+    # the jitter changes the step: without it the kernel gives another state
+    assert not np.allclose(kernel_steps(config, ta, tb, [0.0], psi), expected)
+
+
+def test_kernel_steps_compose():
+    # k kernel steps in one call are k dense steps from any state
+    geom = LatticeGeometry(7, Boundary.REFLECTING)
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.1, noise_sigma=0.5)
+    psi = random_joint_state(geom, np.random.default_rng(23))
+    etas = [0.2, -0.4, 0.1]
+    expected = psi.reshape(-1)
+    for eta in etas:
+        expected = dense_joint_step(spec, geom, 0.7, 2.6, eta) @ expected
+    got = kernel_steps(WalkConfig(geom, 1, interaction=spec), 0.7, 2.6, etas, psi)
+    np.testing.assert_allclose(got, expected.reshape(7, 2, 7, 2), atol=1e-12)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
@@ -122,14 +165,13 @@ def test_step_matches_dense_oracle(boundary, kind):
 def test_evolve_matches_repeated_dense_steps(boundary, steps):
     geom = LatticeGeometry(7, boundary)
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
-    profile = StrategyProfile(1.1, 2.3)
     config = WalkConfig(geom, steps, (1, 0), (0, 1), spec)
 
-    u = dense_joint_step(spec, geom, profile.theta_a, profile.theta_b)
-    psi = make_initial_state(geom, (1, 0), (0, 1)).amplitudes.reshape(-1)
+    u = dense_joint_step(spec, geom, 1.1, 2.3)
+    psi = make_initial_state(geom, (1, 0), (0, 1)).reshape(-1)
     for _ in range(steps):
         psi = u @ psi
-    got = evolve(config, profile).amplitudes
+    got = evolve(config, 1.1, 2.3)
     np.testing.assert_allclose(got, psi.reshape(7, 2, 7, 2), atol=1e-12)
 
 
@@ -143,7 +185,7 @@ def test_evolve_batch_matches_repeated_dense_steps(boundary, kind):
     spec = InteractionSpec(kind, 1.3, range_exponent=1.5)
     config = WalkConfig(geom, 4, (0.6, 0.8j), (1, 0), spec)
     thetas = np.array([[1.1, 2.3], [0.0, np.pi], [2.9, 0.4]])
-    psi0 = make_initial_state(geom, (0.6, 0.8j), (1, 0)).amplitudes.reshape(-1)
+    psi0 = make_initial_state(geom, (0.6, 0.8j), (1, 0)).reshape(-1)
 
     got = evolve_batch(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
@@ -164,7 +206,7 @@ def test_single_step_matches_dense_oracle():
     psi[o * 2], psi[o * 2 + 1] = coin
     for _ in range(4):
         psi = u @ psi
-    got = evolve_single(geom, 4, theta, coin).amplitudes
+    got = evolve_single(geom, 4, theta, coin)
     np.testing.assert_allclose(got, psi.reshape(9, 2), atol=1e-12)
 
 
@@ -176,7 +218,7 @@ def test_single_walker_matches_recurrence():
         steps = int(rng.integers(1, 21))
         coin = (1 / np.sqrt(2), 1j / np.sqrt(2))
         expected = recurrence_evolve(geom, steps, theta, coin)
-        got = evolve_single(geom, steps, theta, coin).amplitudes
+        got = evolve_single(geom, steps, theta, coin)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -188,7 +230,7 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
     batch = evolve_singles(geom, 7, thetas, coin)
     assert batch.shape == (13, 9, 2)
     for theta, got in zip(thetas, batch):
-        assert got.tobytes() == evolve_single(geom, 7, theta, coin).amplitudes.tobytes()
+        assert got.tobytes() == evolve_single(geom, 7, theta, coin).tobytes()
         psi = np.zeros(18, dtype=complex)
         psi[2 * geom.offset(0) : 2 * geom.offset(0) + 2] = coin
         for _ in range(7):
@@ -201,19 +243,17 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
 def test_no_interaction_factorizes():
     geom = LatticeGeometry(25)
     config = WalkConfig(geom, 10, (1, 0), (0.6, 0.8j))
-    profile = StrategyProfile(0.9, 2.2)
-    joint = measure_joint(evolve(config, profile)).probabilities
-    pa = evolve_single(geom, 10, profile.theta_a, (1, 0)).distribution()
-    pb = evolve_single(geom, 10, profile.theta_b, (0.6, 0.8j)).distribution()
+    joint = measure_joint(evolve(config, 0.9, 2.2), geom).probabilities
+    pa = born_single(evolve_single(geom, 10, 0.9, (1, 0)))
+    pb = born_single(evolve_single(geom, 10, 2.2, (0.6, 0.8j)))
     np.testing.assert_allclose(joint, np.outer(pa, pb), atol=1e-12)
 
 
 def test_marginal_matches_single_walk():
     geom = LatticeGeometry(17)
     config = WalkConfig(geom, 6, (1, 0), (1, 0))
-    profile = StrategyProfile(1.3, 0.4)
-    pa, _ = marginals(measure_joint(evolve(config, profile)))
-    single = evolve_single(geom, 6, profile.theta_a, (1, 0)).distribution()
+    pa, _ = marginals(measure_joint(evolve(config, 1.3, 0.4), geom))
+    single = born_single(evolve_single(geom, 6, 1.3, (1, 0)))
     np.testing.assert_allclose(pa, single, atol=1e-12)
 
 
@@ -221,10 +261,9 @@ def test_evolve_is_deterministic_in_seed():
     geom = LatticeGeometry(11)
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.4)
     config = WalkConfig(geom, 5, interaction=spec, seed=42)
-    profile = StrategyProfile(1.0, 2.0)
-    a = evolve(config, profile).amplitudes
-    b = evolve(config, profile).amplitudes
-    c = evolve(replace(config, seed=43), profile).amplitudes
+    a = evolve(config, 1.0, 2.0)
+    b = evolve(config, 1.0, 2.0)
+    c = evolve(replace(config, seed=43), 1.0, 2.0)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -236,8 +275,7 @@ def test_batch_matches_individual_evolutions():
     thetas = np.array([[0.3, 2.0], [1.5, 1.5], [np.pi, 0.0]])
     batch = evolve_batch(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
-        single = evolve(config, StrategyProfile(ta, tb)).amplitudes
-        np.testing.assert_array_equal(batch[k], single)
+        np.testing.assert_array_equal(batch[k], evolve(config, ta, tb))
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
@@ -253,8 +291,7 @@ def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     thetas[0] = (0.0, np.pi)
     batch = evolve_batch(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
-        single = evolve(config, StrategyProfile(ta, tb)).amplitudes
-        assert np.array_equal(batch[k], single), k
+        assert np.array_equal(batch[k], evolve(config, ta, tb)), k
 
 
 def test_batch_rejects_bad_shapes_and_angles():
@@ -276,5 +313,5 @@ def test_evolution_is_unitary(theta_a, theta_b, kind, boundary):
     geom = LatticeGeometry(9, boundary)
     spec = InteractionSpec(kind, 1.7)
     config = WalkConfig(geom, 4, (0.6, 0.8j), (1, 0), spec)
-    final = evolve(config, StrategyProfile(theta_a, theta_b))
-    assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0, abs=1e-10)
+    final = evolve(config, theta_a, theta_b)
+    assert np.linalg.norm(final) == pytest.approx(1.0, abs=1e-10)

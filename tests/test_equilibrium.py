@@ -8,11 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import fd_gradients, fd_jacobian, golden_max
+from oracles import FunctionEvaluator, fd_gradients, fd_jacobian, golden_max
 from qwgames.equilibrium import (
     BOUNDARY_TOL,
     TIE_TOL,
-    FunctionEvaluator,
     PayoffSurface,
     StationaryPoint,
     StrategyGrid,
@@ -29,7 +28,7 @@ from qwgames.equilibrium import (
     vector_field,
 )
 import qwgames.equilibrium as equilibrium
-from qwgames.dynamics import StrategyProfile, WalkConfig, chunk_profiles, evolve
+from qwgames.dynamics import WalkConfig, chunk_profiles, evolve
 from qwgames.games import GameKind, GameSpec, payoff, payoffs
 from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError, measure_joint
 from qwgames.interactions import InteractionKind, InteractionSpec
@@ -197,7 +196,7 @@ def test_distribution_rows_are_measure_joint_of_evolve():
     thetas = np.random.default_rng(2).uniform(0, np.pi, size=(n, 2))
     probs = distributions(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
-        want = measure_joint(evolve(config, StrategyProfile(ta, tb))).probabilities
+        want = measure_joint(evolve(config, ta, tb), geom).probabilities
         assert probs[k].tobytes() == want.tobytes(), k
 
 
@@ -397,7 +396,7 @@ def test_walk_evaluator_points_are_bitwise_per_profile_payoffs(kind):
     u_a, u_b, aux = WalkEvaluator(config, game).points(thetas)
     x = geom.positions.astype(float)
     for k, (ta, tb) in enumerate(thetas):
-        dist = measure_joint(evolve(config, StrategyProfile(ta, tb)))
+        dist = measure_joint(evolve(config, ta, tb), geom)
         want = payoff(dist, game)
         assert (u_a[k], u_b[k]) == (want.u_a, want.u_b)
         assert (u_a[k], u_b[k]) == per_profile_utilities(dist.probabilities, x, game)

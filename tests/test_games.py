@@ -92,6 +92,30 @@ def test_table_from_csv(tmp_path):
     assert np.count_nonzero(table) == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("x_A,x_B,payoff\n0,0,1.0\n", 1, "missing column value"),
+        ("x_A,value\n0,1.0\n", 1, "missing column x_B"),
+        ("x_A,x_B,value\n0,0,1.0\n1,1,abc\n", 3, "could not convert"),
+        ("x_A,x_B,value\n0,0\n", 2, "float"),
+        ("x_A,x_B,value\n0,one,1.0\n", 2, "invalid literal"),
+        ("x_A,x_B,value\n0,0,nan\n", 2, "'nan' is not finite"),
+        ("x_A,x_B,value\n0,0,1.0\n-1,2,-inf\n", 3, "'-inf' is not finite"),
+        ("x_A,x_B,value\n0,0,1.0\n1,2,2.0\n0,0,3.0\n", 4, "second row for x_A=0, x_B=0"),
+        ("x_A,x_B,value\n4,0,1.0\n", 2, "site 4 outside lattice"),
+    ],
+    ids=["no-value", "no-x_B", "unparsed", "short-row", "bad-label", "nan", "inf",
+         "duplicate", "off-lattice"],
+)
+def test_table_from_csv_names_file_and_line_of_a_defect(tmp_path, text, line, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ShapeError, match=message) as info:
+        table_from_csv(path, GEOM)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+
+
 def test_race_surface_is_antisymmetric():
     """With identical coins, swapping the players mirrors the payoff."""
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from qwgames.hilbert import (
     Boundary,
     JointDistribution,
-    JointState,
     LatticeGeometry,
     ValidationError,
     born,
+    born_single,
     check_distributions,
     distribution_to_csv,
     make_initial_state,
@@ -35,16 +35,17 @@ def test_positions_are_symmetric_around_zero():
 def test_initial_state_basis_placement():
     state = make_initial_state(GEOM5, (1, 0), (1, 0))
     o = GEOM5.offset(0)
-    assert state.amplitudes[o, 0, o, 0] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
+    assert state.shape == (5, 2, 5, 2)
+    assert state[o, 0, o, 0] == 1.0
+    assert np.count_nonzero(state) == 1
 
 
 def test_initial_state_tensor_product_moduli():
     state = make_initial_state(GEOM5, (1 / np.sqrt(2), 1j / np.sqrt(2)), (1, 0))
     o = GEOM5.offset(0)
-    assert abs(state.amplitudes[o, 0, o, 0]) ** 2 == pytest.approx(0.5)
-    assert abs(state.amplitudes[o, 1, o, 0]) ** 2 == pytest.approx(0.5)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert abs(state[o, 0, o, 0]) ** 2 == pytest.approx(0.5)
+    assert abs(state[o, 1, o, 0]) ** 2 == pytest.approx(0.5)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_state_names_offending_player():
@@ -55,7 +56,7 @@ def test_initial_state_names_offending_player():
 
 
 def test_measure_localized_initial_state():
-    dist = measure_joint(make_initial_state(GEOM5, (1, 0), (0, 1)))
+    dist = measure_joint(make_initial_state(GEOM5, (1, 0), (0, 1)), GEOM5)
     o = GEOM5.offset(0)
     assert dist.probabilities[o, o] == pytest.approx(1.0)
     assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
@@ -66,8 +67,7 @@ def _random_product_state(rng, geometry):
     b = rng.normal(size=(geometry.size, 2)) + 1j * rng.normal(size=(geometry.size, 2))
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
-    joint = np.einsum("xs,yt->xsyt", a, b)
-    return a, b, JointState(joint, geometry)
+    return a, b, np.einsum("xs,yt->xsyt", a, b)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -75,7 +75,7 @@ def _random_product_state(rng, geometry):
 def test_product_state_measures_as_outer_product(seed):
     rng = np.random.default_rng(seed)
     a, b, joint = _random_product_state(rng, GEOM5)
-    dist = measure_joint(joint)
+    dist = measure_joint(joint, GEOM5)
     pa = np.sum(np.abs(a) ** 2, axis=1)
     pb = np.sum(np.abs(b) ** 2, axis=1)
     np.testing.assert_allclose(dist.probabilities, np.outer(pa, pb), atol=1e-12)
@@ -112,6 +112,14 @@ def test_distribution_rejects_unnormalized():
         JointDistribution(np.full((5, 5), 0.1), GEOM5)
 
 
+def test_measure_joint_rejects_unnormalized_or_misshapen_amplitudes():
+    state = make_initial_state(GEOM5, (1, 0), (0, 1))
+    with pytest.raises(ValidationError, match="sums to"):
+        measure_joint(1.01 * state, GEOM5)
+    with pytest.raises(ValidationError, match="shape"):
+        measure_joint(state, LatticeGeometry(7))
+
+
 def test_batched_check_rejects_one_bad_distribution():
     rng = np.random.default_rng(4)
     probs = rng.random((6, 5, 5))
@@ -146,8 +154,14 @@ def test_csv_round_trip(tmp_path):
 
 def test_single_state_distribution():
     s = make_single_state(LatticeGeometry(7, Boundary.REFLECTING), (0.6, 0.8j), x=2)
-    p = s.distribution()
+    assert s.shape == (7, 2)
+    p = born_single(s)
     assert p[LatticeGeometry(7).offset(2)] == pytest.approx(1.0)
+
+
+def test_single_state_names_its_coin():
+    with pytest.raises(ValidationError, match="player single"):
+        make_single_state(GEOM5, (1, 1))
 
 
 def test_born_gives_the_same_bits_in_every_layout():

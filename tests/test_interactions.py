@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwgames.dynamics import WalkConfig, StrategyProfile, evolve
+from qwgames.dynamics import WalkConfig, evolve
 from qwgames.hilbert import Boundary, LatticeGeometry
 from qwgames.interactions import (
     ConfigurationError,
@@ -105,7 +105,6 @@ def test_coupling_broadcasts_over_angle_arrays():
 
 def test_noise_sigma_zero_matches_plain_collision_bitwise():
     geom = LatticeGeometry(11)
-    profile = StrategyProfile(0.9, 2.1)
     plain = WalkConfig(
         geom, 4, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, 1.3)
     )
@@ -114,8 +113,8 @@ def test_noise_sigma_zero_matches_plain_collision_bitwise():
         4,
         interaction=InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.0),
     )
-    a = evolve(plain, profile).amplitudes
-    b = evolve(noisy, profile).amplitudes
+    a = evolve(plain, 0.9, 2.1)
+    b = evolve(noisy, 0.9, 2.1)
     np.testing.assert_array_equal(a, b)
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qwgames.dynamics import StrategyProfile, WalkConfig
+from qwgames.dynamics import WalkConfig
 from qwgames.equilibrium import StrategyGrid, WalkEvaluator, distributions
 from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import LatticeGeometry, ValidationError
@@ -67,19 +67,19 @@ def test_separability_residual_large_at_full_coupling():
 def test_first_order_slope_schedule_validation():
     config = WalkConfig(LatticeGeometry(21), 6, interaction=InteractionSpec(
         InteractionKind.COLLISION_PHASE, np.pi))
-    profile = StrategyProfile(1.0, 2.0)
+    point = (1.0, 2.0)
     with pytest.raises(ValidationError):
-        first_order_slope(config, RACE, profile, lambda_schedule=(0.1,))
+        first_order_slope(config, RACE, point, lambda_schedule=(0.1,))
     with pytest.raises(ValidationError):
-        first_order_slope(config, RACE, profile, lambda_schedule=(0.05, 0.1))
+        first_order_slope(config, RACE, point, lambda_schedule=(0.05, 0.1))
     with pytest.raises(ValidationError):
-        first_order_slope(config, RACE, profile, lambda_schedule=(0.1, 0.0))
+        first_order_slope(config, RACE, point, lambda_schedule=(0.1, 0.0))
 
 
 def test_first_order_slope_converges_linearly():
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0)
     config = WalkConfig(LatticeGeometry(31), 10, interaction=spec)
-    est = first_order_slope(config, RACE, StrategyProfile(1.0, 2.0))
+    est = first_order_slope(config, RACE, (1.0, 2.0))
     assert est.in_perturbative_regime
     assert np.all((est.ratios > 0.35) & (est.ratios < 0.65))
     # Richardson limit sits beyond the smallest-lambda slope
@@ -98,7 +98,7 @@ def per_point_g_grid(config, game, grid, schedule):
     """g_estimate_grid as one first_order_slope call per grid point."""
     vals = grid.values
     return np.array([
-        [first_order_slope(config, game, StrategyProfile(a, b), schedule).g_estimate
+        [first_order_slope(config, game, (a, b), schedule).g_estimate
          for b in vals]
         for a in vals
     ])
@@ -117,7 +117,7 @@ def test_g_estimate_grid_is_bitwise_the_per_point_slopes(schedule):
 def test_certificate_is_bitwise_the_four_corner_stencil(schedule):
     ta, tb, h = np.pi / 3, 2 * np.pi / 3, 0.1
     corners = [(ta + h, tb + h), (ta + h, tb - h), (ta - h, tb + h), (ta - h, tb - h)]
-    g = [first_order_slope(SMALL, RACE, StrategyProfile(a, b), schedule).g_estimate
+    g = [first_order_slope(SMALL, RACE, (a, b), schedule).g_estimate
          for a, b in corners]
     u0 = WalkEvaluator(WalkConfig(LatticeGeometry(21), 6), RACE).points(corners)[0]
     cert = nonseparability_certificate(SMALL, RACE, lambda_schedule=schedule)
@@ -128,7 +128,7 @@ def test_certificate_is_bitwise_the_four_corner_stencil(schedule):
 @pytest.mark.parametrize("schedule", BAD_SCHEDULES)
 def test_every_slope_routine_rejects_a_bad_schedule(schedule):
     with pytest.raises(ValidationError):
-        first_order_slope(SMALL, RACE, StrategyProfile(1.0, 2.0), schedule)
+        first_order_slope(SMALL, RACE, (1.0, 2.0), schedule)
     with pytest.raises(ValidationError):
         g_estimate_grid(SMALL, RACE, StrategyGrid(3), schedule)
     with pytest.raises(ValidationError):
@@ -150,10 +150,10 @@ def test_g_estimate_grid_evaluates_one_batch_per_row_and_strength(monkeypatch, s
 
 
 def test_richardson_step_only_for_a_halving_schedule():
-    profile = StrategyProfile(1.0, 2.0)
-    halving = first_order_slope(SMALL, RACE, profile, SCHEDULES[0])
+    point = (1.0, 2.0)
+    halving = first_order_slope(SMALL, RACE, point, SCHEDULES[0])
     assert halving.g_estimate == 2.0 * halving.slopes[-1] - halving.slopes[-2]
-    other = first_order_slope(SMALL, RACE, profile, SCHEDULES[1])
+    other = first_order_slope(SMALL, RACE, point, SCHEDULES[1])
     assert other.g_estimate == other.slopes[-1]
     assert halving.g_estimate != halving.slopes[-1]
 
