@@ -26,7 +26,6 @@ import os
 import re
 import shutil
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -94,7 +93,6 @@ def _typed(what, *kinds):
 
 
 _int = _typed("an integer", int)
-_bool = _typed("true or false", bool)
 _text = _typed("a string", str)
 _path = _typed("a string or null", str, type(None))
 _real = _typed("a number", int, float)
@@ -186,7 +184,6 @@ class ExperimentConfig:
     table_a_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
     table_b_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
     grid_n: int = _field(61, _int, lambda v: v >= 2, ">= 2")
-    refine: bool = _field(True, _bool)
     eta: float = _field(0.05, parse_angle, lambda v: 0 < v < INF, "finite and > 0")
     max_iters: int = _field(500, _int, lambda v: v >= 0, ">= 0")
     ensemble: int = _field(1, _int, lambda v: v >= 1, ">= 1")
@@ -267,21 +264,19 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     if config.game == "custom_table" and not (config.table_a_path and config.table_b_path):
         errors.append("game: custom_table needs both table_a_path and table_b_path")
     if not errors:
-        if config.steps >= (config.lattice_size - 1) // 2:
+        half = (config.lattice_size - 1) // 2
+        if config.steps >= half:
             warns.append(
-                "boundary reachable: T >= (L-1)/2, results depend on the boundary rule"
+                f"boundary reachable: T = {config.steps} >= (L-1)/2 = {half}; "
+                f"results depend on the boundary rule ({config.boundary})"
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the boundary warning is stated above
-            walk = config.walk_config()
+        walk = config.walk_config()
         if walk.interaction.noisy and walk.ensemble == 1:
             warns.append("noisy interaction with ensemble = 1: payoffs will be jittery")
         for name, kind in [("noise_sigma", "noisy_collision"), ("range_exponent", "long_range")]:
             moved = getattr(config, name) != getattr(ExperimentConfig, name)  # off its default
             if moved and config.interaction_kind != kind:
                 warns.append(f"{name} is ignored: only interaction_kind {kind} uses it")
-        if not config.refine:
-            warns.append("refinement disabled: off-grid equilibria will be missed")
     return errors, warns
 
 
@@ -372,7 +367,7 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
         + [["B", vals[i], vals[j]] for i, cols in enumerate(br_b) for j in cols],
     )
 
-    points = find_stationary(surface, evaluator, refine=config.refine)
+    points = find_stationary(surface, evaluator)
     _dump_json(
         os.path.join(out, "stationary.json"),
         _stationary_payload(points, evaluator, config.eta),
@@ -484,7 +479,7 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
         _grid_rows(grid, ga, gb),
     )
 
-    points = _interior_first(find_stationary(surface, evaluator, refine=config.refine))
+    points = _interior_first(find_stationary(surface, evaluator))
     ca, cb = (points[0].theta_a, points[0].theta_b) if points else (PI / 2, PI / 2)
 
     starts = []
@@ -546,7 +541,7 @@ def _calibrate_row(game_name, evaluator, grid, surface):
         }
         u_b = float(surface.u_b[i, j])
     else:
-        points = _interior_first(find_stationary(surface, evaluator, refine=True))
+        points = _interior_first(find_stationary(surface, evaluator))
         if not points:
             return None
         best = min(
@@ -617,10 +612,8 @@ def run_recipe(config: ExperimentConfig) -> int:
         print(f"config error: out_dir: cannot create {out!r}: {exc.strerror}", file=sys.stderr)
         return 1
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _dump_json(os.path.join(out, "resolved_config.json"), asdict(config))
-            status = _RECIPE_RUNNERS[config.recipe](config, out)
+        _dump_json(os.path.join(out, "resolved_config.json"), asdict(config))
+        status = _RECIPE_RUNNERS[config.recipe](config, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         if top is not None:

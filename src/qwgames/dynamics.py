@@ -4,17 +4,17 @@ One step is coin -> shift -> interaction:
 
     U = P_I . [S_A (C(theta_A) x I) (x) S_B (C(theta_B) x I)]
 
-applied without ever materializing the 4L^2 x 4L^2 matrix.  Every operation
-runs in one channel-major layout, (B, 4, L^2) with channel c = 2 s_A + s_B:
-the two coin rotations are one real batched 4x4 matmul, the shift is one
-precomputed gather, and the phase touches only the channel-plane sites where
-its table is nonzero.  Callers see the (L, 2, L, 2) layout of `hilbert`.
+applied without ever materializing the 4L^2 x 4L^2 matrix.  One kernel,
+`_steps`, evolves every walk in a channel-major layout (B, C, S): the joint
+walk as (B, 4, L^2) with channel c = 2 s_A + s_B, a single walker as
+(B, 2, L) with channel s.  The coin rotations are one real batched C x C
+matmul, the shift is one precomputed gather, and the joint walk's phase
+touches only the channel-plane sites where its table is nonzero.  Callers
+see the (L, 2, L, 2) and (L, 2) layouts of `hilbert`.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,17 +65,6 @@ class WalkConfig:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if self.ensemble < 1:
             raise ValidationError(f"ensemble must be >= 1, got {self.ensemble}")
-        if self.steps >= (self.geometry.size - 1) // 2:
-            # name the caller, past the generated __init__ and dataclasses.replace
-            frame, level = sys._getframe(1), 2
-            while frame.f_code.co_filename in ("<string>", field.__code__.co_filename):
-                frame, level = frame.f_back, level + 1
-            warnings.warn(
-                f"boundary reachable: T = {self.steps} >= (L-1)/2 = "
-                f"{(self.geometry.size - 1) // 2}; results depend on the "
-                f"boundary rule ({self.geometry.boundary.value})",
-                stacklevel=level,
-            )
 
 
 def coin_matrix(theta) -> np.ndarray:
@@ -107,20 +96,21 @@ def _coin_krons(thetas: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _walker_shift(L: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray]:
-    """Source site and source coin of each destination (x, s) under one
-    walker's conditional shift: |R> arrives from x - 1, |L> from x + 1."""
+def _walker_shift(L: int, boundary: Boundary) -> np.ndarray:
+    """Flat gather indices of one walker's conditional shift on the (2, L)
+    channel-major layout: |R> arrives from x - 1, |L> from x + 1."""
     x = np.arange(L)
-    src_x = np.stack([x - 1, x + 1], axis=1)
-    src_s = np.tile([RIGHT, LEFT], (L, 1))
+    src_x = np.stack([x - 1, x + 1])  # (s, x)
+    src_s = np.repeat([[RIGHT], [LEFT]], L, axis=1)
     if boundary is Boundary.PERIODIC:
         src_x %= L
     else:
         # edge sites reflect: the coin flips instead of stepping out
-        src_x[0, RIGHT], src_s[0, RIGHT] = 0, LEFT
-        src_x[-1, LEFT], src_s[-1, LEFT] = L - 1, RIGHT
-    src_x.flags.writeable = src_s.flags.writeable = False  # shared by every caller
-    return src_x, src_s
+        src_x[RIGHT, 0], src_s[RIGHT, 0] = 0, LEFT
+        src_x[LEFT, -1], src_s[LEFT, -1] = L - 1, RIGHT
+    perm = (src_s * L + src_x).reshape(-1)
+    perm.flags.writeable = False  # shared by every caller
+    return perm
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +121,7 @@ def _shift_permutation(L: int, boundary: Boundary) -> np.ndarray:
     realizes it: destination (s_A, s_B, x_A, x_B) reads the product of the
     two walkers' sources.
     """
-    x, s = (a.T for a in _walker_shift(L, boundary))  # (s, x)
+    s, x = np.divmod(_walker_shift(L, boundary).reshape(2, L), L)  # (s, x)
     site = x[:, None, :, None] * L + x[None, :, None, :]
     coin = 2 * s[:, None, :, None] + s[None, :, None, :]
     perm = (coin * L * L + site).reshape(-1)
@@ -165,50 +155,56 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry):
     return (slice(None), channels, sites), values
 
 
-def _phase_factors(spec: InteractionSpec, geometry: LatticeGeometry, thetas: np.ndarray):
-    """(support index, table on it, exp(i * coupling_b * table) on it per
-    profile); the factors are None when the phase is a no-op."""
-    index, values = _phase_support(spec, geometry)
-    if spec.kind is InteractionKind.NONE or spec.strength == 0.0:
-        return index, values, None
-    coup = np.asarray(interactions.coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
-    return index, values, np.exp(1j * coup[:, None, None] * values)
+def _phase(config: WalkConfig, thetas: np.ndarray):
+    """The interaction phase of a joint walk for `_steps`: the support index,
+    the table on it, exp(i * coupling * table) on it per profile (None when
+    that is a no-op) and the noise jitter of each step.
 
-
-def _noise_draws(spec: InteractionSpec, steps: int, seed) -> np.ndarray:
-    """One phase jitter eta_t per time step, uniform on [-sigma, sigma],
-    from a generator seeded with seed.
-
-    The jitter multiplies the interaction's spatial table (for the noisy
-    collision, the x_A = x_B indicator), not the whole state: a spatially
-    uniform phase would drop out of every observable.
+    A noisy walk draws one jitter eta_t per step, uniform on [-sigma, sigma],
+    from a generator seeded with config.seed.  The jitter multiplies the
+    phase table (for the noisy collision, the x_A = x_B indicator), not the
+    whole state: a spatially uniform phase would drop out of every observable.
     """
+    spec, geom, steps = config.interaction, config.geometry, config.steps
+    index, values = _phase_support(spec, geom)
+    etas = np.zeros(steps)
     if spec.noisy:
-        if seed is None:
-            raise ValidationError("noisy interaction requires a seeded rng")
-        rng = np.random.default_rng(seed)
-        return rng.uniform(-spec.noise_sigma, spec.noise_sigma, size=steps)
-    return np.zeros(steps)
+        rng = np.random.default_rng(config.seed)
+        etas = rng.uniform(-spec.noise_sigma, spec.noise_sigma, steps)
+    if spec.kind is InteractionKind.NONE or spec.strength == 0.0:
+        return index, values, None, etas
+    coup = np.asarray(interactions.coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
+    return index, values, np.exp(1j * coup[:, None, None] * values), etas
 
 
-def _steps(config: WalkConfig, thetas: np.ndarray, etas: np.ndarray, amps: np.ndarray):
-    """Evolve the (B, 4, L^2) channel-major buffer amps in place, one step
-    per noise jitter in etas: coin, shift, then the interaction phase and
-    the step's jitter on the support of the phase table."""
-    geom = config.geometry
+def _steps(amps: np.ndarray, coins: np.ndarray, perm: np.ndarray, steps: int, phase=None):
+    """Evolve the (B, C, S) channel-major buffer amps in place for steps
+    steps: the real (B, C, C) coins act as one matmul on its float view
+    (B, C, 2S), then perm gathers the shifted state.  A joint walk passes
+    the `_phase` tuple, and each step ends with the coupling factors and
+    that step's jitter on the support of the phase table."""
     coined = np.empty_like(amps)
     flat, coined_flat = amps.reshape(len(amps), -1), coined.reshape(len(amps), -1)
-    krons = _coin_krons(thetas)
-    perm = _shift_permutation(geom.size, geom.boundary)
-    index, values, factors = _phase_factors(config.interaction, geom, thetas)
-    support = amps[index]
-    for eta in etas:
-        np.matmul(krons, amps.view(float), out=coined.view(float))
+    if phase is not None:
+        index, values, factors, etas = phase
+        support = amps[index]
+    for t in range(steps):
+        np.matmul(coins, amps.view(float), out=coined.view(float))
         coined_flat.take(perm, axis=1, out=flat, mode="clip")
+        if phase is None:
+            continue
         if factors is not None:
             support *= factors
-        if eta != 0.0:
-            support *= np.exp(1j * eta * values)
+        if etas[t] != 0.0:
+            support *= np.exp(1j * etas[t] * values)
+
+
+def _angles(thetas) -> np.ndarray:
+    """thetas as a float array, every angle checked to lie in [0, pi]."""
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all(np.isfinite(thetas)) or np.any((thetas < 0) | (thetas > np.pi)):
+        raise DomainError("all strategy angles must lie in [0, pi]")
+    return thetas
 
 
 def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
@@ -216,28 +212,20 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
     amplitudes as a (B, L, 2, L, 2) view of the (B, 4, L^2) kernel buffer.
-    Profiles run in chunks of `chunk_profiles` so each chunk stays
-    cache-resident for all T steps.  A
-    noisy walk runs the one realization config.seed, whose per-step draws are
-    shared across the batch (common random numbers), so a batched sweep is
-    bit-identical to per-profile evolve calls.
+    A noisy walk runs the one realization config.seed, whose per-step draws
+    are shared across the batch (common random numbers), so a batched sweep
+    is bit-identical to per-profile evolve calls.  The whole batch is one
+    buffer: `equilibrium.distributions` hands it cache-sized chunks.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _angles(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
         raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    if not np.all(np.isfinite(thetas)) or thetas.min() < 0 or thetas.max() > np.pi:
-        raise DomainError("all strategy angles must lie in [0, pi]")
-
-    etas = _noise_draws(config.interaction, config.steps, config.seed)
     geom = config.geometry
     start = make_initial_state(geom, config.coin_a, config.coin_b)
-    start = start.transpose(1, 3, 0, 2).reshape(4, -1)  # channel-major
     amps = np.empty((len(thetas), 4, geom.size**2), dtype=complex)
-    size = chunk_profiles(geom)
-    for lo in range(0, len(thetas), size):
-        chunk = amps[lo : lo + size]
-        chunk[:] = start
-        _steps(config, thetas[lo : lo + size], etas, chunk)
+    amps[:] = start.transpose(1, 3, 0, 2).reshape(4, -1)  # channel-major
+    perm = _shift_permutation(geom.size, geom.boundary)
+    _steps(amps, _coin_krons(thetas), perm, config.steps, _phase(config, thetas))
     return _joint_view(amps, geom.size)
 
 
@@ -249,23 +237,13 @@ def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
 
 def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
     """Final (B, L, 2) amplitudes of B non-interacting single walkers, one per
-    angle in thetas, with the coin/shift conventions of the joint walk.
-
-    The coin is one real batched matmul on the float view (B, L, 2, 2) of the
-    state, the shift one gather of `_walker_shift`.
-    """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(thetas)) or np.any((thetas < 0) | (thetas > np.pi)):
-        raise DomainError("all strategy angles must lie in [0, pi]")
-    start = make_single_state(geometry, coin)
-    amps = np.broadcast_to(start, (len(thetas), *start.shape)).copy()
-    r = coin_matrix(thetas)[:, None]  # (B, 1, 2, 2), broadcast over sites
-    src_x, src_s = _walker_shift(geometry.size, geometry.boundary)
-    perm = (2 * src_x + src_s).reshape(-1)  # flat (x, s) gather indices
-    for _ in range(steps):
-        coined = np.matmul(r, amps.view(float).reshape(*amps.shape, 2))
-        amps = coined.view(complex).reshape(len(amps), -1).take(perm, axis=1).reshape(amps.shape)
-    return amps
+    angle in thetas, with the coin/shift conventions of the joint walk: the
+    `_steps` kernel on a (B, 2, L) buffer, returned as a view of it."""
+    thetas = _angles(thetas).reshape(-1)
+    amps = np.empty((len(thetas), 2, geometry.size), dtype=complex)
+    amps[:] = make_single_state(geometry, coin).T
+    _steps(amps, coin_matrix(thetas), _walker_shift(geometry.size, geometry.boundary), steps)
+    return amps.transpose(0, 2, 1)
 
 
 def evolve_single(geometry: LatticeGeometry, steps: int, theta: float, coin) -> np.ndarray:

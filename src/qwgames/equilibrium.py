@@ -310,11 +310,9 @@ def _classify_position(ta: float, tb: float) -> bool:
     )
 
 
-def find_stationary(
-    surface: PayoffSurface, evaluator, refine: bool = True
-) -> list[StationaryPoint]:
-    """Best-response intersections on the grid, optionally polished by
-    alternating coordinate ascent with golden-section line searches.
+def find_stationary(surface: PayoffSurface, evaluator) -> list[StationaryPoint]:
+    """Best-response intersections on the grid, polished by alternating
+    coordinate ascent with golden-section line searches.
 
     All candidates are refined in lockstep: every probe round of the
     golden searches and every gradient check is one `points` call over
@@ -342,20 +340,18 @@ def find_stationary(
     w = surface.grid.spacing
     ta, tb = vals[rows], vals[cols]
     grad = np.full((len(cols), 2), np.inf)
-    # lanes still refining; refine=False takes one residual check instead
-    live = np.arange(len(cols))
-    for _ in range(MAX_ROUNDS if refine else 1):
-        if refine:
-            ta[live] = _golden_max(
-                lambda t, k: evaluator.points(np.column_stack([t, tb[live[k]]]))[0],
-                np.maximum(0.0, ta[live] - w),
-                np.minimum(PI, ta[live] + w),
-            )
-            tb[live] = _golden_max(
-                lambda t, k: evaluator.points(np.column_stack([ta[live[k]], t]))[1],
-                np.maximum(0.0, tb[live] - w),
-                np.minimum(PI, tb[live] + w),
-            )
+    live = np.arange(len(cols))  # lanes still refining
+    for _ in range(MAX_ROUNDS):
+        ta[live] = _golden_max(
+            lambda t, k: evaluator.points(np.column_stack([t, tb[live[k]]]))[0],
+            np.maximum(0.0, ta[live] - w),
+            np.minimum(PI, ta[live] + w),
+        )
+        tb[live] = _golden_max(
+            lambda t, k: evaluator.points(np.column_stack([ta[live[k]], t]))[1],
+            np.maximum(0.0, tb[live] - w),
+            np.minimum(PI, tb[live] + w),
+        )
         grad[live] = gradients(evaluator, np.column_stack([ta[live], tb[live]]))
         live = live[~np.all(np.abs(grad[live]) < GRAD_TOL, axis=1)]
         if not live.size:

@@ -48,48 +48,54 @@ class PayoffPoint:
     aux: dict = field(default_factory=dict)
 
 
+# per built-in game: player A's payoff table over (x_A, x_B) as a function
+# of the (L, 1) and (1, L) site labels, the sign of u_A = sign * (P . table),
+# and u_B / u_A.  Signs act on the sums, not the tables: a sum of -0 terms
+# is +0, so a negated table would lose the sign of a zero payoff.
+BUILT_IN = {
+    GameKind.RACE: (lambda xa, xb: xa - xb, 1.0, -1.0),
+    GameKind.RENDEZVOUS: (lambda xa, xb: np.abs(xa - xb), -1.0, 1.0),
+    GameKind.TUG_OF_WAR: (lambda xa, xb: 0.5 * (xa + xb), 1.0, -1.0),
+}
+
+
 def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec):
     """Utilities and transport diagnostics of a stack of distributions.
 
     probs: (B, L, L).  Every quantity is a linear functional of P, reduced
     for the whole stack at once; returns (u_a, u_b, aux), each value of
-    shape (B,).
+    shape (B,).  u_A is P reduced against player A's (L, L) payoff table,
+    signed as `BUILT_IN` says; u_B is reduced against table_b when the game
+    has one, else derived from u_A.
     """
     L = geometry.size
     x = geometry.positions.astype(float)
-    xa = x[:, None]
-    xb = x[None, :]
+    xa, xb = x[:, None], x[None, :]
 
     mean_a = np.vecdot(probs.sum(axis=2), x)
     mean_b = np.vecdot(probs.sum(axis=1), x)
-    sep = np.sum(probs * np.abs(xa - xb), axis=(1, 2))
     aux = {
         "mean_x_A": mean_a,
         "mean_x_B": mean_b,
-        "mean_separation": sep,
+        "mean_separation": np.sum(probs * np.abs(xa - xb), axis=(1, 2)),
         "meeting_probability": np.trace(probs, axis1=1, axis2=2),
         "center_of_mass": 0.5 * (mean_a + mean_b),
     }
 
-    if game.kind is GameKind.RACE:
-        u_a = np.sum(probs * (xa - xb), axis=(1, 2))
-        return u_a, -u_a, aux
-    if game.kind is GameKind.RENDEZVOUS:
-        return -sep, -sep, aux
-    if game.kind is GameKind.TUG_OF_WAR:
-        u_a = np.sum(probs * (0.5 * (xa + xb)), axis=(1, 2))
-        return u_a, -u_a, aux
     if game.kind is GameKind.CUSTOM_TABLE:
-        for name, table in (("A", game.table_a), ("B", game.table_b)):
-            if np.asarray(table).shape != (L, L):
-                raise ShapeError(
-                    f"payoff table for player {name} has shape "
-                    f"{np.asarray(table).shape}, lattice needs {(L, L)}"
-                )
-        u_a = np.sum(probs * game.table_a, axis=(1, 2))
-        u_b = np.sum(probs * game.table_b, axis=(1, 2))
-        return u_a, u_b, aux
-    raise ValueError(f"unknown game kind {game.kind!r}")
+        table_a, table_b, sign, ratio = game.table_a, game.table_b, 1.0, None
+    else:
+        rule, sign, ratio = BUILT_IN[game.kind]
+        table_a, table_b = rule(xa, xb), None
+    for name, table in (("A", table_a), ("B", table_b)):
+        if table is not None and np.shape(table) != (L, L):
+            raise ShapeError(
+                f"payoff table for player {name} has shape {np.shape(table)}, "
+                f"lattice needs {(L, L)}"
+            )
+    u_a = sign * np.sum(probs * table_a, axis=(1, 2))
+    u_b = ratio * u_a if table_b is None else np.sum(probs * table_b, axis=(1, 2))
+    return u_a, u_b, aux
 
 
 def payoff(dist: JointDistribution, game: GameSpec) -> PayoffPoint:
@@ -101,15 +107,16 @@ def payoff(dist: JointDistribution, game: GameSpec) -> PayoffPoint:
 
 
 def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:
-    """Load an L x L payoff table from x_A,x_B,value rows (site labels);
-    a site pair without a row pays 0.
+    """Load an L x L payoff table from x_A,x_B,value rows (site labels),
+    one row for every site pair of the lattice.
 
     Raises ShapeError, naming the file and line, for a missing column, a
     label or value that does not parse, a value that is not finite, a label
-    off the lattice, and a repeated (x_A, x_B) row.
+    off the lattice, and a repeated (x_A, x_B) row; and naming the file and
+    the first pair, in label order, when a site pair has no row.
     """
     table = np.zeros((geometry.size, geometry.size))
-    seen = set()
+    filled = np.zeros(table.shape, dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("x_A", "x_B", "value") if c not in (reader.fieldnames or ())]
@@ -124,8 +131,11 @@ def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:
                 raise ShapeError(f"{where}: {exc}") from None
             if not np.isfinite(value):
                 raise ShapeError(f"{where}: value {row['value']!r} is not finite")
-            if site in seen:
+            if filled[site]:
                 raise ShapeError(f"{where}: second row for x_A={row['x_A']}, x_B={row['x_B']}")
-            seen.add(site)
+            filled[site] = True
             table[site] = value
+    if not filled.all():
+        xa, xb = geometry.positions[np.argwhere(~filled)[0]]
+        raise ShapeError(f"{path}: no row for x_A={xa}, x_B={xb}")
     return table

@@ -38,13 +38,9 @@ class Certificate:
     step: float
 
 
-def drift(geometry: LatticeGeometry, steps: int, theta: float, coin) -> float:
-    """Expected final position of a single non-interacting walker."""
-    return float(drift_sweep(geometry, steps, [theta], coin)[0])
-
-
 def drift_sweep(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
-    """`drift` at each angle, from one batched single-walker walk."""
+    """Expected final position of a single non-interacting walker at each
+    angle, from one batched single-walker walk."""
     amps = evolve_singles(geometry, steps, thetas, coin)
     return np.vecdot(born_single(amps), geometry.positions)
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the structured
-evolution (explicit dense unitaries and the component recurrence relations),
-the lockstep stationary-point search (a one-lane golden-section search) and
-the batched finite differences (a scalar 3-point stencil per point), and the
-evaluator adapter that drives the searches with an analytic payoff function.
+evolution (explicit dense unitaries, the component recurrence relations and
+a site-major single-walker loop), the lockstep stationary-point search (a
+one-lane golden-section search) and the batched finite differences (a scalar
+3-point stencil per point), and the evaluator adapter that drives the
+searches with an analytic payoff function.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout.
@@ -101,6 +102,32 @@ def recurrence_evolve(
             new_l[x] = s * psi_r[(x + 1) % L] + c * psi_l[(x + 1) % L]
         psi_r, psi_l = new_r, new_l
     return np.stack([psi_r, psi_l], axis=1)
+
+
+def site_major_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
+    """(B, L, 2) amplitudes of B free walkers, one per angle, evolved site
+    major: each step is one (B, 1, 2, 2) @ (B, L, 2, 2) coin matmul on the
+    float view, B * L separate 2 x 2 products, then one gather of each
+    destination's source (x, s).  The bitwise reference of `evolve_singles`.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    L = geometry.size
+    amps = np.zeros((len(thetas), L, 2), dtype=complex)
+    amps[:, geometry.offset(0)] = coin
+    r = coin_matrix(thetas)[:, None]  # (B, 1, 2, 2), broadcast over sites
+    x = np.arange(L)
+    src_x = np.stack([x - 1, x + 1], axis=1)
+    src_s = np.tile([RIGHT, LEFT], (L, 1))
+    if geometry.boundary is Boundary.PERIODIC:
+        src_x %= L
+    else:
+        src_x[0, RIGHT], src_s[0, RIGHT] = 0, LEFT
+        src_x[-1, LEFT], src_s[-1, LEFT] = L - 1, RIGHT
+    perm = (2 * src_x + src_s).reshape(-1)  # flat (x, s) gather indices
+    for _ in range(steps):
+        coined = np.matmul(r, amps.view(float).reshape(*amps.shape, 2))
+        amps = coined.view(complex).reshape(len(amps), -1).take(perm, axis=1).reshape(amps.shape)
+    return amps
 
 
 class FunctionEvaluator:

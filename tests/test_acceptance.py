@@ -10,7 +10,6 @@ without gating, since those runs are sensitive to unstated conventions
 import json
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -30,10 +29,9 @@ from qwgames.equilibrium import (
 from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import Boundary, LatticeGeometry, born_single, make_initial_state
 from qwgames.interactions import InteractionKind, InteractionSpec
-from qwgames.perturbation import drift, first_order_slope, nonseparability_certificate
+from qwgames.perturbation import drift_sweep, first_order_slope, nonseparability_certificate
 
 RACE = GameSpec(GameKind.RACE)
-warnings.filterwarnings("ignore", message="boundary reachable")
 
 _CAPTURE = None
 
@@ -149,7 +147,7 @@ def test_04_separability_without_interaction():
         for p, (a, b) in zip(probs, thetas)
     )
 
-    f = {th: drift(geom, 10, th, (1, 0)) for th in vals}
+    f = dict(zip(vals, drift_sweep(geom, 10, vals, (1, 0))))
     u = payoffs(probs, geom, RACE)[0]
     worst_u = max(abs(ua - (f[a] - f[b])) for ua, (a, b) in zip(u, thetas))
     report(
@@ -230,7 +228,6 @@ def test_08_small_coupling_stationary_point(small_coupling):
     report(8, "stationary point at small coupling", bool(passing), detail)
 
 
-@pytest.mark.filterwarnings("ignore:boundary reachable")
 def test_09_learning_stability(small_coupling):
     # walk games: every stable-classified stationary point must attract
     # nearby gradient-ascent starts and satisfy the spectral-radius bound.

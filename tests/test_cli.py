@@ -1,7 +1,9 @@
 import json
 import os
-import warnings
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,9 +240,47 @@ def test_exit_code_2_on_runtime_failure(tmp_path, capsys, out_dir, existing, cre
     assert (tmp_path / existing).is_dir()
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """The command line in a fresh interpreter, whose stderr shows every
+    warning as a user sees it; QWG_* variables are left out."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QWG_")}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+    cmd = [sys.executable, "-m", "qwgames.cli", *map(str, args)]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def zero_table(size: int) -> str:
+    """x_A,x_B,value rows paying 0 on every site pair of a size-site lattice."""
+    sites = range(-(size // 2), size // 2 + 1)
+    return "x_A,x_B,value\n" + "".join(f"{a},{b},0\n" for a in sites for b in sites)
+
+
+def test_default_race_states_the_reachable_boundary_once(tmp_path):
+    # T = 20 >= (L - 1) / 2 = 7 at the race defaults; the grid does not matter
+    run = run_cli("--recipe", "race", "--grid", "5", "--out", tmp_path / "race")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.count("boundary reachable") == 1
+
+
+def test_a_library_warning_reaches_stderr(tmp_path):
+    # all-zero tables tie every grid point, so the search cuts its candidates
+    table = tmp_path / "zero.csv"
+    table.write_text(zero_table(15))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"game": "custom_table", "table_a_path": str(table), "table_b_path": str(table)}
+    ))
+    run = run_cli("--config", cfg, "--recipe", "race", "--grid", "9", "--out", tmp_path / "out")
+    assert run.returncode == 0, run.stderr
+    assert "81 best-response intersections, refining the first 64" in run.stderr
+
+
 def test_malformed_payoff_table_exits_2_naming_the_file(tmp_path, capsys):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_text("x_A,x_B,value\n0,0,1.0\n")
+    good.write_text(zero_table(15))
     bad.write_text("x_A,x_B,value\n0,0,1.0\n1,1,nan\n")
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg_path.write_text(json.dumps(
@@ -292,7 +332,7 @@ def test_main_rejects_missing_config(tmp_path, capsys):
         ({"recipe": "race", "steps": "20"}, "steps", {}),
         ({"recipe": "race", "lattice_size": 15.0}, "lattice_size", {}),
         ({"recipe": "race", "seed": True}, "seed", {}),
-        ({"recipe": "race", "refine": "no"}, "refine", {}),
+        ({"recipe": "race", "refine": True}, "refine", {}),
         ({"phi_sweep": 3}, "phi_sweep", {}),
         ({"coin_a": [1, 0]}, "coin_a", {}),
         ({"coin_a": "right"}, "coin_a", {}),
@@ -314,7 +354,7 @@ def test_main_rejects_missing_config(tmp_path, capsys):
         ({"interaction_strength": True}, "interaction_strength", {}),
     ],
     ids=[
-        "top-level-list", "int-as-string", "int-as-float", "int-as-bool", "bool-as-string",
+        "top-level-list", "int-as-string", "int-as-float", "int-as-bool", "refine-removed",
         "phi-sweep-number", "coin-flat-list", "coin-label", "empty-out-dir", "env-seed-text",
         "ensemble-0", "workers-negative", "strength-nan", "noise-negative", "range-exponent-0",
         "range-exponent-string", "unknown-game", "seed-negative", "theta-outside",
@@ -409,9 +449,7 @@ def test_any_json_config_is_rejected_by_field_or_builds(data):
     if errors:
         assert all(e.split(":")[0] in data for e in errors), errors
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        walk = cfg.walk_config()
+    walk = cfg.walk_config()
     for phi in cfg.phi_sweep:  # the rendezvous recipe's strength sweep
         cfg.interaction().with_strength(phi)
     evolve(walk, cfg.base_theta_a, cfg.base_theta_b)  # the perturbation base point

@@ -10,11 +10,16 @@ from oracles import (
     dense_single_step,
     random_joint_state,
     recurrence_evolve,
+    site_major_singles,
 )
+from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import (
     DomainError,
     WalkConfig,
+    _coin_krons,
     _joint_view,
+    _phase,
+    _shift_permutation,
     _steps,
     chunk_profiles,
     coin_matrix,
@@ -48,10 +53,14 @@ DETERMINISTIC_KINDS = [
 def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     """(L, 2, L, 2) state psi after one `_steps` call, one kernel step per
     noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
-    L = config.geometry.size
+    geom = config.geometry
+    thetas = np.array([[theta_a, theta_b]])
+    index, values, factors, _ = _phase(config, thetas)
+    phase = index, values, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
-    _steps(config, np.array([[theta_a, theta_b]]), np.asarray(etas, dtype=float), amps)
-    return _joint_view(amps, L)[0]
+    perm = _shift_permutation(geom.size, geom.boundary)
+    _steps(amps, _coin_krons(thetas), perm, len(etas), phase)
+    return _joint_view(amps, geom.size)[0]
 
 
 @pytest.mark.parametrize(
@@ -67,16 +76,6 @@ def test_angles_outside_the_domain_are_rejected(thetas):
         evolve(config, *thetas)
     with pytest.raises(DomainError):
         evolve_singles(GEOM5, 1, thetas, (1, 0))
-
-
-def test_config_warns_when_boundary_reachable():
-    with pytest.warns(UserWarning, match="boundary reachable") as record:
-        config = WalkConfig(LatticeGeometry(15), 20)
-    # the warning names the line that builds the config, also through replace()
-    assert record[0].filename == __file__
-    with pytest.warns(UserWarning, match="boundary reachable") as record:
-        replace(config, seed=1)
-    assert [r.filename for r in record] == [__file__]
 
 
 def test_config_rejects_an_empty_ensemble():
@@ -175,7 +174,6 @@ def test_evolve_matches_repeated_dense_steps(boundary, steps):
     np.testing.assert_allclose(got, psi.reshape(7, 2, 7, 2), atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:boundary reachable")
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
 @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS)
 def test_evolve_batch_matches_repeated_dense_steps(boundary, kind):
@@ -240,6 +238,20 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
         evolve_singles(geom, 2, [0.5, np.pi + 0.1], coin)
 
 
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("size, steps", [(7, 4), (15, 20), (31, 10)])
+def test_single_walkers_are_bitwise_the_site_major_loop(boundary, size, steps):
+    # the joint kernel on (B, 2, L) gives the bits of the per-site 2 x 2 loop
+    geom = LatticeGeometry(size, boundary)
+    thetas = np.linspace(0, np.pi, 61)
+    coins = [tuple(complex(re, im) for re, im in c) for c in COIN_CATALOG.values()]
+    for coin in coins + [(0.6, 0.8j)]:
+        got = evolve_singles(geom, steps, thetas, coin)
+        want = site_major_singles(geom, steps, thetas, coin)
+        assert got.shape == want.shape == (61, size, 2)
+        assert got.tobytes() == want.tobytes(), coin
+
+
 def test_no_interaction_factorizes():
     geom = LatticeGeometry(25)
     config = WalkConfig(geom, 10, (1, 0), (0.6, 0.8j))
@@ -283,7 +295,9 @@ def test_batch_matches_individual_evolutions():
 def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     geom = LatticeGeometry(31, boundary)
     size = chunk_profiles(geom)
-    n = 2 * size + size // 2 + 1  # more than two chunks, the last one partial
+    # one unchunked batch wider than two of `distributions`' chunks: its rows
+    # do not depend on the batch they run in, so chunking changes no bit
+    n = 2 * size + size // 2 + 1
     assert n > 2 * size and n % size != 0
     spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
     config = WalkConfig(geom, 6, (1, 0), (0.6, 0.8j), spec, seed=11)

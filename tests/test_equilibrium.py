@@ -280,7 +280,6 @@ def count_evolved_profiles(monkeypatch) -> list:
     return sizes
 
 
-@pytest.mark.filterwarnings("ignore:boundary reachable")
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 @pytest.mark.parametrize("kind", NO_OP_KINDS, ids=lambda k: k.value)
 def test_inert_walk_takes_the_product_path_and_agrees_with_the_joint_kernel(
@@ -470,8 +469,7 @@ def loop_best_responses(surface, tol=TIE_TOL):
 
 
 def sequential_find_stationary(
-    surface, evaluator, refine=True, grad_h=1e-3, grad_tol=1e-3, max_iters=200,
-    max_candidates=64,
+    surface, evaluator, grad_h=1e-3, grad_tol=1e-3, max_iters=200, max_candidates=64
 ):
     """find_stationary refining one candidate at a time through scalar
     golden-section searches and single-profile evaluations; also returns the
@@ -484,14 +482,13 @@ def sequential_find_stationary(
     for i, j in candidates[:max_candidates]:
         ta, tb = float(vals[i]), float(vals[j])
         status, (ga, gb), n = "unrefined", (np.inf, np.inf), 0
-        for n in range(1, (max_iters if refine else 1) + 1):
-            if refine:
-                ta = golden_max(
-                    lambda t: evaluator.evaluate(t, tb)[0], max(0.0, ta - w), min(np.pi, ta + w)
-                )
-                tb = golden_max(
-                    lambda t: evaluator.evaluate(ta, t)[1], max(0.0, tb - w), min(np.pi, tb + w)
-                )
+        for n in range(1, max_iters + 1):
+            ta = golden_max(
+                lambda t: evaluator.evaluate(t, tb)[0], max(0.0, ta - w), min(np.pi, ta + w)
+            )
+            tb = golden_max(
+                lambda t: evaluator.evaluate(ta, t)[1], max(0.0, tb - w), min(np.pi, tb + w)
+            )
             ga, gb = fd_gradients(evaluator, [[ta, tb]], grad_h)[0]
             if abs(ga) < grad_tol and abs(gb) < grad_tol:
                 status = "refined"
@@ -525,16 +522,14 @@ def waves(ta, tb):
 LIMITS = {"max_iters": "MAX_ROUNDS", "max_candidates": "MAX_CANDIDATES"}
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{}, {"refine": False}, {"max_iters": 1}, {"max_candidates": 5}]
-)
+@pytest.mark.parametrize("kwargs", [{}, {"max_iters": 1}, {"max_candidates": 5}])
 def test_find_stationary_matches_sequential_refinement(kwargs, monkeypatch):
     for key, constant in LIMITS.items():
         if key in kwargs:
             monkeypatch.setattr(equilibrium, constant, kwargs[key])
     surface = tied_surface(9)  # 81 candidates over the whole domain, 64 kept
     ev = FunctionEvaluator(waves)
-    got = find_stationary(surface, ev, refine=kwargs.get("refine", True))
+    got = find_stationary(surface, ev)
     want, rounds = sequential_find_stationary(surface, ev, **kwargs)
     assert got == want
     if not kwargs:
@@ -608,21 +603,22 @@ def test_candidate_mask_matches_best_response_loop(seed):
             assert len(got) == len(want) == 11
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
-    got = find_stationary(surface, QUAD, refine=False)
+    got = find_stationary(surface, QUAD)
     assert got
-    assert got == sequential_find_stationary(surface, QUAD, refine=False)[0]
+    assert got == sequential_find_stationary(surface, QUAD)[0]
 
 
 def test_find_stationary_warns_when_it_cuts_candidates(monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", 1)  # one round keeps it cheap
     surface = tied_surface(9)
     ev = FunctionEvaluator(waves)
     with pytest.warns(UserWarning, match="81 best-response intersections, refining the first 64"):
-        got = find_stationary(surface, ev, refine=False)
-    assert got == sequential_find_stationary(surface, ev, refine=False)[0]
+        got = find_stationary(surface, ev)
+    assert got == sequential_find_stationary(surface, ev, max_iters=1)[0]
     monkeypatch.setattr(equilibrium, "MAX_CANDIDATES", 81)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        find_stationary(surface, ev, refine=False)
+        find_stationary(surface, ev)
 
 
 H = equilibrium.GRAD_H

@@ -38,6 +38,8 @@ def test_rendezvous_on_point_mass():
     together = payoff(point_mass(1, 1), GameSpec(GameKind.RENDEZVOUS))
     assert together.u_a == pytest.approx(0.0)
     assert together.aux["meeting_probability"] == pytest.approx(1.0)
+    # u = -(mean separation), so a meeting pays -0 to both players
+    assert np.signbit(together.u_a) and np.signbit(together.u_b)
 
 
 def test_tug_of_war_on_point_mass():
@@ -83,13 +85,18 @@ def test_custom_table_shape_mismatch():
         payoff(dist, spec)
 
 
+def table_text(sites, value=lambda a, b: 0.0):
+    """x_A,x_B,value rows for every pair of the site labels."""
+    rows = [f"{a},{b},{value(a, b)}" for a in sites for b in sites]
+    return "\n".join(["x_A,x_B,value", *rows]) + "\n"
+
+
 def test_table_from_csv(tmp_path):
     path = tmp_path / "table.csv"
-    path.write_text("x_A,x_B,value\n-3,3,1.5\n0,0,-2.0\n")
+    path.write_text(table_text(range(-3, 4), lambda a, b: 1.5 * a - b))
     table = table_from_csv(path, GEOM)
-    assert table[GEOM.offset(-3), GEOM.offset(3)] == 1.5
-    assert table[GEOM.offset(0), GEOM.offset(0)] == -2.0
-    assert np.count_nonzero(table) == 2
+    x = GEOM.positions
+    np.testing.assert_array_equal(table, 1.5 * x[:, None] - x[None, :])
 
 
 @pytest.mark.parametrize(
@@ -104,16 +111,18 @@ def test_table_from_csv(tmp_path):
         ("x_A,x_B,value\n0,0,1.0\n-1,2,-inf\n", 3, "'-inf' is not finite"),
         ("x_A,x_B,value\n0,0,1.0\n1,2,2.0\n0,0,3.0\n", 4, "second row for x_A=0, x_B=0"),
         ("x_A,x_B,value\n4,0,1.0\n", 2, "site 4 outside lattice"),
+        # a table for a smaller lattice: no line to name, the first missing pair instead
+        (table_text(range(-2, 3)), None, "no row for x_A=-3, x_B=-3$"),
     ],
     ids=["no-value", "no-x_B", "unparsed", "short-row", "bad-label", "nan", "inf",
-         "duplicate", "off-lattice"],
+         "duplicate", "off-lattice", "smaller-lattice"],
 )
 def test_table_from_csv_names_file_and_line_of_a_defect(tmp_path, text, line, message):
     path = tmp_path / "table.csv"
     path.write_text(text)
     with pytest.raises(ShapeError, match=message) as info:
         table_from_csv(path, GEOM)
-    assert str(info.value).startswith(f"{path}:{line}: ")
+    assert str(info.value).startswith(f"{path}:{line}: " if line else f"{path}: ")
 
 
 def test_race_surface_is_antisymmetric():

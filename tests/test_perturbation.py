@@ -9,7 +9,6 @@ from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
 from qwgames.perturbation import (
-    drift,
     drift_sweep,
     first_order_slope,
     g_estimate_grid,
@@ -30,8 +29,8 @@ BAD_SCHEDULES = [(0.1,), (0.05, 0.1), (0.1, 0.0)]
 def test_drift_of_frozen_coin_is_ballistic():
     # theta = 0 keeps the coin on |R>, so the walker moves one site per step
     geom = LatticeGeometry(13)
-    assert drift(geom, 5, 0.0, (1, 0)) == pytest.approx(5.0, abs=1e-12)
-    assert drift(geom, 5, 0.0, (0, 1)) == pytest.approx(-5.0, abs=1e-12)
+    assert drift_sweep(geom, 5, [0.0], (1, 0))[0] == pytest.approx(5.0, abs=1e-12)
+    assert drift_sweep(geom, 5, [0.0], (0, 1))[0] == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_drift_sweep_is_continuous():
