@@ -9,8 +9,10 @@ byte-identical outputs.
 CSV schemas: distributions `x_A,x_B,p`; surfaces `theta_A,theta_B,value`;
 trajectories `start,iter,theta_A,theta_B,u_A,u_B`.
 
-Environment variables with the QWG_ prefix (QWG_SEED, QWG_OUT, QWG_WORKERS,
-QWG_GRID) override defaults when the corresponding flag is absent.
+Each command-line flag sets one config field (FLAGS) and overrides the
+config file; the value is parsed and checked as the field's JSON value is.
+Warnings go to stderr as `warning: <message>` lines: the config's own before
+any walk, then each distinct warning the library raised during the run, once.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 no stationary
 point found (race / tug-of-war only).
@@ -26,7 +28,9 @@ import os
 import re
 import shutil
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -147,14 +151,14 @@ RECIPE_DEFAULTS = {
     "calibrate": (20, 15, PI),
 }
 
-RECIPE_GAMES = {
-    "race": GameKind.RACE,
-    "rendezvous": GameKind.RENDEZVOUS,
-    "tug_of_war": GameKind.TUG_OF_WAR,
-    "perturbation": GameKind.RACE,
-    "learning": GameKind.RACE,
-    "calibrate": GameKind.RACE,
-}
+
+def recipe_defaults(recipe: str) -> dict:
+    """The fields a recipe sets where its config does not: the walk of
+    RECIPE_DEFAULTS, and the game the recipe is named after, else the race."""
+    steps, size, strength = RECIPE_DEFAULTS[recipe]
+    game = recipe if recipe in [g.value for g in GameKind] else GameKind.RACE.value
+    return {"steps": steps, "lattice_size": size, "interaction_strength": strength, "game": game}
+
 
 # published calibration targets per game
 CALIBRATION_TARGETS = {
@@ -216,15 +220,9 @@ class ExperimentConfig:
             except ConfigError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
         if cfg.recipe in RECIPE_DEFAULTS:
-            t, l, phi = RECIPE_DEFAULTS[cfg.recipe]
-            if "steps" not in data:
-                cfg.steps = t
-            if "lattice_size" not in data:
-                cfg.lattice_size = l
-            if "interaction_strength" not in data:
-                cfg.interaction_strength = phi
-        if "game" not in data and cfg.recipe in RECIPE_GAMES:
-            cfg.game = RECIPE_GAMES[cfg.recipe].value
+            for key, value in recipe_defaults(cfg.recipe).items():
+                if key not in data:
+                    setattr(cfg, key, value)
         return cfg
 
     # -- object construction ------------------------------------------------
@@ -315,7 +313,7 @@ def _stationary_payload(points, evaluator, eta):
             "grad_residual": list(pt.grad_residual),
         }
         if pt.interior:
-            rep = jacobian_at(pt, evaluator, eta=eta)
+            rep = jacobian_at((pt.theta_a, pt.theta_b), evaluator, eta=eta)
             entry["jacobian"] = rep.matrix.tolist()
             entry["eigenvalues"] = [[z.real, z.imag] for z in rep.eigenvalues]
             entry["verdict"] = rep.verdict
@@ -510,13 +508,11 @@ def _calibrate_walk(args) -> list:
     for each game, then each game is searched with its own evaluator."""
     boundary, coin_label, game_names, config = args
     coin = COIN_CATALOG[coin_label]
-    t, l, phi = RECIPE_DEFAULTS[game_names[0]]
     sub = replace(
-        config, boundary=boundary, coin_a=coin, coin_b=coin,
-        steps=t, lattice_size=l, interaction_strength=phi,
+        config, boundary=boundary, coin_a=coin, coin_b=coin, **recipe_defaults(game_names[0])
     )
     walk = sub.walk_config()
-    evaluators = [WalkEvaluator(walk, GameSpec(RECIPE_GAMES[name])) for name in game_names]
+    evaluators = [WalkEvaluator(walk, GameSpec(GameKind(name))) for name in game_names]
     grid = StrategyGrid(31)
     rows = []
     for name, evaluator, surface in zip(
@@ -591,6 +587,19 @@ _RECIPE_RUNNERS = {
 }
 
 
+@contextmanager
+def _library_warnings():
+    """Print the warnings that the filters pass inside, pool threads' too, in
+    the style of the config's own: each distinct message once, in the order
+    first raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
 def run_recipe(config: ExperimentConfig) -> int:
     """Validate, run, and write outputs; cleans up partial output on failure."""
     errors, warns = validate(config)
@@ -613,7 +622,8 @@ def run_recipe(config: ExperimentConfig) -> int:
         return 1
     try:
         _dump_json(os.path.join(out, "resolved_config.json"), asdict(config))
-        status = _RECIPE_RUNNERS[config.recipe](config, out)
+        with _library_warnings():
+            status = _RECIPE_RUNNERS[config.recipe](config, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         if top is not None:
@@ -624,29 +634,17 @@ def run_recipe(config: ExperimentConfig) -> int:
     return status
 
 
+# command-line flag -> the config field it sets
+FLAGS = dict(recipe="recipe", seed="seed", out="out_dir", workers="workers", grid="grid_n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="qwgames",
-        description="Run quantum walk game experiments",
-    )
+    p = argparse.ArgumentParser(prog="qwgames", description="Run quantum walk game experiments")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--recipe", help="one of " + ", ".join(RECIPE_DEFAULTS))
-    p.add_argument("--seed")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--workers")
-    p.add_argument("--grid", help="strategy grid points per axis")
+    need = {f.name: f.metadata["need"] for f in fields(ExperimentConfig)}
+    for flag, name in FLAGS.items():
+        p.add_argument(f"--{flag}", help=f"sets {name}, which must be {need[name]}")
     return p
-
-
-def _flag_or_env(flag, name: str, cast):
-    """The --flag value, else the QWG_<name> environment value, cast; None if unset."""
-    raw, source = flag, f"--{name.lower()}"
-    if raw is None:
-        raw, source = os.environ.get(f"QWG_{name}"), f"QWG_{name}"
-    try:
-        return cast(raw) if raw is not None else None
-    except ValueError:
-        raise ConfigError(f"{source}: expected {cast.__name__}, got {raw!r}") from None
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -659,16 +657,15 @@ def config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config}: expected a JSON object, got {data!r}")
-    overrides = {
-        "recipe": args.recipe,
-        "seed": _flag_or_env(args.seed, "SEED", int),
-        "out_dir": _flag_or_env(args.out, "OUT", str),
-        "workers": _flag_or_env(args.workers, "WORKERS", int),
-        "grid_n": _flag_or_env(args.grid, "GRID", int),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    for flag, name in FLAGS.items():
+        raw = getattr(args, flag)
+        if raw is None:
+            continue
+        cast = type(getattr(ExperimentConfig, name))  # the type of the field's default
+        try:
+            data[name] = cast(raw)
+        except ValueError:
+            raise ConfigError(f"--{flag}: expected {cast.__name__}, got {raw!r}") from None
     return ExperimentConfig.from_dict(data)
 
 

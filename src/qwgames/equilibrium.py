@@ -379,16 +379,14 @@ def find_stationary(surface: PayoffSurface, evaluator) -> list[StationaryPoint]:
 
 
 def jacobian_at(point, evaluator, eta: float = 0.05) -> JacobianReport:
-    """Jacobian of the gradient dynamics at a strategy pair, from a 9-point
-    second-difference stencil, with eigenvalue stability classification.
+    """Jacobian of the gradient dynamics at the strategy pair
+    point = (theta_A, theta_B), from a 9-point second-difference stencil,
+    with eigenvalue stability classification.
 
     Points within JACOBIAN_H of the boundary fall back to one-sided stencils
     and carry a caveat flag.
     """
-    if isinstance(point, StationaryPoint):
-        ta, tb = point.theta_a, point.theta_b
-    else:
-        ta, tb = float(point[0]), float(point[1])
+    ta, tb = float(point[0]), float(point[1])
     (row_a, row_b), (offs_a, offs_b), (w1a, w1b) = _stencil(np.array([ta, tb]), JACOBIAN_H)
     w2 = _SECOND / JACOBIAN_H**2
     caveat = bool(row_a != 1 or row_b != 1)  # a one-sided stencil

@@ -240,7 +240,7 @@ def test_09_learning_stability(small_coupling):
         for p in points:
             if not p.interior:
                 continue
-            rep = jacobian_at(p, ev, eta=0.05)
+            rep = jacobian_at((p.theta_a, p.theta_b), ev, eta=0.05)
             if not rep.stable:
                 continue
             checked += 1

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwgames import cli
 from qwgames.cli import (
     COIN_CATALOG,
     ConfigError,
@@ -243,10 +246,10 @@ def test_exit_code_2_on_runtime_failure(tmp_path, capsys, out_dir, existing, cre
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args) -> subprocess.CompletedProcess:
-    """The command line in a fresh interpreter, whose stderr shows every
-    warning as a user sees it; QWG_* variables are left out."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("QWG_")}
+def run_cli(*args, **env) -> subprocess.CompletedProcess:
+    """The command line in a fresh interpreter, with `env` added to the
+    environment, whose stderr shows every warning as a user sees it."""
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
     cmd = [sys.executable, "-m", "qwgames.cli", *map(str, args)]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
@@ -275,7 +278,26 @@ def test_a_library_warning_reaches_stderr(tmp_path):
     ))
     run = run_cli("--config", cfg, "--recipe", "race", "--grid", "9", "--out", tmp_path / "out")
     assert run.returncode == 0, run.stderr
-    assert "81 best-response intersections, refining the first 64" in run.stderr
+    lines = run.stderr.splitlines()
+    assert "warning: 81 best-response intersections, refining the first 64" in lines
+    assert "UserWarning" not in run.stderr
+
+
+def test_library_warnings_print_once_in_the_order_first_raised(tmp_path, capsys, monkeypatch):
+    def runner(config, out):
+        warnings.warn("first")
+        with ThreadPoolExecutor(max_workers=2) as pool:  # as calibrate's --workers 2
+            list(pool.map(warnings.warn, ["pooled", "first", "pooled", "pooled"]))
+        warnings.warn("first")
+        warnings.warn("last")
+        return 0
+
+    monkeypatch.setitem(cli._RECIPE_RUNNERS, "race", runner)
+    assert run_recipe(_small_race(tmp_path / "out")) == 0
+    # this small race states no config warning of its own
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: first", "warning: pooled", "warning: last",
+    ]
 
 
 def test_malformed_payoff_table_exits_2_naming_the_file(tmp_path, capsys):
@@ -326,47 +348,42 @@ def test_main_rejects_missing_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content, field, env",
+    "content, field",
     [
-        ([1, 2], "JSON object", {}),
-        ({"recipe": "race", "steps": "20"}, "steps", {}),
-        ({"recipe": "race", "lattice_size": 15.0}, "lattice_size", {}),
-        ({"recipe": "race", "seed": True}, "seed", {}),
-        ({"recipe": "race", "refine": True}, "refine", {}),
-        ({"phi_sweep": 3}, "phi_sweep", {}),
-        ({"coin_a": [1, 0]}, "coin_a", {}),
-        ({"coin_a": "right"}, "coin_a", {}),
-        ({"out_dir": ""}, "out_dir", {}),
-        ({"recipe": "race"}, "QWG_SEED", {"QWG_SEED": "abc"}),
-        ({"ensemble": 0}, "ensemble", {}),
-        ({"recipe": "calibrate", "workers": -1}, "workers", {}),
-        ({"interaction_strength": "nan"}, "interaction_strength", {}),
-        ({"interaction_kind": "noisy_collision", "noise_sigma": -1}, "noise_sigma", {}),
-        ({"interaction_kind": "long_range", "range_exponent": 0}, "range_exponent", {}),
-        ({"interaction_kind": "long_range", "range_exponent": "2"}, "range_exponent", {}),
-        ({"game": "nope"}, "game", {}),
-        ({"interaction_kind": "noisy_collision", "noise_sigma": 0.3, "seed": -1}, "seed", {}),
-        ({"recipe": "perturbation", "base_theta_a": 5}, "base_theta_a", {}),
-        ({"recipe": "perturbation", "lambda_schedule": [0.1, 0.2]}, "lambda_schedule", {}),
-        ({"recipe": "tug_of_war", "hess_h": 1e-200}, "hess_h", {}),
-        ({"game": "custom_table"}, "game", {}),
-        ({"game": "custom_table", "table_a_path": 5, "table_b_path": "b.csv"}, "table_a_path", {}),
-        ({"interaction_strength": True}, "interaction_strength", {}),
+        ([1, 2], "JSON object"),
+        ({"recipe": "race", "steps": "20"}, "steps"),
+        ({"recipe": "race", "lattice_size": 15.0}, "lattice_size"),
+        ({"recipe": "race", "seed": True}, "seed"),
+        ({"recipe": "race", "refine": True}, "refine"),
+        ({"phi_sweep": 3}, "phi_sweep"),
+        ({"coin_a": [1, 0]}, "coin_a"),
+        ({"coin_a": "right"}, "coin_a"),
+        ({"out_dir": ""}, "out_dir"),
+        ({"ensemble": 0}, "ensemble"),
+        ({"recipe": "calibrate", "workers": -1}, "workers"),
+        ({"interaction_strength": "nan"}, "interaction_strength"),
+        ({"interaction_kind": "noisy_collision", "noise_sigma": -1}, "noise_sigma"),
+        ({"interaction_kind": "long_range", "range_exponent": 0}, "range_exponent"),
+        ({"interaction_kind": "long_range", "range_exponent": "2"}, "range_exponent"),
+        ({"game": "nope"}, "game"),
+        ({"interaction_kind": "noisy_collision", "noise_sigma": 0.3, "seed": -1}, "seed"),
+        ({"recipe": "perturbation", "base_theta_a": 5}, "base_theta_a"),
+        ({"recipe": "perturbation", "lambda_schedule": [0.1, 0.2]}, "lambda_schedule"),
+        ({"recipe": "tug_of_war", "hess_h": 1e-200}, "hess_h"),
+        ({"game": "custom_table"}, "game"),
+        ({"game": "custom_table", "table_a_path": 5, "table_b_path": "b.csv"}, "table_a_path"),
+        ({"interaction_strength": True}, "interaction_strength"),
     ],
     ids=[
         "top-level-list", "int-as-string", "int-as-float", "int-as-bool", "refine-removed",
-        "phi-sweep-number", "coin-flat-list", "coin-label", "empty-out-dir", "env-seed-text",
+        "phi-sweep-number", "coin-flat-list", "coin-label", "empty-out-dir",
         "ensemble-0", "workers-negative", "strength-nan", "noise-negative", "range-exponent-0",
         "range-exponent-string", "unknown-game", "seed-negative", "theta-outside",
         "lambda-increasing", "hess-h-removed", "custom-table-no-paths", "table-path-number",
         "strength-bool",
     ],
 )
-def test_main_rejects_malformed_config_with_exit_1(
-    tmp_path, capsys, monkeypatch, content, field, env
-):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_main_rejects_malformed_config_with_exit_1(tmp_path, capsys, content, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(content))
     out = tmp_path / "out"
@@ -455,23 +472,34 @@ def test_any_json_config_is_rejected_by_field_or_builds(data):
     evolve(walk, cfg.base_theta_a, cfg.base_theta_b)  # the perturbation base point
 
 
-def test_flag_value_that_does_not_parse_exits_1(tmp_path, capsys):
-    assert main(["--recipe", "race", "--seed", "abc", "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("config error: --seed:")
+@pytest.mark.parametrize("flag, value", [("seed", "abc"), ("workers", "abc"), ("grid", "1.5")])
+def test_flag_value_that_does_not_parse_exits_1(tmp_path, capsys, flag, value):
+    assert main(["--recipe", "race", f"--{flag}", value, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: --{flag}:")
     assert not (tmp_path / "out").exists()
 
 
-def test_env_defaults_fill_missing_flags(tmp_path, monkeypatch):
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("QWG_SEED", "9")
-    monkeypatch.setenv("QWG_OUT", str(out))
-    monkeypatch.setenv("QWG_GRID", "5")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"recipe": "race", "steps": 4, "lattice_size": 11}))
-    assert main(["--config", str(cfg_path)]) == 0
-    resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["seed"] == 9
-    assert resolved["grid_n"] == 5
+def test_each_flag_sets_its_config_field():
+    args = build_parser().parse_args(
+        ["--recipe", "learning", "--seed", "4", "--out", "o", "--workers", "2", "--grid", "9"]
+    )
+    cfg = config_from_args(args)
+    assert (cfg.recipe, cfg.seed, cfg.out_dir, cfg.workers, cfg.grid_n) == (
+        "learning", 4, "o", 2, 9,
+    )
+
+
+def test_environment_does_not_reach_the_config(tmp_path):
+    env, flag = tmp_path / "env", tmp_path / "flag"
+    run = run_cli(
+        "--recipe", "race", "--grid", "3", "--out", flag,
+        QWG_SEED="9", QWG_GRID="5", QWG_OUT=str(env),
+    )
+    assert run.returncode == 0, run.stderr
+    resolved = json.loads((flag / "resolved_config.json").read_text())
+    defaults = json.loads(json.dumps(asdict(ExperimentConfig.from_dict({"grid_n": 3}))))
+    assert resolved == {**defaults, "out_dir": str(flag)}
+    assert not env.exists()
 
 
 def test_coin_catalog_is_normalized():
