@@ -160,6 +160,16 @@ def recipe_defaults(recipe: str) -> dict:
     return {"steps": steps, "lattice_size": size, "interaction_strength": strength, "game": game}
 
 
+# the strategy grids of the learning and calibrate recipes, whatever grid_n is
+LEARNING_GRID = 31
+CALIBRATE_GRID = 31
+
+# fields the calibrate recipe sets itself for each walk it searches
+CALIBRATE_SETS = (
+    "steps", "lattice_size", "interaction_strength", "boundary", "coin_a", "coin_b",
+    "game", "grid_n",
+)
+
 # published calibration targets per game
 CALIBRATION_TARGETS = {
     "race": (PI / 2, 5 * PI / 6),
@@ -223,6 +233,13 @@ class ExperimentConfig:
             for key, value in recipe_defaults(cfg.recipe).items():
                 if key not in data:
                     setattr(cfg, key, value)
+        if cfg.recipe == "calibrate":
+            for key in data:
+                if key in CALIBRATE_SETS:
+                    raise ConfigError(
+                        f"{key}: the calibrate recipe sets this field for each walk it "
+                        "searches; leave it out"
+                    )
         return cfg
 
     # -- object construction ------------------------------------------------
@@ -263,10 +280,11 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
         errors.append("game: custom_table needs both table_a_path and table_b_path")
     if not errors:
         half = (config.lattice_size - 1) // 2
+        rules = "periodic and reflecting" if config.recipe == "calibrate" else config.boundary
         if config.steps >= half:
             warns.append(
                 f"boundary reachable: T = {config.steps} >= (L-1)/2 = {half}; "
-                f"results depend on the boundary rule ({config.boundary})"
+                f"results depend on the boundary rule ({rules})"
             )
         walk = config.walk_config()
         if walk.interaction.noisy and walk.ensemble == 1:
@@ -275,6 +293,11 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
             moved = getattr(config, name) != getattr(ExperimentConfig, name)  # off its default
             if moved and config.interaction_kind != kind:
                 warns.append(f"{name} is ignored: only interaction_kind {kind} uses it")
+        if config.recipe == "learning" and config.grid_n > LEARNING_GRID:
+            warns.append(
+                f"learning evaluates a {LEARNING_GRID}x{LEARNING_GRID} grid; "
+                f"grid_n = {config.grid_n} is capped"
+            )
     return errors, warns
 
 
@@ -469,7 +492,8 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
 
 
 def _run_learning(config: ExperimentConfig, out: str) -> int:
-    evaluator, grid, surface = _surface(replace(config, grid_n=min(config.grid_n, 31)))
+    grid_n = min(config.grid_n, LEARNING_GRID)
+    evaluator, grid, surface = _surface(replace(config, grid_n=grid_n))
     ga, gb = vector_field(evaluator, grid)
     _write_csv(
         os.path.join(out, "vector_field.csv"),
@@ -513,7 +537,7 @@ def _calibrate_walk(args) -> list:
     )
     walk = sub.walk_config()
     evaluators = [WalkEvaluator(walk, GameSpec(GameKind(name))) for name in game_names]
-    grid = StrategyGrid(31)
+    grid = StrategyGrid(CALIBRATE_GRID)
     rows = []
     for name, evaluator, surface in zip(
         game_names, evaluators, shared_surfaces(evaluators, grid)

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
+from . import interactions
 from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles
 from .games import GameSpec, payoffs
-from .hilbert import ValidationError, born, born_single, check_distributions
+from .hilbert import LatticeGeometry, ValidationError, born, born_single, check_distributions
+from .interactions import InteractionSpec
 
 PI = np.pi
 
@@ -139,12 +142,74 @@ def _ensemble_points(evaluators, thetas) -> list[tuple]:
         raise ValidationError("evaluators sharing an evolution must share one walk")
     thetas = np.asarray(thetas, dtype=float)
     geom = first.config.geometry
+    games = [ev.game for ev in evaluators]
     per_walk = []  # [realization][evaluator] -> (u_a, u_b, aux)
     for walk in first.realizations:
-        inert = walk.interaction.inert
-        probs = (product_distributions if inert else distributions)(walk, thetas)
-        per_walk.append([payoffs(probs, geom, ev.game) for ev in evaluators])
+        if walk.interaction.inert:
+            probs = product_distributions(walk, thetas)
+            per_walk.append([payoffs(probs, geom, game) for game in games])
+        else:
+            per_walk.append(_joint_points(walk, thetas, games))
     return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(evaluators))]
+
+
+@lru_cache(maxsize=64)
+def _symmetric_table(spec: InteractionSpec, geometry: LatticeGeometry) -> bool:
+    """Whether the phase table is unchanged by swapping the walkers,
+    (x_A, s_A) <-> (x_B, s_B)."""
+    table = interactions.phase_table(spec, geometry)
+    return bool(np.array_equal(table, table.transpose(2, 3, 0, 1)))
+
+
+def _mirrors(walk: WalkConfig, thetas: np.ndarray):
+    """The rows with theta_A > theta_B whose mirror (theta_B, theta_A) is in
+    the batch, and the row of each mirror; empty unless the walk is
+    exchange-symmetric.
+
+    With equal coins and a phase table symmetric under swapping the walkers
+    (the coupling is symmetric for every kind), P(theta_B, theta_A) is
+    P(theta_A, theta_B) transposed.  Only a mirror in the same batch is
+    reused, so every other row is evolved as given and keeps its bits."""
+    if (
+        thetas.ndim != 2 or thetas.shape[1] != 2 or walk.coin_a != walk.coin_b
+        or not _symmetric_table(walk.interaction, walk.geometry)
+    ):
+        return np.empty((2, 0), dtype=int)
+    rows = thetas.tolist()
+    lower = {(a, b): k for k, (a, b) in enumerate(rows) if a < b}
+    pairs = [(k, lower[b, a]) for k, (a, b) in enumerate(rows) if a > b and (b, a) in lower]
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
+
+
+def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
+    """(u_a, u_b, aux) of each game on the joint kernel.  A row with a mirror
+    in the batch is not evolved: its columns are reduced from the mirror's
+    transposed P, a view of the evolved stack."""
+    geom = walk.geometry
+    mirrored, partner = _mirrors(walk, thetas)
+    if not mirrored.size:
+        probs = distributions(walk, thetas)
+        return [payoffs(probs, geom, game) for game in games]
+    evolved = np.ones(len(thetas), dtype=bool)
+    evolved[mirrored] = False
+    probs = distributions(walk, thetas[evolved])
+    slot = (np.cumsum(evolved) - 1)[partner]  # each mirror's row in probs
+
+    def scatter(direct, swapped):
+        column = np.empty(len(thetas))
+        column[evolved], column[mirrored] = direct, swapped[slot]
+        return column
+
+    per_game = []
+    for game in games:
+        (u_a, u_b, aux), (s_a, s_b, s_aux) = (
+            payoffs(p, geom, game) for p in (probs, probs.transpose(0, 2, 1))
+        )
+        per_game.append((
+            scatter(u_a, s_a), scatter(u_b, s_b),
+            {key: scatter(aux[key], s_aux[key]) for key in aux},
+        ))
+    return per_game
 
 
 def _ensemble_mean(per_walk: list[tuple]) -> tuple:
@@ -168,7 +233,8 @@ class WalkEvaluator:
     same realizations serve every strategy pair, so finite differences see
     common random numbers.  A deterministic walk is its own one realization.
     A walk whose interaction is inert takes the product path,
-    `product_distributions`.
+    `product_distributions`; an exchange-symmetric one evolves a profile
+    once when its mirror is in the same batch (`_mirrors`).
     """
 
     def __init__(self, config: WalkConfig, game: GameSpec):

@@ -116,6 +116,60 @@ def test_validate_warns_on_a_field_the_interaction_does_not_use(field, value, ki
     assert unused_warnings({field: value, "interaction_kind": kind}) == []
 
 
+def test_validate_warns_when_learning_caps_the_grid():
+    def cap_warnings(data):
+        _, warns = validate(ExperimentConfig.from_dict({"steps": 4, **data}))
+        return [w for w in warns if "capped" in w]
+
+    assert cap_warnings({"recipe": "learning", "grid_n": 31}) == []
+    assert cap_warnings({"recipe": "learning", "grid_n": 61}) == [
+        "learning evaluates a 31x31 grid; grid_n = 61 is capped"
+    ]
+    assert cap_warnings({"recipe": "race", "grid_n": 61}) == []  # race reads every grid_n
+
+
+def test_learning_states_its_grid_cap_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._RECIPE_RUNNERS, "learning", lambda config, out: 0)
+    assert main(["--recipe", "learning", "--grid", "61", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.count("grid_n = 61 is capped") == 1
+
+
+# the fields the calibrate recipe sets for each walk it searches
+CALIBRATE_SETS = [
+    "steps", "lattice_size", "interaction_strength", "boundary", "coin_a", "coin_b",
+    "game", "grid_n",
+]
+
+
+@pytest.mark.parametrize("name", CALIBRATE_SETS)
+def test_calibrate_rejects_a_field_it_sets_itself(tmp_path, capsys, name):
+    # even the default value: calibrate would not run with it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"recipe": "calibrate", name: _DEFAULTS[name]}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {name}: ")
+    assert not out.exists()
+
+
+def test_calibrate_rejects_the_grid_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--recipe", "calibrate", "--grid", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: grid_n: ")
+    assert not out.exists()
+
+
+def test_calibrate_takes_the_fields_it_reads_and_resolves_every_field():
+    data = {"recipe": "calibrate", "interaction_kind": "long_range", "seed": 2, "ensemble": 2}
+    cfg = ExperimentConfig.from_dict(data)
+    errors, warns = validate(cfg)
+    assert errors == []
+    # calibrate searches both boundary rules, so its warning names both
+    assert any("(periodic and reflecting)" in w for w in warns)
+    # resolved_config.json keeps every field, the ones calibrate sets too
+    assert list(asdict(cfg)) == FIELD_NAMES
+
+
 def _small_race(out_dir, **extra):
     data = {
         "recipe": "race",
@@ -424,6 +478,7 @@ _CONTEXTS = [
     {"interaction_kind": "noisy_collision", "noise_sigma": 0.3},
     {"game": "custom_table", "table_a_path": "a.csv", "table_b_path": "b.csv"},
     {"recipe": "perturbation"},
+    {"recipe": "calibrate"},
 ]
 
 

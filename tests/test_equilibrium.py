@@ -27,10 +27,19 @@ from qwgames.equilibrium import (
     surface_from_evaluator,
     vector_field,
 )
+import qwgames.dynamics as dynamics
 import qwgames.equilibrium as equilibrium
+import qwgames.interactions as interactions
 from qwgames.dynamics import WalkConfig, chunk_profiles, evolve
 from qwgames.games import GameKind, GameSpec, payoff, payoffs
-from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError, measure_joint
+from qwgames.hilbert import (
+    LEFT,
+    RIGHT,
+    Boundary,
+    LatticeGeometry,
+    ValidationError,
+    measure_joint,
+)
 from qwgames.interactions import InteractionKind, InteractionSpec
 
 A_STAR, B_STAR = 1.5, 1.2
@@ -354,6 +363,122 @@ def test_shared_surfaces_need_one_walk():
     ]
     with pytest.raises(ValidationError, match="share one walk"):
         shared_surfaces(evaluators, StrategyGrid(3))
+
+
+# initial coins of the exchange tests: equal coins make every kind symmetric
+COINS = {"right": (1, 0), "symmetric": (1 / np.sqrt(2), 1j / np.sqrt(2))}
+ALL_KINDS = [InteractionSpec(k, 1.0) for k in InteractionKind]
+# tables with no symmetry of their own, reduced on the mirrored P as given
+RANDOM_TABLES = GameSpec(GameKind.CUSTOM_TABLE, *np.random.default_rng(4).random((2, 11, 11)))
+
+
+def assert_columns(got, want, atol=None):
+    """(u_a, u_b, aux) columns equal bit for bit, or within atol."""
+    assert got[2].keys() == want[2].keys()
+    for g, w in zip([*got[:2], *got[2].values()], [*want[:2], *want[2].values()]):
+        if atol is None:
+            assert_same_bits(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("coin", list(COINS))
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize(
+    "spec, ensemble",
+    [(spec, 1) for spec in ALL_KINDS]
+    + [(InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5), 2)],
+    ids=[spec.kind.value for spec in ALL_KINDS] + ["noisy_collision-ensemble-2"],
+)
+def test_equal_coins_evolve_each_mirrored_pair_once(spec, ensemble, boundary, coin, monkeypatch):
+    # T = 6 reaches the edges of L = 11, so the boundary rule matters
+    c = COINS[coin]
+    config = WalkConfig(LatticeGeometry(11, boundary), 6, c, c, spec, seed=2, ensemble=ensemble)
+    grid = StrategyGrid(9)
+    sizes = count_evolved_profiles(monkeypatch)
+    for game in [*THREE_GAMES, RANDOM_TABLES]:
+        ev = WalkEvaluator(config, game)
+        want = joint_points(ev.realizations, grid.profiles, game)
+        sizes.clear()
+        assert_columns(ev.points(grid.profiles), want, atol=1e-14)
+        # the diagonal and the upper triangle, once per noise realization
+        assert sum(sizes) == (0 if spec.inert else 45 * len(ev.realizations))
+
+
+def test_unequal_coins_evolve_every_profile(monkeypatch):
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    config = WalkConfig(LatticeGeometry(11), 6, *RIGHT_SYMMETRIC, spec)
+    thetas = StrategyGrid(9).profiles
+    sizes = count_evolved_profiles(monkeypatch)
+    for game in THREE_GAMES:
+        want = joint_points([config], thetas, game)
+        sizes.clear()
+        assert_columns(WalkEvaluator(config, game).points(thetas), want)
+        assert sum(sizes) == 81
+
+
+def test_a_batch_without_mirrors_keeps_its_bits(monkeypatch):
+    # a golden-section probe column: theta_B fixed, theta_A on both sides of
+    # it and on the diagonal, and no profile's mirror in the batch
+    config = WalkConfig(
+        LatticeGeometry(11), 6, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    )
+    thetas = np.column_stack([np.linspace(0.2, 2.9, 12), np.full(12, 1.4)])
+    thetas[5, 0] = 1.4
+    sizes = count_evolved_profiles(monkeypatch)
+    for game in THREE_GAMES:
+        want = joint_points([config], thetas, game)
+        sizes.clear()
+        assert_columns(WalkEvaluator(config, game).points(thetas), want)
+        assert sum(sizes) == 12
+
+
+@pytest.fixture
+def fresh_phase_caches():
+    """Phase tables computed afresh inside the test and forgotten after it."""
+    caches = [equilibrium._symmetric_table, dynamics._phase_support]
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_an_asymmetric_phase_table_takes_the_full_kernel(monkeypatch, fresh_phase_caches):
+    # a collision phase on coin channel (s_A, s_B) = (R, L) only: swapping the
+    # walkers moves it to (L, R), so P(theta_B, theta_A) is no transpose of
+    # P(theta_A, theta_B)
+    def one_channel(spec, geometry):
+        table = np.zeros((geometry.size, 2, geometry.size, 2))
+        sites = np.arange(geometry.size)
+        table[sites, RIGHT, sites, LEFT] = 1.0
+        return table
+
+    monkeypatch.setattr(interactions, "phase_table", one_channel)
+    config = WalkConfig(
+        LatticeGeometry(11), 6, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    )
+    grid = StrategyGrid(9)
+    game = GameSpec(GameKind.RACE)
+    sizes = count_evolved_profiles(monkeypatch)
+    want = joint_points([config], grid.profiles, game)
+    sizes.clear()
+    got = WalkEvaluator(config, game).points(grid.profiles)
+    assert sum(sizes) == 81
+    assert_columns(got, want)
+    # the mirror would be wrong here: the race's u_A is not antisymmetric
+    u_a = want[0].reshape(9, 9)
+    assert np.max(np.abs(u_a + u_a.T)) > 1e-3
+
+
+def test_race_sweep_evolves_the_upper_triangle(monkeypatch):
+    # the race recipe's 61 x 61 surface at its default walk
+    config = WalkConfig(
+        LatticeGeometry(15), 20, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    )
+    sizes = count_evolved_profiles(monkeypatch)
+    surface_from_evaluator(WalkEvaluator(config, GameSpec(GameKind.RACE)), StrategyGrid(61))
+    assert sum(sizes) == 61 * 62 // 2 == 1891
 
 
 def test_function_evaluator_points_are_two_columns_and_no_aux():
