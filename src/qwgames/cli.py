@@ -152,17 +152,22 @@ RECIPE_DEFAULTS = {
 }
 
 
-def recipe_defaults(recipe: str) -> dict:
-    """The fields a recipe sets where its config does not: the walk of
-    RECIPE_DEFAULTS, and the game the recipe is named after, else the race."""
-    steps, size, strength = RECIPE_DEFAULTS[recipe]
-    game = recipe if recipe in [g.value for g in GameKind] else GameKind.RACE.value
-    return {"steps": steps, "lattice_size": size, "interaction_strength": strength, "game": game}
-
-
 # the strategy grids of the learning and calibrate recipes, whatever grid_n is
 LEARNING_GRID = 31
 CALIBRATE_GRID = 31
+
+
+def recipe_defaults(recipe: str) -> dict:
+    """The fields a recipe sets where its config does not: the walk of
+    RECIPE_DEFAULTS, the game the recipe is named after, else the race, and
+    for learning the grid it evaluates."""
+    steps, size, strength = RECIPE_DEFAULTS[recipe]
+    game = recipe if recipe in [g.value for g in GameKind] else GameKind.RACE.value
+    defaults = {"steps": steps, "lattice_size": size, "interaction_strength": strength, "game": game}
+    if recipe == "learning":
+        defaults["grid_n"] = LEARNING_GRID
+    return defaults
+
 
 # fields the calibrate recipe sets itself for each walk it searches
 CALIBRATE_SETS = (

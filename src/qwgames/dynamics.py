@@ -9,8 +9,14 @@ applied without ever materializing the 4L^2 x 4L^2 matrix.  One kernel,
 walk as (B, 4, L^2) with channel c = 2 s_A + s_B, a single walker as
 (B, 2, L) with channel s.  The coin rotations are one real batched C x C
 matmul, the shift is one precomputed gather, and the joint walk's phase
-touches only the channel-plane sites where its table is nonzero.  Callers
-see the (L, 2, L, 2) and (L, 2) layouts of `hilbert`.
+touches only the channel-plane sites where its table is nonzero.
+
+A coined walker moves at most one site per step, so the walks that start at
+x = 0 are evolved only on the W = 2r + 1 sites around it that T steps can
+reach, r = min(T, (L - 1) / 2) (`reach`).  No wrap or reflection at the
+window's edge ever reads a nonzero amplitude, so the window changes no bit
+of the result; from T = (L - 1) / 2 on it is the whole lattice.  Callers see
+the (W, 2, W, 2) and (L, 2) layouts of `hilbert`.
 """
 
 from __future__ import annotations
@@ -75,9 +81,24 @@ def coin_matrix(theta) -> np.ndarray:
     return np.stack([c, -s, s, c], -1).reshape(*theta.shape, 2, 2)
 
 
-def chunk_profiles(geometry: LatticeGeometry) -> int:
-    """Profiles per cache-sized chunk of a batched evolution."""
-    return max(1, CHUNK_AMPLITUDES // (4 * geometry.size**2))
+def reach(geometry: LatticeGeometry, steps: int) -> slice:
+    """Array offsets half - r ... half + r of the sites a walker started at
+    x = 0 can occupy after steps steps, r = min(steps, (L - 1) / 2)."""
+    r = min(steps, geometry.half)
+    return slice(geometry.half - r, geometry.half + r + 1)
+
+
+def _box(geometry: LatticeGeometry, steps: int) -> LatticeGeometry:
+    """The W-site lattice of the `reach` window, with geometry's boundary."""
+    window = reach(geometry, steps)
+    return LatticeGeometry(window.stop - window.start, geometry.boundary)
+
+
+def chunk_profiles(geometry: LatticeGeometry, steps: int) -> int:
+    """Profiles per cache-sized chunk of a batched evolution of steps steps,
+    which evolves 4 W^2 amplitudes per profile."""
+    window = reach(geometry, steps)
+    return max(1, CHUNK_AMPLITUDES // (4 * (window.stop - window.start) ** 2))
 
 
 # -- channel-major kernel ----------------------------------------------------
@@ -139,15 +160,20 @@ def _cover(idx: np.ndarray) -> slice:
 
 
 @lru_cache(maxsize=64)
-def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry):
-    """Strided (channel, site) slices of the (4, L^2) channel-major layout
-    that cover the nonzero entries of the phase table, and the table there.
+def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, width: int):
+    """Strided (channel, site) slices of the (4, W^2) channel-major layout of
+    the central W = width sites that cover the nonzero entries of the phase
+    table, and the table there.
 
-    Off the support every phase factor is exactly 1, so skipping it changes
-    no bit.  The diagonal tables give the stride-(L+1) diagonal of each
-    channel plane (coin-dependent: channels ::3); long range covers all.
+    The table is the lattice's own, cut to those sites: a long-range table
+    depends on L through the minimal image.  Off the support every phase
+    factor is exactly 1, so skipping it changes no bit.  The diagonal tables
+    give the stride-(W+1) diagonal of each channel plane (coin-dependent:
+    channels ::3); long range covers all.
     """
-    table = interactions.phase_table(spec, geometry).transpose(1, 3, 0, 2).reshape(4, -1)
+    cut = reach(geometry, (width - 1) // 2)
+    table = interactions.phase_table(spec, geometry)[cut, :, cut]
+    table = table.transpose(1, 3, 0, 2).reshape(4, -1)
     channels = _cover(np.flatnonzero(table.any(axis=1)))
     sites = _cover(np.flatnonzero(table.any(axis=0)))
     values = table[channels, sites]
@@ -155,10 +181,11 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry):
     return (slice(None), channels, sites), values
 
 
-def _phase(config: WalkConfig, thetas: np.ndarray):
-    """The interaction phase of a joint walk for `_steps`: the support index,
-    the table on it, exp(i * coupling * table) on it per profile (None when
-    that is a no-op) and the noise jitter of each step.
+def _phase(config: WalkConfig, thetas: np.ndarray, width: int):
+    """The interaction phase of a joint walk on the central W = width sites,
+    for `_steps`: the support index, the table on it, exp(i * coupling *
+    table) on it per profile (None when that is a no-op) and the noise
+    jitter of each step.
 
     A noisy walk draws one jitter eta_t per step, uniform on [-sigma, sigma],
     from a generator seeded with config.seed.  The jitter multiplies the
@@ -166,7 +193,7 @@ def _phase(config: WalkConfig, thetas: np.ndarray):
     whole state: a spatially uniform phase would drop out of every observable.
     """
     spec, geom, steps = config.interaction, config.geometry, config.steps
-    index, values = _phase_support(spec, geom)
+    index, values = _phase_support(spec, geom, width)
     etas = np.zeros(steps)
     if spec.noisy:
         rng = np.random.default_rng(config.seed)
@@ -211,7 +238,8 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
-    amplitudes as a (B, L, 2, L, 2) view of the (B, 4, L^2) kernel buffer.
+    amplitudes on the `reach` window, off which the walk's are zero, as a
+    (B, W, 2, W, 2) view of the (B, 4, W^2) kernel buffer.
     A noisy walk runs the one realization config.seed, whose per-step draws
     are shared across the batch (common random numbers), so a batched sweep
     is bit-identical to per-profile evolve calls.  The whole batch is one
@@ -220,30 +248,37 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     thetas = _angles(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
         raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    geom = config.geometry
-    start = make_initial_state(geom, config.coin_a, config.coin_b)
-    amps = np.empty((len(thetas), 4, geom.size**2), dtype=complex)
+    box = _box(config.geometry, config.steps)
+    start = make_initial_state(box, config.coin_a, config.coin_b)
+    W = box.size
+    amps = np.empty((len(thetas), 4, W**2), dtype=complex)
     amps[:] = start.transpose(1, 3, 0, 2).reshape(4, -1)  # channel-major
-    perm = _shift_permutation(geom.size, geom.boundary)
-    _steps(amps, _coin_krons(thetas), perm, config.steps, _phase(config, thetas))
-    return _joint_view(amps, geom.size)
+    perm = _shift_permutation(W, box.boundary)
+    _steps(amps, _coin_krons(thetas), perm, config.steps, _phase(config, thetas, W))
+    return _joint_view(amps, W)
 
 
 def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
     """(L, 2, L, 2) amplitudes after T steps from the standard initial state
     under one strategy pair; deterministic in config.seed."""
-    return evolve_batch(config, [[theta_a, theta_b]])[0]
+    L, window = config.geometry.size, reach(config.geometry, config.steps)
+    amps = np.zeros((L, 2, L, 2), dtype=complex)
+    amps[window, :, window] = evolve_batch(config, [[theta_a, theta_b]])[0]
+    return amps
 
 
 def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
     """Final (B, L, 2) amplitudes of B non-interacting single walkers, one per
     angle in thetas, with the coin/shift conventions of the joint walk: the
-    `_steps` kernel on a (B, 2, L) buffer, returned as a view of it."""
+    `_steps` kernel on a (B, 2, W) buffer of the `reach` window."""
     thetas = _angles(thetas).reshape(-1)
-    amps = np.empty((len(thetas), 2, geometry.size), dtype=complex)
-    amps[:] = make_single_state(geometry, coin).T
-    _steps(amps, coin_matrix(thetas), _walker_shift(geometry.size, geometry.boundary), steps)
-    return amps.transpose(0, 2, 1)
+    box = _box(geometry, steps)
+    amps = np.empty((len(thetas), 2, box.size), dtype=complex)
+    amps[:] = make_single_state(box, coin).T
+    _steps(amps, coin_matrix(thetas), _walker_shift(box.size, box.boundary), steps)
+    out = np.zeros((len(thetas), geometry.size, 2), dtype=complex)
+    out[:, reach(geometry, steps)] = amps.transpose(0, 2, 1)
+    return out
 
 
 def evolve_single(geometry: LatticeGeometry, steps: int, theta: float, coin) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import interactions
-from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles
+from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles, reach
 from .games import GameSpec, payoffs
 from .hilbert import LatticeGeometry, ValidationError, born, born_single, check_distributions
 from .interactions import InteractionSpec
@@ -104,13 +104,17 @@ class LearnResult:
 def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """P(x_A, x_B) per profile of one noise realization, shape (B, L, L).
     Each cache-sized chunk is reduced and validated as soon as it is evolved,
-    so the amplitudes of the whole batch never exist at once."""
+    so the amplitudes of the whole batch never exist at once; P is zero off
+    the square of sites the walkers can reach."""
     geom = walk.geometry
-    size = chunk_profiles(geom)
+    window = reach(geom, walk.steps)
+    size = chunk_profiles(geom, walk.steps)
     probs = np.empty((len(thetas), geom.size, geom.size))
+    if window.stop - window.start < geom.size:
+        probs.fill(0.0)  # the window leaves the rest of the lattice unwritten
     for lo in range(0, len(thetas), size):
         block = probs[lo : lo + size]
-        block[:] = born(evolve_batch(walk, thetas[lo : lo + size]))
+        block[:, window, window] = born(evolve_batch(walk, thetas[lo : lo + size]))
         check_distributions(block)
     return probs
 

@@ -134,6 +134,17 @@ def test_learning_states_its_grid_cap_once(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("grid_n = 61 is capped") == 1
 
 
+def test_learning_defaults_to_the_grid_it_evaluates(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._RECIPE_RUNNERS, "learning", lambda config, out: 0)
+    out = tmp_path / "out"
+    assert main(["--recipe", "learning", "--out", str(out)]) == 0
+    assert "is capped" not in capsys.readouterr().err
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["grid_n"] == cli.LEARNING_GRID == 31
+    # every other recipe keeps the field's own default
+    assert ExperimentConfig.from_dict({"recipe": "race"}).grid_n == 61
+
+
 # the fields the calibrate recipe sets for each walk it searches
 CALIBRATE_SETS = [
     "steps", "lattice_size", "interaction_strength", "boundary", "coin_a", "coin_b",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dense_interaction,
     dense_joint_step,
     dense_single_step,
     random_joint_state,
@@ -27,11 +28,14 @@ from qwgames.dynamics import (
     evolve_batch,
     evolve_single,
     evolve_singles,
+    reach,
 )
+from qwgames.equilibrium import distributions
 from qwgames.hilbert import (
     Boundary,
     LatticeGeometry,
     ValidationError,
+    born,
     born_single,
     make_initial_state,
     measure_joint,
@@ -40,6 +44,7 @@ from qwgames.hilbert import (
 from qwgames.interactions import InteractionKind, InteractionSpec
 
 GEOM5 = LatticeGeometry(5)
+SYMMETRIC = (1 / np.sqrt(2), 1j / np.sqrt(2))
 
 DETERMINISTIC_KINDS = [
     InteractionKind.NONE,
@@ -55,7 +60,7 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
     geom = config.geometry
     thetas = np.array([[theta_a, theta_b]])
-    index, values, factors, _ = _phase(config, thetas)
+    index, values, factors, _ = _phase(config, thetas, geom.size)
     phase = index, values, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
     perm = _shift_permutation(geom.size, geom.boundary)
@@ -294,7 +299,7 @@ def test_batch_matches_individual_evolutions():
 @pytest.mark.parametrize("kind", list(InteractionKind))
 def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     geom = LatticeGeometry(31, boundary)
-    size = chunk_profiles(geom)
+    size = chunk_profiles(geom, 6)
     # one unchunked batch wider than two of `distributions`' chunks: its rows
     # do not depend on the batch they run in, so chunking changes no bit
     n = 2 * size + size // 2 + 1
@@ -304,8 +309,68 @@ def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     thetas = np.random.default_rng(7).uniform(0, np.pi, size=(n, 2))
     thetas[0] = (0.0, np.pi)
     batch = evolve_batch(config, thetas)
+    window = reach(geom, 6)
     for k, (ta, tb) in enumerate(thetas):
-        assert np.array_equal(batch[k], evolve(config, ta, tb)), k
+        assert np.array_equal(batch[k], evolve(config, ta, tb)[window, :, window]), k
+
+
+def test_reach_is_the_light_cone_within_the_lattice():
+    geom = LatticeGeometry(31, Boundary.REFLECTING)
+    assert reach(geom, 1) == slice(14, 17)
+    assert reach(geom, 10) == slice(5, 26)
+    assert reach(geom, 15) == reach(geom, 40) == slice(0, 31)
+    config = WalkConfig(geom, 10, (1, 0), SYMMETRIC)
+    assert evolve_batch(config, [[1.0, 2.0]] * 3).shape == (3, 21, 2, 21, 2)
+    assert evolve_singles(geom, 10, [1.0, 2.0], SYMMETRIC).shape == (2, 31, 2)
+
+
+def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
+    """P per profile from `_steps` on the whole lattice, run as `kernel_steps`
+    runs it, with the walk's own noise draws."""
+    geom = config.geometry
+    psi = make_initial_state(geom, config.coin_a, config.coin_b)
+    etas = _phase(config, np.asarray(thetas), geom.size)[3]
+    return np.stack([born(kernel_steps(config, ta, tb, etas, psi)) for ta, tb in thetas])
+
+
+COIN_PAIRS = {
+    "right-right": ((1, 0), (1, 0)),
+    "symmetric-symmetric": (SYMMETRIC, SYMMETRIC),
+    "right-symmetric": ((1, 0), SYMMETRIC),
+}
+
+
+# on L = 15: T below (L-1)/2 - 1, one step short of (L-1)/2, at it and past it
+@pytest.mark.parametrize("steps", [3, 6, 7, 9])
+@pytest.mark.parametrize("coins", COIN_PAIRS.values(), ids=list(COIN_PAIRS))
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
+def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, steps):
+    # the window's edges never read a nonzero amplitude, so neither a wrap
+    # nor a reflection there changes a bit of P
+    geom = LatticeGeometry(15, boundary)
+    spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
+    config = WalkConfig(geom, steps, *coins, spec, seed=5)
+    thetas = np.array([[0.0, np.pi], [1.1, 2.3], [2.9, 0.4], [np.pi / 2, np.pi / 2]])
+    got = distributions(config, thetas)
+    assert got.tobytes() == full_lattice_distributions(config, thetas).tobytes()
+
+
+def test_long_range_window_keeps_the_lattice_minimal_image():
+    # T = 6 evolves the central 13 of L = 21 sites.  Walkers 12 sites apart
+    # are 9 apart on the ring of 21, and would be 1 apart on a ring of 13
+    geom = LatticeGeometry(21)
+    spec = InteractionSpec(InteractionKind.LONG_RANGE, 1.3, range_exponent=1.5)
+    config = WalkConfig(geom, 6, (1, 0), SYMMETRIC, spec)
+    ta, tb = 1.1, 2.3
+    u0 = np.kron(dense_single_step(geom, ta), dense_single_step(geom, tb))
+    phases = np.diagonal(dense_interaction(spec, geom, ta, tb))
+    psi = make_initial_state(geom, (1, 0), SYMMETRIC).reshape(-1)
+    for _ in range(config.steps):
+        psi = phases * (u0 @ psi)
+    got = evolve(config, ta, tb)
+    assert reach(geom, config.steps) == slice(4, 17)
+    np.testing.assert_allclose(got, psi.reshape(21, 2, 21, 2), atol=1e-12)
 
 
 def test_batch_rejects_bad_shapes_and_angles():

@@ -30,7 +30,7 @@ from qwgames.equilibrium import (
 import qwgames.dynamics as dynamics
 import qwgames.equilibrium as equilibrium
 import qwgames.interactions as interactions
-from qwgames.dynamics import WalkConfig, chunk_profiles, evolve
+from qwgames.dynamics import WalkConfig, chunk_profiles, evolve, reach
 from qwgames.games import GameKind, GameSpec, payoff, payoffs
 from qwgames.hilbert import (
     LEFT,
@@ -201,7 +201,7 @@ def test_distribution_rows_are_measure_joint_of_evolve():
     geom = LatticeGeometry(31, Boundary.REFLECTING)
     spec = InteractionSpec(InteractionKind.COIN_DEPENDENT, 1.3)
     config = WalkConfig(geom, 6, (1, 0), (0.6, 0.8j), spec)
-    n = chunk_profiles(geom) + 3  # a full chunk and a partial one
+    n = chunk_profiles(geom, 6) + 3  # a full chunk and a partial one
     thetas = np.random.default_rng(2).uniform(0, np.pi, size=(n, 2))
     probs = distributions(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
@@ -287,6 +287,24 @@ def count_evolved_profiles(monkeypatch) -> list:
     evolve_batch = equilibrium.evolve_batch
     monkeypatch.setattr(equilibrium, "evolve_batch", counted)
     return sizes
+
+
+def test_distributions_chunk_by_the_reach_window(monkeypatch):
+    # T = 10 on L = 31 evolves the central 21 x 21 sites: 4 * 441 amplitudes
+    # a profile, 9 profiles to a chunk; from T = 15 on, the whole lattice
+    geom = LatticeGeometry(31)
+    assert chunk_profiles(geom, 10) == 9
+    assert chunk_profiles(geom, 15) == chunk_profiles(geom, 40) == 4
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0)
+    config = WalkConfig(geom, 10, interaction=spec)
+    sizes = count_evolved_profiles(monkeypatch)
+    probs = distributions(config, np.random.default_rng(3).uniform(0, np.pi, (20, 2)))
+    assert sizes == [9, 9, 2]
+    assert probs.shape == (20, 31, 31)
+    window = reach(geom, 10)
+    assert probs[:, window, window].any(axis=(1, 2)).all()
+    probs[:, window, window] = 0.0
+    assert not probs.any()  # P is zero off the window
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
@@ -516,7 +534,7 @@ def test_walk_evaluator_points_are_bitwise_per_profile_payoffs(kind):
     game = GameSpec(kind, *tables)
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 2.0)
     config = WalkConfig(geom, 8, (1, 0), (0.6, 0.8j), spec)
-    thetas = rng.uniform(0, np.pi, size=(2 * chunk_profiles(geom) + 3, 2))
+    thetas = rng.uniform(0, np.pi, size=(2 * chunk_profiles(geom, 8) + 3, 2))
     u_a, u_b, aux = WalkEvaluator(config, game).points(thetas)
     x = geom.positions.astype(float)
     for k, (ta, tb) in enumerate(thetas):
