@@ -286,9 +286,9 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     if not errors:
         half = (config.lattice_size - 1) // 2
         rules = "periodic and reflecting" if config.recipe == "calibrate" else config.boundary
-        if config.steps >= half:
+        if config.steps > half:
             warns.append(
-                f"boundary reachable: T = {config.steps} >= (L-1)/2 = {half}; "
+                f"boundary reachable: T = {config.steps} > (L-1)/2 = {half}; "
                 f"results depend on the boundary rule ({rules})"
             )
         walk = config.walk_config()

@@ -11,12 +11,15 @@ walk as (B, 4, L^2) with channel c = 2 s_A + s_B, a single walker as
 matmul, the shift is one precomputed gather, and the joint walk's phase
 touches only the channel-plane sites where its table is nonzero.
 
-A coined walker moves at most one site per step, so the walks that start at
-x = 0 are evolved only on the W = 2r + 1 sites around it that T steps can
-reach, r = min(T, (L - 1) / 2) (`reach`).  No wrap or reflection at the
-window's edge ever reads a nonzero amplitude, so the window changes no bit
-of the result; from T = (L - 1) / 2 on it is the whole lattice.  Callers see
-the (W, 2, W, 2) and (L, 2) layouts of `hilbert`.
+A walker that starts at x = 0 occupies after t steps only the t + 1 sites
+of parity t, x = 2j - t with j = 0 ... t.  While T <= (L - 1) / 2 the walk
+never meets the lattice edge, and the kernel evolves it in the coordinate
+j = (x + t) / 2 on the T + 1 sites of this light cone (`reach`): there |R>
+moves j -> j + 1, |L> stays at j, and every phase table, which depends only
+on x_A - x_B = 2 (j_A - j_B), is the same at every step.  The cone's shift
+wraps mod T + 1, but the wrap never reads a nonzero amplitude, so the cone
+changes no bit of the result.  Longer walks run on the whole lattice with
+its boundary.  Callers see the (n, 2, n, 2) and (L, 2) layouts of `hilbert`.
 """
 
 from __future__ import annotations
@@ -33,15 +36,15 @@ from .hilbert import (
     Boundary,
     LatticeGeometry,
     ValidationError,
-    make_initial_state,
-    make_single_state,
+    coin_vector,
 )
 from .interactions import InteractionKind, InteractionSpec
 
-# amplitudes evolved together.  `_steps` keeps two complex128 buffers of a
-# chunk (amps and coined), 32 B per amplitude: 512 KiB here, a quarter of a
-# 2 MB per-core L2, which leaves room for the gather indices and BLAS's own
-# buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
+# amplitudes evolved together, 4 n^2 a profile on n sites per walker
+# (`chunk_profiles`).  `_steps` keeps two complex128 buffers of a chunk (amps
+# and coined), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB per-core
+# L2, which leaves room for the gather indices and BLAS's own buffers.  Of
+# 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
 CHUNK_AMPLITUDES = 16_384
 
 
@@ -82,23 +85,29 @@ def coin_matrix(theta) -> np.ndarray:
 
 
 def reach(geometry: LatticeGeometry, steps: int) -> slice:
-    """Array offsets half - r ... half + r of the sites a walker started at
-    x = 0 can occupy after steps steps, r = min(steps, (L - 1) / 2)."""
-    r = min(steps, geometry.half)
-    return slice(geometry.half - r, geometry.half + r + 1)
+    """Array offsets of the sites a walker started at x = 0 can occupy after
+    T = steps steps: the T + 1 sites of parity T, every second offset of
+    half - T ... half + T, while T <= (L - 1) / 2; else the whole lattice."""
+    if steps > geometry.half:
+        return slice(0, geometry.size)
+    return slice(geometry.half - steps, geometry.half + steps + 1, 2)
 
 
-def _box(geometry: LatticeGeometry, steps: int) -> LatticeGeometry:
-    """The W-site lattice of the `reach` window, with geometry's boundary."""
-    window = reach(geometry, steps)
-    return LatticeGeometry(window.stop - window.start, geometry.boundary)
+def _lattice(geometry: LatticeGeometry, steps: int) -> tuple[int, int, Boundary | None]:
+    """Sites per walker, offset of the start site and shift rule of the
+    lattice `_steps` evolves a walk of T = steps steps on: the T + 1 sites
+    j = (x + t) / 2 of the light cone, started at j = 0 (rule None), while
+    T <= (L - 1) / 2; else the whole lattice and its boundary."""
+    if steps > geometry.half:
+        return geometry.size, geometry.half, geometry.boundary
+    return steps + 1, 0, None
 
 
 def chunk_profiles(geometry: LatticeGeometry, steps: int) -> int:
     """Profiles per cache-sized chunk of a batched evolution of steps steps,
-    which evolves 4 W^2 amplitudes per profile."""
-    window = reach(geometry, steps)
-    return max(1, CHUNK_AMPLITUDES // (4 * (window.stop - window.start) ** 2))
+    which evolves 4 n^2 amplitudes per profile on n sites per walker."""
+    n = _lattice(geometry, steps)[0]
+    return max(1, CHUNK_AMPLITUDES // (4 * n * n))
 
 
 # -- channel-major kernel ----------------------------------------------------
@@ -117,25 +126,27 @@ def _coin_krons(thetas: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _walker_shift(L: int, boundary: Boundary) -> np.ndarray:
+def _walker_shift(L: int, boundary: Boundary | None) -> np.ndarray:
     """Flat gather indices of one walker's conditional shift on the (2, L)
-    channel-major layout: |R> arrives from x - 1, |L> from x + 1."""
+    channel-major layout: |R> arrives from x - 1, |L> from x + 1.  Rule None
+    is the light cone's, on the sites j = (x + t) / 2: |R> arrives from
+    j - 1 and |L> stays at j, wrapped mod L."""
     x = np.arange(L)
-    src_x = np.stack([x - 1, x + 1])  # (s, x)
+    src_x = np.stack([x - 1, x if boundary is None else x + 1])  # (s, x)
     src_s = np.repeat([[RIGHT], [LEFT]], L, axis=1)
-    if boundary is Boundary.PERIODIC:
-        src_x %= L
-    else:
+    if boundary is Boundary.REFLECTING:
         # edge sites reflect: the coin flips instead of stepping out
         src_x[RIGHT, 0], src_s[RIGHT, 0] = 0, LEFT
         src_x[LEFT, -1], src_s[LEFT, -1] = L - 1, RIGHT
+    else:
+        src_x %= L
     perm = (src_s * L + src_x).reshape(-1)
     perm.flags.writeable = False  # shared by every caller
     return perm
 
 
 @lru_cache(maxsize=None)
-def _shift_permutation(L: int, boundary: Boundary) -> np.ndarray:
+def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
     """Flat gather indices of the two-walker shift on channel-major arrays.
 
     The shift is a permutation of basis states, so one precomputed take()
@@ -160,18 +171,18 @@ def _cover(idx: np.ndarray) -> slice:
 
 
 @lru_cache(maxsize=64)
-def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, width: int):
-    """Strided (channel, site) slices of the (4, W^2) channel-major layout of
-    the central W = width sites that cover the nonzero entries of the phase
-    table, and the table there.
+def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tuple):
+    """Strided (channel, site) slices of the (4, n^2) channel-major layout of
+    the n lattice sites range(*window) that cover the nonzero entries of the
+    phase table, and the table there.
 
     The table is the lattice's own, cut to those sites: a long-range table
     depends on L through the minimal image.  Off the support every phase
     factor is exactly 1, so skipping it changes no bit.  The diagonal tables
-    give the stride-(W+1) diagonal of each channel plane (coin-dependent:
+    give the stride-(n+1) diagonal of each channel plane (coin-dependent:
     channels ::3); long range covers all.
     """
-    cut = reach(geometry, (width - 1) // 2)
+    cut = slice(*window)
     table = interactions.phase_table(spec, geometry)[cut, :, cut]
     table = table.transpose(1, 3, 0, 2).reshape(4, -1)
     channels = _cover(np.flatnonzero(table.any(axis=1)))
@@ -181,11 +192,12 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, width: int)
     return (slice(None), channels, sites), values
 
 
-def _phase(config: WalkConfig, thetas: np.ndarray, width: int):
-    """The interaction phase of a joint walk on the central W = width sites,
-    for `_steps`: the support index, the table on it, exp(i * coupling *
-    table) on it per profile (None when that is a no-op) and the noise
-    jitter of each step.
+def _phase(config: WalkConfig, thetas: np.ndarray, window: slice):
+    """The interaction phase of a joint walk on the lattice sites window, for
+    `_steps`: the support index, the table on it, exp(i * coupling * table)
+    on it per profile (None when that is a no-op) and the noise jitter of
+    each step.  On the light cone the window is `reach`'s sites of parity T,
+    whose table holds at every step: it depends only on x_A - x_B.
 
     A noisy walk draws one jitter eta_t per step, uniform on [-sigma, sigma],
     from a generator seeded with config.seed.  The jitter multiplies the
@@ -193,7 +205,7 @@ def _phase(config: WalkConfig, thetas: np.ndarray, width: int):
     whole state: a spatially uniform phase would drop out of every observable.
     """
     spec, geom, steps = config.interaction, config.geometry, config.steps
-    index, values = _phase_support(spec, geom, width)
+    index, values = _phase_support(spec, geom, window.indices(geom.size))
     etas = np.zeros(steps)
     if spec.noisy:
         rng = np.random.default_rng(config.seed)
@@ -238,8 +250,8 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
-    amplitudes on the `reach` window, off which the walk's are zero, as a
-    (B, W, 2, W, 2) view of the (B, 4, W^2) kernel buffer.
+    amplitudes on the n `reach` sites of each walker, off which the walk's
+    are zero, as a (B, n, 2, n, 2) view of the (B, 4, n^2) kernel buffer.
     A noisy walk runs the one realization config.seed, whose per-step draws
     are shared across the batch (common random numbers), so a batched sweep
     is bit-identical to per-profile evolve calls.  The whole batch is one
@@ -248,14 +260,15 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     thetas = _angles(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
         raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    box = _box(config.geometry, config.steps)
-    start = make_initial_state(box, config.coin_a, config.coin_b)
-    W = box.size
-    amps = np.empty((len(thetas), 4, W**2), dtype=complex)
-    amps[:] = start.transpose(1, 3, 0, 2).reshape(4, -1)  # channel-major
-    perm = _shift_permutation(W, box.boundary)
-    _steps(amps, _coin_krons(thetas), perm, config.steps, _phase(config, thetas, W))
-    return _joint_view(amps, W)
+    geom, steps = config.geometry, config.steps
+    n, start, rule = _lattice(geom, steps)
+    coins = np.outer(coin_vector(config.coin_a, "A"), coin_vector(config.coin_b, "B"))
+    amps = np.zeros((len(thetas), 4, n, n), dtype=complex)
+    amps[:, :, start, start] = coins.reshape(4)  # channel c = 2 s_A + s_B
+    amps = amps.reshape(len(thetas), 4, n * n)
+    phase = _phase(config, thetas, reach(geom, steps))
+    _steps(amps, _coin_krons(thetas), _shift_permutation(n, rule), steps, phase)
+    return _joint_view(amps, n)
 
 
 def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
@@ -270,12 +283,12 @@ def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
 def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
     """Final (B, L, 2) amplitudes of B non-interacting single walkers, one per
     angle in thetas, with the coin/shift conventions of the joint walk: the
-    `_steps` kernel on a (B, 2, W) buffer of the `reach` window."""
+    `_steps` kernel on a (B, 2, n) buffer of the n `reach` sites."""
     thetas = _angles(thetas).reshape(-1)
-    box = _box(geometry, steps)
-    amps = np.empty((len(thetas), 2, box.size), dtype=complex)
-    amps[:] = make_single_state(box, coin).T
-    _steps(amps, coin_matrix(thetas), _walker_shift(box.size, box.boundary), steps)
+    n, start, rule = _lattice(geometry, steps)
+    amps = np.zeros((len(thetas), 2, n), dtype=complex)
+    amps[:, :, start] = coin_vector(coin, "single")
+    _steps(amps, coin_matrix(thetas), _walker_shift(n, rule), steps)
     out = np.zeros((len(thetas), geometry.size, 2), dtype=complex)
     out[:, reach(geometry, steps)] = amps.transpose(0, 2, 1)
     return out

@@ -105,13 +105,13 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """P(x_A, x_B) per profile of one noise realization, shape (B, L, L).
     Each cache-sized chunk is reduced and validated as soon as it is evolved,
     so the amplitudes of the whole batch never exist at once; P is zero off
-    the square of sites the walkers can reach."""
+    the `reach` sites of the walkers."""
     geom = walk.geometry
     window = reach(geom, walk.steps)
     size = chunk_profiles(geom, walk.steps)
     probs = np.empty((len(thetas), geom.size, geom.size))
-    if window.stop - window.start < geom.size:
-        probs.fill(0.0)  # the window leaves the rest of the lattice unwritten
+    if window != slice(0, geom.size):
+        probs.fill(0.0)  # the light cone leaves the rest of the lattice unwritten
     for lo in range(0, len(thetas), size):
         block = probs[lo : lo + size]
         block[:, window, window] = born(evolve_batch(walk, thetas[lo : lo + size]))

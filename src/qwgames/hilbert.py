@@ -91,7 +91,9 @@ def check_distributions(probs: np.ndarray):
         raise ValidationError(f"distribution sums to {float(totals[off][0])!r}, not 1")
 
 
-def _coin_vector(coin, player: str) -> np.ndarray:
+def coin_vector(coin, player: str) -> np.ndarray:
+    """Player's coin state as a complex 2-vector; ValidationError unless it
+    is a 2-vector of unit norm."""
     v = np.asarray(coin, dtype=complex)
     if v.shape != (2,):
         raise ValidationError(f"coin state for player {player} must be a 2-vector")
@@ -106,8 +108,8 @@ def _coin_vector(coin, player: str) -> np.ndarray:
 def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
     """(L, 2, L, 2) amplitudes of both walkers at x = 0 with coin states
     coin_a (x) coin_b."""
-    ca = _coin_vector(coin_a, "A")
-    cb = _coin_vector(coin_b, "B")
+    ca = coin_vector(coin_a, "A")
+    cb = coin_vector(coin_b, "B")
     L = geometry.size
     amps = np.zeros((L, 2, L, 2), dtype=complex)
     o = geometry.offset(0)
@@ -118,7 +120,7 @@ def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
 def make_single_state(geometry: LatticeGeometry, coin, x: int = 0) -> np.ndarray:
     """(L, 2) amplitudes of one walker at site x with coin state coin."""
     amps = np.zeros((geometry.size, 2), dtype=complex)
-    amps[geometry.offset(x), :] = _coin_vector(coin, "single")
+    amps[geometry.offset(x), :] = coin_vector(coin, "single")
     return amps
 
 

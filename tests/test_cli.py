@@ -80,6 +80,20 @@ def test_validate_warns_on_reachable_boundary_and_noise():
     assert not errors
     assert any("boundary reachable" in w for w in warns)
 
+    # at T = (L-1)/2 no walker steps off the edge yet, so the rule cannot matter
+    boundary = {}
+    for steps in (7, 8):
+        cfg = ExperimentConfig.from_dict({"recipe": "race", "steps": steps, "lattice_size": 15})
+        _, warns = validate(cfg)
+        boundary[steps] = [w for w in warns if "boundary reachable" in w]
+    assert boundary == {
+        7: [],
+        8: [
+            "boundary reachable: T = 8 > (L-1)/2 = 7; "
+            "results depend on the boundary rule (periodic)"
+        ],
+    }
+
     cfg = ExperimentConfig.from_dict(
         {
             "recipe": "race",

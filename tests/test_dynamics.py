@@ -60,7 +60,7 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
     geom = config.geometry
     thetas = np.array([[theta_a, theta_b]])
-    index, values, factors, _ = _phase(config, thetas, geom.size)
+    index, values, factors, _ = _phase(config, thetas, slice(None))
     phase = index, values, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
     perm = _shift_permutation(geom.size, geom.boundary)
@@ -81,6 +81,14 @@ def test_angles_outside_the_domain_are_rejected(thetas):
         evolve(config, *thetas)
     with pytest.raises(DomainError):
         evolve_singles(GEOM5, 1, thetas, (1, 0))
+
+
+@pytest.mark.parametrize("steps", [1, 3])  # on the light cone and past it
+def test_walks_reject_a_coin_that_is_not_normalized(steps):
+    with pytest.raises(ValidationError, match="player B is not normalized"):
+        evolve_batch(WalkConfig(GEOM5, steps, (1, 0), (1, 1)), [[0.0, 0.0]])
+    with pytest.raises(ValidationError, match="player single is not normalized"):
+        evolve_singles(GEOM5, steps, [0.0], (0.6, 0.6))
 
 
 def test_config_rejects_an_empty_ensemble():
@@ -315,13 +323,32 @@ def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
 
 
 def test_reach_is_the_light_cone_within_the_lattice():
+    # up to T = (L - 1) / 2 the T + 1 sites of parity T, then the lattice
     geom = LatticeGeometry(31, Boundary.REFLECTING)
-    assert reach(geom, 1) == slice(14, 17)
-    assert reach(geom, 10) == slice(5, 26)
-    assert reach(geom, 15) == reach(geom, 40) == slice(0, 31)
+    assert reach(geom, 1) == slice(14, 17, 2)
+    assert reach(geom, 10) == slice(5, 26, 2)
+    assert reach(geom, 15) == slice(0, 31, 2)
+    assert reach(geom, 16) == reach(geom, 40) == slice(0, 31)
     config = WalkConfig(geom, 10, (1, 0), SYMMETRIC)
-    assert evolve_batch(config, [[1.0, 2.0]] * 3).shape == (3, 21, 2, 21, 2)
+    assert evolve_batch(config, [[1.0, 2.0]] * 3).shape == (3, 11, 2, 11, 2)
     assert evolve_singles(geom, 10, [1.0, 2.0], SYMMETRIC).shape == (2, 31, 2)
+    assert evolve_batch(replace(config, steps=16), [[1.0, 2.0]]).shape == (1, 31, 2, 31, 2)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+def test_walkers_leave_the_sites_off_parity_exactly_zero(boundary):
+    # after T steps from x = 0 a walker occupies only the sites x = T mod 2
+    geom = LatticeGeometry(15, boundary)
+    spec = InteractionSpec(InteractionKind.LONG_RANGE, 1.3, range_exponent=1.5)
+    for steps in (1, 4, 7):
+        off = np.ones(geom.size, dtype=bool)
+        off[reach(geom, steps)] = False
+        assert off.sum() == geom.size - steps - 1
+        joint = evolve(WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec), 1.1, 2.3)
+        singles = evolve_singles(geom, steps, [0.0, 1.1, np.pi], SYMMETRIC)
+        assert not joint[off].any() and not joint[:, :, off].any()
+        assert not singles[:, off].any()
+        assert np.count_nonzero(joint) and np.count_nonzero(singles[:, ~off], axis=1).all()
 
 
 def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
@@ -329,7 +356,7 @@ def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
     runs it, with the walk's own noise draws."""
     geom = config.geometry
     psi = make_initial_state(geom, config.coin_a, config.coin_b)
-    etas = _phase(config, np.asarray(thetas), geom.size)[3]
+    etas = _phase(config, np.asarray(thetas), slice(None))[3]
     return np.stack([born(kernel_steps(config, ta, tb, etas, psi)) for ta, tb in thetas])
 
 
@@ -340,15 +367,18 @@ COIN_PAIRS = {
 }
 
 
-# on L = 15: T below (L-1)/2 - 1, one step short of (L-1)/2, at it and past it
-@pytest.mark.parametrize("steps", [3, 6, 7, 9])
+# on L = 15: T from one step, below (L-1)/2 - 1, one step short of (L-1)/2,
+# at it and past it; and the perturbation recipe's walk, T = 10 on L = 31
+@pytest.mark.parametrize(
+    "size, steps", [(15, 1), (15, 3), (15, 6), (15, 7), (15, 9), (31, 10)]
+)
 @pytest.mark.parametrize("coins", COIN_PAIRS.values(), ids=list(COIN_PAIRS))
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 @pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
-def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, steps):
-    # the window's edges never read a nonzero amplitude, so neither a wrap
-    # nor a reflection there changes a bit of P
-    geom = LatticeGeometry(15, boundary)
+def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, size, steps):
+    # the light cone's wrap never reads a nonzero amplitude, so it changes no
+    # bit of P; nor does the lattice edge up to T = (L - 1) / 2
+    geom = LatticeGeometry(size, boundary)
     spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
     config = WalkConfig(geom, steps, *coins, spec, seed=5)
     thetas = np.array([[0.0, np.pi], [1.1, 2.3], [2.9, 0.4], [np.pi / 2, np.pi / 2]])
@@ -356,12 +386,14 @@ def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, steps):
     assert got.tobytes() == full_lattice_distributions(config, thetas).tobytes()
 
 
-def test_long_range_window_keeps_the_lattice_minimal_image():
-    # T = 6 evolves the central 13 of L = 21 sites.  Walkers 12 sites apart
-    # are 9 apart on the ring of 21, and would be 1 apart on a ring of 13
-    geom = LatticeGeometry(21)
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+def test_long_range_window_keeps_the_lattice_minimal_image(boundary):
+    # T = 10 evolves the 11 even sites of L = 21 on the light cone, where
+    # x_A - x_B = 2 (j_A - j_B).  Walkers at x = -10 and 10 are 20 apart on
+    # the reflecting lattice but 1 apart on the ring of 21
+    geom = LatticeGeometry(21, boundary)
     spec = InteractionSpec(InteractionKind.LONG_RANGE, 1.3, range_exponent=1.5)
-    config = WalkConfig(geom, 6, (1, 0), SYMMETRIC, spec)
+    config = WalkConfig(geom, 10, (1, 0), SYMMETRIC, spec)
     ta, tb = 1.1, 2.3
     u0 = np.kron(dense_single_step(geom, ta), dense_single_step(geom, tb))
     phases = np.diagonal(dense_interaction(spec, geom, ta, tb))
@@ -369,8 +401,13 @@ def test_long_range_window_keeps_the_lattice_minimal_image():
     for _ in range(config.steps):
         psi = phases * (u0 @ psi)
     got = evolve(config, ta, tb)
-    assert reach(geom, config.steps) == slice(4, 17)
+    assert reach(geom, config.steps) == slice(0, 21, 2)
     np.testing.assert_allclose(got, psi.reshape(21, 2, 21, 2), atol=1e-12)
+    # the walk never meets the edge, so the boundary acts only through the
+    # minimal image of the table
+    other, = set(Boundary) - {boundary}
+    flipped = evolve(replace(config, geometry=LatticeGeometry(21, other)), ta, tb)
+    assert abs(got - flipped).max() > 1e-3
 
 
 def test_batch_rejects_bad_shapes_and_angles():

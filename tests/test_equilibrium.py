@@ -290,17 +290,19 @@ def count_evolved_profiles(monkeypatch) -> list:
 
 
 def test_distributions_chunk_by_the_reach_window(monkeypatch):
-    # T = 10 on L = 31 evolves the central 21 x 21 sites: 4 * 441 amplitudes
-    # a profile, 9 profiles to a chunk; from T = 15 on, the whole lattice
+    # T = 10 on L = 31 evolves 11 x 11 joint sites on the light cone: 4 * 121
+    # amplitudes a profile, 33 profiles to a chunk; T = 15 evolves 16 x 16;
+    # from T = 16 on, the whole lattice
     geom = LatticeGeometry(31)
-    assert chunk_profiles(geom, 10) == 9
-    assert chunk_profiles(geom, 15) == chunk_profiles(geom, 40) == 4
+    assert chunk_profiles(geom, 10) == 33
+    assert chunk_profiles(geom, 15) == 16
+    assert chunk_profiles(geom, 16) == chunk_profiles(geom, 40) == 4
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0)
     config = WalkConfig(geom, 10, interaction=spec)
     sizes = count_evolved_profiles(monkeypatch)
-    probs = distributions(config, np.random.default_rng(3).uniform(0, np.pi, (20, 2)))
-    assert sizes == [9, 9, 2]
-    assert probs.shape == (20, 31, 31)
+    probs = distributions(config, np.random.default_rng(3).uniform(0, np.pi, (70, 2)))
+    assert sizes == [33, 33, 4]
+    assert probs.shape == (70, 31, 31)
     window = reach(geom, 10)
     assert probs[:, window, window].any(axis=(1, 2)).all()
     probs[:, window, window] = 0.0
