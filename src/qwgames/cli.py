@@ -7,7 +7,10 @@ defaults materialized, and identical resolved config + seed gives
 byte-identical outputs.
 
 CSV schemas: distributions `x_A,x_B,p`; surfaces `theta_A,theta_B,value`;
-trajectories `start,iter,theta_A,theta_B,u_A,u_B`.
+trajectories `start,iter,theta_A,theta_B,u_A,u_B`. Every CSV file is a header
+row, then one row per record with CRLF row ends; a float prints as %.17g (an
+integer-valued one as an integer), a string as is. All-float tables are
+formatted in one call per table (hilbert.write_float_csv).
 
 Each command-line flag sets one config field (FLAGS) and overrides the
 config file; the value is parsed and checked as the field's JSON value is.
@@ -56,6 +59,7 @@ from .hilbert import (
     distribution_to_csv,
     marginals,
     measure_joint,
+    write_float_csv,
 )
 from .interactions import InteractionKind, InteractionSpec
 
@@ -189,7 +193,10 @@ class ExperimentConfig:
     its JSON value is parsed and what the parsed value must satisfy."""
 
     recipe: str = _one_of("race", RECIPE_DEFAULTS, lambda v: _text(v).replace("-", "_"))
-    lattice_size: int = _field(15, _int, lambda v: v >= 3 and v % 2 == 1, "odd and >= 3")
+    # 1001 bounds the (L, 2, L, 2) state at 64 MB and the phase table at 32 MB
+    lattice_size: int = _field(
+        15, _int, lambda v: 3 <= v <= 1001 and v % 2 == 1, "odd, >= 3 and <= 1001"
+    )
     steps: int = _field(20, _int, lambda v: v >= 1, ">= 1")
     boundary: str = _one_of("periodic", [b.value for b in Boundary])
     # ((re, im), (re, im)) amplitudes of |R> and |L>
@@ -314,7 +321,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    """One CSV table; floats (numpy's too) go through _fmt, the rest as is."""
+    """One CSV table. A float array goes through write_float_csv; rows that
+    mix in strings or blank cells go through csv.writer, floats (numpy's too)
+    through _fmt, which writes the same bytes for a float."""
+    if isinstance(rows, np.ndarray):
+        write_float_csv(path, header, rows)
+        return
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -407,7 +419,7 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
     p_a, p_b = marginals(dist)
     _write_csv(
         os.path.join(out, "ne_marginals.csv"), ["x", "p_A", "p_B"],
-        zip(walk.geometry.positions, p_a, p_b),
+        np.column_stack([walk.geometry.positions, p_a, p_b]),
     )
     return 0
 
@@ -441,11 +453,12 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         u_a, _, aux = WalkEvaluator(walk_phi, evaluator.game).points([[ta, tb]])
         sweep.append([phi, aux["meeting_probability"][0], u_a[0]])
     _write_csv(
-        os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"], sweep
+        os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"],
+        np.array(sweep),
     )
     _write_csv(
         os.path.join(out, "cross_section.csv"), ["theta_A", "value"],
-        zip(grid.values, surface.u_a[:, j]),
+        np.column_stack([grid.values, surface.u_a[:, j]]),
     )
 
     dist = measure_joint(evolve(walk, float(ta), float(tb)), walk.geometry)
@@ -460,7 +473,7 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
     thetas = StrategyGrid(config.grid_n).values
 
     f_vals = pert.drift_sweep(geom, walk.steps, thetas, walk.coin_a)
-    _write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], zip(thetas, f_vals))
+    _write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], np.column_stack([thetas, f_vals]))
 
     grid13 = StrategyGrid(13)
     residual = pert.separability_residual(walk, game, grid13)
@@ -526,7 +539,7 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
     _write_csv(
         os.path.join(out, "trajectories.csv"),
         ["start", "iter", "theta_A", "theta_B", "u_A", "u_B"],
-        rows,
+        np.array(rows),
     )
     return 0
 

@@ -12,7 +12,6 @@ x in {-(L-1)/2, ..., +(L-1)/2} to an array offset in [0, L).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,13 +146,19 @@ def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     return dist.probabilities.sum(axis=1), dist.probabilities.sum(axis=0)
 
 
+def write_float_csv(path, header, table):
+    """Write an all-float table as CSV in one format call: the header row,
+    then each row's values as %.17g (an integer value prints as an integer,
+    -7.0 as -7), with CRLF row ends, the bytes csv.writer gives."""
+    table = np.asarray(table, dtype=float).reshape(len(table), len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
+
+
 def distribution_to_csv(dist: JointDistribution, path):
     """Write P(x_A, x_B) as rows x_A,x_B,p (site labels, not offsets)."""
     xs = dist.geometry.positions
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x_A", "x_B", "p"])
-        for i, xa in enumerate(xs):
-            for j, xb in enumerate(xs):
-                w.writerow([xa, xb, f"{dist.probabilities[i, j]:.17g}"])
-
+    columns = [np.repeat(xs, xs.size), np.tile(xs, xs.size), dist.probabilities.ravel()]
+    write_float_csv(path, ["x_A", "x_B", "p"], np.column_stack(columns))

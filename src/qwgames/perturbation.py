@@ -117,9 +117,11 @@ def g_estimate_grid(
 ) -> np.ndarray:
     """First-order coupling estimate over the strategy grid (coarse schedule).
 
-    One batch per theta_A row, not one for the whole grid: a whole 13x13
-    batch raised the perturbation recipe's peak RSS by 0.3 MB (2-core Xeon)
-    for no speed-up.
+    One batch per theta_A row, not one for the whole grid, so that the
+    recipe's g_grid.csv stays bitwise. A row never holds a profile's mirror,
+    so on an exchange-symmetric walk no profile is paired: the recipe's
+    13x13 grid evolves 338 joint profiles where one whole-grid batch would
+    evolve 182, but that batch's mirrored reduction moves G by up to 6.2e-14.
     """
     vals = grid.values
     out = np.empty((grid.n, grid.n))

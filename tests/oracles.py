@@ -3,11 +3,14 @@ evolution (explicit dense unitaries, the component recurrence relations and
 a site-major single-walker loop), the lockstep stationary-point search (a
 one-lane golden-section search) and the batched finite differences (a scalar
 3-point stencil per point), and the evaluator adapter that drives the
-searches with an analytic payoff function.
+searches with an analytic payoff function. Also the per-cell CSV writer
+that the one-call float table writer is checked against byte for byte.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout.
 """
+
+import csv
 
 import numpy as np
 
@@ -218,3 +221,12 @@ def fd_jacobian(evaluator, ta: float, tb: float, h: float = 1e-2) -> np.ndarray:
             [float(w1a @ u_b @ w1b), float(w2b @ u_b[ca, :])],
         ]
     )
+
+
+def write_csv_cells(path, header, rows):
+    """One CSV table through csv.writer, one cell at a time: each float
+    (numpy's too) as %.17g, everything else as csv.writer prints it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{float(v):.17g}" if isinstance(v, float) else v for v in row] for row in rows)

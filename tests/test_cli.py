@@ -25,6 +25,7 @@ from qwgames.cli import (
     validate,
 )
 from qwgames.dynamics import evolve
+from oracles import write_csv_cells
 
 FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
 
@@ -291,6 +292,35 @@ def test_exit_code_1_on_config_error(tmp_path, capsys):
     assert run_recipe(cfg) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("size", [1003, 11501])
+def test_lattice_size_past_its_bound_exits_1(tmp_path, capsys, size):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lattice_size": size}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: lattice_size: must be odd, >= 3 and <= 1001, got {size}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_lattice_size_bound_admits_1001():
+    assert validate(ExperimentConfig.from_dict({"lattice_size": 1001}))[0] == []
+
+
+def test_write_csv_writes_the_per_cell_bytes(tmp_path):
+    xs = np.arange(-3, 4)
+    p = np.linspace(0.0, 1.0, 7) / 3
+    mixed = [["A", 0.1, np.float64(2.0)], ["B", -0.0, np.nan], ["", 1e308, ""]]
+    for name, header, rows, cells in [
+        # a float array (integer labels included) and rows that mix in strings
+        ("array", ["x", "p_A", "p_B"], np.column_stack([xs, p, p[::-1]]), zip(xs, p, p[::-1])),
+        ("mixed", ["player", "a", "b"], mixed, mixed),
+    ]:
+        cli._write_csv(tmp_path / f"{name}.csv", header, rows)
+        write_csv_cells(tmp_path / f"{name}.ref", header, cells)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.ref").read_bytes()
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])

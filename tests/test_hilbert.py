@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qwgames.hilbert import (
     Boundary,
@@ -16,7 +17,9 @@ from qwgames.hilbert import (
     make_single_state,
     marginals,
     measure_joint,
+    write_float_csv,
 )
+from oracles import write_csv_cells
 
 GEOM5 = LatticeGeometry(5)
 
@@ -150,6 +153,69 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(rows[:, 0], np.repeat(xs, 5))
     np.testing.assert_array_equal(rows[:, 1], np.tile(xs, 5))
     np.testing.assert_array_equal(rows[:, 2], p.ravel())
+    # the bytes of the per-cell writer: integer labels as is, p as %.17g
+    ref = tmp_path / "ref.csv"
+    write_csv_cells(
+        ref, ["x_A", "x_B", "p"],
+        [[xa, xb, p[i, j]] for i, xa in enumerate(xs) for j, xb in enumerate(xs)],
+    )
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# values whose %.17g text is easy to get wrong: nan, both infinities, a signed
+# zero, the least subnormal, the largest magnitudes, a decimal that does not
+# round trip in fewer digits, and integers stored as floats
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1.7976931348623157e308,
+           0.1, 1 / 3, -7.0, 2.0**53, 1e16, 1e-7, 123456789.125]
+
+
+def _same_bytes(tmp_path, header, table, cells):
+    """write_float_csv of `table` against the per-cell writer of `cells`."""
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_float_csv(new, header, table)
+    write_csv_cells(ref, header, cells)
+    assert new.read_bytes() == ref.read_bytes()
+    return new.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 3), (1, 15), (15, 1), (0, 3)], ids=["rows", "one-row", "one-column", "no-rows"]
+)
+def test_float_csv_is_the_per_cell_writer_byte_for_byte(tmp_path, shape):
+    table = np.resize(np.array(SPECIAL), shape)
+    header = [f"c{k}" for k in range(shape[1])]
+    text = _same_bytes(tmp_path, header, table, table)
+    assert text.count(b"\r\n") == shape[0] + 1
+    assert text.startswith(",".join(header).encode() + b"\r\n")
+
+
+def test_float_csv_prints_integer_columns_as_integers(tmp_path):
+    xs = LatticeGeometry(7).positions
+    cells = [[int(k), x, 0.5 * x] for k, x in enumerate(xs)]  # a Python and a numpy int
+    text = _same_bytes(tmp_path, ["k", "x", "v"], np.array(cells, dtype=float), cells)
+    assert text.splitlines()[1] == b"0,-3,-1.5"
+
+
+def test_float_csv_text_of_each_special_value(tmp_path):
+    text = _same_bytes(tmp_path, ["v"], np.array(SPECIAL)[:, None], [[v] for v in SPECIAL])
+    assert text.split(b"\r\n")[1:-1] == [
+        b"nan", b"inf", b"-inf", b"-0", b"0", b"4.9406564584124654e-324",
+        b"1e+308", b"-1.7976931348623157e+308", b"0.10000000000000001",
+        b"0.33333333333333331", b"-7", b"9007199254740992", b"10000000000000000",
+        b"9.9999999999999995e-08", b"123456789.125",
+    ]
+
+
+def test_float_csv_rejects_a_table_that_does_not_match_its_header(tmp_path):
+    with pytest.raises(ValueError):
+        write_float_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 4))))
+def test_any_float_table_is_the_per_cell_writer_byte_for_byte(tmp_path_factory, table):
+    tmp = tmp_path_factory.mktemp("csv")
+    _same_bytes(tmp, [f"c{k}" for k in range(table.shape[1])], table, table)
 
 
 def test_single_state_distribution():
