@@ -102,35 +102,35 @@ class LearnResult:
 
 
 def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P(x_A, x_B) per profile of one noise realization, shape (B, L, L).
-    Each cache-sized chunk is reduced and validated as soon as it is evolved,
-    so the amplitudes of the whole batch never exist at once; P is zero off
-    the `reach` sites of the walkers."""
+    """P(x_A, x_B) per profile of one noise realization on the n `reach`
+    sites of each walker, shape (B, n, n); P is zero on the rest of the
+    lattice.  Each cache-sized chunk is reduced and validated as soon as it
+    is evolved, so the amplitudes of the whole batch never exist at once."""
     geom = walk.geometry
-    window = reach(geom, walk.steps)
+    n = len(range(geom.size)[reach(geom, walk.steps)])
     size = chunk_profiles(geom, walk.steps)
-    probs = np.empty((len(thetas), geom.size, geom.size))
-    if window != slice(0, geom.size):
-        probs.fill(0.0)  # the light cone leaves the rest of the lattice unwritten
+    probs = np.empty((len(thetas), n, n))
     for lo in range(0, len(thetas), size):
         block = probs[lo : lo + size]
-        block[:, window, window] = born(evolve_batch(walk, thetas[lo : lo + size]))
+        block[:] = born(evolve_batch(walk, thetas[lo : lo + size]))
         check_distributions(block)
     return probs
 
 
 def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P = p_A (x) p_B per profile, shape (B, L, L): the walk without its
-    interaction, from one single-walker walk per distinct angle of each
-    player.  When the interaction is inert this is `distributions` up to
-    rounding, at the cost of O(n) single walks instead of n^2 joint ones."""
+    """P = p_A (x) p_B per profile on the `reach` sites, shape (B, n, n): the
+    walk without its interaction, from one single-walker walk per distinct
+    angle of each player.  When the interaction is inert this is
+    `distributions` up to rounding, at the cost of one single walk per
+    distinct angle instead of one joint walk per profile."""
     thetas = np.asarray(thetas, dtype=float)
+    window = reach(walk.geometry, walk.steps)
 
     def walker(column: int, coin) -> np.ndarray:
-        """p(x) of one player's walker at each profile's angle, (B, L)."""
+        """p(x) of one player's walker at each profile's angle, (B, n)."""
         angles, profile_angle = np.unique(thetas[:, column], return_inverse=True)
         amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
-        return born_single(amps)[profile_angle]
+        return born_single(amps[:, window])[profile_angle]
 
     probs = walker(0, walk.coin_a)[:, :, None] * walker(1, walk.coin_b)[:, None, :]
     check_distributions(probs)
@@ -146,12 +146,13 @@ def _ensemble_points(evaluators, thetas) -> list[tuple]:
         raise ValidationError("evaluators sharing an evolution must share one walk")
     thetas = np.asarray(thetas, dtype=float)
     geom = first.config.geometry
+    window = reach(geom, first.config.steps)
     games = [ev.game for ev in evaluators]
     per_walk = []  # [realization][evaluator] -> (u_a, u_b, aux)
     for walk in first.realizations:
         if walk.interaction.inert:
             probs = product_distributions(walk, thetas)
-            per_walk.append([payoffs(probs, geom, game) for game in games])
+            per_walk.append([payoffs(probs, geom, game, window) for game in games])
         else:
             per_walk.append(_joint_points(walk, thetas, games))
     return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(evaluators))]
@@ -190,10 +191,11 @@ def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
     in the batch is not evolved: its columns are reduced from the mirror's
     transposed P, a view of the evolved stack."""
     geom = walk.geometry
+    window = reach(geom, walk.steps)
     mirrored, partner = _mirrors(walk, thetas)
     if not mirrored.size:
         probs = distributions(walk, thetas)
-        return [payoffs(probs, geom, game) for game in games]
+        return [payoffs(probs, geom, game, window) for game in games]
     evolved = np.ones(len(thetas), dtype=bool)
     evolved[mirrored] = False
     probs = distributions(walk, thetas[evolved])
@@ -207,7 +209,7 @@ def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
     per_game = []
     for game in games:
         (u_a, u_b, aux), (s_a, s_b, s_aux) = (
-            payoffs(p, geom, game) for p in (probs, probs.transpose(0, 2, 1))
+            payoffs(p, geom, game, window) for p in (probs, probs.transpose(0, 2, 1))
         )
         per_game.append((
             scatter(u_a, s_a), scatter(u_b, s_b),

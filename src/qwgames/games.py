@@ -2,7 +2,8 @@
 
 All payoffs are classical functions of the measured positions: the quantum
 side of the model ends at measure_joint, and everything here works on
-(L, L) probability matrices, reduced a whole (B, L, L) stack at a time.
+probability matrices over the walkers' sites, reduced a whole (B, n, n)
+stack at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class PayoffPoint:
 
 
 # per built-in game: player A's payoff table over (x_A, x_B) as a function
-# of the (L, 1) and (1, L) site labels, the sign of u_A = sign * (P . table),
+# of the (n, 1) and (1, n) site labels, the sign of u_A = sign * (P . table),
 # and u_B / u_A.  Signs act on the sums, not the tables: a sum of -0 terms
 # is +0, so a negated table would lose the sign of a zero payoff.
 BUILT_IN = {
@@ -59,17 +60,19 @@ BUILT_IN = {
 }
 
 
-def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec):
+def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec, sites=slice(None)):
     """Utilities and transport diagnostics of a stack of distributions.
 
-    probs: (B, L, L).  Every quantity is a linear functional of P, reduced
-    for the whole stack at once; returns (u_a, u_b, aux), each value of
-    shape (B,).  u_A is P reduced against player A's (L, L) payoff table,
-    signed as `BUILT_IN` says; u_B is reduced against table_b when the game
-    has one, else derived from u_A.
+    probs: (B, n, n), P on the lattice sites `sites` of each walker (a
+    walk's `dynamics.reach`, the whole lattice by default), zero elsewhere.
+    Every quantity is a linear functional of P, reduced for the whole stack
+    at once; returns (u_a, u_b, aux), each value of shape (B,).  u_A is P
+    reduced against player A's payoff table on those sites, signed as
+    `BUILT_IN` says; u_B is reduced against table_b when the game has one,
+    else derived from u_A.  A custom table must cover the (L, L) lattice.
     """
     L = geometry.size
-    x = geometry.positions.astype(float)
+    x = geometry.positions[sites].astype(float)
     xa, xb = x[:, None], x[None, :]
 
     mean_a = np.vecdot(probs.sum(axis=2), x)
@@ -83,16 +86,17 @@ def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec):
     }
 
     if game.kind is GameKind.CUSTOM_TABLE:
-        table_a, table_b, sign, ratio = game.table_a, game.table_b, 1.0, None
+        for name, table in (("A", game.table_a), ("B", game.table_b)):
+            if np.shape(table) != (L, L):
+                raise ShapeError(
+                    f"payoff table for player {name} has shape {np.shape(table)}, "
+                    f"lattice needs {(L, L)}"
+                )
+        table_a, table_b = (np.asarray(t)[sites, sites] for t in (game.table_a, game.table_b))
+        sign, ratio = 1.0, None
     else:
         rule, sign, ratio = BUILT_IN[game.kind]
         table_a, table_b = rule(xa, xb), None
-    for name, table in (("A", table_a), ("B", table_b)):
-        if table is not None and np.shape(table) != (L, L):
-            raise ShapeError(
-                f"payoff table for player {name} has shape {np.shape(table)}, "
-                f"lattice needs {(L, L)}"
-            )
     u_a = sign * np.sum(probs * table_a, axis=(1, 2))
     u_b = ratio * u_a if table_b is None else np.sum(probs * table_b, axis=(1, 2))
     return u_a, u_b, aux

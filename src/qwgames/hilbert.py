@@ -80,7 +80,7 @@ class JointDistribution:
 
 
 def check_distributions(probs: np.ndarray):
-    """Raise ValidationError unless every (L, L) block of the (B, L, L) stack
+    """Raise ValidationError unless every (n, n) block of the (B, n, n) stack
     is non-negative and sums to 1; one vectorized pass over the stack."""
     if np.any(probs < -1e-14):
         raise ValidationError("distribution has negative entries")
@@ -146,15 +146,24 @@ def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     return dist.probabilities.sum(axis=1), dist.probabilities.sum(axis=0)
 
 
+# rows formatted per call of write_float_csv, ~0.3 MB of text at three
+# floats a row: L = 1001's 1,002,001-row distribution, formatted at once,
+# took peak RSS from 38 to 231 MB (76 MB in blocks)
+CSV_BLOCK_ROWS = 4096
+
+
 def write_float_csv(path, header, table):
-    """Write an all-float table as CSV in one format call: the header row,
-    then each row's values as %.17g (an integer value prints as an integer,
-    -7.0 as -7), with CRLF row ends, the bytes csv.writer gives."""
+    """Write an all-float table as CSV, one format call per block of
+    CSV_BLOCK_ROWS rows: the header row, then each row's values as %.17g
+    (an integer value prints as an integer, -7.0 as -7), with CRLF row
+    ends, the bytes csv.writer gives."""
     table = np.asarray(table, dtype=float).reshape(len(table), len(header))
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
+        for lo in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[lo : lo + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def distribution_to_csv(dist: JointDistribution, path):

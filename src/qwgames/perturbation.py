@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import WalkConfig, evolve_singles
+from .dynamics import WalkConfig, evolve_singles, reach
 from .equilibrium import StrategyGrid, WalkEvaluator, product_distributions
 from .games import GameSpec, payoffs
 from .hilbert import LatticeGeometry, ValidationError, born_single
@@ -47,7 +47,8 @@ def drift_sweep(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarr
 
 def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray) -> np.ndarray:
     """Payoff of the product of the two single-walker walks at each pair."""
-    return payoffs(product_distributions(config, thetas), config.geometry, game)[0]
+    window = reach(config.geometry, config.steps)
+    return payoffs(product_distributions(config, thetas), config.geometry, game, window)[0]
 
 
 def separability_residual(config: WalkConfig, game: GameSpec, grid: StrategyGrid) -> float:
@@ -115,21 +116,13 @@ def g_estimate_grid(
     grid: StrategyGrid,
     lambda_schedule=(0.1, 0.05),
 ) -> np.ndarray:
-    """First-order coupling estimate over the strategy grid (coarse schedule).
-
-    One batch per theta_A row, not one for the whole grid, so that the
-    recipe's g_grid.csv stays bitwise. A row never holds a profile's mirror,
-    so on an exchange-symmetric walk no profile is paired: the recipe's
-    13x13 grid evolves 338 joint profiles where one whole-grid batch would
-    evolve 182, but that batch's mirrored reduction moves G by up to 6.2e-14.
+    """First-order coupling estimate over the strategy grid (coarse schedule),
+    from one batch of the whole grid per strength.  On an exchange-symmetric
+    walk that batch holds each profile's mirror, so `_mirrors` evolves only
+    the profiles with theta_A <= theta_B: 91 of the recipe's 169.
     """
-    vals = grid.values
-    out = np.empty((grid.n, grid.n))
-    for i, ta in enumerate(vals):
-        row = np.column_stack([np.full(grid.n, ta), vals])
-        lambdas, _, slopes = _slope_matrix(config, game, row, lambda_schedule)
-        out[i] = _richardson(lambdas, slopes)
-    return out
+    lambdas, _, slopes = _slope_matrix(config, game, grid.profiles, lambda_schedule)
+    return _richardson(lambdas, slopes).reshape(grid.n, grid.n)
 
 
 def nonseparability_certificate(

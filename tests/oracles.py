@@ -4,18 +4,28 @@ a site-major single-walker loop), the lockstep stationary-point search (a
 one-lane golden-section search) and the batched finite differences (a scalar
 3-point stencil per point), and the evaluator adapter that drives the
 searches with an analytic payoff function. Also the per-cell CSV writer
-that the one-call float table writer is checked against byte for byte.
+that the block-formatted float table writer is checked against byte for byte.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
-shared with the production code paths beyond the documented index layout.
+shared with the production code paths beyond the documented index layout,
+except `kernel_steps`: the production kernel run on the whole lattice, the
+bitwise reference of the light-cone window.
 """
 
 import csv
 
 import numpy as np
 
-from qwgames.dynamics import coin_matrix
-from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT
+from qwgames.dynamics import (
+    WalkConfig,
+    _coin_krons,
+    _joint_view,
+    _phase,
+    _shift_permutation,
+    _steps,
+    coin_matrix,
+)
+from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, born, make_initial_state
 from qwgames.interactions import InteractionSpec, phase
 
 
@@ -105,6 +115,28 @@ def recurrence_evolve(
             new_l[x] = s * psi_r[(x + 1) % L] + c * psi_l[(x + 1) % L]
         psi_r, psi_l = new_r, new_l
     return np.stack([psi_r, psi_l], axis=1)
+
+
+def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
+    """(L, 2, L, 2) state psi after one `_steps` call, one kernel step per
+    noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
+    geom = config.geometry
+    thetas = np.array([[theta_a, theta_b]])
+    index, values, factors, _ = _phase(config, thetas, slice(None))
+    phase = index, values, factors, np.asarray(etas, dtype=float)
+    amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
+    perm = _shift_permutation(geom.size, geom.boundary)
+    _steps(amps, _coin_krons(thetas), perm, len(etas), phase)
+    return _joint_view(amps, geom.size)[0]
+
+
+def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
+    """P per profile from `_steps` on the whole lattice, run as `kernel_steps`
+    runs it, with the walk's own noise draws."""
+    geom = config.geometry
+    psi = make_initial_state(geom, config.coin_a, config.coin_b)
+    etas = _phase(config, np.asarray(thetas), slice(None))[3]
+    return np.stack([born(kernel_steps(config, ta, tb, etas, psi)) for ta, tb in thetas])
 
 
 def site_major_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:

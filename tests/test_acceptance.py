@@ -16,7 +16,7 @@ import pytest
 
 from oracles import FunctionEvaluator, dense_joint_step, recurrence_evolve
 from qwgames.cli import ExperimentConfig, run_recipe
-from qwgames.dynamics import WalkConfig, evolve, evolve_single
+from qwgames.dynamics import WalkConfig, evolve, evolve_single, reach
 from qwgames.equilibrium import (
     StrategyGrid,
     WalkEvaluator,
@@ -140,15 +140,16 @@ def test_04_separability_without_interaction():
 
     # both sides stay on the joint kernel: WalkEvaluator would take the
     # product path here and compare the product with itself
-    probs = distributions(config, thetas)
+    probs = distributions(config, thetas)  # on the reach sites
+    window = reach(geom, 10)
     singles = {th: born_single(evolve_single(geom, 10, th, (1, 0))) for th in vals}
     worst_p = max(
-        float(np.max(np.abs(p - np.outer(singles[a], singles[b]))))
+        float(np.max(np.abs(p - np.outer(singles[a][window], singles[b][window]))))
         for p, (a, b) in zip(probs, thetas)
     )
 
     f = dict(zip(vals, drift_sweep(geom, 10, vals, (1, 0))))
-    u = payoffs(probs, geom, RACE)[0]
+    u = payoffs(probs, geom, RACE, window)[0]
     worst_u = max(abs(ua - (f[a] - f[b])) for ua, (a, b) in zip(u, thetas))
     report(
         4,

@@ -9,6 +9,8 @@ from oracles import (
     dense_interaction,
     dense_joint_step,
     dense_single_step,
+    full_lattice_distributions,
+    kernel_steps,
     random_joint_state,
     recurrence_evolve,
     site_major_singles,
@@ -17,11 +19,6 @@ from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import (
     DomainError,
     WalkConfig,
-    _coin_krons,
-    _joint_view,
-    _phase,
-    _shift_permutation,
-    _steps,
     chunk_profiles,
     coin_matrix,
     evolve,
@@ -35,7 +32,6 @@ from qwgames.hilbert import (
     Boundary,
     LatticeGeometry,
     ValidationError,
-    born,
     born_single,
     make_initial_state,
     measure_joint,
@@ -53,19 +49,6 @@ DETERMINISTIC_KINDS = [
     InteractionKind.LONG_RANGE,
     InteractionKind.COIN_DEPENDENT,
 ]
-
-
-def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
-    """(L, 2, L, 2) state psi after one `_steps` call, one kernel step per
-    noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
-    geom = config.geometry
-    thetas = np.array([[theta_a, theta_b]])
-    index, values, factors, _ = _phase(config, thetas, slice(None))
-    phase = index, values, factors, np.asarray(etas, dtype=float)
-    amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
-    perm = _shift_permutation(geom.size, geom.boundary)
-    _steps(amps, _coin_krons(thetas), perm, len(etas), phase)
-    return _joint_view(amps, geom.size)[0]
 
 
 @pytest.mark.parametrize(
@@ -351,15 +334,6 @@ def test_walkers_leave_the_sites_off_parity_exactly_zero(boundary):
         assert np.count_nonzero(joint) and np.count_nonzero(singles[:, ~off], axis=1).all()
 
 
-def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
-    """P per profile from `_steps` on the whole lattice, run as `kernel_steps`
-    runs it, with the walk's own noise draws."""
-    geom = config.geometry
-    psi = make_initial_state(geom, config.coin_a, config.coin_b)
-    etas = _phase(config, np.asarray(thetas), slice(None))[3]
-    return np.stack([born(kernel_steps(config, ta, tb, etas, psi)) for ta, tb in thetas])
-
-
 COIN_PAIRS = {
     "right-right": ((1, 0), (1, 0)),
     "symmetric-symmetric": (SYMMETRIC, SYMMETRIC),
@@ -377,13 +351,19 @@ COIN_PAIRS = {
 @pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
 def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, size, steps):
     # the light cone's wrap never reads a nonzero amplitude, so it changes no
-    # bit of P; nor does the lattice edge up to T = (L - 1) / 2
+    # bit of P; nor does the lattice edge up to T = (L - 1) / 2.  P holds the
+    # reach sites only, (T + 1)^2 joint sites on the light cone
     geom = LatticeGeometry(size, boundary)
     spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
     config = WalkConfig(geom, steps, *coins, spec, seed=5)
     thetas = np.array([[0.0, np.pi], [1.1, 2.3], [2.9, 0.4], [np.pi / 2, np.pi / 2]])
     got = distributions(config, thetas)
-    assert got.tobytes() == full_lattice_distributions(config, thetas).tobytes()
+    full = full_lattice_distributions(config, thetas)
+    window = reach(geom, steps)
+    assert got.shape == (4, *full[0, window, window].shape)
+    assert got.tobytes() == full[:, window, window].tobytes()
+    full[:, window, window] = 0.0
+    assert not full.any()  # P is zero off the reach sites
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)

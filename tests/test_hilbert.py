@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qwgames.hilbert import (
+    CSV_BLOCK_ROWS,
     Boundary,
     JointDistribution,
     LatticeGeometry,
@@ -187,6 +188,19 @@ def test_float_csv_is_the_per_cell_writer_byte_for_byte(tmp_path, shape):
     text = _same_bytes(tmp_path, header, table, table)
     assert text.count(b"\r\n") == shape[0] + 1
     assert text.startswith(",".join(header).encode() + b"\r\n")
+
+
+@pytest.mark.parametrize(
+    "rows", [CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3], ids=["one-block", "past-two-blocks"]
+)
+def test_float_csv_in_blocks_is_the_per_cell_writer_byte_for_byte(tmp_path, rows):
+    # integer labels, the special values and random floats across block edges
+    rng = np.random.default_rng(8)
+    table = np.column_stack([
+        np.arange(rows) - rows // 2, np.resize(np.array(SPECIAL), rows), rng.normal(size=rows)
+    ])
+    text = _same_bytes(tmp_path, ["k", "special", "normal"], table, table)
+    assert text.count(b"\r\n") == rows + 1
 
 
 def test_float_csv_prints_integer_columns_as_integers(tmp_path):

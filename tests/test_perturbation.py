@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qwgames.dynamics import WalkConfig
+import qwgames.equilibrium as equilibrium
+from qwgames.dynamics import WalkConfig, reach
 from qwgames.equilibrium import StrategyGrid, WalkEvaluator, distributions
 from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import LatticeGeometry, ValidationError
@@ -47,7 +48,8 @@ def test_separability_residual_vanishes_without_interaction():
     # an inert walk's evaluator takes the product path, which is the prediction
     assert separability_residual(config, RACE, grid) == 0.0
     # so the joint kernel is what shows that the walk really factorizes
-    joint = payoffs(distributions(config, grid.profiles), config.geometry, RACE)[0]
+    window = reach(config.geometry, config.steps)
+    joint = payoffs(distributions(config, grid.profiles), config.geometry, RACE, window)[0]
     assert np.max(np.abs(joint - _separable_prediction(config, RACE, grid.profiles))) < 1e-12
 
 
@@ -103,12 +105,32 @@ def per_point_g_grid(config, game, grid, schedule):
     ])
 
 
+def whole_grid_g(config, game, grid, schedule):
+    """The Richardson limit of each strength's whole-grid points call."""
+    def u_a(strength):
+        walk = replace(config, interaction=config.interaction.with_strength(strength))
+        return WalkEvaluator(walk, game).points(grid.profiles)[0]
+
+    u0 = u_a(0.0)
+    s = [(u_a(lam) - u0) / lam for lam in schedule]
+    g = 2.0 * s[-1] - s[-2] if schedule[-1] == schedule[-2] / 2 else s[-1]
+    return g.reshape(grid.n, grid.n)
+
+
+# The whole-grid batch reduces each mirrored profile from its partner's
+# transposed P, where first_order_slope evolves every point alone, so the
+# sums run in another order: G differs by rounding, up to 4.4e-14 here and
+# 7.1e-14 on the recipe's 13x13 grid
+G_GRID_TOL = 1e-12
+
+
 @pytest.mark.parametrize("schedule", SCHEDULES)
-def test_g_estimate_grid_is_bitwise_the_per_point_slopes(schedule):
+def test_g_estimate_grid_is_the_whole_grid_slopes(schedule):
     grid = StrategyGrid(5)
     got = g_estimate_grid(SMALL, RACE, grid, schedule)
+    assert got.tobytes() == whole_grid_g(SMALL, RACE, grid, schedule).tobytes()
     want = per_point_g_grid(SMALL, RACE, grid, schedule)
-    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=0, atol=G_GRID_TOL)
     assert np.count_nonzero(got) > 5  # not a trivially zero grid
 
 
@@ -135,17 +157,26 @@ def test_every_slope_routine_rejects_a_bad_schedule(schedule):
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
-def test_g_estimate_grid_evaluates_one_batch_per_row_and_strength(monkeypatch, schedule):
-    sizes = []
-    points = WalkEvaluator.points
+def test_g_estimate_grid_evaluates_one_batch_per_strength(monkeypatch, schedule):
+    sizes, evolved = [], []
+    points, evolve_batch = WalkEvaluator.points, equilibrium.evolve_batch
 
     def counted(self, thetas):
         sizes.append(len(thetas))
         return points(self, thetas)
 
+    def counted_evolve(config, thetas):
+        evolved.append(len(thetas))
+        return evolve_batch(config, thetas)
+
     monkeypatch.setattr(WalkEvaluator, "points", counted)
+    monkeypatch.setattr(equilibrium, "evolve_batch", counted_evolve)
     g_estimate_grid(SMALL, RACE, StrategyGrid(5), schedule)
-    assert sizes == [5] * (5 * (1 + len(schedule)))
+    assert sizes == [25] * (1 + len(schedule))
+    # the walk is exchange-symmetric: 15 of the 25 profiles are evolved per
+    # coupled strength, the rest reduced from their mirrors; strength 0 is
+    # inert and takes the product path
+    assert evolved == [15] * len(schedule)
 
 
 def test_richardson_step_only_for_a_halving_schedule():
@@ -162,16 +193,10 @@ def test_noisy_residual_and_slopes_are_the_ensemble_mean():
     config = WalkConfig(LatticeGeometry(11), 4, interaction=spec, ensemble=3)
     grid, schedule = StrategyGrid(3), (0.1, 0.05)
 
-    def u_a(cfg, strength):
-        walk = replace(cfg, interaction=spec.with_strength(strength))
-        return WalkEvaluator(walk, RACE).points(grid.profiles)[0]
-
     def by_hand(cfg):
-        u = u_a(cfg, 1.0)
+        u = WalkEvaluator(cfg, RACE).points(grid.profiles)[0]
         residual = float(np.max(np.abs(u - _separable_prediction(cfg, RACE, grid.profiles))))
-        u0 = u_a(cfg, 0.0)
-        s1, s2 = ((u_a(cfg, lam) - u0) / lam for lam in schedule)
-        return residual, (2.0 * s2 - s1).reshape(grid.n, grid.n)
+        return residual, whole_grid_g(cfg, RACE, grid, schedule)
 
     results = {}
     for ensemble in (1, 3):
