@@ -37,6 +37,7 @@ from .hilbert import (
     LatticeGeometry,
     ValidationError,
     coin_vector,
+    reach,
 )
 from .interactions import InteractionKind, InteractionSpec
 
@@ -46,10 +47,6 @@ from .interactions import InteractionKind, InteractionSpec
 # L2, which leaves room for the gather indices and BLAS's own buffers.  Of
 # 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
 CHUNK_AMPLITUDES = 16_384
-
-
-class DomainError(ValueError):
-    """Raised when a strategy angle leaves [0, pi]."""
 
 
 @dataclass(frozen=True)
@@ -82,15 +79,6 @@ def coin_matrix(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.stack([c, -s, s, c], -1).reshape(*theta.shape, 2, 2)
-
-
-def reach(geometry: LatticeGeometry, steps: int) -> slice:
-    """Array offsets of the sites a walker started at x = 0 can occupy after
-    T = steps steps: the T + 1 sites of parity T, every second offset of
-    half - T ... half + T, while T <= (L - 1) / 2; else the whole lattice."""
-    if steps > geometry.half:
-        return slice(0, geometry.size)
-    return slice(geometry.half - steps, geometry.half + steps + 1, 2)
 
 
 def _lattice(geometry: LatticeGeometry, steps: int) -> tuple[int, int, Boundary | None]:
@@ -242,7 +230,7 @@ def _angles(thetas) -> np.ndarray:
     """thetas as a float array, every angle checked to lie in [0, pi]."""
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(np.isfinite(thetas)) or np.any((thetas < 0) | (thetas > np.pi)):
-        raise DomainError("all strategy angles must lie in [0, pi]")
+        raise ValidationError("all strategy angles must lie in [0, pi]")
     return thetas
 
 

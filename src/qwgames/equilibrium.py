@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
-from . import interactions
-from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles, reach
+from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles
 from .games import GameSpec, payoffs
-from .hilbert import LatticeGeometry, ValidationError, born, born_single, check_distributions
-from .interactions import InteractionSpec
+from .hilbert import ValidationError, born, born_single, check_distributions, reach
 
 PI = np.pi
 
@@ -145,40 +142,28 @@ def _ensemble_points(evaluators, thetas) -> list[tuple]:
     if any(ev.config != first.config for ev in evaluators):
         raise ValidationError("evaluators sharing an evolution must share one walk")
     thetas = np.asarray(thetas, dtype=float)
-    geom = first.config.geometry
-    window = reach(geom, first.config.steps)
     games = [ev.game for ev in evaluators]
     per_walk = []  # [realization][evaluator] -> (u_a, u_b, aux)
     for walk in first.realizations:
         if walk.interaction.inert:
             probs = product_distributions(walk, thetas)
-            per_walk.append([payoffs(probs, geom, game, window) for game in games])
+            per_walk.append([payoffs(probs, walk.geometry, game) for game in games])
         else:
             per_walk.append(_joint_points(walk, thetas, games))
     return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(evaluators))]
 
 
-@lru_cache(maxsize=64)
-def _symmetric_table(spec: InteractionSpec, geometry: LatticeGeometry) -> bool:
-    """Whether the phase table is unchanged by swapping the walkers,
-    (x_A, s_A) <-> (x_B, s_B)."""
-    table = interactions.phase_table(spec, geometry)
-    return bool(np.array_equal(table, table.transpose(2, 3, 0, 1)))
-
-
 def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     """The rows with theta_A > theta_B whose mirror (theta_B, theta_A) is in
-    the batch, and the row of each mirror; empty unless the walk is
-    exchange-symmetric.
+    the batch, and the row of each mirror; empty unless the walkers' coins
+    are equal.
 
-    With equal coins and a phase table symmetric under swapping the walkers
-    (the coupling is symmetric for every kind), P(theta_B, theta_A) is
-    P(theta_A, theta_B) transposed.  Only a mirror in the same batch is
-    reused, so every other row is evolved as given and keeps its bits."""
-    if (
-        thetas.ndim != 2 or thetas.shape[1] != 2 or walk.coin_a != walk.coin_b
-        or not _symmetric_table(walk.interaction, walk.geometry)
-    ):
+    Every phase table and coupling of the catalog is unchanged by swapping
+    the walkers (tests/test_interactions.py pins this), so with equal coins
+    P(theta_B, theta_A) is P(theta_A, theta_B) transposed.  Only a mirror in
+    the same batch is reused, so every other row is evolved as given and
+    keeps its bits."""
+    if thetas.ndim != 2 or thetas.shape[1] != 2 or walk.coin_a != walk.coin_b:
         return np.empty((2, 0), dtype=int)
     rows = thetas.tolist()
     lower = {(a, b): k for k, (a, b) in enumerate(rows) if a < b}
@@ -191,11 +176,10 @@ def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
     in the batch is not evolved: its columns are reduced from the mirror's
     transposed P, a view of the evolved stack."""
     geom = walk.geometry
-    window = reach(geom, walk.steps)
     mirrored, partner = _mirrors(walk, thetas)
     if not mirrored.size:
         probs = distributions(walk, thetas)
-        return [payoffs(probs, geom, game, window) for game in games]
+        return [payoffs(probs, geom, game) for game in games]
     evolved = np.ones(len(thetas), dtype=bool)
     evolved[mirrored] = False
     probs = distributions(walk, thetas[evolved])
@@ -209,7 +193,7 @@ def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
     per_game = []
     for game in games:
         (u_a, u_b, aux), (s_a, s_b, s_aux) = (
-            payoffs(p, geom, game, window) for p in (probs, probs.transpose(0, 2, 1))
+            payoffs(p, geom, game) for p in (probs, probs.transpose(0, 2, 1))
         )
         per_game.append((
             scatter(u_a, s_a), scatter(u_b, s_b),
@@ -239,8 +223,8 @@ class WalkEvaluator:
     same realizations serve every strategy pair, so finite differences see
     common random numbers.  A deterministic walk is its own one realization.
     A walk whose interaction is inert takes the product path,
-    `product_distributions`; an exchange-symmetric one evolves a profile
-    once when its mirror is in the same batch (`_mirrors`).
+    `product_distributions`; one with equal coins evolves a profile once
+    when its mirror is in the same batch (`_mirrors`).
     """
 
     def __init__(self, config: WalkConfig, game: GameSpec):

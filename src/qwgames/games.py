@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import JointDistribution, LatticeGeometry
+from .hilbert import JointDistribution, LatticeGeometry, ValidationError, reach
 
 
 class GameKind(Enum):
@@ -22,10 +22,6 @@ class GameKind(Enum):
     RENDEZVOUS = "rendezvous"
     TUG_OF_WAR = "tug_of_war"
     CUSTOM_TABLE = "custom_table"
-
-
-class ShapeError(ValueError):
-    """Raised when custom payoff tables are malformed or do not match the lattice."""
 
 
 @dataclass(frozen=True)
@@ -37,9 +33,9 @@ class GameSpec:
     def __post_init__(self):
         if self.kind is GameKind.CUSTOM_TABLE:
             if self.table_a is None or self.table_b is None:
-                raise ShapeError("custom_table requires both payoff tables")
+                raise ValidationError("custom_table requires both payoff tables")
         elif self.table_a is not None or self.table_b is not None:
-            raise ShapeError(f"{self.kind.value} takes no payoff tables")
+            raise ValidationError(f"{self.kind.value} takes no payoff tables")
 
 
 @dataclass(frozen=True)
@@ -60,18 +56,20 @@ BUILT_IN = {
 }
 
 
-def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec, sites=slice(None)):
+def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec):
     """Utilities and transport diagnostics of a stack of distributions.
 
-    probs: (B, n, n), P on the lattice sites `sites` of each walker (a
-    walk's `dynamics.reach`, the whole lattice by default), zero elsewhere.
-    Every quantity is a linear functional of P, reduced for the whole stack
-    at once; returns (u_a, u_b, aux), each value of shape (B,).  u_A is P
-    reduced against player A's payoff table on those sites, signed as
-    `BUILT_IN` says; u_B is reduced against table_b when the game has one,
-    else derived from u_A.  A custom table must cover the (L, L) lattice.
+    probs: (B, n, n), P on the `reach(geometry, n - 1)` sites of each
+    walker, zero elsewhere: the light cone of a walk of T = n - 1 steps, or
+    the whole lattice when n = L.  Every quantity is a linear functional of
+    P, reduced for the whole stack at once; returns (u_a, u_b, aux), each
+    value of shape (B,).  u_A is P reduced against player A's payoff table
+    on those sites, signed as `BUILT_IN` says; u_B is reduced against
+    table_b when the game has one, else derived from u_A.  A custom table
+    must cover the (L, L) lattice.
     """
     L = geometry.size
+    sites = reach(geometry, probs.shape[-1] - 1)
     x = geometry.positions[sites].astype(float)
     xa, xb = x[:, None], x[None, :]
 
@@ -88,7 +86,7 @@ def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec, sites=
     if game.kind is GameKind.CUSTOM_TABLE:
         for name, table in (("A", game.table_a), ("B", game.table_b)):
             if np.shape(table) != (L, L):
-                raise ShapeError(
+                raise ValidationError(
                     f"payoff table for player {name} has shape {np.shape(table)}, "
                     f"lattice needs {(L, L)}"
                 )
@@ -114,7 +112,7 @@ def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:
     """Load an L x L payoff table from x_A,x_B,value rows (site labels),
     one row for every site pair of the lattice.
 
-    Raises ShapeError, naming the file and line, for a missing column, a
+    Raises ValidationError, naming the file and line, for a missing column, a
     label or value that does not parse, a value that is not finite, a label
     off the lattice, and a repeated (x_A, x_B) row; and naming the file and
     the first pair, in label order, when a site pair has no row.
@@ -125,21 +123,21 @@ def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:
         reader = csv.DictReader(fh)
         missing = [c for c in ("x_A", "x_B", "value") if c not in (reader.fieldnames or ())]
         if missing:
-            raise ShapeError(f"{path}:1: missing column {', '.join(missing)}")
+            raise ValidationError(f"{path}:1: missing column {', '.join(missing)}")
         for row in reader:
             where = f"{path}:{reader.line_num}"
             try:
                 site = geometry.offset(int(row["x_A"])), geometry.offset(int(row["x_B"]))
                 value = float(row["value"])
             except (TypeError, ValueError) as exc:
-                raise ShapeError(f"{where}: {exc}") from None
+                raise ValidationError(f"{where}: {exc}") from None
             if not np.isfinite(value):
-                raise ShapeError(f"{where}: value {row['value']!r} is not finite")
+                raise ValidationError(f"{where}: value {row['value']!r} is not finite")
             if filled[site]:
-                raise ShapeError(f"{where}: second row for x_A={row['x_A']}, x_B={row['x_B']}")
+                raise ValidationError(f"{where}: second row for x_A={row['x_A']}, x_B={row['x_B']}")
             filled[site] = True
             table[site] = value
     if not filled.all():
         xa, xb = geometry.positions[np.argwhere(~filled)[0]]
-        raise ShapeError(f"{path}: no row for x_A={xa}, x_B={xb}")
+        raise ValidationError(f"{path}: no row for x_A={xa}, x_B={xb}")
     return table

@@ -29,7 +29,9 @@ class Boundary(Enum):
 
 
 class ValidationError(ValueError):
-    """Raised when a distribution, geometry, or coin vector violates its contract."""
+    """Raised for invalid library input: a geometry, walk, interaction,
+    strategy angle, coin vector, distribution or payoff table that violates
+    its contract."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,15 @@ class JointDistribution:
         check_distributions(self.probabilities[None])
 
 
+def reach(geometry: LatticeGeometry, steps: int) -> slice:
+    """Array offsets of the sites a walker started at x = 0 can occupy after
+    T = steps steps: the T + 1 sites of parity T, every second offset of
+    half - T ... half + T, while T <= (L - 1) / 2; else the whole lattice."""
+    if steps > geometry.half:
+        return slice(0, geometry.size)
+    return slice(geometry.half - steps, geometry.half + steps + 1, 2)
+
+
 def check_distributions(probs: np.ndarray):
     """Raise ValidationError unless every (n, n) block of the (B, n, n) stack
     is non-negative and sums to 1; one vectorized pass over the stack."""
@@ -113,13 +124,6 @@ def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
     amps = np.zeros((L, 2, L, 2), dtype=complex)
     o = geometry.offset(0)
     amps[o, :, o, :] = np.outer(ca, cb)
-    return amps
-
-
-def make_single_state(geometry: LatticeGeometry, coin, x: int = 0) -> np.ndarray:
-    """(L, 2) amplitudes of one walker at site x with coin state coin."""
-    amps = np.zeros((geometry.size, 2), dtype=complex)
-    amps[geometry.offset(x), :] = coin_vector(coin, "single")
     return amps
 
 

@@ -7,7 +7,9 @@ a diagonal unitary.  Every catalog entry factors as
     phase = coupling(theta_A, theta_B) * table(x_A, x_B, s_A, s_B) [+ eta_t]
 
 which the evolution engine exploits: the table is geometry-only and the
-coupling is a scalar per strategy profile.
+coupling is a scalar per strategy profile.  Every entry is unchanged when
+the walkers swap, (x_A, s_A, theta_A) <-> (x_B, s_B, theta_B), which lets
+`equilibrium._mirrors` reduce a mirrored profile from its partner's P.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import Boundary, LatticeGeometry
+from .hilbert import Boundary, LatticeGeometry, ValidationError
 
 
 class InteractionKind(Enum):
@@ -27,10 +29,6 @@ class InteractionKind(Enum):
     LONG_RANGE = "long_range"
     COIN_DEPENDENT = "coin_dependent"
     NOISY_COLLISION = "noisy_collision"
-
-
-class ConfigurationError(ValueError):
-    """Raised for an invalid or unsupported interaction specification."""
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,13 @@ class InteractionSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, InteractionKind):
-            raise ConfigurationError(f"unsupported interaction kind: {self.kind!r}")
+            raise ValidationError(f"unsupported interaction kind: {self.kind!r}")
         if not np.isfinite(self.strength):
-            raise ConfigurationError("interaction strength must be finite")
+            raise ValidationError("interaction strength must be finite")
         if self.kind is InteractionKind.LONG_RANGE and not self.range_exponent > 0:
-            raise ConfigurationError("range_exponent must be > 0")
+            raise ValidationError("range_exponent must be > 0")
         if self.kind is InteractionKind.NOISY_COLLISION and self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be >= 0")
+            raise ValidationError("noise_sigma must be >= 0")
 
     @property
     def noisy(self) -> bool:
@@ -96,7 +94,7 @@ def coupling(spec: InteractionSpec, theta_a, theta_b):
         return -spec.strength * np.ones_like(np.asarray(theta_a, dtype=float))
     if k is InteractionKind.COIN_DEPENDENT:
         return spec.strength * np.ones_like(np.asarray(theta_a, dtype=float))
-    raise ConfigurationError(f"unsupported interaction kind: {k!r}")
+    raise ValidationError(f"unsupported interaction kind: {k!r}")
 
 
 def phase_table(spec: InteractionSpec, geometry: LatticeGeometry) -> np.ndarray:
@@ -118,7 +116,7 @@ def phase_table(spec: InteractionSpec, geometry: LatticeGeometry) -> np.ndarray:
     if k is InteractionKind.COIN_DEPENDENT:
         coin_diag = np.eye(2)
         return diag[:, None, :, None] * coin_diag[None, :, None, :]
-    raise ConfigurationError(f"unsupported interaction kind: {k!r}")
+    raise ValidationError(f"unsupported interaction kind: {k!r}")
 
 
 def phase(

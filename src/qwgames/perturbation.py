@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import WalkConfig, evolve_singles, reach
+from .dynamics import WalkConfig, evolve_singles
 from .equilibrium import StrategyGrid, WalkEvaluator, product_distributions
 from .games import GameSpec, payoffs
 from .hilbert import LatticeGeometry, ValidationError, born_single
@@ -47,8 +47,7 @@ def drift_sweep(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarr
 
 def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray) -> np.ndarray:
     """Payoff of the product of the two single-walker walks at each pair."""
-    window = reach(config.geometry, config.steps)
-    return payoffs(product_distributions(config, thetas), config.geometry, game, window)[0]
+    return payoffs(product_distributions(config, thetas), config.geometry, game)[0]
 
 
 def separability_residual(config: WalkConfig, game: GameSpec, grid: StrategyGrid) -> float:

@@ -149,7 +149,7 @@ def test_04_separability_without_interaction():
     )
 
     f = dict(zip(vals, drift_sweep(geom, 10, vals, (1, 0))))
-    u = payoffs(probs, geom, RACE, window)[0]
+    u = payoffs(probs, geom, RACE)[0]
     worst_u = max(abs(ua - (f[a] - f[b])) for ua, (a, b) in zip(u, thetas))
     report(
         4,

@@ -17,7 +17,6 @@ from oracles import (
 )
 from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import (
-    DomainError,
     WalkConfig,
     chunk_profiles,
     coin_matrix,
@@ -58,11 +57,11 @@ def test_angles_outside_the_domain_are_rejected(thetas):
     config = WalkConfig(GEOM5, 1)
     evolve_batch(config, [[0.0, np.pi]])
     evolve_singles(GEOM5, 1, [0.0, np.pi], (1, 0))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         evolve_batch(config, [[0.5, 0.5], thetas])
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         evolve(config, *thetas)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         evolve_singles(GEOM5, 1, thetas, (1, 0))
 
 
@@ -230,7 +229,7 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
         for _ in range(7):
             psi = dense_single_step(geom, theta) @ psi
         np.testing.assert_allclose(got, psi.reshape(9, 2), atol=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         evolve_singles(geom, 2, [0.5, np.pi + 0.1], coin)
 
 
@@ -394,7 +393,7 @@ def test_batch_rejects_bad_shapes_and_angles():
     config = WalkConfig(GEOM5, 2)
     with pytest.raises(Exception):
         evolve_batch(config, np.zeros((3,)))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         evolve_batch(config, np.array([[0.5, 4.0]]))
 
 

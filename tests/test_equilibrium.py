@@ -33,14 +33,10 @@ from qwgames.equilibrium import (
     surface_from_evaluator,
     vector_field,
 )
-import qwgames.dynamics as dynamics
 import qwgames.equilibrium as equilibrium
-import qwgames.interactions as interactions
 from qwgames.dynamics import WalkConfig, chunk_profiles, evolve, evolve_single, reach
 from qwgames.games import GameKind, GameSpec, payoff, payoffs
 from qwgames.hilbert import (
-    LEFT,
-    RIGHT,
     Boundary,
     JointDistribution,
     LatticeGeometry,
@@ -237,9 +233,8 @@ def test_walk_evaluator_ensemble_averages_noise():
     for ensemble in (1, 3, 9):
         ev = WalkEvaluator(replace(config, seed=2, ensemble=ensemble), game)
         assert [walk.seed for walk in ev.realizations] == list(range(2, 2 + ensemble))
-        window = reach(config.geometry, config.steps)
         per_seed = [
-            payoffs(distributions(walk, thetas), config.geometry, game, window)
+            payoffs(distributions(walk, thetas), config.geometry, game)
             for walk in ev.realizations
         ]
         u_a, u_b, aux = ev.points(thetas)
@@ -281,10 +276,7 @@ THREE_GAMES = [GameSpec(k) for k in (GameKind.RACE, GameKind.RENDEZVOUS, GameKin
 
 def joint_points(walks, thetas, game):
     """The seed-averaged payoff columns of walks, from the joint kernel."""
-    per_seed = [
-        payoffs(distributions(walk, thetas), walk.geometry, game, reach(walk.geometry, walk.steps))
-        for walk in walks
-    ]
+    per_seed = [payoffs(distributions(walk, thetas), walk.geometry, game) for walk in walks]
     u_a, u_b = (seed_average([p[k] for p in per_seed]) for k in (0, 1))
     return u_a, u_b, {key: seed_average([p[2][key] for p in per_seed]) for key in per_seed[0][2]}
 
@@ -361,8 +353,7 @@ def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
     for got, w in zip([u_a, u_b, *aux.values()], [*want[:2], *want[2].values()]):
         assert_same_bits(got, w)
     product = payoffs(
-        equilibrium.product_distributions(config, thetas), config.geometry, ev.game,
-        reach(config.geometry, config.steps),
+        equilibrium.product_distributions(config, thetas), config.geometry, ev.game
     )[0]
     assert np.max(np.abs(u_a - product)) > 1e-3
 
@@ -470,44 +461,6 @@ def test_a_batch_without_mirrors_keeps_its_bits(monkeypatch):
         sizes.clear()
         assert_columns(WalkEvaluator(config, game).points(thetas), want)
         assert sum(sizes) == 12
-
-
-@pytest.fixture
-def fresh_phase_caches():
-    """Phase tables computed afresh inside the test and forgotten after it."""
-    caches = [equilibrium._symmetric_table, dynamics._phase_support]
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def test_an_asymmetric_phase_table_takes_the_full_kernel(monkeypatch, fresh_phase_caches):
-    # a collision phase on coin channel (s_A, s_B) = (R, L) only: swapping the
-    # walkers moves it to (L, R), so P(theta_B, theta_A) is no transpose of
-    # P(theta_A, theta_B)
-    def one_channel(spec, geometry):
-        table = np.zeros((geometry.size, 2, geometry.size, 2))
-        sites = np.arange(geometry.size)
-        table[sites, RIGHT, sites, LEFT] = 1.0
-        return table
-
-    monkeypatch.setattr(interactions, "phase_table", one_channel)
-    config = WalkConfig(
-        LatticeGeometry(11), 6, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
-    )
-    grid = StrategyGrid(9)
-    game = GameSpec(GameKind.RACE)
-    sizes = count_evolved_profiles(monkeypatch)
-    want = joint_points([config], grid.profiles, game)
-    sizes.clear()
-    got = WalkEvaluator(config, game).points(grid.profiles)
-    assert sum(sizes) == 81
-    assert_columns(got, want)
-    # the mirror would be wrong here: the race's u_A is not antisymmetric
-    u_a = want[0].reshape(9, 9)
-    assert np.max(np.abs(u_a + u_a.T)) > 1e-3
 
 
 def test_race_sweep_evolves_the_upper_triangle(monkeypatch):

@@ -6,11 +6,11 @@ from qwgames.equilibrium import StrategyGrid, WalkEvaluator, surface_from_evalua
 from qwgames.games import (
     GameKind,
     GameSpec,
-    ShapeError,
     payoff,
+    payoffs,
     table_from_csv,
 )
-from qwgames.hilbert import JointDistribution, LatticeGeometry
+from qwgames.hilbert import JointDistribution, LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
 
 GEOM = LatticeGeometry(7)
@@ -71,17 +71,36 @@ def test_custom_table_payoff():
     assert pt.u_b == pytest.approx(float(np.sum(p * tb)))
 
 
+@pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+def test_payoffs_read_the_sites_from_the_size_of_p(kind):
+    # an (n, n) stack is P on the light cone of T = n - 1 steps: on L = 11,
+    # n = 4 holds the sites x = -3, -1, 1, 3; an (L, L) stack the whole lattice
+    geom = LatticeGeometry(11)
+    rng = np.random.default_rng(2)
+    game = GameSpec(kind, *(rng.random((2, 11, 11)) if kind is GameKind.CUSTOM_TABLE else ()))
+    cone = rng.random((5, 4, 4))
+    cone /= cone.sum(axis=(1, 2), keepdims=True)
+    full = np.zeros((5, 11, 11))
+    full[:, 2:9:2, 2:9:2] = cone
+    (u_a, u_b, aux), (w_a, w_b, want) = (payoffs(p, geom, game) for p in (cone, full))
+    np.testing.assert_allclose(u_a, w_a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(u_b, w_b, rtol=0, atol=1e-14)
+    assert aux.keys() == want.keys()
+    for key in aux:
+        np.testing.assert_allclose(aux[key], want[key], rtol=0, atol=1e-14)
+
+
 def test_custom_table_requires_tables():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValidationError):
         GameSpec(GameKind.CUSTOM_TABLE)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValidationError):
         GameSpec(GameKind.RACE, table_a=np.zeros((7, 7)), table_b=np.zeros((7, 7)))
 
 
 def test_custom_table_shape_mismatch():
     spec = GameSpec(GameKind.CUSTOM_TABLE, np.zeros((5, 5)), np.zeros((5, 5)))
     dist = point_mass(0, 0)
-    with pytest.raises(ShapeError, match="player A"):
+    with pytest.raises(ValidationError, match="player A"):
         payoff(dist, spec)
 
 
@@ -120,7 +139,7 @@ def test_table_from_csv(tmp_path):
 def test_table_from_csv_names_file_and_line_of_a_defect(tmp_path, text, line, message):
     path = tmp_path / "table.csv"
     path.write_text(text)
-    with pytest.raises(ShapeError, match=message) as info:
+    with pytest.raises(ValidationError, match=message) as info:
         table_from_csv(path, GEOM)
     assert str(info.value).startswith(f"{path}:{line}: " if line else f"{path}: ")
 

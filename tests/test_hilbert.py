@@ -6,16 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from qwgames.hilbert import (
     CSV_BLOCK_ROWS,
-    Boundary,
     JointDistribution,
     LatticeGeometry,
     ValidationError,
     born,
-    born_single,
     check_distributions,
     distribution_to_csv,
     make_initial_state,
-    make_single_state,
     marginals,
     measure_joint,
     write_float_csv,
@@ -230,18 +227,6 @@ def test_float_csv_rejects_a_table_that_does_not_match_its_header(tmp_path):
 def test_any_float_table_is_the_per_cell_writer_byte_for_byte(tmp_path_factory, table):
     tmp = tmp_path_factory.mktemp("csv")
     _same_bytes(tmp, [f"c{k}" for k in range(table.shape[1])], table, table)
-
-
-def test_single_state_distribution():
-    s = make_single_state(LatticeGeometry(7, Boundary.REFLECTING), (0.6, 0.8j), x=2)
-    assert s.shape == (7, 2)
-    p = born_single(s)
-    assert p[LatticeGeometry(7).offset(2)] == pytest.approx(1.0)
-
-
-def test_single_state_names_its_coin():
-    with pytest.raises(ValidationError, match="player single"):
-        make_single_state(GEOM5, (1, 1))
 
 
 def test_born_gives_the_same_bits_in_every_layout():

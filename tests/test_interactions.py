@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qwgames.dynamics import WalkConfig, evolve
-from qwgames.hilbert import Boundary, LatticeGeometry
+from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError
 from qwgames.interactions import (
-    ConfigurationError,
     InteractionKind,
     InteractionSpec,
     coupling,
@@ -16,13 +15,13 @@ GEOM = LatticeGeometry(7)
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         InteractionSpec(InteractionKind.LONG_RANGE, 1.0, range_exponent=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=-0.1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         InteractionSpec("collision_phase", 1.0)  # must be the enum
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValidationError):
         InteractionSpec(InteractionKind.COLLISION_PHASE, np.inf)
 
 
@@ -122,3 +121,16 @@ def test_phase_table_shapes():
     for kind in InteractionKind:
         spec = InteractionSpec(kind, 1.0)
         assert phase_table(spec, GEOM).shape == (7, 2, 7, 2)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("size", [3, 5, 15, 31])
+@pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
+def test_every_catalog_entry_is_unchanged_when_the_walkers_swap(kind, size, boundary):
+    # equilibrium._mirrors reduces a profile's mirror from the transposed P on
+    # the strength of this alone: there is no runtime check of the table
+    spec = InteractionSpec(kind, 0.7, range_exponent=1.5, noise_sigma=0.3)
+    table = phase_table(spec, LatticeGeometry(size, boundary))
+    assert table.tobytes() == table.transpose(2, 3, 0, 1).tobytes()
+    a, b = np.random.default_rng(size).uniform(0, np.pi, (2, 50))
+    assert coupling(spec, a, b).tobytes() == coupling(spec, b, a).tobytes()

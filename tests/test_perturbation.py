@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import qwgames.equilibrium as equilibrium
-from qwgames.dynamics import WalkConfig, reach
+from qwgames.cli import COIN_CATALOG
+from qwgames.dynamics import WalkConfig
 from qwgames.equilibrium import StrategyGrid, WalkEvaluator, distributions
 from qwgames.games import GameKind, GameSpec, payoffs
-from qwgames.hilbert import LatticeGeometry, ValidationError
+from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
 from qwgames.perturbation import (
     drift_sweep,
@@ -48,8 +49,7 @@ def test_separability_residual_vanishes_without_interaction():
     # an inert walk's evaluator takes the product path, which is the prediction
     assert separability_residual(config, RACE, grid) == 0.0
     # so the joint kernel is what shows that the walk really factorizes
-    window = reach(config.geometry, config.steps)
-    joint = payoffs(distributions(config, grid.profiles), config.geometry, RACE, window)[0]
+    joint = payoffs(distributions(config, grid.profiles), config.geometry, RACE)[0]
     assert np.max(np.abs(joint - _separable_prediction(config, RACE, grid.profiles))) < 1e-12
 
 
@@ -209,3 +209,40 @@ def test_noisy_residual_and_slopes_are_the_ensemble_mean():
         results[ensemble] = residual, g
     assert results[1][0] != results[3][0]
     assert not np.array_equal(results[1][1], results[3][1])
+
+
+def catalog_coins(a: str, b: str) -> tuple:
+    return tuple(tuple(complex(re, im) for re, im in COIN_CATALOG[name]) for name in (a, b))
+
+
+COLLISION = InteractionKind.COLLISION_PHASE
+# (coin pair, whether its lambda = 0 walk is real); right x symmetric, with a
+# complex relative phase, is the positive control
+COIN_PAIRS = [
+    pytest.param(("right", "right"), True, id="right-right"),
+    pytest.param(("plus", "minus"), True, id="plus-minus"),
+    pytest.param(("left", "plus"), True, id="left-plus"),
+    pytest.param(("right", "symmetric"), False, id="right-symmetric"),
+]
+
+
+# the perturbation recipe's light cone, and the race recipe's whole lattice
+@pytest.mark.parametrize("steps, size", [(10, 31), (20, 15)], ids=["light-cone", "lattice"])
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("coins, real", COIN_PAIRS)
+def test_first_order_term_vanishes_for_real_coins_only(coins, real, boundary, steps, size):
+    # The coin, the shift and every phase table are real, so from a real coin
+    # the walk at -lambda is the complex conjugate of the walk at lambda: P,
+    # and with it u_A, is even in lambda, and dU_A/dlambda at 0 is zero.  A
+    # complex relative phase (right x symmetric) breaks that.
+    geom, thetas = LatticeGeometry(size, boundary), StrategyGrid(7).profiles
+    walks = [
+        WalkConfig(geom, steps, *catalog_coins(*coins), InteractionSpec(COLLISION, lam))
+        for lam in (0.1, -0.1)
+    ]
+    for kind in (GameKind.RACE, GameKind.TUG_OF_WAR, GameKind.RENDEZVOUS):
+        u_plus, u_minus = (WalkEvaluator(walk, GameSpec(kind)).points(thetas)[0] for walk in walks)
+        if real:
+            assert u_plus.tobytes() == u_minus.tobytes(), kind
+        else:
+            assert np.max(np.abs(u_plus - u_minus)) > 1e-6, kind
