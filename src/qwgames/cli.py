@@ -32,12 +32,12 @@ import re
 import shutil
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+# not deferred into its recipe: the ~3 ms import would land in a ~20 ms run
 from . import perturbation as pert
 from .dynamics import WalkConfig, evolve
 from .equilibrium import (
@@ -594,6 +594,8 @@ def _calibrate_row(game_name, evaluator, grid, surface):
 
 
 def _run_calibrate(config: ExperimentConfig, out: str) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # only this recipe uses it
+
     # one job per distinct walk: games whose (T, L, phi) agree share it
     walks: dict = {}
     for game in ("race", "rendezvous", "tug_of_war"):

@@ -6,26 +6,31 @@ One step is coin -> shift -> interaction:
 
 applied without ever materializing the 4L^2 x 4L^2 matrix.  One kernel,
 `_steps`, evolves every walk in a channel-major layout (B, C, S): the joint
-walk as (B, 4, L^2) with channel c = 2 s_A + s_B, a single walker as
-(B, 2, L) with channel s.  The coin rotations are one real batched C x C
-matmul, the shift is one precomputed gather, and the joint walk's phase
-touches only the channel-plane sites where its table is nonzero.
+walk as (B, 4, n^2) with channel c = 2 s_A + s_B, a single walker as
+(B, 2, n) with channel s, on n sites per walker.  The coin rotations are one
+real batched C x C matmul, the shift is one precomputed gather, and the joint
+walk's phase touches only the channel-plane sites where its table is nonzero.
 
 A walker that starts at x = 0 occupies after t steps only the t + 1 sites
-of parity t, x = 2j - t with j = 0 ... t.  While T <= (L - 1) / 2 the walk
-never meets the lattice edge, and the kernel evolves it in the coordinate
-j = (x + t) / 2 on the T + 1 sites of this light cone (`reach`): there |R>
-moves j -> j + 1, |L> stays at j, and every phase table, which depends only
-on x_A - x_B = 2 (j_A - j_B), is the same at every step.  The cone's shift
-wraps mod T + 1, but the wrap never reads a nonzero amplitude, so the cone
-changes no bit of the result.  Longer walks run on the whole lattice with
-its boundary.  Callers see the (n, 2, n, 2) and (L, 2) layouts of `hilbert`.
+of parity t, x = 2j - t with j = 0 ... t, and meets the lattice edge no
+sooner than after h = (L - 1) / 2 steps.  So every walk runs its first
+min(T, h) steps in the coordinate j = (x + t) / 2 on the sites of this light
+cone (`reach`): there |R> moves j -> j + 1, |L> stays at j, and every phase
+table, which depends only on x_A - x_B = 2 (j_A - j_B), is the same at every
+step.  The cone's shift wraps, but the wrap never reads a nonzero amplitude,
+so the cone changes no bit of the result.  A walk of T > h steps then hands
+the cone's state to the lattice's even offsets, where a walker stands at
+t = h, and runs its other T - h steps on the whole lattice with its
+boundary.  What a walk needs that does not depend on the strategies is
+planned once per walk (`_joint_plan`, `_single_legs`).  Callers see the
+(n, 2, n, 2) and (L, 2) layouts of `hilbert`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +47,10 @@ from .hilbert import (
 from .interactions import InteractionKind, InteractionSpec
 
 # amplitudes evolved together, 4 n^2 a profile on n sites per walker
-# (`chunk_profiles`).  `_steps` keeps two complex128 buffers of a chunk (amps
-# and coined), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB per-core
-# L2, which leaves room for the gather indices and BLAS's own buffers.  Of
-# 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
+# (`chunk_profiles`).  `_run` keeps two complex128 buffers of a chunk (amps
+# and the scratch), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
+# per-core L2, which leaves room for the gather indices and BLAS's own
+# buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
 CHUNK_AMPLITUDES = 16_384
 
 
@@ -81,20 +86,22 @@ def coin_matrix(theta) -> np.ndarray:
     return np.stack([c, -s, s, c], -1).reshape(*theta.shape, 2, 2)
 
 
-def _lattice(geometry: LatticeGeometry, steps: int) -> tuple[int, int, Boundary | None]:
-    """Sites per walker, offset of the start site and shift rule of the
-    lattice `_steps` evolves a walk of T = steps steps on: the T + 1 sites
-    j = (x + t) / 2 of the light cone, started at j = 0 (rule None), while
-    T <= (L - 1) / 2; else the whole lattice and its boundary."""
-    if steps > geometry.half:
-        return geometry.size, geometry.half, geometry.boundary
-    return steps + 1, 0, None
+def _lattice(geometry: LatticeGeometry, steps: int) -> list[tuple[int, int, Boundary | None]]:
+    """The legs `_steps` evolves a walk of T = steps steps on, each as
+    (sites per walker, steps, shift rule): the light cone's first min(T, h)
+    steps, h = (L - 1) / 2, on its sites j = (x + t) / 2 from j = 0 (rule
+    None); past h, the other T - h steps on the whole lattice and its
+    boundary, from the cone's state on the lattice's even offsets."""
+    h = geometry.half
+    if steps <= h:
+        return [(steps + 1, steps, None)]
+    return [(h + 1, h, None), (geometry.size, steps - h, geometry.boundary)]
 
 
 def chunk_profiles(geometry: LatticeGeometry, steps: int) -> int:
     """Profiles per cache-sized chunk of a batched evolution of steps steps,
-    which evolves 4 n^2 amplitudes per profile on n sites per walker."""
-    n = _lattice(geometry, steps)[0]
+    which ends with 4 n^2 amplitudes per profile on n sites per walker."""
+    n = _lattice(geometry, steps)[-1][0]
     return max(1, CHUNK_AMPLITUDES // (4 * n * n))
 
 
@@ -180,43 +187,96 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tup
     return (slice(None), channels, sites), values
 
 
-def _phase(config: WalkConfig, thetas: np.ndarray, window: slice):
-    """The interaction phase of a joint walk on the lattice sites window, for
-    `_steps`: the support index, the table on it, exp(i * coupling * table)
-    on it per profile (None when that is a no-op) and the noise jitter of
-    each step.  On the light cone the window is `reach`'s sites of parity T,
-    whose table holds at every step: it depends only on x_A - x_B.
+class _Leg(NamedTuple):
+    """One leg of a walk in `_lattice`, as `_steps` runs it: the gather of
+    its shift and, on a joint walk that interacts, the support index of its
+    phase table, the table there, the table as indices into its plan's
+    distinct values, and the noise draws of its steps."""
 
-    A noisy walk draws one jitter eta_t per step, uniform on [-sigma, sigma],
-    from a generator seeded with config.seed.  The jitter multiplies the
-    phase table (for the noisy collision, the x_A = x_B indicator), not the
-    whole state: a spatially uniform phase would drop out of every observable.
+    sites: int
+    steps: int
+    perm: np.ndarray
+    phase: tuple | None
+
+
+class _Plan(NamedTuple):
+    """What a joint walk needs that does not depend on the strategies: the
+    (4,) start amplitudes at j_A = j_B = 0, the legs, and the distinct values
+    of the legs' phase tables, on which the coupling acts when `coupled`.
+    Read-only, and shared by every call on one WalkConfig."""
+
+    start: np.ndarray
+    legs: tuple
+    distinct: np.ndarray
+    coupled: bool
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _joint_plan(config: WalkConfig) -> _Plan:
+    """The plan of a joint walk, keyed by the whole config, seed included.
+
+    Each leg's phase table is the lattice's, cut to the sites the walkers
+    reach at the leg's end: on the light cone they hold at every step, as
+    the table depends only on x_A - x_B.  A noisy walk draws one jitter eta_t
+    per step, uniform on [-sigma, sigma], from a generator seeded with
+    config.seed.  The jitter multiplies the phase table (for the noisy
+    collision, the x_A = x_B indicator), not the whole state: a spatially
+    uniform phase would drop out of every observable.
     """
-    spec, geom, steps = config.interaction, config.geometry, config.steps
-    index, values = _phase_support(spec, geom, window.indices(geom.size))
+    geom, spec, steps = config.geometry, config.interaction, config.steps
+    start = np.outer(coin_vector(config.coin_a, "A"), coin_vector(config.coin_b, "B"))
     etas = np.zeros(steps)
     if spec.noisy:
         rng = np.random.default_rng(config.seed)
         etas = rng.uniform(-spec.noise_sigma, spec.noise_sigma, steps)
-    if spec.kind is InteractionKind.NONE or spec.strength == 0.0:
-        return index, values, None, etas
-    coup = np.asarray(interactions.coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
-    return index, values, np.exp(1j * coup[:, None, None] * values), etas
+    _frozen(etas)
+    layout, t = [], 0
+    for n, k, rule in _lattice(geom, steps):
+        t += k
+        window = reach(geom, t).indices(geom.size)
+        layout.append((n, k, rule, t, *_phase_support(spec, geom, window)))
+    # in Python: np.unique imports numpy.ma and np.sort first touches numpy's
+    # sort code, which a run would pay in peak RSS
+    distinct = sorted({v for *_, values in layout for v in values.ravel().tolist()})
+    position = {v: j for j, v in enumerate(distinct)}
+    legs = []
+    for n, k, rule, t, index, values in layout:
+        inverse = [position[v] for v in values.ravel().tolist()]
+        inverse = _frozen(np.array(inverse, dtype=np.intp).reshape(values.shape))
+        phase = None if spec.inert else (index, values, inverse, etas[t - k : t])
+        legs.append(_Leg(n, k, _shift_permutation(n, rule), phase))
+    coupled = spec.kind is not InteractionKind.NONE and spec.strength != 0.0
+    return _Plan(_frozen(start.reshape(4)), tuple(legs), _frozen(np.array(distinct)), coupled)
 
 
-def _steps(amps: np.ndarray, coins: np.ndarray, perm: np.ndarray, steps: int, phase=None):
+@lru_cache(maxsize=64)
+def _single_legs(geometry: LatticeGeometry, steps: int) -> tuple:
+    """The legs of a free single walker, with its one-walker shift."""
+    return tuple(
+        _Leg(n, k, _walker_shift(n, rule), None) for n, k, rule in _lattice(geometry, steps)
+    )
+
+
+def _steps(amps, coined, coins, perm, steps: int, phase=None):
     """Evolve the (B, C, S) channel-major buffer amps in place for steps
-    steps: the real (B, C, C) coins act as one matmul on its float view
-    (B, C, 2S), then perm gathers the shifted state.  A joint walk passes
-    the `_phase` tuple, and each step ends with the coupling factors and
-    that step's jitter on the support of the phase table."""
-    coined = np.empty_like(amps)
+    steps, with coined, of the same shape, as scratch: the real (B, C, C)
+    coins act as one matmul on the float view (B, C, 2S), then perm gathers
+    the shifted state.  A joint walk passes phase = (support index, table
+    there, per-profile coupling factors there or None, per-step jitters),
+    and each step ends with the factors and that step's jitter on the
+    support."""
+    real, coined_real = amps.view(float), coined.view(float)
     flat, coined_flat = amps.reshape(len(amps), -1), coined.reshape(len(amps), -1)
     if phase is not None:
         index, values, factors, etas = phase
         support = amps[index]
     for t in range(steps):
-        np.matmul(coins, amps.view(float), out=coined.view(float))
+        np.matmul(coins, real, out=coined_real)
         coined_flat.take(perm, axis=1, out=flat, mode="clip")
         if phase is None:
             continue
@@ -226,10 +286,43 @@ def _steps(amps: np.ndarray, coins: np.ndarray, perm: np.ndarray, steps: int, ph
             support *= np.exp(1j * etas[t] * values)
 
 
+def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, factors=None) -> np.ndarray:
+    """(B, C, n^w) amplitudes of B walks of w = C / 2 walkers after the legs,
+    from the (C,) start amplitudes at site 0 of the cone, under the real
+    (B, C, C) coins.  factors holds exp(i * coupling * value) per profile and
+    distinct table value of a joint walk's plan, or is None.
+
+    A call makes two arrays, the result and a scratch: the scratch is each
+    leg's coined buffer and, on a walk past the cone, holds both of the cone
+    leg's buffers; at t = h the cone's site j is the lattice's offset 2j."""
+    B, C = coins.shape[:2]
+    w = C // 2
+    cone, last = legs[0], legs[-1]
+    m, size = B * C * cone.sites**w, B * C * last.sites**w
+    amps = np.zeros((B, C, last.sites**w), dtype=complex)
+    scratch = np.empty(size if cone is last else max(size, 2 * m), dtype=complex)
+    state, coined = amps, scratch[:size]
+    if cone is not last:
+        state, coined = scratch[:m].reshape(B, C, cone.sites**w), scratch[m : 2 * m]
+        state.fill(0)
+    state[:, :, 0] = start
+    for leg in legs:
+        if leg is not cone:
+            even = (slice(None),) * 2 + (slice(None, None, 2),) * w
+            amps.reshape(B, C, *[leg.sites] * w)[even] = state.reshape(B, C, *[cone.sites] * w)
+            state, coined = amps, scratch[:size]
+        phase = leg.phase
+        if phase is not None:
+            index, values, inverse, etas = phase
+            phase = index, values, None if factors is None else factors[:, inverse], etas
+        _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)
+    return amps
+
+
 def _angles(thetas) -> np.ndarray:
     """thetas as a float array, every angle checked to lie in [0, pi]."""
     thetas = np.asarray(thetas, dtype=float)
-    if not np.all(np.isfinite(thetas)) or np.any((thetas < 0) | (thetas > np.pi)):
+    if not ((thetas >= 0) & (thetas <= np.pi)).all():  # nan compares False
         raise ValidationError("all strategy angles must lie in [0, pi]")
     return thetas
 
@@ -248,15 +341,13 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     thetas = _angles(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
         raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    geom, steps = config.geometry, config.steps
-    n, start, rule = _lattice(geom, steps)
-    coins = np.outer(coin_vector(config.coin_a, "A"), coin_vector(config.coin_b, "B"))
-    amps = np.zeros((len(thetas), 4, n, n), dtype=complex)
-    amps[:, :, start, start] = coins.reshape(4)  # channel c = 2 s_A + s_B
-    amps = amps.reshape(len(thetas), 4, n * n)
-    phase = _phase(config, thetas, reach(geom, steps))
-    _steps(amps, _coin_krons(thetas), _shift_permutation(n, rule), steps, phase)
-    return _joint_view(amps, n)
+    plan = _joint_plan(config)
+    factors = None
+    if plan.coupled:
+        coup = interactions.coupling(config.interaction, thetas[:, 0], thetas[:, 1])
+        factors = np.exp(1j * np.asarray(coup, dtype=float)[:, None] * plan.distinct)
+    amps = _run(plan.legs, plan.start, _coin_krons(thetas), factors)
+    return _joint_view(amps, plan.legs[-1].sites)
 
 
 def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
@@ -271,12 +362,10 @@ def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
 def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
     """Final (B, L, 2) amplitudes of B non-interacting single walkers, one per
     angle in thetas, with the coin/shift conventions of the joint walk: the
-    `_steps` kernel on a (B, 2, n) buffer of the n `reach` sites."""
+    `_steps` kernel on (B, 2, n) buffers, through the legs of `_lattice`."""
     thetas = _angles(thetas).reshape(-1)
-    n, start, rule = _lattice(geometry, steps)
-    amps = np.zeros((len(thetas), 2, n), dtype=complex)
-    amps[:, :, start] = coin_vector(coin, "single")
-    _steps(amps, coin_matrix(thetas), _walker_shift(n, rule), steps)
+    start = coin_vector(coin, "single")
+    amps = _run(_single_legs(geometry, steps), start, coin_matrix(thetas))
     out = np.zeros((len(thetas), geometry.size, 2), dtype=complex)
     out[:, reach(geometry, steps)] = amps.transpose(0, 2, 1)
     return out

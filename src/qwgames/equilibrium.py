@@ -117,19 +117,26 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
 def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """P = p_A (x) p_B per profile on the `reach` sites, shape (B, n, n): the
     walk without its interaction, from one single-walker walk per distinct
-    angle of each player.  When the interaction is inert this is
-    `distributions` up to rounding, at the cost of one single walk per
-    distinct angle instead of one joint walk per profile."""
+    angle of each player, or of both players when their coins are equal.
+    When the interaction is inert this is `distributions` up to rounding, at
+    the cost of one single walk per distinct angle instead of one joint walk
+    per profile.  A walker's row does not depend on the batch it runs in, so
+    sharing the walks changes no bit."""
     thetas = np.asarray(thetas, dtype=float)
     window = reach(walk.geometry, walk.steps)
 
-    def walker(column: int, coin) -> np.ndarray:
-        """p(x) of one player's walker at each profile's angle, (B, n)."""
-        angles, profile_angle = np.unique(thetas[:, column], return_inverse=True)
+    def walkers(columns: list, coin) -> list:
+        """p(x) of each listed player's walker at each profile's angle, (B, n)."""
+        angles, inverse = np.unique(thetas[:, columns], return_inverse=True)
         amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
-        return born_single(amps[:, window])[profile_angle]
+        p = born_single(amps[:, window])
+        return [p[k] for k in inverse.reshape(len(thetas), -1).T]
 
-    probs = walker(0, walk.coin_a)[:, :, None] * walker(1, walk.coin_b)[:, None, :]
+    if walk.coin_a == walk.coin_b:
+        p_a, p_b = walkers([0, 1], walk.coin_a)
+    else:
+        (p_a,), (p_b,) = walkers([0], walk.coin_a), walkers([1], walk.coin_b)
+    probs = p_a[:, :, None] * p_b[:, None, :]
     check_distributions(probs)
     return probs
 

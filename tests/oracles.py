@@ -8,8 +8,9 @@ that the block-formatted float table writer is checked against byte for byte.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout,
-except `kernel_steps`: the production kernel run on the whole lattice, the
-bitwise reference of the light-cone window.
+except `kernel_steps`: the production kernel run on the whole lattice for
+every step, the bitwise reference of the light cone and of its handoff to
+the lattice.
 """
 
 import csv
@@ -20,13 +21,13 @@ from qwgames.dynamics import (
     WalkConfig,
     _coin_krons,
     _joint_view,
-    _phase,
+    _phase_support,
     _shift_permutation,
     _steps,
     coin_matrix,
 )
 from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, born, make_initial_state
-from qwgames.interactions import InteractionSpec, phase
+from qwgames.interactions import InteractionKind, InteractionSpec, coupling, phase
 
 
 def dense_single_coin(geometry: LatticeGeometry, theta: float) -> np.ndarray:
@@ -118,24 +119,38 @@ def recurrence_evolve(
 
 
 def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
-    """(L, 2, L, 2) state psi after one `_steps` call, one kernel step per
-    noise jitter in etas, under the strategy pair (theta_a, theta_b)."""
-    geom = config.geometry
+    """(L, 2, L, 2) state psi after one `_steps` call on the whole lattice,
+    one kernel step per noise jitter in etas, under the strategy pair
+    (theta_a, theta_b)."""
+    geom, spec = config.geometry, config.interaction
     thetas = np.array([[theta_a, theta_b]])
-    index, values, factors, _ = _phase(config, thetas, slice(None))
+    index, values = _phase_support(spec, geom, (0, geom.size, 1))
+    factors = None
+    if spec.kind is not InteractionKind.NONE and spec.strength != 0.0:
+        coup = np.asarray(coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
+        factors = np.exp(1j * coup[:, None, None] * values)
     phase = index, values, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
     perm = _shift_permutation(geom.size, geom.boundary)
-    _steps(amps, _coin_krons(thetas), perm, len(etas), phase)
+    _steps(amps, np.empty_like(amps), _coin_krons(thetas), perm, len(etas), phase)
     return _joint_view(amps, geom.size)[0]
+
+
+def noise_draws(config: WalkConfig) -> np.ndarray:
+    """The walk's per-step jitters: config.steps uniform draws on
+    [-sigma, sigma] seeded with config.seed, zeros unless the walk is noisy."""
+    spec = config.interaction
+    if not spec.noisy:
+        return np.zeros(config.steps)
+    rng = np.random.default_rng(config.seed)
+    return rng.uniform(-spec.noise_sigma, spec.noise_sigma, config.steps)
 
 
 def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
     """P per profile from `_steps` on the whole lattice, run as `kernel_steps`
     runs it, with the walk's own noise draws."""
-    geom = config.geometry
-    psi = make_initial_state(geom, config.coin_a, config.coin_b)
-    etas = _phase(config, np.asarray(thetas), slice(None))[3]
+    psi = make_initial_state(config.geometry, config.coin_a, config.coin_b)
+    etas = noise_draws(config)
     return np.stack([born(kernel_steps(config, ta, tb, etas, psi)) for ta, tb in thetas])
 
 

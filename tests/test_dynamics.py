@@ -11,6 +11,7 @@ from oracles import (
     dense_single_step,
     full_lattice_distributions,
     kernel_steps,
+    noise_draws,
     random_joint_state,
     recurrence_evolve,
     site_major_singles,
@@ -18,6 +19,8 @@ from oracles import (
 from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import (
     WalkConfig,
+    _joint_plan,
+    _single_legs,
     chunk_profiles,
     coin_matrix,
     evolve,
@@ -234,9 +237,11 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
-@pytest.mark.parametrize("size, steps", [(7, 4), (15, 20), (31, 10)])
+@pytest.mark.parametrize("size, steps", [(7, 4), (15, 8), (15, 20), (31, 10)])
 def test_single_walkers_are_bitwise_the_site_major_loop(boundary, size, steps):
-    # the joint kernel on (B, 2, L) gives the bits of the per-site 2 x 2 loop
+    # the joint kernel on (B, 2, n) gives the bits of the per-site 2 x 2 loop
+    # on the whole lattice, also when the walk hands its light cone to the
+    # lattice at T = (L - 1) / 2
     geom = LatticeGeometry(size, boundary)
     thetas = np.linspace(0, np.pi, 61)
     coins = [tuple(complex(re, im) for re, im in c) for c in COIN_CATALOG.values()]
@@ -333,6 +338,33 @@ def test_walkers_leave_the_sites_off_parity_exactly_zero(boundary):
         assert np.count_nonzero(joint) and np.count_nonzero(singles[:, ~off], axis=1).all()
 
 
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
+    # T = 20 on L = 15: 7 steps on the 8 cone sites, then 13 on the lattice
+    geom = LatticeGeometry(15, boundary)
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.4)
+    config = WalkConfig(geom, 20, (1, 0), SYMMETRIC, spec, seed=5)
+    plan = _joint_plan(config)
+    assert _joint_plan(replace(config)) is plan  # one plan per walk
+    assert [(leg.sites, leg.steps) for leg in plan.legs] == [(8, 7), (15, 13)]
+    singles = _single_legs(geom, 20)
+    assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
+    arrays = [plan.start, plan.distinct, *(leg.perm for leg in plan.legs + singles)]
+    arrays += [a for leg in plan.legs for a in leg.phase if isinstance(a, np.ndarray)]
+    assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.legs[0].phase[3][0] = 0.0
+    # the legs split the walk's own draws, and another seed draws others
+    for seed in (5, 6):
+        legs = _joint_plan(replace(config, seed=seed)).legs
+        etas = np.concatenate([leg.phase[3] for leg in legs])
+        assert etas.tobytes() == noise_draws(replace(config, seed=seed)).tobytes()
+    # evolving leaves the plan as it was
+    before = [a.copy() for a in arrays]
+    evolve_batch(config, [[1.1, 2.3], [0.4, 0.4]])
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
 COIN_PAIRS = {
     "right-right": ((1, 0), (1, 0)),
     "symmetric-symmetric": (SYMMETRIC, SYMMETRIC),
@@ -341,17 +373,20 @@ COIN_PAIRS = {
 
 
 # on L = 15: T from one step, below (L-1)/2 - 1, one step short of (L-1)/2,
-# at it and past it; and the perturbation recipe's walk, T = 10 on L = 31
+# at it, one step past it, past it, at 2 (L-1)/2 + 1 = L and the recipes'
+# T = 20; the perturbation recipe's walk, T = 10 on L = 31, and T = 40 there
 @pytest.mark.parametrize(
-    "size, steps", [(15, 1), (15, 3), (15, 6), (15, 7), (15, 9), (31, 10)]
+    "size, steps",
+    [(15, 1), (15, 3), (15, 6), (15, 7), (15, 8), (15, 9), (15, 15), (15, 20), (31, 10), (31, 40)],
 )
 @pytest.mark.parametrize("coins", COIN_PAIRS.values(), ids=list(COIN_PAIRS))
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 @pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
 def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, size, steps):
     # the light cone's wrap never reads a nonzero amplitude, so it changes no
-    # bit of P; nor does the lattice edge up to T = (L - 1) / 2.  P holds the
-    # reach sites only, (T + 1)^2 joint sites on the light cone
+    # bit of P; nor does the lattice edge up to T = (L - 1) / 2, nor the
+    # handoff of a longer walk from the cone to the lattice there.  P holds
+    # the reach sites only, (T + 1)^2 joint sites on the light cone
     geom = LatticeGeometry(size, boundary)
     spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
     config = WalkConfig(geom, steps, *coins, spec, seed=5)

@@ -34,7 +34,14 @@ from qwgames.equilibrium import (
     vector_field,
 )
 import qwgames.equilibrium as equilibrium
-from qwgames.dynamics import WalkConfig, chunk_profiles, evolve, evolve_single, reach
+from qwgames.dynamics import (
+    WalkConfig,
+    chunk_profiles,
+    evolve,
+    evolve_single,
+    evolve_singles,
+    reach,
+)
 from qwgames.games import GameKind, GameSpec, payoff, payoffs
 from qwgames.hilbert import (
     Boundary,
@@ -573,6 +580,36 @@ def test_product_points_are_bitwise_per_profile_payoffs_on_the_window(kind):
         assert_window_payoffs(got, k, full, geom, game, window)
         full[window, window] = 0.0
         assert not full.any()
+
+
+@pytest.mark.parametrize(
+    "coins, walks",
+    [((RIGHT_SYMMETRIC[1],) * 2, [[5]]), (RIGHT_SYMMETRIC, [[4], [3]])],
+    ids=["equal-coins", "unequal-coins"],
+)
+@pytest.mark.parametrize("steps", [4, 6])  # on the light cone and past it
+def test_product_path_walks_each_distinct_angle_once(coins, walks, steps, monkeypatch):
+    # equal coins: one single walk over the union of both players' angles
+    geom = LatticeGeometry(11, Boundary.REFLECTING)
+    config = WalkConfig(geom, steps, *coins)
+    a, b = [0.0, 0.5, 1.0, np.pi], [0.5, 2.0, np.pi]
+    thetas = np.array([(ta, tb) for ta in a for tb in b])
+    calls = []
+
+    def counted(geometry, steps, angles, coin):
+        calls.append([len(angles)])
+        return evolve_singles(geometry, steps, angles, coin)
+
+    monkeypatch.setattr(equilibrium, "evolve_singles", counted)
+    probs = equilibrium.product_distributions(config, thetas)
+    assert calls == walks
+    window = reach(geom, steps)
+    for k, (ta, tb) in enumerate(thetas):
+        p_a, p_b = (
+            born_single(evolve_single(geom, steps, theta, coin))[window]
+            for theta, coin in ((ta, config.coin_a), (tb, config.coin_b))
+        )
+        assert probs[k].tobytes() == np.outer(p_a, p_b).tobytes(), k
 
 
 @pytest.mark.parametrize("kind", list(GameKind))
