@@ -205,7 +205,10 @@ class ExperimentConfig:
     interaction_kind: str = _one_of("collision_phase", [k.value for k in InteractionKind])
     interaction_strength: float = _field(PI, parse_angle, math.isfinite, "finite")
     range_exponent: float = _field(2.0, _number, lambda v: 0 < v < INF, "finite and > 0")
-    noise_sigma: float = _field(0.0, parse_angle, lambda v: 0 <= v < INF, "finite and >= 0")
+    # the jitter is uniform on [-sigma, sigma], a range of 2 sigma
+    noise_sigma: float = _field(
+        0.0, parse_angle, lambda v: 0 <= v and 2 * v < INF, ">= 0 with 2 sigma finite"
+    )
     game: str = _one_of("race", [g.value for g in GameKind])
     table_a_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
     table_b_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
@@ -305,6 +308,11 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
             moved = getattr(config, name) != getattr(ExperimentConfig, name)  # off its default
             if moved and config.interaction_kind != kind:
                 warns.append(f"{name} is ignored: only interaction_kind {kind} uses it")
+        if config.ensemble != ExperimentConfig.ensemble and not walk.interaction.noisy:
+            warns.append(
+                "ensemble is ignored: only a noisy walk (interaction_kind noisy_collision "
+                "with noise_sigma > 0) draws noise realizations"
+            )
         if config.recipe == "learning" and config.grid_n > LEARNING_GRID:
             warns.append(
                 f"learning evaluates a {LEARNING_GRID}x{LEARNING_GRID} grid; "

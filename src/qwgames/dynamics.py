@@ -9,7 +9,8 @@ applied without ever materializing the 4L^2 x 4L^2 matrix.  One kernel,
 walk as (B, 4, n^2) with channel c = 2 s_A + s_B, a single walker as
 (B, 2, n) with channel s, on n sites per walker.  The coin rotations are one
 real batched C x C matmul, the shift is one precomputed gather, and the joint
-walk's phase touches only the channel-plane sites where its table is nonzero.
+walk's phase exp(i c V), c the profile's coupling, touches only the
+channel-plane sites where its table V is nonzero.
 
 A walker that starts at x = 0 occupies after t steps only the t + 1 sites
 of parity t, x = 2j - t with j = 0 ... t, and meets the lattice edge no
@@ -44,11 +45,11 @@ from .hilbert import (
     coin_vector,
     reach,
 )
-from .interactions import InteractionKind, InteractionSpec
+from .interactions import InteractionSpec
 
 # amplitudes evolved together, 4 n^2 a profile on n sites per walker
-# (`chunk_profiles`).  `_run` keeps two complex128 buffers of a chunk (amps
-# and the scratch), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
+# (`chunk_profiles`).  `_run` keeps a chunk's amps and scratch in one
+# complex128 array, 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
 # per-core L2, which leaves room for the gather indices and BLAS's own
 # buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
 CHUNK_AMPLITUDES = 16_384
@@ -120,7 +121,6 @@ def _coin_krons(thetas: np.ndarray) -> np.ndarray:
     return (r[:, 0, :, None, :, None] * r[:, 1, None, :, None, :]).reshape(-1, 4, 4)
 
 
-@lru_cache(maxsize=None)
 def _walker_shift(L: int, boundary: Boundary | None) -> np.ndarray:
     """Flat gather indices of one walker's conditional shift on the (2, L)
     channel-major layout: |R> arrives from x - 1, |L> from x + 1.  Rule None
@@ -135,12 +135,9 @@ def _walker_shift(L: int, boundary: Boundary | None) -> np.ndarray:
         src_x[LEFT, -1], src_s[LEFT, -1] = L - 1, RIGHT
     else:
         src_x %= L
-    perm = (src_s * L + src_x).reshape(-1)
-    perm.flags.writeable = False  # shared by every caller
-    return perm
+    return (src_s * L + src_x).reshape(-1)
 
 
-@lru_cache(maxsize=None)
 def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
     """Flat gather indices of the two-walker shift on channel-major arrays.
 
@@ -151,9 +148,7 @@ def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
     s, x = np.divmod(_walker_shift(L, boundary).reshape(2, L), L)  # (s, x)
     site = x[:, None, :, None] * L + x[None, :, None, :]
     coin = 2 * s[:, None, :, None] + s[None, :, None, :]
-    perm = (coin * L * L + site).reshape(-1)
-    perm.flags.writeable = False
-    return perm
+    return (coin * L * L + site).reshape(-1)
 
 
 def _cover(idx: np.ndarray) -> slice:
@@ -165,7 +160,6 @@ def _cover(idx: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
-@lru_cache(maxsize=64)
 def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tuple):
     """Strided (channel, site) slices of the (4, n^2) channel-major layout of
     the n lattice sites range(*window) that cover the nonzero entries of the
@@ -182,16 +176,13 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tup
     table = table.transpose(1, 3, 0, 2).reshape(4, -1)
     channels = _cover(np.flatnonzero(table.any(axis=1)))
     sites = _cover(np.flatnonzero(table.any(axis=0)))
-    values = table[channels, sites]
-    values.flags.writeable = False
-    return (slice(None), channels, sites), values
+    return (slice(None), channels, sites), table[channels, sites]
 
 
 class _Leg(NamedTuple):
     """One leg of a walk in `_lattice`, as `_steps` runs it: the gather of
-    its shift and, on a joint walk that interacts, the support index of its
-    phase table, the table there, the table as indices into its plan's
-    distinct values, and the noise draws of its steps."""
+    its shift and, on a joint walk that interacts, its phase as (support
+    index of the table, the table there, the noise draws of its steps)."""
 
     sites: int
     steps: int
@@ -201,14 +192,11 @@ class _Leg(NamedTuple):
 
 class _Plan(NamedTuple):
     """What a joint walk needs that does not depend on the strategies: the
-    (4,) start amplitudes at j_A = j_B = 0, the legs, and the distinct values
-    of the legs' phase tables, on which the coupling acts when `coupled`.
-    Read-only, and shared by every call on one WalkConfig."""
+    (4,) start amplitudes at j_A = j_B = 0 and the legs.  Read-only, and
+    shared by every call on one WalkConfig."""
 
     start: np.ndarray
     legs: tuple
-    distinct: np.ndarray
-    coupled: bool
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -235,30 +223,23 @@ def _joint_plan(config: WalkConfig) -> _Plan:
         rng = np.random.default_rng(config.seed)
         etas = rng.uniform(-spec.noise_sigma, spec.noise_sigma, steps)
     _frozen(etas)
-    layout, t = [], 0
+    legs, t = [], 0
     for n, k, rule in _lattice(geom, steps):
         t += k
-        window = reach(geom, t).indices(geom.size)
-        layout.append((n, k, rule, t, *_phase_support(spec, geom, window)))
-    # in Python: np.unique imports numpy.ma and np.sort first touches numpy's
-    # sort code, which a run would pay in peak RSS
-    distinct = sorted({v for *_, values in layout for v in values.ravel().tolist()})
-    position = {v: j for j, v in enumerate(distinct)}
-    legs = []
-    for n, k, rule, t, index, values in layout:
-        inverse = [position[v] for v in values.ravel().tolist()]
-        inverse = _frozen(np.array(inverse, dtype=np.intp).reshape(values.shape))
-        phase = None if spec.inert else (index, values, inverse, etas[t - k : t])
-        legs.append(_Leg(n, k, _shift_permutation(n, rule), phase))
-    coupled = spec.kind is not InteractionKind.NONE and spec.strength != 0.0
-    return _Plan(_frozen(start.reshape(4)), tuple(legs), _frozen(np.array(distinct)), coupled)
+        phase = None
+        if not spec.inert:
+            index, values = _phase_support(spec, geom, reach(geom, t).indices(geom.size))
+            phase = index, _frozen(values), etas[t - k : t]
+        legs.append(_Leg(n, k, _frozen(_shift_permutation(n, rule)), phase))
+    return _Plan(_frozen(start.reshape(4)), tuple(legs))
 
 
 @lru_cache(maxsize=64)
 def _single_legs(geometry: LatticeGeometry, steps: int) -> tuple:
     """The legs of a free single walker, with its one-walker shift."""
     return tuple(
-        _Leg(n, k, _walker_shift(n, rule), None) for n, k, rule in _lattice(geometry, steps)
+        _Leg(n, k, _frozen(_walker_shift(n, rule)), None)
+        for n, k, rule in _lattice(geometry, steps)
     )
 
 
@@ -271,7 +252,8 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
     and each step ends with the factors and that step's jitter on the
     support."""
     real, coined_real = amps.view(float), coined.view(float)
-    flat, coined_flat = amps.reshape(len(amps), -1), coined.reshape(len(amps), -1)
+    shape = len(amps), len(perm)  # perm gathers all C S amplitudes of a profile
+    flat, coined_flat = amps.reshape(shape), coined.reshape(shape)
     if phase is not None:
         index, values, factors, etas = phase
         support = amps[index]
@@ -286,21 +268,24 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
             support *= np.exp(1j * etas[t] * values)
 
 
-def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, factors=None) -> np.ndarray:
+def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np.ndarray:
     """(B, C, n^w) amplitudes of B walks of w = C / 2 walkers after the legs,
     from the (C,) start amplitudes at site 0 of the cone, under the real
-    (B, C, C) coins.  factors holds exp(i * coupling * value) per profile and
-    distinct table value of a joint walk's plan, or is None.
+    (B, C, C) coins; a coupled joint walk passes its (B,) coupling.
 
-    A call makes two arrays, the result and a scratch: the scratch is each
-    leg's coined buffer and, on a walk past the cone, holds both of the cone
-    leg's buffers; at t = h the cone's site j is the lattice's offset 2j."""
+    A call makes one array, the result then a scratch: each leg's coined
+    buffer and, past the cone, both of the cone leg's buffers; at t = h the
+    cone's site j is the lattice's offset 2j.  As two arrays of one size, a
+    sweep's chunks would free a heap top within a few KB of glibc's trim
+    threshold, so unrelated allocations decided whether each chunk's pages
+    were handed back and faulted in again."""
     B, C = coins.shape[:2]
     w = C // 2
     cone, last = legs[0], legs[-1]
     m, size = B * C * cone.sites**w, B * C * last.sites**w
-    amps = np.zeros((B, C, last.sites**w), dtype=complex)
-    scratch = np.empty(size if cone is last else max(size, 2 * m), dtype=complex)
+    buffer = np.empty(size + (size if cone is last else max(size, 2 * m)), dtype=complex)
+    amps, scratch = buffer[:size].reshape(B, C, last.sites**w), buffer[size:]
+    amps.fill(0)
     state, coined = amps, scratch[:size]
     if cone is not last:
         state, coined = scratch[:m].reshape(B, C, cone.sites**w), scratch[m : 2 * m]
@@ -313,8 +298,9 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, factors=None) -> np.
             state, coined = amps, scratch[:size]
         phase = leg.phase
         if phase is not None:
-            index, values, inverse, etas = phase
-            phase = index, values, None if factors is None else factors[:, inverse], etas
+            index, values, etas = phase
+            factors = None if coupling is None else np.exp(1j * coupling[:, None, None] * values)
+            phase = index, values, factors, etas
         _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)
     return amps
 
@@ -341,12 +327,11 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     thetas = _angles(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
         raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    plan = _joint_plan(config)
-    factors = None
-    if plan.coupled:
-        coup = interactions.coupling(config.interaction, thetas[:, 0], thetas[:, 1])
-        factors = np.exp(1j * np.asarray(coup, dtype=float)[:, None] * plan.distinct)
-    amps = _run(plan.legs, plan.start, _coin_krons(thetas), factors)
+    plan, spec = _joint_plan(config), config.interaction
+    coupling = None
+    if spec.coupled:
+        coupling = np.asarray(interactions.coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
+    amps = _run(plan.legs, plan.start, _coin_krons(thetas), coupling)
     return _joint_view(amps, plan.legs[-1].sites)
 
 

@@ -130,7 +130,7 @@ def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
         angles, inverse = np.unique(thetas[:, columns], return_inverse=True)
         amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
         p = born_single(amps[:, window])
-        return [p[k] for k in inverse.reshape(len(thetas), -1).T]
+        return [p[k] for k in inverse.reshape(len(thetas), len(columns)).T]
 
     if walk.coin_a == walk.coin_b:
         p_a, p_b = walkers([0, 1], walk.coin_a)
@@ -467,15 +467,15 @@ def jacobian_at(point, evaluator, eta: float = 0.05) -> JacobianReport:
     J = np.array([[j11, j12], [j21, j22]])
 
     eigs = np.linalg.eigvals(J)
-    if np.max(np.abs(eigs)) < CURVATURE_TOL:
-        verdict = "marginal"
-    elif np.all(eigs.real < -CURVATURE_TOL):
+    if np.all(eigs.real < -CURVATURE_TOL):
         verdict = "stable"
     elif np.any(eigs.real > CURVATURE_TOL):
         verdict = "unstable"
     else:
         verdict = "marginal"
-    rho = float(np.max(np.abs(np.linalg.eigvals(np.eye(2) + eta * J))))
+    # I + eta J has the eigenvalues 1 + eta lambda; inf when eta overflows them
+    with np.errstate(over="ignore"):
+        rho = float(np.max(np.abs(1.0 + eta * eigs)))
     return JacobianReport(J, eigs, verdict, rho, eta, caveat)
 
 

@@ -61,10 +61,16 @@ class InteractionSpec:
         return self.kind is InteractionKind.NOISY_COLLISION and self.noise_sigma > 0
 
     @property
+    def coupled(self) -> bool:
+        """Whether the strategies enter the phase: a kind other than none at
+        a nonzero strength."""
+        return self.kind is not InteractionKind.NONE and self.strength != 0.0
+
+    @property
     def inert(self) -> bool:
         """Whether every step's phase is exactly 1, so the walkers never
         interact and P(x_A, x_B) factors as p_A (x) p_B."""
-        return (self.kind is InteractionKind.NONE or self.strength == 0.0) and not self.noisy
+        return not self.coupled and not self.noisy
 
     def with_strength(self, strength: float) -> "InteractionSpec":
         return InteractionSpec(self.kind, strength, self.range_exponent, self.noise_sigma)

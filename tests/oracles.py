@@ -27,7 +27,7 @@ from qwgames.dynamics import (
     coin_matrix,
 )
 from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, born, make_initial_state
-from qwgames.interactions import InteractionKind, InteractionSpec, coupling, phase
+from qwgames.interactions import InteractionSpec, coupling, phase
 
 
 def dense_single_coin(geometry: LatticeGeometry, theta: float) -> np.ndarray:
@@ -126,7 +126,7 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     thetas = np.array([[theta_a, theta_b]])
     index, values = _phase_support(spec, geom, (0, geom.size, 1))
     factors = None
-    if spec.kind is not InteractionKind.NONE and spec.strength != 0.0:
+    if spec.coupled:
         coup = np.asarray(coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
         factors = np.exp(1j * coup[:, None, None] * values)
     phase = index, values, factors, np.asarray(etas, dtype=float)

@@ -131,6 +131,18 @@ def test_validate_warns_on_a_field_the_interaction_does_not_use(field, value, ki
     assert unused_warnings({field: value, "interaction_kind": kind}) == []
 
 
+def test_validate_warns_when_ensemble_draws_no_noise():
+    def ensemble_warnings(data):
+        _, warns = validate(ExperimentConfig.from_dict({"steps": 4, **data}))
+        return [w for w in warns if w.startswith("ensemble is ignored")]
+
+    assert ensemble_warnings({}) == []
+    assert len(ensemble_warnings({"ensemble": 3})) == 1
+    noisy = {"interaction_kind": "noisy_collision", "ensemble": 3}
+    assert len(ensemble_warnings(noisy)) == 1  # sigma 0 draws no jitter
+    assert ensemble_warnings({**noisy, "noise_sigma": 0.3}) == []
+
+
 def test_validate_warns_when_learning_caps_the_grid():
     def cap_warnings(data):
         _, warns = validate(ExperimentConfig.from_dict({"steps": 4, **data}))
@@ -472,6 +484,10 @@ def test_main_rejects_missing_config(tmp_path, capsys):
         ({"recipe": "calibrate", "workers": -1}, "workers"),
         ({"interaction_strength": "nan"}, "interaction_strength"),
         ({"interaction_kind": "noisy_collision", "noise_sigma": -1}, "noise_sigma"),
+        (
+            {"interaction_kind": "noisy_collision", "noise_sigma": 1e308, "ensemble": 2},
+            "noise_sigma",
+        ),
         ({"interaction_kind": "long_range", "range_exponent": 0}, "range_exponent"),
         ({"interaction_kind": "long_range", "range_exponent": "2"}, "range_exponent"),
         ({"game": "nope"}, "game"),
@@ -486,7 +502,8 @@ def test_main_rejects_missing_config(tmp_path, capsys):
     ids=[
         "top-level-list", "int-as-string", "int-as-float", "int-as-bool", "refine-removed",
         "phi-sweep-number", "coin-flat-list", "coin-label", "empty-out-dir",
-        "ensemble-0", "workers-negative", "strength-nan", "noise-negative", "range-exponent-0",
+        "ensemble-0", "workers-negative", "strength-nan", "noise-negative",
+        "noise-range-overflows", "range-exponent-0",
         "range-exponent-string", "unknown-game", "seed-negative", "theta-outside",
         "lambda-increasing", "hess-h-removed", "custom-table-no-paths", "table-path-number",
         "strength-bool",
@@ -503,6 +520,27 @@ def test_main_rejects_malformed_config_with_exit_1(tmp_path, capsys, content, fi
     assert err.startswith("config error") and field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"recipe": "tug_of_war", "eta": 1e308, "grid_n": 9},
+        # near the largest sigma whose jitter range, 2 sigma, is finite
+        {"interaction_kind": "noisy_collision", "noise_sigma": 8e307, "ensemble": 2, "grid_n": 3},
+    ],
+    ids=["eta-huge", "noise-sigma-largest"],
+)
+def test_extreme_accepted_config_runs(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "runtime failure" not in capsys.readouterr().err
+    if "eta" in content:
+        points = json.loads((out / "stationary.json").read_text())
+        radii = [p["spectral_radius"] for p in points if "jacobian" in p]
+        assert radii and all(r == np.inf for r in radii)
 
 
 def test_recipe_spelling_is_normalized_in_config_files_and_flags():

@@ -322,6 +322,16 @@ def test_reach_is_the_light_cone_within_the_lattice():
     assert evolve_batch(replace(config, steps=16), [[1.0, 2.0]]).shape == (1, 31, 2, 31, 2)
 
 
+@pytest.mark.parametrize("steps", [4, 20])  # on the light cone of L = 15, and past it
+def test_a_batch_of_no_profiles_evolves_to_empty_amplitudes(steps):
+    geom = LatticeGeometry(15)
+    n = len(range(geom.size)[reach(geom, steps)])
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.4)
+    config = WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec)
+    assert evolve_batch(config, np.zeros((0, 2))).shape == (0, n, 2, n, 2)
+    assert evolve_singles(geom, steps, [], SYMMETRIC).shape == (0, geom.size, 2)
+
+
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 def test_walkers_leave_the_sites_off_parity_exactly_zero(boundary):
     # after T steps from x = 0 a walker occupies only the sites x = T mod 2
@@ -349,15 +359,22 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
     assert [(leg.sites, leg.steps) for leg in plan.legs] == [(8, 7), (15, 13)]
     singles = _single_legs(geom, 20)
     assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
-    arrays = [plan.start, plan.distinct, *(leg.perm for leg in plan.legs + singles)]
+    # each leg's phase is the x_A = x_B indicator on its n diagonal sites of
+    # the four channel planes, and the jitters of its steps
+    assert plan._fields == ("start", "legs")
+    assert [leg.phase[1].shape for leg in plan.legs] == [(4, 8), (4, 15)]
+    assert all((leg.phase[1] == 1.0).all() for leg in plan.legs)
+    assert [len(leg.phase[2]) for leg in plan.legs] == [7, 13]
+    arrays = [plan.start, *(leg.perm for leg in plan.legs + singles)]
     arrays += [a for leg in plan.legs for a in leg.phase if isinstance(a, np.ndarray)]
-    assert len(arrays) == 12 and not any(a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError, match="read-only"):
-        plan.legs[0].phase[3][0] = 0.0
+    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+    for kept in (plan.legs[0].phase[1], plan.legs[0].phase[2], plan.legs[1].perm, singles[0].perm):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0
     # the legs split the walk's own draws, and another seed draws others
     for seed in (5, 6):
         legs = _joint_plan(replace(config, seed=seed)).legs
-        etas = np.concatenate([leg.phase[3] for leg in legs])
+        etas = np.concatenate([leg.phase[2] for leg in legs])
         assert etas.tobytes() == noise_draws(replace(config, seed=seed)).tobytes()
     # evolving leaves the plan as it was
     before = [a.copy() for a in arrays]

@@ -135,6 +135,11 @@ def test_jacobian_matches_analytic():
     assert not rep.boundary_caveat
 
 
+def test_jacobian_reports_an_overflowing_spectral_radius_as_inf():
+    rep = jacobian_at((A_STAR, B_STAR), QUAD, eta=1e308)
+    assert rep.verdict == "stable" and rep.spectral_radius == np.inf
+
+
 def test_jacobian_near_boundary_carries_caveat():
     rep = jacobian_at((0.0, 1.0), QUAD)
     assert rep.boundary_caveat
@@ -363,6 +368,22 @@ def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
         equilibrium.product_distributions(config, thetas), config.geometry, ev.game
     )[0]
     assert np.max(np.abs(u_a - product)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "spec", [InteractionSpec(), InteractionSpec(InteractionKind.COLLISION_PHASE, 1.3)],
+    ids=["inert", "joint"],
+)
+@pytest.mark.parametrize("steps", [4, 8])  # on the light cone of L = 11, and past it
+def test_no_profiles_give_empty_distributions_and_columns(spec, steps):
+    config = WalkConfig(LatticeGeometry(11), steps, *RIGHT_SYMMETRIC, spec)
+    n = len(range(11)[reach(config.geometry, steps)])
+    none = np.zeros((0, 2))
+    assert distributions(config, none).shape == (0, n, n)
+    assert equilibrium.product_distributions(config, none).shape == (0, n, n)
+    u_a, u_b, aux = WalkEvaluator(config, GameSpec(GameKind.RACE)).points(none)
+    assert u_a.shape == u_b.shape == (0,)
+    assert aux and all(v.shape == (0,) for v in aux.values())
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,19 @@ def test_noisy_only_for_a_jittered_noisy_collision():
             assert not InteractionSpec(kind, 1.0, noise_sigma=0.3).noisy
 
 
+@pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
+def test_coupled_inert_and_noisy_agree_with_the_phase(kind):
+    # coupled: the strategies enter the phase; noisy: a jitter rides on the
+    # table; inert: neither, so every step's phase is exactly 1
+    for strength in (0.0, 1.3):
+        for sigma in (0.0, 0.4):
+            spec = InteractionSpec(kind, strength, noise_sigma=sigma)
+            coupled = bool(np.any(coupling(spec, 1.1, 2.3) * phase_table(spec, GEOM)))
+            noisy = kind is InteractionKind.NOISY_COLLISION and sigma > 0
+            assert (spec.coupled, spec.noisy) == (coupled, noisy), spec
+            assert spec.inert == (not coupled and not noisy), spec
+
+
 def test_collision_phase_arithmetic():
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
     # pi * cos(-pi/3) = pi/2
