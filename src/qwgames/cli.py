@@ -366,7 +366,9 @@ def _stationary_payload(points, evaluator, eta):
             entry["eigenvalues"] = [[z.real, z.imag] for z in rep.eigenvalues]
             entry["verdict"] = rep.verdict
             entry["stable"] = rep.stable
-            entry["spectral_radius"] = rep.spectral_radius
+            # JSON has no inf: an eta that overflows 1 + eta lambda writes null
+            rho = rep.spectral_radius
+            entry["spectral_radius"] = rho if math.isfinite(rho) else None
             entry["eta"] = rep.eta
             entry["boundary_caveat"] = rep.boundary_caveat
         payload.append(entry)

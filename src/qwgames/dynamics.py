@@ -48,8 +48,8 @@ from .hilbert import (
 from .interactions import InteractionSpec
 
 # amplitudes evolved together, 4 n^2 a profile on n sites per walker
-# (`chunk_profiles`).  `_run` keeps a chunk's amps and scratch in one
-# complex128 array, 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
+# (`chunk_profiles`).  `_run` keeps two complex128 buffers of a chunk (amps
+# and the scratch), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
 # per-core L2, which leaves room for the gather indices and BLAS's own
 # buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
 CHUNK_AMPLITUDES = 16_384
@@ -182,7 +182,8 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tup
 class _Leg(NamedTuple):
     """One leg of a walk in `_lattice`, as `_steps` runs it: the gather of
     its shift and, on a joint walk that interacts, its phase as (support
-    index of the table, the table there, the noise draws of its steps)."""
+    index of the table, the table there, its distinct values, the table as
+    indices into them, the noise draws of its steps)."""
 
     sites: int
     steps: int
@@ -229,7 +230,13 @@ def _joint_plan(config: WalkConfig) -> _Plan:
         phase = None
         if not spec.inert:
             index, values = _phase_support(spec, geom, reach(geom, t).indices(geom.size))
-            phase = index, _frozen(values), etas[t - k : t]
+            # one exp a profile per distinct value, ~n of a long-range table's
+            # 4 n^2; in Python, as np.unique and np.searchsorted cost peak RSS
+            distinct = sorted(set(values.ravel().tolist()))
+            position = {v: j for j, v in enumerate(distinct)}
+            inverse = np.array([position[v] for v in values.ravel().tolist()])
+            inverse, distinct = inverse.reshape(values.shape), np.array(distinct)
+            phase = (index, *map(_frozen, (values, distinct, inverse)), etas[t - k : t])
         legs.append(_Leg(n, k, _frozen(_shift_permutation(n, rule)), phase))
     return _Plan(_frozen(start.reshape(4)), tuple(legs))
 
@@ -273,19 +280,15 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np
     from the (C,) start amplitudes at site 0 of the cone, under the real
     (B, C, C) coins; a coupled joint walk passes its (B,) coupling.
 
-    A call makes one array, the result then a scratch: each leg's coined
-    buffer and, past the cone, both of the cone leg's buffers; at t = h the
-    cone's site j is the lattice's offset 2j.  As two arrays of one size, a
-    sweep's chunks would free a heap top within a few KB of glibc's trim
-    threshold, so unrelated allocations decided whether each chunk's pages
-    were handed back and faulted in again."""
+    A call makes two arrays, the result and a scratch: the scratch is each
+    leg's coined buffer and, on a walk past the cone, holds both of the cone
+    leg's buffers; at t = h the cone's site j is the lattice's offset 2j."""
     B, C = coins.shape[:2]
     w = C // 2
     cone, last = legs[0], legs[-1]
     m, size = B * C * cone.sites**w, B * C * last.sites**w
-    buffer = np.empty(size + (size if cone is last else max(size, 2 * m)), dtype=complex)
-    amps, scratch = buffer[:size].reshape(B, C, last.sites**w), buffer[size:]
-    amps.fill(0)
+    amps = np.zeros((B, C, last.sites**w), dtype=complex)
+    scratch = np.empty(size if cone is last else max(size, 2 * m), dtype=complex)
     state, coined = amps, scratch[:size]
     if cone is not last:
         state, coined = scratch[:m].reshape(B, C, cone.sites**w), scratch[m : 2 * m]
@@ -298,8 +301,10 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np
             state, coined = amps, scratch[:size]
         phase = leg.phase
         if phase is not None:
-            index, values, etas = phase
-            factors = None if coupling is None else np.exp(1j * coupling[:, None, None] * values)
+            index, values, distinct, inverse, etas = phase
+            factors = None
+            if coupling is not None:
+                factors = np.exp(1j * coupling[:, None] * distinct)[:, inverse]
             phase = index, values, factors, etas
         _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)
     return amps

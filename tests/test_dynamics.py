@@ -360,21 +360,26 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
     singles = _single_legs(geom, 20)
     assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
     # each leg's phase is the x_A = x_B indicator on its n diagonal sites of
-    # the four channel planes, and the jitters of its steps
+    # the four channel planes, its one distinct value, and the jitters of its
+    # steps
     assert plan._fields == ("start", "legs")
     assert [leg.phase[1].shape for leg in plan.legs] == [(4, 8), (4, 15)]
-    assert all((leg.phase[1] == 1.0).all() for leg in plan.legs)
-    assert [len(leg.phase[2]) for leg in plan.legs] == [7, 13]
+    for leg in plan.legs:
+        _, values, distinct, inverse, _ = leg.phase
+        assert (values == 1.0).all() and distinct.tolist() == [1.0]
+        assert inverse.shape == values.shape and np.array_equal(distinct[inverse], values)
+    assert [len(leg.phase[-1]) for leg in plan.legs] == [7, 13]
     arrays = [plan.start, *(leg.perm for leg in plan.legs + singles)]
     arrays += [a for leg in plan.legs for a in leg.phase if isinstance(a, np.ndarray)]
-    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
-    for kept in (plan.legs[0].phase[1], plan.legs[0].phase[2], plan.legs[1].perm, singles[0].perm):
+    assert len(arrays) == 13 and not any(a.flags.writeable for a in arrays)
+    kept = [plan.legs[1].perm, singles[0].perm, *plan.legs[0].phase[1:]]
+    for array in kept:
         with pytest.raises(ValueError, match="read-only"):
-            kept[0] = 0
+            array.flat[0] = 0
     # the legs split the walk's own draws, and another seed draws others
     for seed in (5, 6):
         legs = _joint_plan(replace(config, seed=seed)).legs
-        etas = np.concatenate([leg.phase[2] for leg in legs])
+        etas = np.concatenate([leg.phase[-1] for leg in legs])
         assert etas.tobytes() == noise_draws(replace(config, seed=seed)).tobytes()
     # evolving leaves the plan as it was
     before = [a.copy() for a in arrays]
