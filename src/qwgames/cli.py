@@ -230,7 +230,8 @@ class ExperimentConfig:
         "two or more finite strengths, positive and strictly decreasing",
     )
     seed: int = _field(0, _int, lambda v: v >= 0, ">= 0")
-    workers: int = _field(0, _int, lambda v: v >= 0, ">= 0 (0 = available parallelism)")
+    # kept only because the benchmark's calibrate workload sets it and reads it back
+    workers: int = _field(0, _int, lambda v: v >= 0, ">= 0 (ignored: runs use one thread)")
     out_dir: str = _field("out", _text, lambda v: v != "", "a non-empty path")
 
     @classmethod
@@ -313,6 +314,8 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
                 "ensemble is ignored: only a noisy walk (interaction_kind noisy_collision "
                 "with noise_sigma > 0) draws noise realizations"
             )
+        if config.workers > 1:
+            warns.append(f"workers = {config.workers} is ignored: every run uses one thread")
         if config.recipe == "learning" and config.grid_n > LEARNING_GRID:
             warns.append(
                 f"learning evaluates a {LEARNING_GRID}x{LEARNING_GRID} grid; "
@@ -554,23 +557,19 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _calibrate_walk(args) -> list:
+def _calibrate_walk(boundary, coin_label, game_names, config) -> list:
     """The calibration rows of every game that runs on one (boundary, coin)
     walk: the 31x31 grid is evolved once per noise realization and reduced
     for each game, then each game is searched with its own evaluator."""
-    boundary, coin_label, game_names, config = args
     coin = COIN_CATALOG[coin_label]
-    sub = replace(
+    walk = replace(
         config, boundary=boundary, coin_a=coin, coin_b=coin, **recipe_defaults(game_names[0])
-    )
-    walk = sub.walk_config()
-    evaluators = [WalkEvaluator(walk, GameSpec(GameKind(name))) for name in game_names]
+    ).walk_config()
+    games = [GameSpec(GameKind(name)) for name in game_names]
     grid = StrategyGrid(CALIBRATE_GRID)
     rows = []
-    for name, evaluator, surface in zip(
-        game_names, evaluators, shared_surfaces(evaluators, grid)
-    ):
-        row = _calibrate_row(name, evaluator, grid, surface)
+    for name, game, surface in zip(game_names, games, shared_surfaces(walk, games, grid)):
+        row = _calibrate_row(name, WalkEvaluator(walk, game), grid, surface)
         if row is not None:
             rows.append({"game": name, "boundary": boundary, "coin": coin_label, **row})
     return rows
@@ -604,21 +603,17 @@ def _calibrate_row(game_name, evaluator, grid, surface):
 
 
 def _run_calibrate(config: ExperimentConfig, out: str) -> int:
-    from concurrent.futures import ThreadPoolExecutor  # only this recipe uses it
-
     # one job per distinct walk: games whose (T, L, phi) agree share it
     walks: dict = {}
     for game in ("race", "rendezvous", "tug_of_war"):
         for boundary in ("periodic", "reflecting"):
             for coin in COIN_CATALOG:
                 walks.setdefault((boundary, coin, RECIPE_DEFAULTS[game]), []).append(game)
-    jobs = [(boundary, coin, games, config) for (boundary, coin, _), games in walks.items()]
-    workers = config.workers or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # one worker maps in this thread: a lone pool thread adds only its own
-        # malloc arena, whose retained free blocks cost ~2 MB of peak RSS (glibc)
-        run = pool.map if workers > 1 else map
-        rows = [r for job_rows in run(_calibrate_walk, jobs) for r in job_rows]
+    rows = [
+        row
+        for (boundary, coin, _), games in walks.items()
+        for row in _calibrate_walk(boundary, coin, games, config)
+    ]
     rows.sort(key=lambda r: (r["game"], r["target_distance"], r["boundary"], r["coin"]))
 
     columns = [
@@ -643,9 +638,8 @@ _RECIPE_RUNNERS = {
 
 @contextmanager
 def _library_warnings():
-    """Print the warnings that the filters pass inside, pool threads' too, in
-    the style of the config's own: each distinct message once, in the order
-    first raised."""
+    """Print the warnings that the filters pass inside, in the style of the
+    config's own: each distinct message once, in the order first raised."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             yield

@@ -77,6 +77,8 @@ class WalkConfig:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if self.ensemble < 1:
             raise ValidationError(f"ensemble must be >= 1, got {self.ensemble}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def coin_matrix(theta) -> np.ndarray:

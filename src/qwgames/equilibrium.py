@@ -141,23 +141,26 @@ def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _ensemble_points(evaluators, thetas) -> list[tuple]:
-    """`points(thetas)` of each WalkEvaluator in evaluators, which share one
-    walk: every noise realization is evolved once, reduced for each game,
-    and dropped before the next."""
-    first = evaluators[0]
-    if any(ev.config != first.config for ev in evaluators):
-        raise ValidationError("evaluators sharing an evolution must share one walk")
+def realizations(walk: WalkConfig) -> list[WalkConfig]:
+    """The walk's noise realizations, seeded walk.seed, walk.seed+1, ...; a
+    deterministic walk is its own one realization, not a copy."""
+    if not walk.interaction.noisy:
+        return [walk]
+    return [replace(walk, seed=walk.seed + k) for k in range(walk.ensemble)]
+
+
+def _ensemble_points(walk: WalkConfig, games, thetas) -> list[tuple]:
+    """`points(thetas)` of each game on one walk: every noise realization is
+    evolved once, reduced for each game, and dropped before the next."""
     thetas = np.asarray(thetas, dtype=float)
-    games = [ev.game for ev in evaluators]
-    per_walk = []  # [realization][evaluator] -> (u_a, u_b, aux)
-    for walk in first.realizations:
-        if walk.interaction.inert:
-            probs = product_distributions(walk, thetas)
-            per_walk.append([payoffs(probs, walk.geometry, game) for game in games])
+    per_walk = []  # [realization][game] -> (u_a, u_b, aux)
+    for real in realizations(walk):
+        if real.interaction.inert:
+            probs = product_distributions(real, thetas)
+            per_walk.append([payoffs(probs, real.geometry, game) for game in games])
         else:
-            per_walk.append(_joint_points(walk, thetas, games))
-    return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(evaluators))]
+            per_walk.append(_joint_points(real, thetas, games))
+    return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(games))]
 
 
 def _mirrors(walk: WalkConfig, thetas: np.ndarray):
@@ -237,15 +240,10 @@ class WalkEvaluator:
     def __init__(self, config: WalkConfig, game: GameSpec):
         self.config = config
         self.game = game
-        self.realizations = (
-            [replace(config, seed=config.seed + k) for k in range(config.ensemble)]
-            if config.interaction.noisy
-            else [config]
-        )
 
     def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
         """u_A, u_B and the named diagnostics of each profile, each (B,)."""
-        return _ensemble_points([self], thetas)[0]
+        return _ensemble_points(self.config, [self.game], thetas)[0]
 
     def evaluate(self, theta_a: float, theta_b: float) -> tuple[float, float]:
         u_a, u_b, _ = self.points([[theta_a, theta_b]])
@@ -266,10 +264,11 @@ def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
     return _as_surface(grid, evaluator.points(grid.profiles))
 
 
-def shared_surfaces(evaluators, grid: StrategyGrid) -> list[PayoffSurface]:
-    """`surface_from_evaluator` of each WalkEvaluator in evaluators, which
-    share one walk, from one evolution of the grid per noise realization."""
-    return [_as_surface(grid, pts) for pts in _ensemble_points(evaluators, grid.profiles)]
+def shared_surfaces(walk: WalkConfig, games, grid: StrategyGrid) -> list[PayoffSurface]:
+    """The payoff surface of each game on one walk, bitwise each game's
+    `surface_from_evaluator`, from one evolution of the grid per noise
+    realization."""
+    return [_as_surface(grid, pts) for pts in _ensemble_points(walk, games, grid.profiles)]
 
 
 TIE_TOL = 1e-9

@@ -50,10 +50,12 @@ class InteractionSpec:
             raise ValidationError(f"unsupported interaction kind: {self.kind!r}")
         if not np.isfinite(self.strength):
             raise ValidationError("interaction strength must be finite")
-        if self.kind is InteractionKind.LONG_RANGE and not self.range_exponent > 0:
-            raise ValidationError("range_exponent must be > 0")
-        if self.kind is InteractionKind.NOISY_COLLISION and self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        alpha, sigma = self.range_exponent, self.noise_sigma
+        if self.kind is InteractionKind.LONG_RANGE and not 0 < alpha < np.inf:
+            raise ValidationError(f"range_exponent must be finite and > 0, got {alpha}")
+        # the jitter is uniform on [-sigma, sigma], a range of 2 sigma
+        if self.kind is InteractionKind.NOISY_COLLISION and not (0 <= sigma and 2 * sigma < np.inf):
+            raise ValidationError(f"noise_sigma must be >= 0 with 2 sigma finite, got {sigma}")
 
     @property
     def noisy(self) -> bool:

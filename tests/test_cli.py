@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
@@ -170,6 +171,35 @@ def test_learning_defaults_to_the_grid_it_evaluates(tmp_path, capsys, monkeypatc
     assert resolved["grid_n"] == cli.LEARNING_GRID == 31
     # every other recipe keeps the field's own default
     assert ExperimentConfig.from_dict({"recipe": "race"}).grid_n == 61
+
+
+def test_validate_warns_once_when_workers_asks_for_threads():
+    def worker_warnings(workers):
+        cfg = ExperimentConfig.from_dict({"recipe": "calibrate", "workers": workers})
+        return [w for w in validate(cfg)[1] if "workers" in w]
+
+    assert worker_warnings(0) == worker_warnings(1) == []
+    assert worker_warnings(2) == ["workers = 2 is ignored: every run uses one thread"]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_calibrate_runs_every_walk_in_the_calling_thread(tmp_path, monkeypatch, workers):
+    caller, jobs = threading.get_ident(), []
+
+    def walk(boundary, coin_label, game_names, config):
+        jobs.append((boundary, coin_label, tuple(game_names), threading.get_ident()))
+        return []
+
+    def start(self):
+        raise AssertionError("calibrate started a thread")
+
+    monkeypatch.setattr(cli, "_calibrate_walk", walk)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = ExperimentConfig.from_dict({"recipe": "calibrate", "workers": workers})
+    assert cli._run_calibrate(cfg, str(tmp_path)) == 0
+    # 2 boundaries x 5 coins, each walk once for race with tug-of-war, once for rendezvous
+    assert len(set(jobs)) == len(jobs) == 20
+    assert {job[-1] for job in jobs} == {caller}
 
 
 # the fields the calibrate recipe sets for each walk it searches
@@ -407,7 +437,7 @@ def test_a_library_warning_reaches_stderr(tmp_path):
 def test_library_warnings_print_once_in_the_order_first_raised(tmp_path, capsys, monkeypatch):
     def runner(config, out):
         warnings.warn("first")
-        with ThreadPoolExecutor(max_workers=2) as pool:  # as calibrate's --workers 2
+        with ThreadPoolExecutor(max_workers=2) as pool:  # other threads' warnings are caught too
             list(pool.map(warnings.warn, ["pooled", "first", "pooled", "pooled"]))
         warnings.warn("first")
         warnings.warn("last")

@@ -81,6 +81,13 @@ def test_config_rejects_an_empty_ensemble():
         WalkConfig(GEOM5, 1, ensemble=0)
 
 
+def test_config_rejects_a_negative_seed():
+    # numpy's generator takes no negative seed, so a noisy walk could not draw
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        WalkConfig(GEOM5, 1, seed=-1)
+    assert WalkConfig(GEOM5, 1, seed=0).seed == 0
+
+
 def test_coin_matrix_half_angle_values():
     np.testing.assert_allclose(coin_matrix(0.0), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(

@@ -29,6 +29,7 @@ from qwgames.equilibrium import (
     gradients,
     jacobian_at,
     learn,
+    realizations,
     shared_surfaces,
     surface_from_evaluator,
     vector_field,
@@ -244,10 +245,10 @@ def test_walk_evaluator_ensemble_averages_noise():
     thetas = np.array([[0.0, 0.0], [1.0, 2.0], [2.5, 0.3], [np.pi, np.pi]])
     for ensemble in (1, 3, 9):
         ev = WalkEvaluator(replace(config, seed=2, ensemble=ensemble), game)
-        assert [walk.seed for walk in ev.realizations] == list(range(2, 2 + ensemble))
+        assert [walk.seed for walk in realizations(ev.config)] == list(range(2, 2 + ensemble))
         per_seed = [
             payoffs(distributions(walk, thetas), config.geometry, game)
-            for walk in ev.realizations
+            for walk in realizations(ev.config)
         ]
         u_a, u_b, aux = ev.points(thetas)
         assert_same_bits(u_a, seed_average([p[0] for p in per_seed]))
@@ -269,8 +270,8 @@ def test_walk_evaluator_ensemble_averages_noise():
 )
 def test_deterministic_walk_is_its_one_realization(spec):
     config = WalkConfig(LatticeGeometry(11), 4, interaction=spec, ensemble=3)
-    # no copy is built, so no copy repeats the config's boundary warning
-    (walk,) = WalkEvaluator(config, GameSpec(GameKind.RACE)).realizations
+    # the walk itself, not a copy: ensemble and seed draw nothing here
+    (walk,) = realizations(config)
     assert walk is config
 
 
@@ -361,7 +362,7 @@ def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
     thetas = StrategyGrid(5).profiles
     ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
     u_a, u_b, aux = ev.points(thetas)
-    want = joint_points(ev.realizations, thetas, ev.game)
+    want = joint_points(realizations(config), thetas, ev.game)
     for got, w in zip([u_a, u_b, *aux.values()], [*want[:2], *want[2].values()]):
         assert_same_bits(got, w)
     product = payoffs(
@@ -397,30 +398,20 @@ def test_no_profiles_give_empty_distributions_and_columns(spec, steps):
 )
 def test_shared_surfaces_are_bitwise_per_game_surfaces(spec, ensemble, monkeypatch):
     config = WalkConfig(LatticeGeometry(11), 4, *RIGHT_SYMMETRIC, spec, seed=1, ensemble=ensemble)
-    evaluators = [WalkEvaluator(config, GameSpec(k)) for k in (GameKind.RACE, GameKind.TUG_OF_WAR)]
+    games = [GameSpec(k) for k in (GameKind.RACE, GameKind.TUG_OF_WAR)]
     grid = StrategyGrid(6)
     sizes = count_evolved_profiles(monkeypatch)
-    shared = shared_surfaces(evaluators, grid)
+    shared = shared_surfaces(config, games, grid)
     # the grid is evolved once per noise realization, whatever the game count
     assert sum(sizes) == (0 if spec.inert else grid.n**2 * ensemble)
-    for ev, surface in zip(evaluators, shared):
-        alone = surface_from_evaluator(ev, grid)
+    for game, surface in zip(games, shared):
+        alone = surface_from_evaluator(WalkEvaluator(config, game), grid)
         assert surface.aux.keys() == alone.aux.keys()
         for got, want in zip(
             [surface.u_a, surface.u_b, *surface.aux.values()],
             [alone.u_a, alone.u_b, *alone.aux.values()],
         ):
             assert_same_bits(got, want)
-
-
-def test_shared_surfaces_need_one_walk():
-    config = WalkConfig(LatticeGeometry(11), 4)
-    evaluators = [
-        WalkEvaluator(config, GameSpec(GameKind.RACE)),
-        WalkEvaluator(replace(config, steps=3), GameSpec(GameKind.RACE)),
-    ]
-    with pytest.raises(ValidationError, match="share one walk"):
-        shared_surfaces(evaluators, StrategyGrid(3))
 
 
 # initial coins of the exchange tests: equal coins make every kind symmetric
@@ -456,11 +447,11 @@ def test_equal_coins_evolve_each_mirrored_pair_once(spec, ensemble, boundary, co
     sizes = count_evolved_profiles(monkeypatch)
     for game in [*THREE_GAMES, RANDOM_TABLES]:
         ev = WalkEvaluator(config, game)
-        want = joint_points(ev.realizations, grid.profiles, game)
+        want = joint_points(realizations(config), grid.profiles, game)
         sizes.clear()
         assert_columns(ev.points(grid.profiles), want, atol=1e-14)
         # the diagonal and the upper triangle, once per noise realization
-        assert sum(sizes) == (0 if spec.inert else 45 * len(ev.realizations))
+        assert sum(sizes) == (0 if spec.inert else 45 * len(realizations(config)))
 
 
 def test_unequal_coins_evolve_every_profile(monkeypatch):

@@ -15,10 +15,15 @@ GEOM = LatticeGeometry(7)
 
 
 def test_spec_validation():
-    with pytest.raises(ValidationError):
-        InteractionSpec(InteractionKind.LONG_RANGE, 1.0, range_exponent=0.0)
-    with pytest.raises(ValidationError):
-        InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=-0.1)
+    # the config's field checks: 0 < alpha < inf, sigma >= 0 with 2 sigma finite
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="range_exponent"):
+            InteractionSpec(InteractionKind.LONG_RANGE, 1.0, range_exponent=alpha)
+    for sigma in (-0.1, 1e308, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=sigma)
+    # each shape parameter is checked only for the kind it shapes
+    InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0, range_exponent=np.inf, noise_sigma=-1.0)
     with pytest.raises(ValidationError):
         InteractionSpec("collision_phase", 1.0)  # must be the enum
     with pytest.raises(ValidationError):
