@@ -39,7 +39,7 @@ import numpy as np
 
 # not deferred into its recipe: the ~3 ms import would land in a ~20 ms run
 from . import perturbation as pert
-from .dynamics import WalkConfig, evolve
+from .dynamics import WalkConfig
 from .equilibrium import (
     StrategyGrid,
     WalkEvaluator,
@@ -50,6 +50,7 @@ from .equilibrium import (
     shared_surfaces,
     surface_from_evaluator,
     vector_field,
+    walk_distributions,
 )
 from .games import GameKind, GameSpec, table_from_csv
 from .hilbert import (
@@ -57,8 +58,7 @@ from .hilbert import (
     Boundary,
     LatticeGeometry,
     distribution_to_csv,
-    marginals,
-    measure_joint,
+    reach,
     write_float_csv,
 )
 from .interactions import InteractionKind, InteractionSpec
@@ -404,6 +404,17 @@ def _interior_first(points) -> list:
     return [p for p in points if p.interior] or points
 
 
+def _write_distribution(walk: WalkConfig, theta_a, theta_b, path) -> np.ndarray:
+    """Write the walk's P at one strategy pair, the P its payoffs there
+    reduce, on the (L, L) lattice; returns that (L, L) array."""
+    geom = walk.geometry
+    probs = np.zeros((geom.size, geom.size))
+    window = reach(geom, walk.steps)
+    probs[window, window] = walk_distributions(walk, np.array([[theta_a, theta_b]]))[0]
+    distribution_to_csv(probs, geom, path)
+    return probs
+
+
 def _run_competitive(config: ExperimentConfig, out: str) -> int:
     evaluator, grid, surface = _surface(config)
     walk = evaluator.config
@@ -427,12 +438,12 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
         return 3
 
     best = _interior_first(points)[0]
-    dist = measure_joint(evolve(walk, best.theta_a, best.theta_b), walk.geometry)
-    distribution_to_csv(dist, os.path.join(out, "ne_distribution.csv"))
-    p_a, p_b = marginals(dist)
+    probs = _write_distribution(
+        walk, best.theta_a, best.theta_b, os.path.join(out, "ne_distribution.csv")
+    )
     _write_csv(
         os.path.join(out, "ne_marginals.csv"), ["x", "p_A", "p_B"],
-        np.column_stack([walk.geometry.positions, p_a, p_b]),
+        np.column_stack([walk.geometry.positions, probs.sum(axis=1), probs.sum(axis=0)]),
     )
     return 0
 
@@ -474,8 +485,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         np.column_stack([grid.values, surface.u_a[:, j]]),
     )
 
-    dist = measure_joint(evolve(walk, float(ta), float(tb)), walk.geometry)
-    distribution_to_csv(dist, os.path.join(out, "opt_distribution.csv"))
+    _write_distribution(walk, ta, tb, os.path.join(out, "opt_distribution.csv"))
     return 0
 
 

@@ -257,9 +257,8 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
     steps, with coined, of the same shape, as scratch: the real (B, C, C)
     coins act as one matmul on the float view (B, C, 2S), then perm gathers
     the shifted state.  A joint walk passes phase = (support index, table
-    there, per-profile coupling factors there or None, per-step jitters),
-    and each step ends with the factors and that step's jitter on the
-    support."""
+    there, per-profile coupling factors there, per-step jitters), and each
+    step ends with the factors and that step's jitter on the support."""
     real, coined_real = amps.view(float), coined.view(float)
     shape = len(amps), len(perm)  # perm gathers all C S amplitudes of a profile
     flat, coined_flat = amps.reshape(shape), coined.reshape(shape)
@@ -271,8 +270,7 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
         coined_flat.take(perm, axis=1, out=flat, mode="clip")
         if phase is None:
             continue
-        if factors is not None:
-            support *= factors
+        support *= factors
         if etas[t] != 0.0:
             support *= np.exp(1j * etas[t] * values)
 
@@ -280,7 +278,7 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
 def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np.ndarray:
     """(B, C, n^w) amplitudes of B walks of w = C / 2 walkers after the legs,
     from the (C,) start amplitudes at site 0 of the cone, under the real
-    (B, C, C) coins; a coupled joint walk passes its (B,) coupling.
+    (B, C, C) coins; a joint walk passes its (B,) coupling.
 
     A call makes two arrays, the result and a scratch: the scratch is each
     leg's coined buffer and, on a walk past the cone, holds both of the cone
@@ -304,9 +302,7 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np
         phase = leg.phase
         if phase is not None:
             index, values, distinct, inverse, etas = phase
-            factors = None
-            if coupling is not None:
-                factors = np.exp(1j * coupling[:, None] * distinct)[:, inverse]
+            factors = np.exp(1j * coupling[:, None] * distinct)[:, inverse]
             phase = index, values, factors, etas
         _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)
     return amps
@@ -334,10 +330,8 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     thetas = _angles(thetas)
     if thetas.ndim != 2 or thetas.shape[1] != 2:
         raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    plan, spec = _joint_plan(config), config.interaction
-    coupling = None
-    if spec.coupled:
-        coupling = np.asarray(interactions.coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
+    plan = _joint_plan(config)
+    coupling = interactions.coupling(config.interaction, thetas[:, 0], thetas[:, 1])
     amps = _run(plan.legs, plan.start, _coin_krons(thetas), coupling)
     return _joint_view(amps, plan.legs[-1].sites)
 

@@ -6,8 +6,9 @@ All searches work through a payoff evaluator with the interface
     evaluate(theta_a, theta_b) -> (u_a, u_b)
     points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
-WalkEvaluator backs this with the quantum-walk simulation (averaged over
-the walk's noise ensemble for noisy interactions, and built from two
+WalkEvaluator backs this with the quantum-walk simulation: every payoff
+reduces the walk's one P(x_A, x_B), `walk_distributions` (averaged over the
+walk's noise ensemble for noisy interactions, and built from two
 single-walker walks when the interaction is inert).  Any object with these
 two methods serves: the synthetic-game tests drive the same searches with an
 analytic payoff function.
@@ -117,26 +118,21 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
 def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """P = p_A (x) p_B per profile on the `reach` sites, shape (B, n, n): the
     walk without its interaction, from one single-walker walk per distinct
-    angle of each player, or of both players when their coins are equal.
-    When the interaction is inert this is `distributions` up to rounding, at
-    the cost of one single walk per distinct angle instead of one joint walk
-    per profile.  A walker's row does not depend on the batch it runs in, so
-    sharing the walks changes no bit."""
+    angle of each player.  When the interaction is inert this is
+    `distributions` up to rounding, at the cost of one single walk per
+    distinct angle instead of one joint walk per profile.  A walker's row
+    does not depend on the batch it runs in, so sharing the walks changes no
+    bit."""
     thetas = np.asarray(thetas, dtype=float)
     window = reach(walk.geometry, walk.steps)
 
-    def walkers(columns: list, coin) -> list:
-        """p(x) of each listed player's walker at each profile's angle, (B, n)."""
-        angles, inverse = np.unique(thetas[:, columns], return_inverse=True)
+    def walker(column: int, coin) -> np.ndarray:
+        """p(x) of one player's walker at each profile's angle, (B, n)."""
+        angles, inverse = np.unique(thetas[:, column], return_inverse=True)
         amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
-        p = born_single(amps[:, window])
-        return [p[k] for k in inverse.reshape(len(thetas), len(columns)).T]
+        return born_single(amps[:, window])[inverse]
 
-    if walk.coin_a == walk.coin_b:
-        p_a, p_b = walkers([0, 1], walk.coin_a)
-    else:
-        (p_a,), (p_b,) = walkers([0], walk.coin_a), walkers([1], walk.coin_b)
-    probs = p_a[:, :, None] * p_b[:, None, :]
+    probs = walker(0, walk.coin_a)[:, :, None] * walker(1, walk.coin_b)[:, None, :]
     check_distributions(probs)
     return probs
 
@@ -149,31 +145,36 @@ def realizations(walk: WalkConfig) -> list[WalkConfig]:
     return [replace(walk, seed=walk.seed + k) for k in range(walk.ensemble)]
 
 
-def _ensemble_points(walk: WalkConfig, games, thetas) -> list[tuple]:
-    """`points(thetas)` of each game on one walk: every noise realization is
-    evolved once, reduced for each game, and dropped before the next."""
-    thetas = np.asarray(thetas, dtype=float)
-    per_walk = []  # [realization][game] -> (u_a, u_b, aux)
-    for real in realizations(walk):
-        if real.interaction.inert:
-            probs = product_distributions(real, thetas)
-            per_walk.append([payoffs(probs, real.geometry, game) for game in games])
-        else:
-            per_walk.append(_joint_points(real, thetas, games))
-    return [_ensemble_mean([cols[k] for cols in per_walk]) for k in range(len(games))]
+def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
+    """The P every payoff of the walk reduces, (B, n, n) on the `reach`
+    sites: `product_distributions` for an inert walk, else `distributions`
+    averaged over the noise realizations, summed into the first one's stack
+    and divided by their count (by 1, exactly, for a deterministic walk)."""
+    if walk.interaction.inert:
+        return product_distributions(walk, thetas)
+    first, *rest = realizations(walk)
+    probs = distributions(first, thetas)
+    for real in rest:
+        probs += distributions(real, thetas)
+    probs /= 1 + len(rest)
+    return probs
 
 
 def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     """The rows with theta_A > theta_B whose mirror (theta_B, theta_A) is in
     the batch, and the row of each mirror; empty unless the walkers' coins
-    are equal.
+    are equal and the walk is evolved jointly.
 
     Every phase table and coupling of the catalog is unchanged by swapping
     the walkers (tests/test_interactions.py pins this), so with equal coins
     P(theta_B, theta_A) is P(theta_A, theta_B) transposed.  Only a mirror in
     the same batch is reused, so every other row is evolved as given and
-    keeps its bits."""
-    if thetas.ndim != 2 or thetas.shape[1] != 2 or walk.coin_a != walk.coin_b:
+    keeps its bits.  An inert walk's single walks already serve each angle
+    once."""
+    if (
+        thetas.ndim != 2 or thetas.shape[1] != 2
+        or walk.coin_a != walk.coin_b or walk.interaction.inert
+    ):
         return np.empty((2, 0), dtype=int)
     rows = thetas.tolist()
     lower = {(a, b): k for k, (a, b) in enumerate(rows) if a < b}
@@ -181,18 +182,19 @@ def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
-def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
-    """(u_a, u_b, aux) of each game on the joint kernel.  A row with a mirror
-    in the batch is not evolved: its columns are reduced from the mirror's
-    transposed P, a view of the evolved stack."""
+def _ensemble_points(walk: WalkConfig, games, thetas) -> list[tuple]:
+    """`points(thetas)` of each game on one walk, each reduced from the
+    walk's one P.  A row with a mirror in the batch is not evolved: its
+    columns are reduced from the mirror's transposed P, a view of the stack."""
+    thetas = np.asarray(thetas, dtype=float)
     geom = walk.geometry
     mirrored, partner = _mirrors(walk, thetas)
     if not mirrored.size:
-        probs = distributions(walk, thetas)
+        probs = walk_distributions(walk, thetas)
         return [payoffs(probs, geom, game) for game in games]
     evolved = np.ones(len(thetas), dtype=bool)
     evolved[mirrored] = False
-    probs = distributions(walk, thetas[evolved])
+    probs = walk_distributions(walk, thetas[evolved])
     slot = (np.cumsum(evolved) - 1)[partner]  # each mirror's row in probs
 
     def scatter(direct, swapped):
@@ -212,29 +214,16 @@ def _joint_points(walk: WalkConfig, thetas: np.ndarray, games) -> list[tuple]:
     return per_game
 
 
-def _ensemble_mean(per_walk: list[tuple]) -> tuple:
-    """The (u_a, u_b, aux) columns averaged over the realizations."""
-    if len(per_walk) == 1:
-        # taken as is, because a sum would turn -0.0 into 0.0
-        return per_walk[0]
-    # (profile, u_A | u_B | aux..., realization), averaged over the ensemble
-    table = np.stack(
-        [np.column_stack([u_a, u_b, *aux.values()]) for u_a, u_b, aux in per_walk],
-        axis=-1,
-    ).mean(axis=-1)
-    return table[:, 0], table[:, 1], dict(zip(per_walk[0][2], table[:, 2:].T))
-
-
 class WalkEvaluator:
     """Payoff of the T-step walk as a function of the strategy pair.
 
-    For a noisy interaction the payoff is the mean over the config's
-    `ensemble` realizations, seeded config.seed, config.seed+1, ...; the
-    same realizations serve every strategy pair, so finite differences see
-    common random numbers.  A deterministic walk is its own one realization.
-    A walk whose interaction is inert takes the product path,
-    `product_distributions`; one with equal coins evolves a profile once
-    when its mirror is in the same batch (`_mirrors`).
+    Every payoff reduces `walk_distributions`: for a noisy interaction P is
+    the mean over the config's `ensemble` realizations, seeded config.seed,
+    config.seed+1, ...; the same realizations serve every strategy pair, so
+    finite differences see common random numbers.  A deterministic walk is
+    its own one realization.  A walk whose interaction is inert takes the
+    product path, `product_distributions`; one with equal coins evolves a
+    profile once when its mirror is in the same batch (`_mirrors`).
     """
 
     def __init__(self, config: WalkConfig, game: GameSpec):

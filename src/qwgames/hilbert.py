@@ -170,8 +170,9 @@ def write_float_csv(path, header, table):
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def distribution_to_csv(dist: JointDistribution, path):
-    """Write P(x_A, x_B) as rows x_A,x_B,p (site labels, not offsets)."""
-    xs = dist.geometry.positions
-    columns = [np.repeat(xs, xs.size), np.tile(xs, xs.size), dist.probabilities.ravel()]
+def distribution_to_csv(probs: np.ndarray, geometry: LatticeGeometry, path):
+    """Write the (L, L) distribution P(x_A, x_B) as rows x_A,x_B,p (site
+    labels, not offsets)."""
+    xs = geometry.positions
+    columns = [np.repeat(xs, xs.size), np.tile(xs, xs.size), np.ravel(probs)]
     write_float_csv(path, ["x_A", "x_B", "p"], np.column_stack(columns))

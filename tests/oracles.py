@@ -125,10 +125,8 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     geom, spec = config.geometry, config.interaction
     thetas = np.array([[theta_a, theta_b]])
     index, values = _phase_support(spec, geom, (0, geom.size, 1))
-    factors = None
-    if spec.coupled:
-        coup = np.asarray(coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
-        factors = np.exp(1j * coup[:, None, None] * values)
+    coup = np.asarray(coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
+    factors = np.exp(1j * coup[:, None, None] * values)
     phase = index, values, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
     perm = _shift_permutation(geom.size, geom.boundary)

@@ -26,6 +26,7 @@ from qwgames.cli import (
     validate,
 )
 from qwgames.dynamics import evolve
+from qwgames.games import payoffs
 from oracles import write_csv_cells
 
 FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
@@ -697,3 +698,47 @@ def test_tug_of_war_defaults_report_interior_jacobian(tmp_path):
     assert interior
     assert all(len(p["jacobian"]) == 2 for p in interior)
     assert all(isinstance(p["boundary_caveat"], bool) for p in interior)
+
+
+NOISY = {"interaction_kind": "noisy_collision", "noise_sigma": 0.5, "ensemble": 4}
+
+
+@pytest.mark.parametrize(
+    "recipe, extra, grid",
+    [
+        ("race", {}, 9),
+        ("tug_of_war", {}, 9),
+        # rendezvous runs at strength 0: the product path
+        ("rendezvous", {"coin_b": COIN_CATALOG["symmetric"]}, 9),
+        ("tug_of_war", NOISY, 21),
+        ("rendezvous", NOISY, 9),
+    ],
+    ids=["race", "tug-of-war", "inert-rendezvous", "noisy-tug-of-war", "noisy-rendezvous"],
+)
+def test_written_distributions_reduce_to_the_reported_payoffs(tmp_path, recipe, extra, grid):
+    # the written P is the one the reported payoffs reduce: for a noisy walk
+    # the mean over its realizations, not one realization's P
+    out = tmp_path / "run"
+    cfg = ExperimentConfig.from_dict(
+        {"recipe": recipe, "grid_n": grid, "seed": 0, "out_dir": str(out), **extra}
+    )
+    assert run_recipe(cfg) == 0
+    geom, L = cfg.geometry(), cfg.lattice_size
+    name = "opt_distribution.csv" if recipe == "rendezvous" else "ne_distribution.csv"
+    rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+    probs = rows[:, 2].reshape(L, L)
+    u_a, u_b, aux = payoffs(probs[None], geom, cfg.game_spec())
+    if recipe == "rendezvous":
+        opt = json.loads((out / "optimum.json").read_text())
+        want = {"payoff": u_a, **{k: aux[k] for k in ("mean_separation", "meeting_probability")}}
+        for key, value in want.items():
+            assert abs(value[0] - opt[key]) <= 1e-12, key
+        return
+    points = json.loads((out / "stationary.json").read_text())
+    point = ([p for p in points if p["status"] != "boundary"] or points)[0]
+    assert abs(u_a[0] - point["u_A"]) <= 1e-12
+    assert abs(u_b[0] - point["u_B"]) <= 1e-12
+    marginals = np.loadtxt(out / "ne_marginals.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(marginals[:, 0], geom.positions)
+    np.testing.assert_array_equal(marginals[:, 1], probs.sum(axis=1))
+    np.testing.assert_array_equal(marginals[:, 2], probs.sum(axis=0))

@@ -201,14 +201,6 @@ def test_walk_evaluator_matches_surface_sweep():
     assert surface.u_b[1, 3] == pytest.approx(ub, abs=1e-12)
 
 
-def seed_average(columns):
-    """Mean over seeds of per-seed (B,) columns, one profile at a time; a
-    single seed is taken as is."""
-    if len(columns) == 1:
-        return columns[0]
-    return np.array([np.mean(per_profile) for per_profile in np.column_stack(columns)])
-
-
 def assert_same_bits(got, want):
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -240,22 +232,17 @@ def test_walk_evaluator_ensemble_averages_noise():
     assert avg != one
     np.testing.assert_allclose(avg, manual, atol=1e-12)
 
-    # every points column is the per-seed payoffs' mean, bit for bit; (0, 0)
+    # every points column reduces the realization-mean P, bit for bit; (0, 0)
     # and (pi, pi) keep both walkers together, so one seed gives u_B = -0.0
     thetas = np.array([[0.0, 0.0], [1.0, 2.0], [2.5, 0.3], [np.pi, np.pi]])
     for ensemble in (1, 3, 9):
         ev = WalkEvaluator(replace(config, seed=2, ensemble=ensemble), game)
-        assert [walk.seed for walk in realizations(ev.config)] == list(range(2, 2 + ensemble))
-        per_seed = [
-            payoffs(distributions(walk, thetas), config.geometry, game)
-            for walk in realizations(ev.config)
-        ]
+        walks = realizations(ev.config)
+        assert [walk.seed for walk in walks] == list(range(2, 2 + ensemble))
         u_a, u_b, aux = ev.points(thetas)
-        assert_same_bits(u_a, seed_average([p[0] for p in per_seed]))
-        assert_same_bits(u_b, seed_average([p[1] for p in per_seed]))
-        assert aux.keys() == per_seed[0][2].keys()
-        for key, value in aux.items():
-            assert_same_bits(value, seed_average([p[2][key] for p in per_seed]))
+        assert_columns((u_a, u_b, aux), joint_points(walks, thetas, game))
+        if ensemble == 1:
+            assert np.signbit(u_b[[0, 3]]).all()
         evaluated = np.array([ev.evaluate(ta, tb) for ta, tb in thetas])
         assert_same_bits(evaluated, np.column_stack([u_a, u_b]))
 
@@ -288,10 +275,10 @@ THREE_GAMES = [GameSpec(k) for k in (GameKind.RACE, GameKind.RENDEZVOUS, GameKin
 
 
 def joint_points(walks, thetas, game):
-    """The seed-averaged payoff columns of walks, from the joint kernel."""
-    per_seed = [payoffs(distributions(walk, thetas), walk.geometry, game) for walk in walks]
-    u_a, u_b = (seed_average([p[k] for p in per_seed]) for k in (0, 1))
-    return u_a, u_b, {key: seed_average([p[2][key] for p in per_seed]) for key in per_seed[0][2]}
+    """The payoff columns of P averaged over the realizations walks, from the
+    joint kernel."""
+    probs = sum(distributions(walk, thetas) for walk in walks) / len(walks)
+    return payoffs(probs, walks[0].geometry, game)
 
 
 def count_evolved_profiles(monkeypatch) -> list:
@@ -595,13 +582,12 @@ def test_product_points_are_bitwise_per_profile_payoffs_on_the_window(kind):
 
 
 @pytest.mark.parametrize(
-    "coins, walks",
-    [((RIGHT_SYMMETRIC[1],) * 2, [[5]]), (RIGHT_SYMMETRIC, [[4], [3]])],
-    ids=["equal-coins", "unequal-coins"],
+    "coins", [(RIGHT_SYMMETRIC[1],) * 2, RIGHT_SYMMETRIC], ids=["equal-coins", "unequal-coins"]
 )
 @pytest.mark.parametrize("steps", [4, 6])  # on the light cone and past it
-def test_product_path_walks_each_distinct_angle_once(coins, walks, steps, monkeypatch):
-    # equal coins: one single walk over the union of both players' angles
+def test_product_path_walks_each_distinct_angle_once(coins, steps, monkeypatch):
+    # one single walk per player over that player's distinct angles, whatever
+    # the coins
     geom = LatticeGeometry(11, Boundary.REFLECTING)
     config = WalkConfig(geom, steps, *coins)
     a, b = [0.0, 0.5, 1.0, np.pi], [0.5, 2.0, np.pi]
@@ -614,7 +600,7 @@ def test_product_path_walks_each_distinct_angle_once(coins, walks, steps, monkey
 
     monkeypatch.setattr(equilibrium, "evolve_singles", counted)
     probs = equilibrium.product_distributions(config, thetas)
-    assert calls == walks
+    assert calls == [[4], [3]]
     window = reach(geom, steps)
     for k, (ta, tb) in enumerate(thetas):
         p_a, p_b = (

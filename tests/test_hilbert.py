@@ -140,9 +140,8 @@ def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     p = rng.random((5, 5))
     p /= p.sum()
-    dist = JointDistribution(p, GEOM5)
     path = tmp_path / "dist.csv"
-    distribution_to_csv(dist, path)
+    distribution_to_csv(p, GEOM5, path)
     header = path.read_text().splitlines()[0]
     assert header == "x_A,x_B,p"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
