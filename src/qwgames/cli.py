@@ -305,10 +305,15 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
         walk = config.walk_config()
         if walk.interaction.noisy and walk.ensemble == 1:
             warns.append("noisy interaction with ensemble = 1: payoffs will be jittery")
-        for name, kind in [("noise_sigma", "noisy_collision"), ("range_exponent", "long_range")]:
+        for name, key, user in [
+            ("noise_sigma", "interaction_kind", "noisy_collision"),
+            ("range_exponent", "interaction_kind", "long_range"),
+            ("table_a_path", "game", "custom_table"),
+            ("table_b_path", "game", "custom_table"),
+        ]:
             moved = getattr(config, name) != getattr(ExperimentConfig, name)  # off its default
-            if moved and config.interaction_kind != kind:
-                warns.append(f"{name} is ignored: only interaction_kind {kind} uses it")
+            if moved and getattr(config, key) != user:
+                warns.append(f"{name} is ignored: only {key} {user} uses it")
         if config.ensemble != ExperimentConfig.ensemble and not walk.interaction.noisy:
             warns.append(
                 "ensemble is ignored: only a noisy walk (interaction_kind noisy_collision "

@@ -22,9 +22,10 @@ step.  The cone's shift wraps, but the wrap never reads a nonzero amplitude,
 so the cone changes no bit of the result.  A walk of T > h steps then hands
 the cone's state to the lattice's even offsets, where a walker stands at
 t = h, and runs its other T - h steps on the whole lattice with its
-boundary.  What a walk needs that does not depend on the strategies is
-planned once per walk (`_joint_plan`, `_single_legs`).  Callers see the
-(n, 2, n, 2) and (L, 2) layouts of `hilbert`.
+boundary.  What a walk needs beyond the strategies, strength and noise
+draws is planned once per geometry, steps, coins and phase table
+(`_joint_plan`, `_single_legs`).  Callers see the (n, 2, n, 2) and (L, 2)
+layouts of `hilbert`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .hilbert import (
     coin_vector,
     reach,
 )
-from .interactions import InteractionSpec
+from .interactions import InteractionKind, InteractionSpec
 
 # amplitudes evolved together, 4 n^2 a profile on n sites per walker
 # (`chunk_profiles`).  `_run` keeps two complex128 buffers of a chunk (amps
@@ -61,7 +62,7 @@ class WalkConfig:
 
     A noisy interaction draws its phase jitter from `seed`; a payoff is the
     mean over `ensemble` noise realizations, seeded seed, seed+1, ...  A
-    deterministic walk ignores both.
+    deterministic walk ignores both.  `_joint_plan` holds neither, nor the strength.
     """
 
     geometry: LatticeGeometry
@@ -183,23 +184,14 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tup
 
 class _Leg(NamedTuple):
     """One leg of a walk in `_lattice`, as `_steps` runs it: the gather of
-    its shift and, on a joint walk that interacts, its phase as (support
+    its shift and, on a joint walk with a phase table, its phase as (support
     index of the table, the table there, its distinct values, the table as
-    indices into them, the noise draws of its steps)."""
+    indices into them)."""
 
     sites: int
     steps: int
     perm: np.ndarray
     phase: tuple | None
-
-
-class _Plan(NamedTuple):
-    """What a joint walk needs that does not depend on the strategies: the
-    (4,) start amplitudes at j_A = j_B = 0 and the legs.  Read-only, and
-    shared by every call on one WalkConfig."""
-
-    start: np.ndarray
-    legs: tuple
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -208,29 +200,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _joint_plan(config: WalkConfig) -> _Plan:
-    """The plan of a joint walk, keyed by the whole config, seed included.
+def _joint_plan(geom: LatticeGeometry, steps: int, coin_a, coin_b, kind, range_exponent):
+    """The (4,) start amplitudes at j_A = j_B = 0 and the legs of a joint
+    walk, read-only and keyed by what they are built from: not the strength,
+    noise seed or ensemble, which a sweep or an ensemble varies.
 
     Each leg's phase table is the lattice's, cut to the sites the walkers
     reach at the leg's end: on the light cone they hold at every step, as
-    the table depends only on x_A - x_B.  A noisy walk draws one jitter eta_t
-    per step, uniform on [-sigma, sigma], from a generator seeded with
-    config.seed.  The jitter multiplies the phase table (for the noisy
-    collision, the x_A = x_B indicator), not the whole state: a spatially
-    uniform phase would drop out of every observable.
+    the table depends only on x_A - x_B.  Every kind but none has a table.
     """
-    geom, spec, steps = config.geometry, config.interaction, config.steps
-    start = np.outer(coin_vector(config.coin_a, "A"), coin_vector(config.coin_b, "B"))
-    etas = np.zeros(steps)
-    if spec.noisy:
-        rng = np.random.default_rng(config.seed)
-        etas = rng.uniform(-spec.noise_sigma, spec.noise_sigma, steps)
-    _frozen(etas)
+    start = np.outer(coin_vector(coin_a, "A"), coin_vector(coin_b, "B"))
+    spec = InteractionSpec(kind, range_exponent=range_exponent)
     legs, t = [], 0
     for n, k, rule in _lattice(geom, steps):
         t += k
         phase = None
-        if not spec.inert:
+        if kind is not InteractionKind.NONE:
             index, values = _phase_support(spec, geom, reach(geom, t).indices(geom.size))
             # one exp a profile per distinct value, ~n of a long-range table's
             # 4 n^2; in Python, as np.unique and np.searchsorted cost peak RSS
@@ -238,9 +223,9 @@ def _joint_plan(config: WalkConfig) -> _Plan:
             position = {v: j for j, v in enumerate(distinct)}
             inverse = np.array([position[v] for v in values.ravel().tolist()])
             inverse, distinct = inverse.reshape(values.shape), np.array(distinct)
-            phase = (index, *map(_frozen, (values, distinct, inverse)), etas[t - k : t])
+            phase = (index, *map(_frozen, (values, distinct, inverse)))
         legs.append(_Leg(n, k, _frozen(_shift_permutation(n, rule)), phase))
-    return _Plan(_frozen(start.reshape(4)), tuple(legs))
+    return _frozen(start.reshape(4)), tuple(legs)
 
 
 @lru_cache(maxsize=64)
@@ -275,10 +260,10 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
             support *= np.exp(1j * etas[t] * values)
 
 
-def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np.ndarray:
+def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=None):
     """(B, C, n^w) amplitudes of B walks of w = C / 2 walkers after the legs,
     from the (C,) start amplitudes at site 0 of the cone, under the real
-    (B, C, C) coins; a joint walk passes its (B,) coupling.
+    (B, C, C) coins; a joint walk passes its (B,) coupling and T jitters.
 
     A call makes two arrays, the result and a scratch: the scratch is each
     leg's coined buffer and, on a walk past the cone, holds both of the cone
@@ -301,9 +286,10 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None) -> np
             state, coined = amps, scratch[:size]
         phase = leg.phase
         if phase is not None:
-            index, values, distinct, inverse, etas = phase
+            index, values, distinct, inverse = phase
             factors = np.exp(1j * coupling[:, None] * distinct)[:, inverse]
-            phase = index, values, factors, etas
+            # of a walk's one or two legs, the cone takes the first steps' jitters
+            phase = index, values, factors, etas[: leg.steps] if leg is cone else etas[-leg.steps :]
         _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)
     return amps
 
@@ -316,24 +302,36 @@ def _angles(thetas) -> np.ndarray:
     return thetas
 
 
+def check_profiles(thetas) -> np.ndarray:
+    """thetas as a (B, 2) float array of (theta_A, theta_B) profiles, every
+    angle checked to lie in [0, pi]."""
+    thetas = _angles(thetas)
+    if thetas.ndim != 2 or thetas.shape[1] != 2:
+        raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
+    return thetas
+
+
 def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
     amplitudes on the n `reach` sites of each walker, off which the walk's
     are zero, as a (B, n, 2, n, 2) view of the (B, 4, n^2) kernel buffer.
-    A noisy walk runs the one realization config.seed, whose per-step draws
-    are shared across the batch (common random numbers), so a batched sweep
-    is bit-identical to per-profile evolve calls.  The whole batch is one
-    buffer: `equilibrium.distributions` hands it cache-sized chunks.
+    A noisy walk runs the one realization config.seed: each call draws one
+    jitter a step, uniform on [-sigma, sigma] and shared by the batch (common
+    random numbers), so a batched sweep is bit-identical to per-profile
+    evolve calls.  `equilibrium.distributions` hands it cache-sized chunks.
     """
-    thetas = _angles(thetas)
-    if thetas.ndim != 2 or thetas.shape[1] != 2:
-        raise ValidationError(f"thetas must have shape (B, 2), got {thetas.shape}")
-    plan = _joint_plan(config)
-    coupling = interactions.coupling(config.interaction, thetas[:, 0], thetas[:, 1])
-    amps = _run(plan.legs, plan.start, _coin_krons(thetas), coupling)
-    return _joint_view(amps, plan.legs[-1].sites)
+    thetas, spec, steps = check_profiles(thetas), config.interaction, config.steps
+    coins = config.coin_a, config.coin_b
+    start, legs = _joint_plan(config.geometry, steps, *coins, spec.kind, spec.range_exponent)
+    etas = np.zeros(steps)
+    if spec.noisy:
+        sigma = spec.noise_sigma
+        etas = np.random.default_rng(config.seed).uniform(-sigma, sigma, steps)
+    coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
+    amps = _run(legs, start, _coin_krons(thetas), coupling, etas)
+    return _joint_view(amps, legs[-1].sites)
 
 
 def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:

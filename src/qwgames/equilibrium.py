@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import WalkConfig, chunk_profiles, evolve_batch, evolve_singles
+from .dynamics import WalkConfig, check_profiles, chunk_profiles, evolve_batch, evolve_singles
 from .games import GameSpec, payoffs
 from .hilbert import ValidationError, born, born_single, check_distributions, reach
 
@@ -171,10 +171,7 @@ def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     the same batch is reused, so every other row is evolved as given and
     keeps its bits.  An inert walk's single walks already serve each angle
     once."""
-    if (
-        thetas.ndim != 2 or thetas.shape[1] != 2
-        or walk.coin_a != walk.coin_b or walk.interaction.inert
-    ):
+    if walk.coin_a != walk.coin_b or walk.interaction.inert:
         return np.empty((2, 0), dtype=int)
     rows = thetas.tolist()
     lower = {(a, b): k for k, (a, b) in enumerate(rows) if a < b}
@@ -186,7 +183,7 @@ def _ensemble_points(walk: WalkConfig, games, thetas) -> list[tuple]:
     """`points(thetas)` of each game on one walk, each reduced from the
     walk's one P.  A row with a mirror in the batch is not evolved: its
     columns are reduced from the mirror's transposed P, a view of the stack."""
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = check_profiles(thetas)
     geom = walk.geometry
     mirrored, partner = _mirrors(walk, thetas)
     if not mirrored.size:

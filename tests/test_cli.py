@@ -133,6 +133,21 @@ def test_validate_warns_on_a_field_the_interaction_does_not_use(field, value, ki
     assert unused_warnings({field: value, "interaction_kind": kind}) == []
 
 
+@pytest.mark.parametrize("field", ["table_a_path", "table_b_path"])
+def test_validate_warns_on_a_table_the_game_does_not_read(field):
+    def unused_warnings(data):
+        _, warns = validate(ExperimentConfig.from_dict({"steps": 4, **data}))
+        return [w for w in warns if "ignored" in w]
+
+    assert unused_warnings({field: "/nonexistent.csv"}) == [
+        f"{field} is ignored: only game custom_table uses it"
+    ]
+    paths = {"table_a_path": "/nonexistent.csv", "table_b_path": "/nonexistent.csv"}
+    assert len(unused_warnings({**paths, "game": "tug_of_war"})) == 2
+    # custom_table reads both without a word; validation opens neither file
+    assert unused_warnings({**paths, "game": "custom_table"}) == []
+
+
 def test_validate_warns_when_ensemble_draws_no_noise():
     def ensemble_warnings(data):
         _, warns = validate(ExperimentConfig.from_dict({"steps": 4, **data}))

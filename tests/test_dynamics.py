@@ -11,7 +11,6 @@ from oracles import (
     dense_single_step,
     full_lattice_distributions,
     kernel_steps,
-    noise_draws,
     random_joint_state,
     recurrence_evolve,
     site_major_singles,
@@ -29,7 +28,9 @@ from qwgames.dynamics import (
     evolve_singles,
     reach,
 )
-from qwgames.equilibrium import distributions
+import qwgames.dynamics as dynamics
+from qwgames.equilibrium import WalkEvaluator, distributions
+from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import (
     Boundary,
     LatticeGeometry,
@@ -361,37 +362,83 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
     geom = LatticeGeometry(15, boundary)
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.4)
     config = WalkConfig(geom, 20, (1, 0), SYMMETRIC, spec, seed=5)
-    plan = _joint_plan(config)
-    assert _joint_plan(replace(config)) is plan  # one plan per walk
-    assert [(leg.sites, leg.steps) for leg in plan.legs] == [(8, 7), (15, 13)]
+    start, legs = _joint_plan(geom, 20, (1, 0), SYMMETRIC, spec.kind, spec.range_exponent)
+    assert [(leg.sites, leg.steps) for leg in legs] == [(8, 7), (15, 13)]
     singles = _single_legs(geom, 20)
     assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
     # each leg's phase is the x_A = x_B indicator on its n diagonal sites of
-    # the four channel planes, its one distinct value, and the jitters of its
-    # steps
-    assert plan._fields == ("start", "legs")
-    assert [leg.phase[1].shape for leg in plan.legs] == [(4, 8), (4, 15)]
-    for leg in plan.legs:
-        _, values, distinct, inverse, _ = leg.phase
+    # the four channel planes and its one distinct value; no noise draws
+    assert [leg.phase[1].shape for leg in legs] == [(4, 8), (4, 15)]
+    for leg in legs:
+        _, values, distinct, inverse = leg.phase
         assert (values == 1.0).all() and distinct.tolist() == [1.0]
         assert inverse.shape == values.shape and np.array_equal(distinct[inverse], values)
-    assert [len(leg.phase[-1]) for leg in plan.legs] == [7, 13]
-    arrays = [plan.start, *(leg.perm for leg in plan.legs + singles)]
-    arrays += [a for leg in plan.legs for a in leg.phase if isinstance(a, np.ndarray)]
-    assert len(arrays) == 13 and not any(a.flags.writeable for a in arrays)
-    kept = [plan.legs[1].perm, singles[0].perm, *plan.legs[0].phase[1:]]
+    arrays = [start, *(leg.perm for leg in legs + singles)]
+    arrays += [a for leg in legs for a in leg.phase if isinstance(a, np.ndarray)]
+    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
+    kept = [legs[1].perm, singles[0].perm, *legs[0].phase[1:]]
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
-    # the legs split the walk's own draws, and another seed draws others
+    # each call runs the walk's own draws, split across the handoff: P is
+    # bitwise the whole-lattice kernel's under `noise_draws`, and another
+    # seed draws others
+    thetas = np.array([[1.1, 2.3], [0.4, 0.4]])
+    window = reach(geom, 20)
+    probs = []
     for seed in (5, 6):
-        legs = _joint_plan(replace(config, seed=seed)).legs
-        etas = np.concatenate([leg.phase[-1] for leg in legs])
-        assert etas.tobytes() == noise_draws(replace(config, seed=seed)).tobytes()
+        walk = replace(config, seed=seed)
+        probs.append(distributions(walk, thetas))
+        full = full_lattice_distributions(walk, thetas)
+        assert probs[-1].tobytes() == full[:, window, window].tobytes()
+    assert np.abs(probs[0] - probs[1]).max() > 1e-3
     # evolving leaves the plan as it was
     before = [a.copy() for a in arrays]
-    evolve_batch(config, [[1.1, 2.3], [0.4, 0.4]])
+    evolve_batch(config, thetas)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+def test_strength_seed_and_ensemble_share_one_plan(monkeypatch):
+    # a strength sweep and a noise ensemble change neither the geometry, the
+    # coins nor the phase table, so every such walk runs the same plan
+    plans = []
+
+    def spy(*key):
+        plans.append(_joint_plan(*key))
+        return plans[-1]
+
+    monkeypatch.setattr(dynamics, "_joint_plan", spy)
+    geom = LatticeGeometry(15)
+    for strength in (0.1, np.pi):
+        spec = InteractionSpec(InteractionKind.NOISY_COLLISION, strength, noise_sigma=0.4)
+        for seed in (5, 6):
+            for ensemble in (1, 65):
+                config = WalkConfig(geom, 20, (1, 0), SYMMETRIC, spec, seed, ensemble)
+                evolve_batch(config, [[1.1, 2.3]])
+    assert len(plans) == 8 and all(plan is plans[0] for plan in plans)
+
+
+def test_a_noisy_ensemble_builds_one_plan():
+    # 65 realizations, one more than the plan cache holds, draw their own
+    # jitters on one plan
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.5)
+    config = WalkConfig(LatticeGeometry(15), 20, (1, 0), SYMMETRIC, spec, seed=3, ensemble=65)
+    evaluator = WalkEvaluator(config, GameSpec(GameKind.RACE))
+    _joint_plan.cache_clear()
+    evaluator.points([[1.1, 2.3], [0.4, 0.4]])
+    assert _joint_plan.cache_info().misses == 1
+    evaluator.points([[1.1, 2.3]])
+    assert _joint_plan.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("kind", DETERMINISTIC_KINDS[1:], ids=lambda k: k.value)
+def test_a_table_at_strength_zero_changes_no_bit_of_p(kind):
+    # every kind but none plans its table at any strength; at strength 0 its
+    # factors are exp(0) = 1, so P is bitwise the walk's without a table
+    none = WalkConfig(LatticeGeometry(15), 20, (1, 0), SYMMETRIC)
+    zero = replace(none, interaction=InteractionSpec(kind, 0.0, range_exponent=1.5))
+    thetas = np.array([[0.0, np.pi], [1.1, 2.3], [2.9, 0.4]])
+    assert distributions(zero, thetas).tobytes() == distributions(none, thetas).tobytes()
 
 
 COIN_PAIRS = {

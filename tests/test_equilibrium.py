@@ -362,6 +362,20 @@ def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
     "spec", [InteractionSpec(), InteractionSpec(InteractionKind.COLLISION_PHASE, 1.3)],
     ids=["inert", "joint"],
 )
+@pytest.mark.parametrize(
+    "thetas", [[[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0, 2.0]]], [[0.5, 4.0]], [[np.nan, 1.0]]]
+)
+def test_points_check_the_profiles_on_either_path(spec, thetas):
+    # the product path and the joint walk refuse the same batches alike
+    config = WalkConfig(LatticeGeometry(11), 4, *RIGHT_SYMMETRIC, spec)
+    with pytest.raises(ValidationError):
+        WalkEvaluator(config, GameSpec(GameKind.RACE)).points(thetas)
+
+
+@pytest.mark.parametrize(
+    "spec", [InteractionSpec(), InteractionSpec(InteractionKind.COLLISION_PHASE, 1.3)],
+    ids=["inert", "joint"],
+)
 @pytest.mark.parametrize("steps", [4, 8])  # on the light cone of L = 11, and past it
 def test_no_profiles_give_empty_distributions_and_columns(spec, steps):
     config = WalkConfig(LatticeGeometry(11), steps, *RIGHT_SYMMETRIC, spec)
