@@ -454,8 +454,8 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
 
 
 def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
-    evaluator, grid, surface = _surface(config)
-    walk = evaluator.config
+    walk, game, grid = config.walk_config(), config.game_spec(), StrategyGrid(config.grid_n)
+    (surface,) = shared_surfaces(walk, [game], grid, diagnostics=True)
     for name, values in (
         ("surface_u.csv", surface.u_a),
         ("separation_surface.csv", surface.aux["mean_separation"]),
@@ -479,7 +479,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
     sweep = []
     for phi in config.phi_sweep:
         walk_phi = replace(walk, interaction=walk.interaction.with_strength(float(phi)))
-        u_a, _, aux = WalkEvaluator(walk_phi, evaluator.game).points([[ta, tb]])
+        u_a, _, aux = WalkEvaluator(walk_phi, game).points([[ta, tb]], diagnostics=True)
         sweep.append([phi, aux["meeting_probability"][0], u_a[0]])
     _write_csv(
         os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"],
@@ -582,8 +582,10 @@ def _calibrate_walk(boundary, coin_label, game_names, config) -> list:
     ).walk_config()
     games = [GameSpec(GameKind(name)) for name in game_names]
     grid = StrategyGrid(CALIBRATE_GRID)
+    # a rendezvous row reads its diagnostics off the surface, the others at their point
+    surfaces = shared_surfaces(walk, games, grid, diagnostics="rendezvous" in game_names)
     rows = []
-    for name, game, surface in zip(game_names, games, shared_surfaces(walk, games, grid)):
+    for name, game, surface in zip(game_names, games, surfaces):
         row = _calibrate_row(name, WalkEvaluator(walk, game), grid, surface)
         if row is not None:
             rows.append({"game": name, "boundary": boundary, "coin": coin_label, **row})
@@ -611,7 +613,7 @@ def _calibrate_row(game_name, evaluator, grid, surface):
             key=lambda p: np.hypot(p.theta_a - target[0], p.theta_b - target[1]),
         )
         ta, tb, u_b = best.theta_a, best.theta_b, best.u_b
-        _, _, aux = evaluator.points([[ta, tb]])
+        _, _, aux = evaluator.points([[ta, tb]], diagnostics=True)
         extras = {key: float(aux[key][0]) for key in ("mean_x_A", "mean_x_B", "center_of_mass")}
     dist = float(np.hypot(ta - target[0], tb - target[1]))
     return {"theta_A": ta, "theta_B": tb, "target_distance": dist, "u_B": u_b, **extras}

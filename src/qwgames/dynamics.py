@@ -311,24 +311,33 @@ def check_profiles(thetas) -> np.ndarray:
     return thetas
 
 
-def evolve_batch(config: WalkConfig, thetas: np.ndarray) -> np.ndarray:
+def jitters(config: WalkConfig) -> np.ndarray:
+    """The T per-step jitters of the walk's noise realization config.seed,
+    uniform on [-sigma, sigma]; zeros for a deterministic walk."""
+    spec = config.interaction
+    if not spec.noisy:
+        return np.zeros(config.steps)
+    sigma = spec.noise_sigma
+    return np.random.default_rng(config.seed).uniform(-sigma, sigma, config.steps)
+
+
+def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
     amplitudes on the n `reach` sites of each walker, off which the walk's
     are zero, as a (B, n, 2, n, 2) view of the (B, 4, n^2) kernel buffer.
-    A noisy walk runs the one realization config.seed: each call draws one
-    jitter a step, uniform on [-sigma, sigma] and shared by the batch (common
-    random numbers), so a batched sweep is bit-identical to per-profile
-    evolve calls.  `equilibrium.distributions` hands it cache-sized chunks.
+    A noisy walk runs the one realization config.seed: its jitters, one a
+    step and shared by the batch (common random numbers), are etas, by
+    default `jitters(config)`, so a batched sweep is bit-identical to
+    per-profile evolve calls.  `equilibrium` hands it cache-sized chunks
+    with each realization's jitters, drawn once for the batch.
     """
     thetas, spec, steps = check_profiles(thetas), config.interaction, config.steps
     coins = config.coin_a, config.coin_b
     start, legs = _joint_plan(config.geometry, steps, *coins, spec.kind, spec.range_exponent)
-    etas = np.zeros(steps)
-    if spec.noisy:
-        sigma = spec.noise_sigma
-        etas = np.random.default_rng(config.seed).uniform(-sigma, sigma, steps)
+    if etas is None:
+        etas = jitters(config)
     coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
     amps = _run(legs, start, _coin_krons(thetas), coupling, etas)
     return _joint_view(amps, legs[-1].sites)

@@ -7,11 +7,14 @@ All searches work through a payoff evaluator with the interface
     points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
 WalkEvaluator backs this with the quantum-walk simulation: every payoff
-reduces the walk's one P(x_A, x_B), `walk_distributions` (averaged over the
-walk's noise ensemble for noisy interactions, and built from two
-single-walker walks when the interaction is inert).  Any object with these
-two methods serves: the synthetic-game tests drive the same searches with an
-analytic payoff function.
+reduces the walk's one P(x_A, x_B) (averaged over the walk's noise ensemble
+for noisy interactions, and built from two single-walker walks when the
+interaction is inert), streamed one cache-sized block at a time (`_blocks`)
+and reduced to payoff columns as it is evolved; its aux holds the transport
+diagnostics only when a caller asks for them.  `walk_distributions` is the
+stack of the same blocks.  Any object with these two methods serves: the
+synthetic-game tests drive the same searches with an analytic payoff
+function.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import WalkConfig, check_profiles, chunk_profiles, evolve_batch, evolve_singles
-from .games import GameSpec, payoffs
+from .dynamics import jitters
+from .games import DIAGNOSTICS, GameSpec, payoffs
+from .games import diagnostics as transport
 from .hilbert import ValidationError, born, born_single, check_distributions, reach
 
 PI = np.pi
@@ -99,29 +104,36 @@ class LearnResult:
     message: str
 
 
-def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P(x_A, x_B) per profile of one noise realization on the n `reach`
-    sites of each walker, shape (B, n, n); P is zero on the rest of the
-    lattice.  Each cache-sized chunk is reduced and validated as soon as it
-    is evolved, so the amplitudes of the whole batch never exist at once."""
-    geom = walk.geometry
-    n = len(range(geom.size)[reach(geom, walk.steps)])
-    size = chunk_profiles(geom, walk.steps)
-    probs = np.empty((len(thetas), n, n))
+def _joint_blocks(walks: list[WalkConfig], thetas: np.ndarray):
+    """The P of the joint walk averaged over the realizations walks, one
+    `chunk_profiles` chunk of thetas at a time, each a (b, n, n) block on
+    the `reach` sites.  Each realization's jitters are drawn once for the
+    batch; its chunk is evolved, checked, and summed into the first one's in
+    seed order, and the sum is divided by their count (by 1, exactly, for
+    one realization).  The amplitudes of a whole batch never exist at once."""
+    first = walks[0]
+    draws = [jitters(walk) for walk in walks]
+    size = chunk_profiles(first.geometry, first.steps)
     for lo in range(0, len(thetas), size):
-        block = probs[lo : lo + size]
-        block[:] = born(evolve_batch(walk, thetas[lo : lo + size]))
-        check_distributions(block)
-    return probs
+        chunk = thetas[lo : lo + size]
+        block = None
+        for walk, etas in zip(walks, draws):
+            probs = born(evolve_batch(walk, chunk, etas))
+            check_distributions(probs)
+            if block is None:
+                block = probs
+            else:
+                block += probs
+        block /= len(walks)
+        yield block
 
 
-def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P = p_A (x) p_B per profile on the `reach` sites, shape (B, n, n): the
-    walk without its interaction, from one single-walker walk per distinct
-    angle of each player.  When the interaction is inert this is
-    `distributions` up to rounding, at the cost of one single walk per
-    distinct angle instead of one joint walk per profile.  A walker's row
-    does not depend on the batch it runs in, so sharing the walks changes no
+def _product_blocks(walk: WalkConfig, thetas: np.ndarray):
+    """P = p_A (x) p_B of the walk without its interaction, one
+    `chunk_profiles` chunk of thetas at a time, each block checked.  Each
+    player's p on the `reach` sites comes from one single-walker walk per
+    distinct angle, walked once for the whole batch.  A walker's row does
+    not depend on the batch it runs in, so sharing the walks changes no
     bit."""
     thetas = np.asarray(thetas, dtype=float)
     window = reach(walk.geometry, walk.steps)
@@ -132,9 +144,12 @@ def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
         amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
         return born_single(amps[:, window])[inverse]
 
-    probs = walker(0, walk.coin_a)[:, :, None] * walker(1, walk.coin_b)[:, None, :]
-    check_distributions(probs)
-    return probs
+    p_a, p_b = walker(0, walk.coin_a), walker(1, walk.coin_b)
+    size = chunk_profiles(walk.geometry, walk.steps)
+    for lo in range(0, len(thetas), size):
+        block = p_a[lo : lo + size, :, None] * p_b[lo : lo + size, None, :]
+        check_distributions(block)
+        yield block
 
 
 def realizations(walk: WalkConfig) -> list[WalkConfig]:
@@ -145,19 +160,41 @@ def realizations(walk: WalkConfig) -> list[WalkConfig]:
     return [replace(walk, seed=walk.seed + k) for k in range(walk.ensemble)]
 
 
+def _blocks(walk: WalkConfig, thetas: np.ndarray):
+    """The P every payoff of the walk reduces, one block at a time:
+    `_product_blocks` for an inert walk, else `_joint_blocks` over the noise
+    realizations."""
+    if walk.interaction.inert:
+        return _product_blocks(walk, thetas)
+    return _joint_blocks(realizations(walk), thetas)
+
+
+def _stacked(walk: WalkConfig, blocks) -> np.ndarray:
+    """The blocks of P as one (B, n, n) stack on the walk's n `reach` sites."""
+    n = len(range(walk.geometry.size)[reach(walk.geometry, walk.steps)])
+    return np.concatenate([np.empty((0, n, n)), *blocks])
+
+
+def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
+    """P(x_A, x_B) per profile of one noise realization on the n `reach`
+    sites of each walker, shape (B, n, n), from the joint kernel; P is zero
+    on the rest of the lattice."""
+    return _stacked(walk, _joint_blocks([walk], thetas))
+
+
+def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
+    """P = p_A (x) p_B per profile on the `reach` sites, shape (B, n, n): the
+    walk without its interaction (`_product_blocks`).  When the interaction
+    is inert this is `distributions` up to rounding, at the cost of one
+    single walk per distinct angle instead of one joint walk per profile."""
+    return _stacked(walk, _product_blocks(walk, thetas))
+
+
 def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """The P every payoff of the walk reduces, (B, n, n) on the `reach`
-    sites: `product_distributions` for an inert walk, else `distributions`
-    averaged over the noise realizations, summed into the first one's stack
-    and divided by their count (by 1, exactly, for a deterministic walk)."""
-    if walk.interaction.inert:
-        return product_distributions(walk, thetas)
-    first, *rest = realizations(walk)
-    probs = distributions(first, thetas)
-    for real in rest:
-        probs += distributions(real, thetas)
-    probs /= 1 + len(rest)
-    return probs
+    sites: the stack of `_blocks`, which the payoffs reduce a block at a
+    time."""
+    return _stacked(walk, _blocks(walk, thetas))
 
 
 def _mirrors(walk: WalkConfig, thetas: np.ndarray):
@@ -179,57 +216,66 @@ def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
-def _ensemble_points(walk: WalkConfig, games, thetas) -> list[tuple]:
+def _ensemble_points(walk: WalkConfig, games, thetas, diagnostics: bool = False) -> list:
     """`points(thetas)` of each game on one walk, each reduced from the
-    walk's one P.  A row with a mirror in the batch is not evolved: its
-    columns are reduced from the mirror's transposed P, a view of the stack."""
+    walk's one P a block at a time (`_blocks`): every block is reduced to
+    each game's (u_a, u_b) columns, and to the `games.diagnostics` columns
+    when asked, and then dropped, so no (B, n, n) stack exists.  The
+    diagnostics do not depend on the game: every game's aux holds the same
+    arrays.  A row with a mirror in the batch is not evolved: its columns
+    are reduced from the mirror's block transposed, a view of the block."""
     thetas = check_profiles(thetas)
     geom = walk.geometry
     mirrored, partner = _mirrors(walk, thetas)
-    if not mirrored.size:
-        probs = walk_distributions(walk, thetas)
-        return [payoffs(probs, geom, game) for game in games]
     evolved = np.ones(len(thetas), dtype=bool)
     evolved[mirrored] = False
-    probs = walk_distributions(walk, thetas[evolved])
-    slot = (np.cumsum(evolved) - 1)[partner]  # each mirror's row in probs
+    rows = np.flatnonzero(evolved)
+    slot = (np.cumsum(evolved) - 1)[partner]  # each mirror's row among the evolved
+    names = DIAGNOSTICS if diagnostics else ()
 
-    def scatter(direct, swapped):
-        column = np.empty(len(thetas))
-        column[evolved], column[mirrored] = direct, swapped[slot]
-        return column
+    def reduce(probs) -> list:
+        """Every column of one block: each game's u_a and u_b, then the
+        diagnostics asked for."""
+        columns = [u for game in games for u in payoffs(probs, geom, game)]
+        if diagnostics:
+            columns += transport(probs, geom).values()
+        return columns
 
-    per_game = []
-    for game in games:
-        (u_a, u_b, aux), (s_a, s_b, s_aux) = (
-            payoffs(p, geom, game) for p in (probs, probs.transpose(0, 2, 1))
-        )
-        per_game.append((
-            scatter(u_a, s_a), scatter(u_b, s_b),
-            {key: scatter(aux[key], s_aux[key]) for key in aux},
-        ))
-    return per_game
+    out = np.empty((2 * len(games) + len(names), len(thetas)))
+    lo = 0
+    for block in _blocks(walk, thetas[evolved]):
+        hi = lo + len(block)
+        out[:, rows[lo:hi]] = reduce(block)
+        here = (lo <= slot) & (slot < hi)
+        if here.any():
+            swapped = np.array(reduce(block.transpose(0, 2, 1)))
+            out[:, mirrored[here]] = swapped[:, slot[here] - lo]
+        lo = hi
+    aux = dict(zip(names, out[2 * len(games) :]))
+    return [(out[2 * k], out[2 * k + 1], aux) for k in range(len(games))]
 
 
 class WalkEvaluator:
     """Payoff of the T-step walk as a function of the strategy pair.
 
-    Every payoff reduces `walk_distributions`: for a noisy interaction P is
-    the mean over the config's `ensemble` realizations, seeded config.seed,
-    config.seed+1, ...; the same realizations serve every strategy pair, so
-    finite differences see common random numbers.  A deterministic walk is
-    its own one realization.  A walk whose interaction is inert takes the
-    product path, `product_distributions`; one with equal coins evolves a
-    profile once when its mirror is in the same batch (`_mirrors`).
+    Every payoff reduces the walk's P a block at a time (`_blocks`): for a
+    noisy interaction P is the mean over the config's `ensemble`
+    realizations, seeded config.seed, config.seed+1, ...; the same
+    realizations serve every strategy pair, so finite differences see common
+    random numbers.  A deterministic walk is its own one realization.  A
+    walk whose interaction is inert takes the product path,
+    `_product_blocks`; one with equal coins evolves a profile once when its
+    mirror is in the same batch (`_mirrors`).
     """
 
     def __init__(self, config: WalkConfig, game: GameSpec):
         self.config = config
         self.game = game
 
-    def points(self, thetas) -> tuple[np.ndarray, np.ndarray, dict]:
-        """u_A, u_B and the named diagnostics of each profile, each (B,)."""
-        return _ensemble_points(self.config, [self.game], thetas)[0]
+    def points(self, thetas, diagnostics: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+        """u_A, u_B and, when asked, the named `games.diagnostics` of each
+        profile, each (B,); aux is empty otherwise."""
+        return _ensemble_points(self.config, [self.game], thetas, diagnostics)[0]
 
     def evaluate(self, theta_a: float, theta_b: float) -> tuple[float, float]:
         u_a, u_b, _ = self.points([[theta_a, theta_b]])
@@ -250,11 +296,16 @@ def surface_from_evaluator(evaluator, grid: StrategyGrid) -> PayoffSurface:
     return _as_surface(grid, evaluator.points(grid.profiles))
 
 
-def shared_surfaces(walk: WalkConfig, games, grid: StrategyGrid) -> list[PayoffSurface]:
+def shared_surfaces(
+    walk: WalkConfig, games, grid: StrategyGrid, diagnostics: bool = False
+) -> list[PayoffSurface]:
     """The payoff surface of each game on one walk, bitwise each game's
     `surface_from_evaluator`, from one evolution of the grid per noise
-    realization."""
-    return [_as_surface(grid, pts) for pts in _ensemble_points(walk, games, grid.profiles)]
+    realization; with the `games.diagnostics` surfaces in aux when asked."""
+    return [
+        _as_surface(grid, pts)
+        for pts in _ensemble_points(walk, games, grid.profiles, diagnostics)
+    ]
 
 
 TIE_TOL = 1e-9

@@ -2,8 +2,8 @@
 
 All payoffs are classical functions of the measured positions: the quantum
 side of the model ends at measure_joint, and everything here works on
-probability matrices over the walkers' sites, reduced a whole (B, n, n)
-stack at a time.
+probability matrices over the walkers' sites, reduced a (B, n, n) stack at
+a time: a sweep hands over one cache-sized block of profiles per call.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,56 +57,76 @@ BUILT_IN = {
 }
 
 
+# each call reads these cached arrays, so they are read-only
+@lru_cache(maxsize=64)
+def _labels(geometry: LatticeGeometry, n: int) -> np.ndarray:
+    """Site labels, as floats, of the n `reach(geometry, n - 1)` sites."""
+    x = geometry.positions[reach(geometry, n - 1)].astype(float)
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=64)
+def _table(geometry: LatticeGeometry, n: int, kind: GameKind) -> np.ndarray:
+    """A built-in game's table for player A on the n reach sites, (n, n)."""
+    x = _labels(geometry, n)
+    table = BUILT_IN[kind][0](x[:, None], x[None, :])
+    table.flags.writeable = False
+    return table
+
+
 def payoffs(probs: np.ndarray, geometry: LatticeGeometry, game: GameSpec):
-    """Utilities and transport diagnostics of a stack of distributions.
+    """Utilities of a stack of distributions, (u_a, u_b), each of shape (B,).
 
     probs: (B, n, n), P on the `reach(geometry, n - 1)` sites of each
     walker, zero elsewhere: the light cone of a walk of T = n - 1 steps, or
-    the whole lattice when n = L.  Every quantity is a linear functional of
-    P, reduced for the whole stack at once; returns (u_a, u_b, aux), each
-    value of shape (B,).  u_A is P reduced against player A's payoff table
-    on those sites, signed as `BUILT_IN` says; u_B is reduced against
-    table_b when the game has one, else derived from u_A.  A custom table
-    must cover the (L, L) lattice.
+    the whole lattice when n = L.  u_A is P reduced against player A's
+    payoff table on those sites, signed as `BUILT_IN` says; u_B is reduced
+    against table_b when the game has one, else derived from u_A.  A
+    built-in table is built once per (geometry, n, game); a custom table
+    must cover the (L, L) lattice and is read on the sites as a view.
     """
+    if game.kind is not GameKind.CUSTOM_TABLE:
+        _, sign, ratio = BUILT_IN[game.kind]
+        u_a = sign * np.sum(probs * _table(geometry, probs.shape[-1], game.kind), axis=(1, 2))
+        return u_a, ratio * u_a
     L = geometry.size
+    for name, table in (("A", game.table_a), ("B", game.table_b)):
+        if np.shape(table) != (L, L):
+            raise ValidationError(
+                f"payoff table for player {name} has shape {np.shape(table)}, "
+                f"lattice needs {(L, L)}"
+            )
     sites = reach(geometry, probs.shape[-1] - 1)
-    x = geometry.positions[sites].astype(float)
-    xa, xb = x[:, None], x[None, :]
+    return tuple(
+        np.sum(probs * np.asarray(t)[sites, sites], axis=(1, 2))
+        for t in (game.table_a, game.table_b)
+    )
 
+
+DIAGNOSTICS = ("mean_x_A", "mean_x_B", "mean_separation", "meeting_probability", "center_of_mass")
+
+
+def diagnostics(probs: np.ndarray, geometry: LatticeGeometry) -> dict:
+    """The transport diagnostics of a (B, n, n) stack as `payoffs` reads
+    it, each of shape (B,) and named as in DIAGNOSTICS: each walker's mean
+    position, the mean separation |x_A - x_B|, the probability that the
+    walkers share a site, and their centre of mass."""
+    n = probs.shape[-1]
+    x = _labels(geometry, n)
     mean_a = np.vecdot(probs.sum(axis=2), x)
     mean_b = np.vecdot(probs.sum(axis=1), x)
-    aux = {
-        "mean_x_A": mean_a,
-        "mean_x_B": mean_b,
-        "mean_separation": np.sum(probs * np.abs(xa - xb), axis=(1, 2)),
-        "meeting_probability": np.trace(probs, axis1=1, axis2=2),
-        "center_of_mass": 0.5 * (mean_a + mean_b),
-    }
-
-    if game.kind is GameKind.CUSTOM_TABLE:
-        for name, table in (("A", game.table_a), ("B", game.table_b)):
-            if np.shape(table) != (L, L):
-                raise ValidationError(
-                    f"payoff table for player {name} has shape {np.shape(table)}, "
-                    f"lattice needs {(L, L)}"
-                )
-        table_a, table_b = (np.asarray(t)[sites, sites] for t in (game.table_a, game.table_b))
-        sign, ratio = 1.0, None
-    else:
-        rule, sign, ratio = BUILT_IN[game.kind]
-        table_a, table_b = rule(xa, xb), None
-    u_a = sign * np.sum(probs * table_a, axis=(1, 2))
-    u_b = ratio * u_a if table_b is None else np.sum(probs * table_b, axis=(1, 2))
-    return u_a, u_b, aux
+    separation = np.sum(probs * _table(geometry, n, GameKind.RENDEZVOUS), axis=(1, 2))
+    meeting = np.trace(probs, axis1=1, axis2=2)
+    return dict(zip(DIAGNOSTICS, (mean_a, mean_b, separation, meeting, 0.5 * (mean_a + mean_b))))
 
 
 def payoff(dist: JointDistribution, game: GameSpec) -> PayoffPoint:
     """Expected utilities of both players plus named transport diagnostics."""
-    u_a, u_b, aux = payoffs(dist.probabilities[None], dist.geometry, game)
-    return PayoffPoint(
-        float(u_a[0]), float(u_b[0]), {key: float(v[0]) for key, v in aux.items()}
-    )
+    probs = dist.probabilities[None]
+    u_a, u_b = payoffs(probs, dist.geometry, game)
+    aux = diagnostics(probs, dist.geometry)
+    return PayoffPoint(float(u_a[0]), float(u_b[0]), {key: float(v[0]) for key, v in aux.items()})
 
 
 def table_from_csv(path, geometry: LatticeGeometry) -> np.ndarray:

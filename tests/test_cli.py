@@ -26,7 +26,7 @@ from qwgames.cli import (
     validate,
 )
 from qwgames.dynamics import evolve
-from qwgames.games import payoffs
+from qwgames.games import diagnostics, payoffs
 from oracles import write_csv_cells
 
 FIELD_NAMES = [f.name for f in fields(ExperimentConfig)]
@@ -742,7 +742,8 @@ def test_written_distributions_reduce_to_the_reported_payoffs(tmp_path, recipe, 
     name = "opt_distribution.csv" if recipe == "rendezvous" else "ne_distribution.csv"
     rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
     probs = rows[:, 2].reshape(L, L)
-    u_a, u_b, aux = payoffs(probs[None], geom, cfg.game_spec())
+    u_a, u_b = payoffs(probs[None], geom, cfg.game_spec())
+    aux = diagnostics(probs[None], geom)
     if recipe == "rendezvous":
         opt = json.loads((out / "optimum.json").read_text())
         want = {"payoff": u_a, **{k: aux[k] for k in ("mean_separation", "meeting_probability")}}

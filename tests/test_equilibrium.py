@@ -2,6 +2,7 @@
 stationary points, Jacobians, and learning behavior are known in closed form.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -39,11 +40,13 @@ from qwgames.dynamics import (
     WalkConfig,
     chunk_profiles,
     evolve,
+    evolve_batch,
     evolve_single,
     evolve_singles,
+    jitters,
     reach,
 )
-from qwgames.games import GameKind, GameSpec, payoff, payoffs
+from qwgames.games import GameKind, GameSpec, diagnostics, payoff, payoffs
 from qwgames.hilbert import (
     Boundary,
     JointDistribution,
@@ -239,7 +242,7 @@ def test_walk_evaluator_ensemble_averages_noise():
         ev = WalkEvaluator(replace(config, seed=2, ensemble=ensemble), game)
         walks = realizations(ev.config)
         assert [walk.seed for walk in walks] == list(range(2, 2 + ensemble))
-        u_a, u_b, aux = ev.points(thetas)
+        u_a, u_b, aux = ev.points(thetas, diagnostics=True)
         assert_columns((u_a, u_b, aux), joint_points(walks, thetas, game))
         if ensemble == 1:
             assert np.signbit(u_b[[0, 3]]).all()
@@ -275,10 +278,15 @@ THREE_GAMES = [GameSpec(k) for k in (GameKind.RACE, GameKind.RENDEZVOUS, GameKin
 
 
 def joint_points(walks, thetas, game):
-    """The payoff columns of P averaged over the realizations walks, from the
-    joint kernel."""
+    """The payoff and diagnostic columns of P averaged over the realizations
+    walks, from the joint kernel."""
     probs = sum(distributions(walk, thetas) for walk in walks) / len(walks)
-    return payoffs(probs, walks[0].geometry, game)
+    return stack_points(probs, walks[0].geometry, game)
+
+
+def stack_points(probs, geometry, game):
+    """(u_a, u_b, aux) of a whole (B, n, n) stack, with every diagnostic."""
+    return (*payoffs(probs, geometry, game), diagnostics(probs, geometry))
 
 
 def count_evolved_profiles(monkeypatch) -> list:
@@ -286,9 +294,9 @@ def count_evolved_profiles(monkeypatch) -> list:
     collects the batch size of every call."""
     sizes = []
 
-    def counted(config, thetas):
+    def counted(config, thetas, *etas):
         sizes.append(len(thetas))
-        return evolve_batch(config, thetas)
+        return evolve_batch(config, thetas, *etas)
 
     evolve_batch = equilibrium.evolve_batch
     monkeypatch.setattr(equilibrium, "evolve_batch", counted)
@@ -332,7 +340,7 @@ def test_inert_walk_takes_the_product_path_and_agrees_with_the_joint_kernel(
     for game in THREE_GAMES:
         want = joint_points([config], thetas, game)
         sizes.clear()
-        got = WalkEvaluator(config, game).points(thetas)
+        got = WalkEvaluator(config, game).points(thetas, diagnostics=True)
         assert sizes == []  # no joint evolution
         for g, w in zip(got[:2], want[:2]):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -348,7 +356,7 @@ def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
     assert not spec.inert
     thetas = StrategyGrid(5).profiles
     ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
-    u_a, u_b, aux = ev.points(thetas)
+    u_a, u_b, aux = ev.points(thetas, diagnostics=True)
     want = joint_points(realizations(config), thetas, ev.game)
     for got, w in zip([u_a, u_b, *aux.values()], [*want[:2], *want[2].values()]):
         assert_same_bits(got, w)
@@ -383,9 +391,11 @@ def test_no_profiles_give_empty_distributions_and_columns(spec, steps):
     none = np.zeros((0, 2))
     assert distributions(config, none).shape == (0, n, n)
     assert equilibrium.product_distributions(config, none).shape == (0, n, n)
-    u_a, u_b, aux = WalkEvaluator(config, GameSpec(GameKind.RACE)).points(none)
+    ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
+    u_a, u_b, aux = ev.points(none, diagnostics=True)
     assert u_a.shape == u_b.shape == (0,)
     assert aux and all(v.shape == (0,) for v in aux.values())
+    assert ev.points(none)[2] == {}
 
 
 @pytest.mark.parametrize(
@@ -402,15 +412,18 @@ def test_shared_surfaces_are_bitwise_per_game_surfaces(spec, ensemble, monkeypat
     games = [GameSpec(k) for k in (GameKind.RACE, GameKind.TUG_OF_WAR)]
     grid = StrategyGrid(6)
     sizes = count_evolved_profiles(monkeypatch)
-    shared = shared_surfaces(config, games, grid)
+    shared = shared_surfaces(config, games, grid, diagnostics=True)
     # the grid is evolved once per noise realization, whatever the game count
     assert sum(sizes) == (0 if spec.inert else grid.n**2 * ensemble)
     for game, surface in zip(games, shared):
-        alone = surface_from_evaluator(WalkEvaluator(config, game), grid)
-        assert surface.aux.keys() == alone.aux.keys()
+        ev = WalkEvaluator(config, game)
+        alone = surface_from_evaluator(ev, grid)
+        assert alone.aux == {}  # diagnostics only where asked for
+        aux = ev.points(grid.profiles, diagnostics=True)[2]
+        assert surface.aux.keys() == aux.keys()
         for got, want in zip(
             [surface.u_a, surface.u_b, *surface.aux.values()],
-            [alone.u_a, alone.u_b, *alone.aux.values()],
+            [alone.u_a, alone.u_b, *(v.reshape(alone.u_a.shape) for v in aux.values())],
         ):
             assert_same_bits(got, want)
 
@@ -450,7 +463,7 @@ def test_equal_coins_evolve_each_mirrored_pair_once(spec, ensemble, boundary, co
         ev = WalkEvaluator(config, game)
         want = joint_points(realizations(config), grid.profiles, game)
         sizes.clear()
-        assert_columns(ev.points(grid.profiles), want, atol=1e-14)
+        assert_columns(ev.points(grid.profiles, diagnostics=True), want, atol=1e-14)
         # the diagonal and the upper triangle, once per noise realization
         assert sum(sizes) == (0 if spec.inert else 45 * len(realizations(config)))
 
@@ -463,7 +476,7 @@ def test_unequal_coins_evolve_every_profile(monkeypatch):
     for game in THREE_GAMES:
         want = joint_points([config], thetas, game)
         sizes.clear()
-        assert_columns(WalkEvaluator(config, game).points(thetas), want)
+        assert_columns(WalkEvaluator(config, game).points(thetas, diagnostics=True), want)
         assert sum(sizes) == 81
 
 
@@ -479,8 +492,135 @@ def test_a_batch_without_mirrors_keeps_its_bits(monkeypatch):
     for game in THREE_GAMES:
         want = joint_points([config], thetas, game)
         sizes.clear()
-        assert_columns(WalkEvaluator(config, game).points(thetas), want)
+        assert_columns(WalkEvaluator(config, game).points(thetas, diagnostics=True), want)
         assert sum(sizes) == 12
+
+
+def whole_stack_points(walk, games, thetas):
+    """Each game's (u_a, u_b, aux) reduced from the walk's whole P stack at
+    once: the stack of the rows `_mirrors` leaves to evolve, and each
+    mirrored row from the whole stack transposed at its mirror's row."""
+    mirrored, partner = equilibrium._mirrors(walk, thetas)
+    evolved = np.ones(len(thetas), dtype=bool)
+    evolved[mirrored] = False
+    probs = equilibrium.walk_distributions(walk, thetas[evolved])
+    slot = (np.cumsum(evolved) - 1)[partner]
+
+    def scatter(direct, swapped):
+        column = np.empty(len(thetas))
+        column[evolved], column[mirrored] = direct, swapped[slot]
+        return column
+
+    out = []
+    for game in games:
+        (u_a, u_b, aux), (s_a, s_b, s_aux) = (
+            stack_points(p, walk.geometry, game) for p in (probs, probs.transpose(0, 2, 1))
+        )
+        out.append((
+            scatter(u_a, s_a), scatter(u_b, s_b), {k: scatter(aux[k], s_aux[k]) for k in aux}
+        ))
+    return out
+
+
+def blocked_walks():
+    """Walks of T = 6 on L = 11, past the light cone: every kind on both
+    boundaries with unequal coins (kind none takes the product path), a noisy
+    ensemble of 3, an equal-coin walk that reduces mirrors, and an inert
+    collision at strength 0."""
+    walks = {
+        f"{kind.value}-{boundary.value}": WalkConfig(
+            LatticeGeometry(11, boundary), 6, *RIGHT_SYMMETRIC,
+            InteractionSpec(kind, 1.0, noise_sigma=0.5), seed=2,
+        )
+        for kind in InteractionKind
+        for boundary in Boundary
+    }
+    noisy = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
+    collision = InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0)
+    symmetric = COINS["symmetric"]
+    walks["noisy-ensemble-3"] = WalkConfig(
+        LatticeGeometry(11), 6, *RIGHT_SYMMETRIC, noisy, seed=2, ensemble=3
+    )
+    walks["equal-coins"] = WalkConfig(LatticeGeometry(11), 6, symmetric, symmetric, collision)
+    walks["inert-strength-0"] = WalkConfig(
+        LatticeGeometry(11), 6, *RIGHT_SYMMETRIC, replace(collision, strength=0.0)
+    )
+    return walks
+
+
+BLOCKED_WALKS = blocked_walks()
+
+
+@pytest.mark.parametrize("name", list(BLOCKED_WALKS))
+def test_blocking_does_not_change_bits(name):
+    # P reduced a chunk at a time gives the columns of the whole stack reduced
+    # at once, bit for bit, in points and in shared surfaces alike
+    walk = BLOCKED_WALKS[name]
+    games = [*THREE_GAMES, RANDOM_TABLES]
+    grid = StrategyGrid(12)
+    thetas = grid.profiles
+    # the rows evolved, 78 with mirrors and 144 without, span 3 chunks or more
+    evolved = len(thetas) - len(equilibrium._mirrors(walk, thetas)[0])
+    assert evolved > 2 * chunk_profiles(walk.geometry, walk.steps)
+    assert (evolved == 78) == (name == "equal-coins")
+    want = whole_stack_points(walk, games, thetas)
+    # and the stack's rows are those of one-profile batches, whatever the chunk
+    probs = equilibrium.walk_distributions(walk, thetas)
+    for k in range(0, len(thetas), 11):
+        alone = equilibrium.walk_distributions(walk, thetas[k : k + 1])
+        assert alone.tobytes() == probs[k : k + 1].tobytes(), k
+    surfaces = shared_surfaces(walk, games, grid, diagnostics=True)
+    none = np.zeros((0, 2))
+    for game, w, surface in zip(games, want, surfaces):
+        ev = WalkEvaluator(walk, game)
+        assert_columns(ev.points(thetas, diagnostics=True), w)
+        flat = {key: v.ravel() for key, v in surface.aux.items()}
+        assert_columns((surface.u_a.ravel(), surface.u_b.ravel(), flat), w)
+        assert_columns(
+            ev.points(none, diagnostics=True), whole_stack_points(walk, [game], none)[0]
+        )
+
+
+def test_each_realization_draws_its_jitters_once_per_batch(monkeypatch):
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
+    config = WalkConfig(LatticeGeometry(11), 6, *RIGHT_SYMMETRIC, spec, seed=2, ensemble=3)
+    thetas = StrategyGrid(12).profiles
+    draws = []
+
+    def counted(walk):
+        draws.append(walk.seed)
+        return jitters(walk)
+
+    monkeypatch.setattr(equilibrium, "jitters", counted)
+    sizes = count_evolved_profiles(monkeypatch)
+    WalkEvaluator(config, GameSpec(GameKind.RACE)).points(thetas)
+    assert draws == [2, 3, 4]
+    # 144 profiles in chunks of 33, each evolved for every realization
+    assert sizes == [size for size in (33, 33, 33, 33, 12) for _ in range(3)]
+    # the drawn jitters are those evolve_batch draws itself
+    chunk = thetas[:5]
+    assert evolve_batch(config, chunk, jitters(config)).tobytes() == (
+        evolve_batch(config, chunk).tobytes()
+    )
+
+
+def test_a_sweep_holds_one_block_of_p_not_the_grid():
+    # the race recipe's walk: P of the 61 x 61 grid's 1,891 evolved profiles
+    # is 3.4 MB, one chunk's 18 profiles 32 KB
+    walk = WalkConfig(
+        LatticeGeometry(15), 20, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    )
+
+    def traced_peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            shared_surfaces(walk, [GameSpec(GameKind.RACE)], StrategyGrid(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(21)  # the walk's plan and the game's table are built once
+    assert traced_peak(61) - traced_peak(21) < 1_000_000
 
 
 def test_race_sweep_evolves_the_upper_triangle(monkeypatch):
@@ -552,7 +692,7 @@ def assert_joint_points_are_window_payoffs(kind, steps):
     spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 2.0)
     config = WalkConfig(geom, steps, (1, 0), (0.6, 0.8j), spec)
     thetas = rng.uniform(0, np.pi, size=(2 * chunk_profiles(geom, steps) + 3, 2))
-    got = WalkEvaluator(config, game).points(thetas)
+    got = WalkEvaluator(config, game).points(thetas, diagnostics=True)
     window = reach(geom, steps)
     for k, (ta, tb) in enumerate(thetas):
         full = measure_joint(evolve(config, ta, tb), geom).probabilities
@@ -582,7 +722,7 @@ def test_product_points_are_bitwise_per_profile_payoffs_on_the_window(kind):
     config = WalkConfig(geom, 10, *RIGHT_SYMMETRIC)
     assert config.interaction.inert
     thetas = StrategyGrid(5).profiles
-    got = WalkEvaluator(config, game).points(thetas)
+    got = WalkEvaluator(config, game).points(thetas, diagnostics=True)
     window = reach(geom, 10)
     for k, (ta, tb) in enumerate(thetas):
         p_a, p_b = (

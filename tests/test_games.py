@@ -6,6 +6,7 @@ from qwgames.equilibrium import StrategyGrid, WalkEvaluator, surface_from_evalua
 from qwgames.games import (
     GameKind,
     GameSpec,
+    diagnostics,
     payoff,
     payoffs,
     table_from_csv,
@@ -82,9 +83,10 @@ def test_payoffs_read_the_sites_from_the_size_of_p(kind):
     cone /= cone.sum(axis=(1, 2), keepdims=True)
     full = np.zeros((5, 11, 11))
     full[:, 2:9:2, 2:9:2] = cone
-    (u_a, u_b, aux), (w_a, w_b, want) = (payoffs(p, geom, game) for p in (cone, full))
+    (u_a, u_b), (w_a, w_b) = (payoffs(p, geom, game) for p in (cone, full))
     np.testing.assert_allclose(u_a, w_a, rtol=0, atol=1e-14)
     np.testing.assert_allclose(u_b, w_b, rtol=0, atol=1e-14)
+    aux, want = diagnostics(cone, geom), diagnostics(full, geom)
     assert aux.keys() == want.keys()
     for key in aux:
         np.testing.assert_allclose(aux[key], want[key], rtol=0, atol=1e-14)

@@ -165,9 +165,9 @@ def test_g_estimate_grid_evaluates_one_batch_per_strength(monkeypatch, schedule)
         sizes.append(len(thetas))
         return points(self, thetas)
 
-    def counted_evolve(config, thetas):
+    def counted_evolve(config, thetas, *etas):
         evolved.append(len(thetas))
-        return evolve_batch(config, thetas)
+        return evolve_batch(config, thetas, *etas)
 
     monkeypatch.setattr(WalkEvaluator, "points", counted)
     monkeypatch.setattr(equilibrium, "evolve_batch", counted_evolve)
