@@ -23,8 +23,6 @@ from .hilbert import (
     Boundary,
     JointDistribution,
     LatticeGeometry,
-    make_initial_state,
-    marginals,
     measure_joint,
 )
 from .interactions import InteractionKind, InteractionSpec
@@ -46,8 +44,6 @@ __all__ = [
     "find_stationary",
     "jacobian_at",
     "learn",
-    "make_initial_state",
-    "marginals",
     "measure_joint",
     "payoff",
     "surface_from_evaluator",

@@ -24,8 +24,9 @@ the cone's state to the lattice's even offsets, where a walker stands at
 t = h, and runs its other T - h steps on the whole lattice with its
 boundary.  What a walk needs beyond the strategies, strength and noise
 draws is planned once per geometry, steps, coins and phase table
-(`_joint_plan`, `_single_legs`).  Callers see the (n, 2, n, 2) and (L, 2)
-layouts of `hilbert`.
+(`_joint_plan`, `_single_legs`).  Callers see the kernel's own layout on
+the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state `evolve`
+and `evolve_single` return the whole lattice, site major.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ def chunk_profiles(geometry: LatticeGeometry, steps: int) -> int:
 
 
 # -- channel-major kernel ----------------------------------------------------
-
-
-def _joint_view(amps: np.ndarray, L: int) -> np.ndarray:
-    """(B, 4, L^2) channel-major array -> (B, L, 2, L, 2) view of it."""
-    return amps.reshape(-1, 2, 2, L, L).transpose(0, 3, 1, 4, 2)
 
 
 def _coin_krons(thetas: np.ndarray) -> np.ndarray:
@@ -325,13 +321,13 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarra
     """Evolve one initial state under B strategy profiles simultaneously.
 
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
-    amplitudes on the n `reach` sites of each walker, off which the walk's
-    are zero, as a (B, n, 2, n, 2) view of the (B, 4, n^2) kernel buffer.
-    A noisy walk runs the one realization config.seed: its jitters, one a
-    step and shared by the batch (common random numbers), are etas, by
-    default `jitters(config)`, so a batched sweep is bit-identical to
-    per-profile evolve calls.  `equilibrium` hands it cache-sized chunks
-    with each realization's jitters, drawn once for the batch.
+    (B, 4, n, n) channel-major amplitudes on the n `reach` sites of each
+    walker, off which the walk's are zero: the kernel's buffer.  A noisy
+    walk runs the one realization config.seed: its jitters, one a step and
+    shared by the batch (common random numbers), are etas, by default
+    `jitters(config)`, so a batched sweep is bit-identical to per-profile
+    evolve calls.  `equilibrium` hands it cache-sized chunks with each
+    realization's jitters, drawn once for the batch.
     """
     thetas, spec, steps = check_profiles(thetas), config.interaction, config.steps
     coins = config.coin_a, config.coin_b
@@ -339,31 +335,33 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarra
     if etas is None:
         etas = jitters(config)
     coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
-    amps = _run(legs, start, _coin_krons(thetas), coupling, etas)
-    return _joint_view(amps, legs[-1].sites)
+    n = legs[-1].sites
+    return _run(legs, start, _coin_krons(thetas), coupling, etas).reshape(-1, 4, n, n)
 
 
 def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:
-    """(L, 2, L, 2) amplitudes after T steps from the standard initial state
-    under one strategy pair; deterministic in config.seed."""
+    """(L, 2, L, 2) site-major amplitudes after T steps from the standard
+    initial state under one strategy pair; deterministic in config.seed."""
     L, window = config.geometry.size, reach(config.geometry, config.steps)
     amps = np.zeros((L, 2, L, 2), dtype=complex)
-    amps[window, :, window] = evolve_batch(config, [[theta_a, theta_b]])[0]
+    final = evolve_batch(config, [[theta_a, theta_b]])[0]
+    amps[window, :, window] = final.reshape(2, 2, *final.shape[1:]).transpose(2, 0, 3, 1)
     return amps
 
 
 def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
-    """Final (B, L, 2) amplitudes of B non-interacting single walkers, one per
-    angle in thetas, with the coin/shift conventions of the joint walk: the
-    `_steps` kernel on (B, 2, n) buffers, through the legs of `_lattice`."""
+    """Final (B, 2, n) channel-major amplitudes of B non-interacting single
+    walkers, one per angle in thetas, on the n `reach` sites, with the
+    coin/shift conventions of the joint walk: the `_steps` kernel on
+    (B, 2, n) buffers, through the legs of `_lattice`."""
     thetas = _angles(thetas).reshape(-1)
     start = coin_vector(coin, "single")
-    amps = _run(_single_legs(geometry, steps), start, coin_matrix(thetas))
-    out = np.zeros((len(thetas), geometry.size, 2), dtype=complex)
-    out[:, reach(geometry, steps)] = amps.transpose(0, 2, 1)
-    return out
+    return _run(_single_legs(geometry, steps), start, coin_matrix(thetas))
 
 
 def evolve_single(geometry: LatticeGeometry, steps: int, theta: float, coin) -> np.ndarray:
-    """(L, 2) amplitudes of one non-interacting walker after steps steps."""
-    return evolve_singles(geometry, steps, [theta], coin)[0]
+    """(L, 2) site-major amplitudes of one non-interacting walker after
+    steps steps."""
+    amps = np.zeros((geometry.size, 2), dtype=complex)
+    amps[reach(geometry, steps)] = evolve_singles(geometry, steps, [theta], coin)[0].T
+    return amps

@@ -28,7 +28,7 @@ from .dynamics import WalkConfig, check_profiles, chunk_profiles, evolve_batch, 
 from .dynamics import jitters
 from .games import DIAGNOSTICS, GameSpec, payoffs
 from .games import diagnostics as transport
-from .hilbert import ValidationError, born, born_single, check_distributions, reach
+from .hilbert import ValidationError, born, check_distributions, reach
 
 PI = np.pi
 
@@ -136,13 +136,11 @@ def _product_blocks(walk: WalkConfig, thetas: np.ndarray):
     not depend on the batch it runs in, so sharing the walks changes no
     bit."""
     thetas = np.asarray(thetas, dtype=float)
-    window = reach(walk.geometry, walk.steps)
 
     def walker(column: int, coin) -> np.ndarray:
         """p(x) of one player's walker at each profile's angle, (B, n)."""
         angles, inverse = np.unique(thetas[:, column], return_inverse=True)
-        amps = evolve_singles(walk.geometry, walk.steps, angles, coin)
-        return born_single(amps[:, window])[inverse]
+        return born(evolve_singles(walk.geometry, walk.steps, angles, coin))[inverse]
 
     p_a, p_b = walker(0, walk.coin_a), walker(1, walk.coin_b)
     size = chunk_profiles(walk.geometry, walk.steps)
@@ -182,14 +180,6 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     return _stacked(walk, _joint_blocks([walk], thetas))
 
 
-def product_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P = p_A (x) p_B per profile on the `reach` sites, shape (B, n, n): the
-    walk without its interaction (`_product_blocks`).  When the interaction
-    is inert this is `distributions` up to rounding, at the cost of one
-    single walk per distinct angle instead of one joint walk per profile."""
-    return _stacked(walk, _product_blocks(walk, thetas))
-
-
 def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """The P every payoff of the walk reduces, (B, n, n) on the `reach`
     sites: the stack of `_blocks`, which the payoffs reduce a block at a
@@ -208,12 +198,18 @@ def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     the same batch is reused, so every other row is evolved as given and
     keeps its bits.  An inert walk's single walks already serve each angle
     once."""
-    if walk.coin_a != walk.coin_b or walk.interaction.inert:
+    lower = np.flatnonzero(thetas[:, 0] < thetas[:, 1])
+    if walk.coin_a != walk.coin_b or walk.interaction.inert or not lower.size:
         return np.empty((2, 0), dtype=int)
-    rows = thetas.tolist()
-    lower = {(a, b): k for k, (a, b) in enumerate(rows) if a < b}
-    pairs = [(k, lower[b, a]) for k, (a, b) in enumerate(rows) if a > b and (b, a) in lower]
-    return np.array(pairs, dtype=int).reshape(-1, 2).T
+    upper = np.flatnonzero(thetas[:, 0] > thetas[:, 1])
+    # a (theta_A, theta_B) row viewed as one complex number sorts and
+    # compares as the pair does; of equal rows, the last one is the mirror
+    keys = thetas[lower].view(complex)[:, 0]
+    order = np.argsort(keys, kind="stable")
+    wanted = np.ascontiguousarray(thetas[upper, ::-1]).view(complex)[:, 0]
+    at = np.searchsorted(keys[order], wanted, side="right") - 1
+    found = keys[order[at]] == wanted
+    return np.stack([upper[found], lower[order[at[found]]]])
 
 
 def _ensemble_points(walk: WalkConfig, games, thetas, diagnostics: bool = False) -> list:

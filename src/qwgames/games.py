@@ -1,7 +1,7 @@
 """Payoff observables over the final joint position distribution.
 
 All payoffs are classical functions of the measured positions: the quantum
-side of the model ends at measure_joint, and everything here works on
+side of the model ends at `hilbert.born`, and everything here works on
 probability matrices over the walkers' sites, reduced a (B, n, n) stack at
 a time: a sweep hands over one cache-sized block of profiles per call.
 """
@@ -35,6 +35,12 @@ class GameSpec:
         if self.kind is GameKind.CUSTOM_TABLE:
             if self.table_a is None or self.table_b is None:
                 raise ValidationError("custom_table requires both payoff tables")
+            for name, table in (("A", self.table_a), ("B", self.table_b)):
+                t = np.asarray(table)
+                if t.ndim != 2 or t.dtype.kind not in "biuf" or not np.isfinite(t).all():
+                    raise ValidationError(
+                        f"payoff table for player {name} must be a finite, real, 2-D array"
+                    )
         elif self.table_a is not None or self.table_b is not None:
             raise ValidationError(f"{self.kind.value} takes no payoff tables")
 

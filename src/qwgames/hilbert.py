@@ -1,13 +1,13 @@
 """Joint Hilbert space for two coined walkers on a 1D lattice.
 
-Index layout (used everywhere, including the dense test oracles): the joint
-amplitude array has shape (L, 2, L, 2) ordered as (x_A, s_A, x_B, s_B), with
-coin index 0 = |R> and 1 = |L>.  Flattening row-major gives the basis index
-
-    k = ((off(x_A) * 2 + s_A) * L + off(x_B)) * 2 + s_B
-
-where off(x) = x + (L - 1) / 2 maps the symmetric site label
-x in {-(L-1)/2, ..., +(L-1)/2} to an array offset in [0, L).
+Amplitudes are channel-major, as the `dynamics` kernel evolves them: a
+stack of B joint walks is (B, 4, n, n) over (c, x_A, x_B) with coin channel
+c = 2 s_A + s_B, and a stack of single walkers is (B, 2, n) over (s, x), on
+n sites per walker; coin index 0 = |R> and 1 = |L>.  Site labels run
+symmetrically, x in {-(L-1)/2, ..., +(L-1)/2}, and off(x) = x + (L - 1) / 2
+is a label's array offset in [0, L).  `born` takes either stack to P.  Only
+the one-state functions `evolve`, `evolve_single` and `measure_joint` keep
+the site-major (L, 2, L, 2) and (L, 2) layouts over (x_A, s_A, x_B, s_B).
 """
 
 from __future__ import annotations
@@ -115,39 +115,21 @@ def coin_vector(coin, player: str) -> np.ndarray:
     return v
 
 
-def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
-    """(L, 2, L, 2) amplitudes of both walkers at x = 0 with coin states
-    coin_a (x) coin_b."""
-    ca = coin_vector(coin_a, "A")
-    cb = coin_vector(coin_b, "B")
-    L = geometry.size
-    amps = np.zeros((L, 2, L, 2), dtype=complex)
-    o = geometry.offset(0)
-    amps[o, :, o, :] = np.outer(ca, cb)
-    return amps
-
-
 def born(amps: np.ndarray) -> np.ndarray:
-    """P(x_A, x_B) of (..., L, 2, L, 2) amplitudes, coins traced out in a
-    fixed order (s_B, then s_A) that gives the same bits in every layout."""
+    """P of a channel-major stack, channels traced out in one fixed order:
+    (B, 4, n, n) joint amplitudes give P(x_A, x_B) as (c0 + c1) + (c2 + c3),
+    (B, n, n); (B, 2, n) single-walker amplitudes give p(x) as c0 + c1."""
     a = np.abs(amps) ** 2
-    return (a[..., 0, :, 0] + a[..., 0, :, 1]) + (a[..., 1, :, 0] + a[..., 1, :, 1])
-
-
-def born_single(amps: np.ndarray) -> np.ndarray:
-    """p(x) of (..., L, 2) single-walker amplitudes, coin traced out."""
-    return np.sum(np.abs(amps) ** 2, axis=-1)
+    if a.shape[1] == 2:
+        return a[:, 0] + a[:, 1]
+    return (a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])
 
 
 def measure_joint(amps: np.ndarray, geometry: LatticeGeometry) -> JointDistribution:
-    """Born-rule position distribution of (L, 2, L, 2) amplitudes, both
-    coins traced out."""
-    return JointDistribution(born(amps), geometry)
-
-
-def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-walker position distributions (p_A, p_B)."""
-    return dist.probabilities.sum(axis=1), dist.probabilities.sum(axis=0)
+    """Born-rule position distribution of (L, 2, L, 2) site-major
+    amplitudes, both coins traced out."""
+    channel_major = amps.transpose(1, 3, 0, 2).reshape(1, 4, len(amps), -1)
+    return JointDistribution(born(channel_major)[0], geometry)
 
 
 # rows formatted per call of write_float_csv, ~0.3 MB of text at three

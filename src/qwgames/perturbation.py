@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import WalkConfig, evolve_singles
-from .equilibrium import StrategyGrid, WalkEvaluator, product_distributions
-from .games import GameSpec, payoffs
-from .hilbert import LatticeGeometry, ValidationError, born_single
+from .equilibrium import StrategyGrid, WalkEvaluator
+from .games import GameSpec
+from .hilbert import LatticeGeometry, ValidationError, born, reach
+from .interactions import InteractionSpec
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,16 @@ class Certificate:
 
 def drift_sweep(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
     """Expected final position of a single non-interacting walker at each
-    angle, from one batched single-walker walk."""
-    amps = evolve_singles(geometry, steps, thetas, coin)
-    return np.vecdot(born_single(amps), geometry.positions)
+    angle, from one batched single-walker walk on its `reach` sites."""
+    p = born(evolve_singles(geometry, steps, thetas, coin))
+    return np.vecdot(p, geometry.positions[reach(geometry, steps)])
 
 
 def _separable_prediction(config: WalkConfig, game: GameSpec, thetas: np.ndarray) -> np.ndarray:
-    """Payoff of the product of the two single-walker walks at each pair."""
-    return payoffs(product_distributions(config, thetas), config.geometry, game)[0]
+    """Payoff of the product of the two single-walker walks at each pair:
+    the walk without its interaction, which takes the product path."""
+    free = replace(config, interaction=InteractionSpec())
+    return WalkEvaluator(free, game).points(thetas)[0]
 
 
 def separability_residual(config: WalkConfig, game: GameSpec, grid: StrategyGrid) -> float:

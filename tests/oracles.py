@@ -20,14 +20,31 @@ import numpy as np
 from qwgames.dynamics import (
     WalkConfig,
     _coin_krons,
-    _joint_view,
     _phase_support,
     _shift_permutation,
     _steps,
     coin_matrix,
 )
-from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, born, make_initial_state
+from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, coin_vector, measure_joint
 from qwgames.interactions import InteractionSpec, coupling, phase
+
+
+def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
+    """(L, 2, L, 2) site-major amplitudes of both walkers at x = 0 with coin
+    states coin_a (x) coin_b."""
+    ca = coin_vector(coin_a, "A")
+    cb = coin_vector(coin_b, "B")
+    L = geometry.size
+    amps = np.zeros((L, 2, L, 2), dtype=complex)
+    o = geometry.offset(0)
+    amps[o, :, o, :] = np.outer(ca, cb)
+    return amps
+
+
+def channel_major(psi: np.ndarray) -> np.ndarray:
+    """(n, 2, n, 2) site-major joint amplitudes in the kernel's (4, n, n)
+    channel-major layout, channel c = 2 s_A + s_B."""
+    return psi.transpose(1, 3, 0, 2).reshape(4, len(psi), -1)
 
 
 def dense_single_coin(geometry: LatticeGeometry, theta: float) -> np.ndarray:
@@ -131,7 +148,7 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
     perm = _shift_permutation(geom.size, geom.boundary)
     _steps(amps, np.empty_like(amps), _coin_krons(thetas), perm, len(etas), phase)
-    return _joint_view(amps, geom.size)[0]
+    return amps.reshape(2, 2, geom.size, geom.size).transpose(2, 0, 3, 1)
 
 
 def noise_draws(config: WalkConfig) -> np.ndarray:
@@ -149,7 +166,11 @@ def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:
     runs it, with the walk's own noise draws."""
     psi = make_initial_state(config.geometry, config.coin_a, config.coin_b)
     etas = noise_draws(config)
-    return np.stack([born(kernel_steps(config, ta, tb, etas, psi)) for ta, tb in thetas])
+    geom = config.geometry
+    return np.stack([
+        measure_joint(kernel_steps(config, ta, tb, etas, psi), geom).probabilities
+        for ta, tb in thetas
+    ])
 
 
 def site_major_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.ndarray:
@@ -176,6 +197,16 @@ def site_major_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> n
         coined = np.matmul(r, amps.view(float).reshape(*amps.shape, 2))
         amps = coined.view(complex).reshape(len(amps), -1).take(perm, axis=1).reshape(amps.shape)
     return amps
+
+
+def mirror_pairs(thetas) -> np.ndarray:
+    """(2, m) rows k with theta_A > theta_B whose mirror (theta_B, theta_A)
+    is in the batch, ascending, over the last row holding each mirror, by a
+    dict of the rows with theta_A < theta_B."""
+    rows = np.asarray(thetas, dtype=float).tolist()
+    lower = {(a, b): k for k, (a, b) in enumerate(rows) if a < b}
+    pairs = [(k, lower[b, a]) for k, (a, b) in enumerate(rows) if a > b and (b, a) in lower]
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 class FunctionEvaluator:

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import FunctionEvaluator, dense_joint_step, recurrence_evolve
+from oracles import FunctionEvaluator, dense_joint_step, make_initial_state, recurrence_evolve
 from qwgames.cli import ExperimentConfig, run_recipe
-from qwgames.dynamics import WalkConfig, evolve, evolve_single, reach
+from qwgames.dynamics import WalkConfig, evolve, evolve_single, evolve_singles
 from qwgames.equilibrium import (
     StrategyGrid,
     WalkEvaluator,
@@ -27,7 +27,7 @@ from qwgames.equilibrium import (
     surface_from_evaluator,
 )
 from qwgames.games import GameKind, GameSpec, payoffs
-from qwgames.hilbert import Boundary, LatticeGeometry, born_single, make_initial_state
+from qwgames.hilbert import Boundary, LatticeGeometry, born
 from qwgames.interactions import InteractionKind, InteractionSpec
 from qwgames.perturbation import drift_sweep, first_order_slope, nonseparability_certificate
 
@@ -141,10 +141,9 @@ def test_04_separability_without_interaction():
     # both sides stay on the joint kernel: WalkEvaluator would take the
     # product path here and compare the product with itself
     probs = distributions(config, thetas)  # on the reach sites
-    window = reach(geom, 10)
-    singles = {th: born_single(evolve_single(geom, 10, th, (1, 0))) for th in vals}
+    singles = dict(zip(vals, born(evolve_singles(geom, 10, vals, (1, 0)))))
     worst_p = max(
-        float(np.max(np.abs(p - np.outer(singles[a][window], singles[b][window]))))
+        float(np.max(np.abs(p - np.outer(singles[a], singles[b]))))
         for p, (a, b) in zip(probs, thetas)
     )
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    channel_major,
     dense_interaction,
     dense_joint_step,
     dense_single_step,
     full_lattice_distributions,
     kernel_steps,
+    make_initial_state,
     random_joint_state,
     recurrence_evolve,
     site_major_singles,
@@ -29,16 +31,14 @@ from qwgames.dynamics import (
     reach,
 )
 import qwgames.dynamics as dynamics
-from qwgames.equilibrium import WalkEvaluator, distributions
+from qwgames.equilibrium import WalkEvaluator, distributions, walk_distributions
 from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import (
     Boundary,
     LatticeGeometry,
     ValidationError,
-    born_single,
-    make_initial_state,
+    born,
     measure_joint,
-    marginals,
 )
 from qwgames.interactions import InteractionKind, InteractionSpec
 
@@ -197,7 +197,7 @@ def test_evolve_batch_matches_repeated_dense_steps(boundary, kind):
         psi = psi0
         for _ in range(config.steps):
             psi = u @ psi
-        np.testing.assert_allclose(got[k], psi.reshape(7, 2, 7, 2), atol=1e-12)
+        np.testing.assert_allclose(got[k], channel_major(psi.reshape(7, 2, 7, 2)), atol=1e-12)
 
 
 def test_single_step_matches_dense_oracle():
@@ -232,14 +232,14 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
     thetas = np.linspace(0, np.pi, 13)
     coin = (1 / np.sqrt(2), 1j / np.sqrt(2))
     batch = evolve_singles(geom, 7, thetas, coin)
-    assert batch.shape == (13, 9, 2)
+    assert batch.shape == (13, 2, 9)
     for theta, got in zip(thetas, batch):
-        assert got.tobytes() == evolve_single(geom, 7, theta, coin).tobytes()
+        assert got.T.tobytes() == evolve_single(geom, 7, theta, coin).tobytes()
         psi = np.zeros(18, dtype=complex)
         psi[2 * geom.offset(0) : 2 * geom.offset(0) + 2] = coin
         for _ in range(7):
             psi = dense_single_step(geom, theta) @ psi
-        np.testing.assert_allclose(got, psi.reshape(9, 2), atol=1e-12)
+        np.testing.assert_allclose(got.T, psi.reshape(9, 2), atol=1e-12)
     with pytest.raises(ValidationError):
         evolve_singles(geom, 2, [0.5, np.pi + 0.1], coin)
 
@@ -248,33 +248,66 @@ def test_single_walker_batch_rows_are_lone_walks(boundary):
 @pytest.mark.parametrize("size, steps", [(7, 4), (15, 8), (15, 20), (31, 10)])
 def test_single_walkers_are_bitwise_the_site_major_loop(boundary, size, steps):
     # the joint kernel on (B, 2, n) gives the bits of the per-site 2 x 2 loop
-    # on the whole lattice, also when the walk hands its light cone to the
-    # lattice at T = (L - 1) / 2
+    # on the whole lattice, on the reach sites and zero off them, also when
+    # the walk hands its light cone to the lattice at T = (L - 1) / 2
     geom = LatticeGeometry(size, boundary)
+    window = reach(geom, steps)
     thetas = np.linspace(0, np.pi, 61)
     coins = [tuple(complex(re, im) for re, im in c) for c in COIN_CATALOG.values()]
     for coin in coins + [(0.6, 0.8j)]:
         got = evolve_singles(geom, steps, thetas, coin)
         want = site_major_singles(geom, steps, thetas, coin)
-        assert got.shape == want.shape == (61, size, 2)
-        assert got.tobytes() == want.tobytes(), coin
+        assert want.shape == (61, size, 2)
+        assert got.tobytes() == want[:, window].transpose(0, 2, 1).tobytes(), coin
+        want[:, window] = 0.0
+        assert not want.any()
+
+
+@pytest.mark.parametrize("size, steps", [(15, 20), (31, 10), (9, 13)])  # handoff, cone, handoff
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize(
+    "kind",
+    [InteractionKind.COLLISION_PHASE, InteractionKind.LONG_RANGE, InteractionKind.COIN_DEPENDENT],
+    ids=lambda k: k.value,
+)
+def test_the_site_major_edge_is_bitwise_the_kernel_path(kind, boundary, size, steps):
+    # evolve, evolve_single and measure_joint put the kernel's channel-major
+    # amplitudes on the whole lattice, site major, and move no bit of P
+    geom = LatticeGeometry(size, boundary)
+    spec = InteractionSpec(kind, 1.3, range_exponent=1.5)
+    config = WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec)
+    thetas = np.array([[0.0, np.pi], [1.1, 2.3], [2.9, 0.4]])
+    window = reach(geom, steps)
+    for (ta, tb), probs in zip(thetas, walk_distributions(config, thetas)):
+        lattice = np.zeros((size, size))
+        lattice[window, window] = probs
+        got = measure_joint(evolve(config, ta, tb), geom).probabilities
+        assert got.tobytes() == lattice.tobytes()
+    angles = thetas.ravel()
+    singles = born(evolve_singles(geom, steps, angles, SYMMETRIC))
+    loop = born(site_major_singles(geom, steps, angles, SYMMETRIC).transpose(0, 2, 1))
+    for theta, p, want in zip(angles, singles, loop):
+        lattice = born(evolve_single(geom, steps, theta, SYMMETRIC).T[None])[0]
+        assert lattice.tobytes() == want.tobytes()
+        assert lattice[window].tobytes() == p.tobytes()
 
 
 def test_no_interaction_factorizes():
     geom = LatticeGeometry(25)
     config = WalkConfig(geom, 10, (1, 0), (0.6, 0.8j))
-    joint = measure_joint(evolve(config, 0.9, 2.2), geom).probabilities
-    pa = born_single(evolve_single(geom, 10, 0.9, (1, 0)))
-    pb = born_single(evolve_single(geom, 10, 2.2, (0.6, 0.8j)))
+    window = reach(geom, 10)
+    joint = measure_joint(evolve(config, 0.9, 2.2), geom).probabilities[window, window]
+    pa = born(evolve_singles(geom, 10, [0.9], (1, 0)))[0]
+    pb = born(evolve_singles(geom, 10, [2.2], (0.6, 0.8j)))[0]
     np.testing.assert_allclose(joint, np.outer(pa, pb), atol=1e-12)
 
 
 def test_marginal_matches_single_walk():
     geom = LatticeGeometry(17)
     config = WalkConfig(geom, 6, (1, 0), (1, 0))
-    pa, _ = marginals(measure_joint(evolve(config, 1.3, 0.4), geom))
-    single = born_single(evolve_single(geom, 6, 1.3, (1, 0)))
-    np.testing.assert_allclose(pa, single, atol=1e-12)
+    pa = measure_joint(evolve(config, 1.3, 0.4), geom).probabilities.sum(axis=1)
+    single = born(evolve_singles(geom, 6, [1.3], (1, 0)))[0]
+    np.testing.assert_allclose(pa[reach(geom, 6)], single, atol=1e-12)
 
 
 def test_evolve_is_deterministic_in_seed():
@@ -295,7 +328,7 @@ def test_batch_matches_individual_evolutions():
     thetas = np.array([[0.3, 2.0], [1.5, 1.5], [np.pi, 0.0]])
     batch = evolve_batch(config, thetas)
     for k, (ta, tb) in enumerate(thetas):
-        np.testing.assert_array_equal(batch[k], evolve(config, ta, tb))
+        np.testing.assert_array_equal(batch[k], channel_major(evolve(config, ta, tb)))
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.REFLECTING])
@@ -314,7 +347,7 @@ def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     batch = evolve_batch(config, thetas)
     window = reach(geom, 6)
     for k, (ta, tb) in enumerate(thetas):
-        assert np.array_equal(batch[k], evolve(config, ta, tb)[window, :, window]), k
+        assert np.array_equal(batch[k], channel_major(evolve(config, ta, tb)[window, :, window])), k
 
 
 def test_reach_is_the_light_cone_within_the_lattice():
@@ -325,9 +358,10 @@ def test_reach_is_the_light_cone_within_the_lattice():
     assert reach(geom, 15) == slice(0, 31, 2)
     assert reach(geom, 16) == reach(geom, 40) == slice(0, 31)
     config = WalkConfig(geom, 10, (1, 0), SYMMETRIC)
-    assert evolve_batch(config, [[1.0, 2.0]] * 3).shape == (3, 11, 2, 11, 2)
-    assert evolve_singles(geom, 10, [1.0, 2.0], SYMMETRIC).shape == (2, 31, 2)
-    assert evolve_batch(replace(config, steps=16), [[1.0, 2.0]]).shape == (1, 31, 2, 31, 2)
+    assert evolve_batch(config, [[1.0, 2.0]] * 3).shape == (3, 4, 11, 11)
+    assert evolve_singles(geom, 10, [1.0, 2.0], SYMMETRIC).shape == (2, 2, 11)
+    assert evolve_batch(replace(config, steps=16), [[1.0, 2.0]]).shape == (1, 4, 31, 31)
+    assert evolve_singles(geom, 16, [1.0, 2.0], SYMMETRIC).shape == (2, 2, 31)
 
 
 @pytest.mark.parametrize("steps", [4, 20])  # on the light cone of L = 15, and past it
@@ -336,8 +370,8 @@ def test_a_batch_of_no_profiles_evolves_to_empty_amplitudes(steps):
     n = len(range(geom.size)[reach(geom, steps)])
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.4)
     config = WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec)
-    assert evolve_batch(config, np.zeros((0, 2))).shape == (0, n, 2, n, 2)
-    assert evolve_singles(geom, steps, [], SYMMETRIC).shape == (0, geom.size, 2)
+    assert evolve_batch(config, np.zeros((0, 2))).shape == (0, 4, n, n)
+    assert evolve_singles(geom, steps, [], SYMMETRIC).shape == (0, 2, n)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
@@ -350,7 +384,7 @@ def test_walkers_leave_the_sites_off_parity_exactly_zero(boundary):
         off[reach(geom, steps)] = False
         assert off.sum() == geom.size - steps - 1
         joint = evolve(WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec), 1.1, 2.3)
-        singles = evolve_singles(geom, steps, [0.0, 1.1, np.pi], SYMMETRIC)
+        singles = np.array([evolve_single(geom, steps, t, SYMMETRIC) for t in (0.0, 1.1, np.pi)])
         assert not joint[off].any() and not joint[:, :, off].any()
         assert not singles[:, off].any()
         assert np.count_nonzero(joint) and np.count_nonzero(singles[:, ~off], axis=1).all()

@@ -15,6 +15,7 @@ from oracles import (
     fd_jacobian,
     full_lattice_distributions,
     golden_max,
+    mirror_pairs,
 )
 from qwgames.equilibrium import (
     BOUNDARY_TOL,
@@ -52,7 +53,7 @@ from qwgames.hilbert import (
     JointDistribution,
     LatticeGeometry,
     ValidationError,
-    born_single,
+    born,
     measure_joint,
 )
 from qwgames.interactions import InteractionKind, InteractionSpec
@@ -360,9 +361,8 @@ def test_noisy_collision_at_strength_zero_stays_on_the_joint_kernel():
     want = joint_points(realizations(config), thetas, ev.game)
     for got, w in zip([u_a, u_b, *aux.values()], [*want[:2], *want[2].values()]):
         assert_same_bits(got, w)
-    product = payoffs(
-        equilibrium.product_distributions(config, thetas), config.geometry, ev.game
-    )[0]
+    free = replace(config, interaction=InteractionSpec())
+    product = WalkEvaluator(free, ev.game).points(thetas)[0]
     assert np.max(np.abs(u_a - product)) > 1e-3
 
 
@@ -390,7 +390,7 @@ def test_no_profiles_give_empty_distributions_and_columns(spec, steps):
     n = len(range(11)[reach(config.geometry, steps)])
     none = np.zeros((0, 2))
     assert distributions(config, none).shape == (0, n, n)
-    assert equilibrium.product_distributions(config, none).shape == (0, n, n)
+    assert equilibrium.walk_distributions(config, none).shape == (0, n, n)
     ev = WalkEvaluator(config, GameSpec(GameKind.RACE))
     u_a, u_b, aux = ev.points(none, diagnostics=True)
     assert u_a.shape == u_b.shape == (0,)
@@ -494,6 +494,22 @@ def test_a_batch_without_mirrors_keeps_its_bits(monkeypatch):
         sizes.clear()
         assert_columns(WalkEvaluator(config, game).points(thetas, diagnostics=True), want)
         assert sum(sizes) == 12
+
+
+def test_mirrors_are_the_pairs_of_a_lookup_by_row():
+    # grids, a repeated mirror (the last copy serves), -0.0 against 0.0, rows
+    # without a mirror and a batch with no row below the diagonal
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0)
+    walk = WalkConfig(LatticeGeometry(11), 6, interaction=spec)
+    rng = np.random.default_rng(8)
+    batches = [StrategyGrid(n).profiles for n in (2, 9, 61)]
+    batches += [rng.choice([0.0, -0.0, 0.5, 1.0, np.pi], size=(200, 2)) for _ in range(5)]
+    batches += [rng.uniform(0, np.pi, size=(50, 2)), np.zeros((0, 2)), [[2.0, 1.0], [1.0, 1.0]]]
+    for thetas in batches:
+        thetas = np.asarray(thetas, dtype=float)
+        got = equilibrium._mirrors(walk, thetas)
+        want = mirror_pairs(thetas)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def whole_stack_points(walk, games, thetas):
@@ -726,7 +742,7 @@ def test_product_points_are_bitwise_per_profile_payoffs_on_the_window(kind):
     window = reach(geom, 10)
     for k, (ta, tb) in enumerate(thetas):
         p_a, p_b = (
-            born_single(evolve_single(geom, 10, theta, coin))
+            born(evolve_single(geom, 10, theta, coin).T[None])[0]
             for theta, coin in ((ta, config.coin_a), (tb, config.coin_b))
         )
         full = np.outer(p_a, p_b)
@@ -753,12 +769,11 @@ def test_product_path_walks_each_distinct_angle_once(coins, steps, monkeypatch):
         return evolve_singles(geometry, steps, angles, coin)
 
     monkeypatch.setattr(equilibrium, "evolve_singles", counted)
-    probs = equilibrium.product_distributions(config, thetas)
+    probs = equilibrium.walk_distributions(config, thetas)
     assert calls == [[4], [3]]
-    window = reach(geom, steps)
     for k, (ta, tb) in enumerate(thetas):
         p_a, p_b = (
-            born_single(evolve_single(geom, steps, theta, coin))[window]
+            born(evolve_singles(geom, steps, [theta], coin))[0]
             for theta, coin in ((ta, config.coin_a), (tb, config.coin_b))
         )
         assert probs[k].tobytes() == np.outer(p_a, p_b).tobytes(), k

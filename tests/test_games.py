@@ -99,6 +99,27 @@ def test_custom_table_requires_tables():
         GameSpec(GameKind.RACE, table_a=np.zeros((7, 7)), table_b=np.zeros((7, 7)))
 
 
+BAD_TABLES = {
+    "nan": np.full((7, 7), np.nan),
+    "inf": np.full((7, 7), np.inf),
+    "string": np.full((7, 7), "1"),
+    "complex": np.full((7, 7), 1j),
+    "1-D": np.zeros(49),
+}
+
+
+@pytest.mark.parametrize("table", BAD_TABLES.values(), ids=list(BAD_TABLES))
+@pytest.mark.parametrize("player", ["A", "B"])
+def test_custom_table_must_be_a_finite_real_2d_array(table, player):
+    # caught when the game is built, not as NaN or inf payoffs or numpy's
+    # own error when a walk is reduced against it
+    good = np.zeros((7, 7))
+    tables = (table, good) if player == "A" else (good, table)
+    message = f"payoff table for player {player} must be a finite, real, 2-D array"
+    with pytest.raises(ValidationError, match=message):
+        GameSpec(GameKind.CUSTOM_TABLE, *tables)
+
+
 def test_custom_table_shape_mismatch():
     spec = GameSpec(GameKind.CUSTOM_TABLE, np.zeros((5, 5)), np.zeros((5, 5)))
     dist = point_mass(0, 0)

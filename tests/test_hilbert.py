@@ -12,12 +12,10 @@ from qwgames.hilbert import (
     born,
     check_distributions,
     distribution_to_csv,
-    make_initial_state,
-    marginals,
     measure_joint,
     write_float_csv,
 )
-from oracles import write_csv_cells
+from oracles import channel_major, make_initial_state, random_joint_state, write_csv_cells
 
 GEOM5 = LatticeGeometry(5)
 
@@ -80,32 +78,6 @@ def test_product_state_measures_as_outer_product(seed):
     pa = np.sum(np.abs(a) ** 2, axis=1)
     pb = np.sum(np.abs(b) ** 2, axis=1)
     np.testing.assert_allclose(dist.probabilities, np.outer(pa, pb), atol=1e-12)
-
-
-def test_marginals_of_point_mass():
-    p = np.zeros((5, 5))
-    p[GEOM5.offset(0), GEOM5.offset(0)] = 1.0
-    pa, pb = marginals(JointDistribution(p, GEOM5))
-    assert pa[GEOM5.offset(0)] == 1.0
-    assert pb[GEOM5.offset(0)] == 1.0
-
-
-def test_marginals_of_uniform():
-    p = np.full((5, 5), 1 / 25)
-    pa, pb = marginals(JointDistribution(p, GEOM5))
-    np.testing.assert_allclose(pa, 0.2)
-    np.testing.assert_allclose(pb, 0.2)
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_marginals_sum_to_one(seed):
-    rng = np.random.default_rng(seed)
-    p = rng.random((5, 5))
-    p /= p.sum()
-    pa, pb = marginals(JointDistribution(p, GEOM5))
-    assert pa.sum() == pytest.approx(1.0, abs=1e-12)
-    assert pb.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distribution_rejects_unnormalized():
@@ -228,16 +200,23 @@ def test_any_float_table_is_the_per_cell_writer_byte_for_byte(tmp_path_factory, 
     _same_bytes(tmp, [f"c{k}" for k in range(table.shape[1])], table, table)
 
 
-def test_born_gives_the_same_bits_in_every_layout():
+def test_born_traces_the_channels_in_one_fixed_order():
     rng = np.random.default_rng(5)
-    shape = (6, 9, 2, 9, 2)
-    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # the (B, 4, L^2) channel-major layout of the kernel, seen as (B, L, 2, L, 2)
-    view = amps.transpose(0, 2, 4, 1, 3).copy().transpose(0, 3, 1, 4, 2)
-    assert not view.flags.c_contiguous and np.array_equal(view, amps)
-    contiguous = np.ascontiguousarray(view)
-    want = np.sum(np.abs(contiguous) ** 2, axis=(2, 4))
-    assert born(view).tobytes() == born(contiguous).tobytes() == want.tobytes()
-    # one state, no batch axis: the reduction of measure_joint
-    one = np.sum(np.abs(contiguous[0]) ** 2, axis=(1, 3))
-    assert born(view[0]).tobytes() == one.tobytes()
+    joint = rng.normal(size=(6, 4, 9, 9)) + 1j * rng.normal(size=(6, 4, 9, 9))
+    a = np.abs(joint) ** 2
+    want = (a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])
+    assert born(joint).tobytes() == want.tobytes()
+    # the bits of the coins traced out site major, s_B and then s_A
+    site = np.abs(joint.reshape(6, 2, 2, 9, 9).transpose(0, 3, 1, 4, 2)) ** 2
+    traced = (site[:, :, 0, :, 0] + site[:, :, 0, :, 1]) + (site[:, :, 1, :, 0] + site[:, :, 1, :, 1])
+    assert born(joint).tobytes() == traced.tobytes()
+    # a stack of single walkers, (B, 2, n)
+    single = joint[:, :2, 0]
+    assert born(single).tobytes() == (a[:, 0, 0] + a[:, 1, 0]).tobytes()
+
+
+def test_measure_joint_is_born_of_the_channel_major_state():
+    geom = LatticeGeometry(9)
+    state = random_joint_state(geom, np.random.default_rng(6))
+    got = measure_joint(state, geom).probabilities
+    assert got.tobytes() == born(channel_major(state)[None])[0].tobytes()
