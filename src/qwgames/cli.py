@@ -224,6 +224,8 @@ class ExperimentConfig:
     )
     base_theta_a: float = _field(1.0, parse_angle, lambda v: 0 <= v <= PI, "in [0, pi]")
     base_theta_b: float = _field(2.0, parse_angle, lambda v: 0 <= v <= PI, "in [0, pi]")
+    # every strength feeds convergence_table.csv, the first two g_grid.csv;
+    # the certificate keeps its own (0.1, 0.05, 0.025) at step 0.1
     lambda_schedule: tuple = _field(
         (0.1, 0.05, 0.025, 0.0125), _angles,
         lambda v: len(v) >= 2 and all(0 < b < a < INF for a, b in zip(v, v[1:])),

@@ -6,6 +6,10 @@ All searches work through a payoff evaluator with the interface
     evaluate(theta_a, theta_b) -> (u_a, u_b)
     points(thetas)             -> (u_a, u_b, aux)   # (B,) arrays, aux by name
 
+and call only `points`, one batch at a time; `evaluate` is for callers that
+want one profile.  Every theta-derivative is the one `_stencil` of `points`:
+`gradients` of the payoffs, and `jacobian_at` of `gradients`.
+
 WalkEvaluator backs this with the quantum-walk simulation: every payoff
 reduces the walk's one P(x_A, x_B) (averaged over the walk's noise ensemble
 for noisy interactions, and built from two single-walker walks when the
@@ -326,26 +330,29 @@ BOUNDARY_TOL = 1e-6
 
 
 # Finite-difference steps, and the tolerances and budgets of the searches
-GRAD_H = 1e-3  # step of every gradient: residuals, learning, vector fields
+GRAD_H = 1e-3  # step of every derivative: gradients, and the Jacobian of them
 GRAD_TOL = 1e-3  # a point whose gradient is below this in both axes is stationary
-JACOBIAN_H = 1e-2
 CURVATURE_TOL = 1e-8  # Jacobian eigenvalues below this in size count as zero
 MAX_ROUNDS = 200  # refinement rounds of find_stationary
 MAX_CANDIDATES = 64  # best-response intersections find_stationary refines
 
-# 3-point stencils that stay inside [0, pi], one row each: forward (within h
-# of 0), central, backward (within h of pi).  Row k probes at offsets
-# _OFFSETS[k] * h, whose zero sits at index k; _SECOND serves every row.
+# 3-point first-derivative stencils that stay inside [0, pi], one row each:
+# forward (within h of 0), central, backward (within h of pi).  Row k probes
+# at offsets _OFFSETS[k] * h, whose zero sits at index k.
 _OFFSETS = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [-2.0, -1.0, 0.0]])
 _FIRST = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
-_SECOND = np.array([1.0, -2.0, 1.0])
 
 
-def _stencil(theta: np.ndarray, h: float):
-    """Stencil row, probe offsets and first-derivative weights of each
-    angle, shaped theta.shape, (*theta.shape, 3) and (*theta.shape, 3)."""
-    row = np.where(theta - h < 0.0, 0, np.where(theta + h > PI, 2, 1))
-    return row, _OFFSETS[row] * h, _FIRST[row] / h
+def _stencil(pts: np.ndarray):
+    """The GRAD_H stencil of each point along each player's angle: its rows
+    (B, 2), the probes (B, 2, 3, 2), where probes[k, i, j] moves point k by
+    the j-th offset along player i's angle, and their weights (B, 2, 3)."""
+    row = np.where(pts - GRAD_H < 0.0, 0, np.where(pts + GRAD_H > PI, 2, 1))
+    probes = np.broadcast_to(pts[:, None, None, :], (len(pts), 2, 3, 2)).copy()
+    offs = _OFFSETS[row] * GRAD_H
+    probes[:, 0, :, 0] += offs[:, 0]
+    probes[:, 1, :, 1] += offs[:, 1]
+    return row, probes, _FIRST[row] / GRAD_H
 
 
 def gradients(evaluator, pts) -> np.ndarray:
@@ -354,12 +361,7 @@ def gradients(evaluator, pts) -> np.ndarray:
     One-sided stencils are used within GRAD_H of the domain boundary.  Every
     probe with a nonzero weight goes through one batched call.
     """
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    _, offs, w1 = _stencil(pts, GRAD_H)
-    # probes[k, i, j] moves point k by offs[k, i, j] along player i's angle
-    probes = np.broadcast_to(pts[:, None, None, :], (len(pts), 2, 3, 2)).copy()
-    probes[:, 0, :, 0] += offs[:, 0]
-    probes[:, 1, :, 1] += offs[:, 1]
+    _, probes, w1 = _stencil(np.asarray(pts, dtype=float).reshape(-1, 2))
     used = w1 != 0.0
     u_a, u_b, _ = evaluator.points(probes[used])
     u = np.zeros(w1.shape)
@@ -474,29 +476,22 @@ def find_stationary(surface: PayoffSurface, evaluator) -> list[StationaryPoint]:
 
 
 def jacobian_at(point, evaluator, eta: float = 0.05) -> JacobianReport:
-    """Jacobian of the gradient dynamics at the strategy pair
-    point = (theta_A, theta_B), from a 9-point second-difference stencil,
-    with eigenvalue stability classification.
+    """Jacobian J[i, j] = d(dU_i/dtheta_i)/dtheta_j of the gradient dynamics
+    at the strategy pair point = (theta_A, theta_B), with eigenvalue
+    stability classification: the `_stencil` of `gradients` along each
+    player's angle, every probe's gradient from one batched call.
 
-    Points within JACOBIAN_H of the boundary fall back to one-sided stencils
-    and carry a caveat flag.
+    A point whose stencil, or the stencil of any of its probes' gradients,
+    is one-sided (within 2 GRAD_H of the boundary) carries a caveat flag.
     """
-    ta, tb = float(point[0]), float(point[1])
-    (row_a, row_b), (offs_a, offs_b), (w1a, w1b) = _stencil(np.array([ta, tb]), JACOBIAN_H)
-    w2 = _SECOND / JACOBIAN_H**2
-    caveat = bool(row_a != 1 or row_b != 1)  # a one-sided stencil
-
-    pts = np.array([[ta + oa, tb + ob] for oa in offs_a for ob in offs_b])
-    # columns of a (9, 2) array: contiguous ones change the sums' last bits
-    u = np.column_stack(evaluator.points(pts)[:2])
-    u_a = u[:, 0].reshape(3, 3)
-    u_b = u[:, 1].reshape(3, 3)
-    # u_x[i, j] samples (ta + offs_a[i], tb + offs_b[j]); row k centres at k
-    j11 = float(w2 @ u_a[:, row_b])
-    j22 = float(w2 @ u_b[row_a, :])
-    j12 = float(w1a @ u_a @ w1b)
-    j21 = float(w1a @ u_b @ w1b)
-    J = np.array([[j11, j12], [j21, j22]])
+    _, probes, w1 = _stencil(np.array([point], dtype=float))
+    used = w1 != 0.0
+    g = np.zeros((*w1.shape, 2))
+    g[used] = gradients(evaluator, probes[used])
+    # a one-sided stencil probes its centre, so the probes' rows tell all
+    caveat = bool(np.any(_stencil(probes[used])[0] != 1))
+    # g[0, j, k] is the gradient at the k-th probe along player j's angle
+    J = np.vecdot(g[0].transpose(2, 0, 1), w1[0])
 
     eigs = np.linalg.eigvals(J)
     if np.all(eigs.real < -CURVATURE_TOL):
@@ -513,12 +508,12 @@ def jacobian_at(point, evaluator, eta: float = 0.05) -> JacobianReport:
 
 def learn(evaluator, start, eta: float = 0.05, max_iters: int = 1000) -> LearnResult:
     """Simultaneous gradient ascent theta_i <- theta_i + eta dU_i/dtheta_i,
-    clamped to [0, pi], with oscillation-divergence detection."""
+    clamped to [0, pi], with oscillation-divergence detection.  Each
+    iteration reads the walk through one `gradients` call; the payoffs of
+    the whole trajectory come from one `points` call at the end."""
     ta, tb = float(start[0]), float(start[1])
     traj = [(ta, tb)]
-    pays = [evaluator.evaluate(ta, tb)]
     clamps = 0
-    deltas: list[np.ndarray] = []
     converged = False
     diverged = False
     message = "max_iters reached"
@@ -533,25 +528,24 @@ def learn(evaluator, start, eta: float = 0.05, max_iters: int = 1000) -> LearnRe
         ca, cb = min(max(na, 0.0), PI), min(max(nb, 0.0), PI)
         if ca != na or cb != nb:
             clamps += 1
-        deltas.append(np.array([ca - ta, cb - tb]))
         ta, tb = ca, cb
         traj.append((ta, tb))
-        pays.append(evaluator.evaluate(ta, tb))
-        if _oscillation_growing(deltas):
+        if _oscillation_growing(traj):
             diverged = True
             message = "divergence: growing oscillation over 20-step window"
             break
-    return LearnResult(
-        np.array(traj), np.array(pays), converged, diverged, clamps, message
-    )
+    traj = np.array(traj)
+    u_a, u_b, _ = evaluator.points(traj)
+    return LearnResult(traj, np.column_stack([u_a, u_b]), converged, diverged, clamps, message)
 
 
-def _oscillation_growing(deltas, window: int = 20) -> bool:
-    """Growing sign-alternating iterate steps over the trailing window."""
-    if len(deltas) < 2 * window:
+def _oscillation_growing(traj, window: int = 20) -> bool:
+    """Growing sign-alternating iterate steps over the trailing window of
+    the trajectory's steps."""
+    if len(traj) <= 2 * window:
         return False
-    recent = np.array(deltas[-window:])
-    previous = np.array(deltas[-2 * window : -window])
+    deltas = np.diff(traj[-2 * window - 1 :], axis=0)
+    recent, previous = deltas[window:], deltas[:window]
     flips = np.mean(np.sign(recent[1:]) * np.sign(recent[:-1]) < 0)
     amp_recent = np.mean(np.abs(recent))
     amp_prev = np.mean(np.abs(previous))

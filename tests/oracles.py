@@ -2,9 +2,10 @@
 evolution (explicit dense unitaries, the component recurrence relations and
 a site-major single-walker loop), the lockstep stationary-point search (a
 one-lane golden-section search) and the batched finite differences (a scalar
-3-point stencil per point), and the evaluator adapter that drives the
-searches with an analytic payoff function. Also the per-cell CSV writer
-that the block-formatted float table writer is checked against byte for byte.
+3-point stencil per point, and the same stencil of those gradients), and the
+evaluator adapter that drives the searches with an analytic payoff function.
+Also the per-cell CSV writer that the block-formatted float table writer is
+checked against byte for byte.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout,
@@ -252,22 +253,13 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
 
 
 def stencil_1d(p: float, h: float, lo: float = 0.0, hi: float = np.pi):
-    """First/second derivative stencils that stay inside [lo, hi].
-
-    Returns (offsets, w1, w2): offsets to sample at, first-derivative weights,
-    second-derivative weights.
-    """
+    """First-derivative stencil that stays inside [lo, hi]: the offsets to
+    sample at and their weights."""
     if p - h < lo:
-        offs = np.array([0.0, h, 2 * h])
-        w1 = np.array([-1.5, 2.0, -0.5]) / h
-    elif p + h > hi:
-        offs = np.array([-2 * h, -h, 0.0])
-        w1 = np.array([0.5, -2.0, 1.5]) / h
-    else:
-        offs = np.array([-h, 0.0, h])
-        w1 = np.array([-0.5, 0.0, 0.5]) / h
-    w2 = np.array([1.0, -2.0, 1.0]) / h**2
-    return offs, w1, w2
+        return np.array([0.0, h, 2 * h]), np.array([-1.5, 2.0, -0.5]) / h
+    if p + h > hi:
+        return np.array([-2 * h, -h, 0.0]), np.array([0.5, -2.0, 1.5]) / h
+    return np.array([-h, 0.0, h]), np.array([-0.5, 0.0, 0.5]) / h
 
 
 def fd_gradients(evaluator, pts, h: float = 1e-3) -> np.ndarray:
@@ -275,28 +267,23 @@ def fd_gradients(evaluator, pts, h: float = 1e-3) -> np.ndarray:
     stencil and one evaluation per probe at a time, the centre included."""
     out = []
     for ta, tb in np.asarray(pts, dtype=float).reshape(-1, 2):
-        offs_a, w1a, _ = stencil_1d(ta, h)
-        offs_b, w1b, _ = stencil_1d(tb, h)
+        offs_a, w1a = stencil_1d(ta, h)
+        offs_b, w1b = stencil_1d(tb, h)
         u_a = np.array([evaluator.evaluate(ta + o, tb)[0] for o in offs_a])
         u_b = np.array([evaluator.evaluate(ta, tb + o)[1] for o in offs_b])
         out.append([float(w1a @ u_a), float(w1b @ u_b)])
     return np.array(out)
 
 
-def fd_jacobian(evaluator, ta: float, tb: float, h: float = 1e-2) -> np.ndarray:
-    """Game Jacobian [[d2U_A/dA2, d2U_A/dAdB], [d2U_B/dAdB, d2U_B/dB2]] from
-    the 3x3 grid of stencil probes around (ta, tb)."""
-    offs_a, w1a, w2a = stencil_1d(ta, h)
-    offs_b, w1b, w2b = stencil_1d(tb, h)
-    u = np.array([[evaluator.evaluate(ta + oa, tb + ob) for ob in offs_b] for oa in offs_a])
-    u_a, u_b = u[..., 0], u[..., 1]  # [i, j] samples (ta + offs_a[i], tb + offs_b[j])
-    ca, cb = int(np.argmin(np.abs(offs_a))), int(np.argmin(np.abs(offs_b)))
-    return np.array(
-        [
-            [float(w2a @ u_a[:, cb]), float(w1a @ u_a @ w1b)],
-            [float(w1a @ u_b @ w1b), float(w2b @ u_b[ca, :])],
-        ]
-    )
+def fd_jacobian(evaluator, ta: float, tb: float, h: float = 1e-3) -> np.ndarray:
+    """Jacobian J[i, j] = d(dU_i/dtheta_i)/dtheta_j at (ta, tb): the stencil
+    of `fd_gradients` along each angle, one probe's gradient at a time, the
+    centre included."""
+    offs_a, w1a = stencil_1d(ta, h)
+    offs_b, w1b = stencil_1d(tb, h)
+    g_a = np.array([fd_gradients(evaluator, [[ta + o, tb]], h)[0] for o in offs_a])
+    g_b = np.array([fd_gradients(evaluator, [[ta, tb + o]], h)[0] for o in offs_b])
+    return np.array([[float(w1a @ g_a[:, i]), float(w1b @ g_b[:, i])] for i in (0, 1)])
 
 
 def write_csv_cells(path, header, rows):

@@ -148,6 +148,11 @@ def test_jacobian_reports_an_overflowing_spectral_radius_as_inf():
 def test_jacobian_near_boundary_carries_caveat():
     rep = jacobian_at((0.0, 1.0), QUAD)
     assert rep.boundary_caveat
+    # a central stencil whose probes' gradients are one-sided
+    h = equilibrium.GRAD_H
+    assert jacobian_at((1.5 * h, 1.0), QUAD).boundary_caveat
+    assert jacobian_at((1.0, np.pi - 1.5 * h), QUAD).boundary_caveat
+    assert not jacobian_at((2.5 * h, np.pi - 2.5 * h), QUAD).boundary_caveat
 
 
 def test_jacobian_unstable_and_marginal_verdicts():
@@ -1039,11 +1044,54 @@ WALK = WalkEvaluator(
     ids=["waves", "noisy-walk-ensemble-2", "walk"],
 )
 def test_jacobian_is_bitwise_the_scalar_stencil(ev):
-    h = equilibrium.JACOBIAN_H
-    for ta, tb in [(1.0, 2.0), (0.0, h / 2), (np.pi, 1.0), (np.pi - h / 2, np.pi)]:
+    for ta, tb in [(1.0, 2.0), (0.0, H / 2), (np.pi, 1.0), (np.pi - H / 2, np.pi)]:
         rep = jacobian_at((ta, tb), ev)
-        assert_same_bits(rep.matrix, fd_jacobian(ev, ta, tb, h))
+        assert_same_bits(rep.matrix, fd_jacobian(ev, ta, tb, H))
         assert rep.boundary_caveat == ((ta, tb) != (1.0, 2.0))
+
+
+def test_jacobian_is_one_call_and_near_the_analytic_one():
+    # the stencil of the gradients at 4 interior probes, 4 payoffs each
+    ev = CountingEvaluator(waves)
+    a, b = 1.0, 2.0
+    rep = jacobian_at((a, b), ev)
+    assert (ev.calls, ev.profiles) == (1, 16)
+    ca, cb = np.cos(4 * a - b), np.cos(4 * b - a)
+    want = [[-16 * ca, 4 * ca], [4 * cb, -16 * cb]]
+    assert np.max(np.abs(rep.matrix - want)) < 2e-4
+
+
+@pytest.mark.parametrize(
+    "ev, start, outcome",
+    [
+        (QUAD, (1.7, 1.0), "converged"),
+        # a constant unit gradient runs into the corner until max_iters
+        (FunctionEvaluator(lambda a, b: (a, b)), (3.0, 3.0), "clamp_events"),
+        # eta |J| = 2.2: each step overshoots by 1.2 times the last
+        (
+            FunctionEvaluator(lambda a, b: (-22 * (a - 1.5) ** 2, -22 * (b - 1.5) ** 2)),
+            (1.5 + 3e-5, 1.5 + 3e-5),
+            "diverged",
+        ),
+    ],
+    ids=["converges", "clamps", "diverges"],
+)
+def test_learn_is_one_call_per_iteration_and_one_for_the_payoffs(ev, start, outcome):
+    counting = CountingEvaluator(ev.fn)
+    res = learn(counting, start, eta=0.05, max_iters=300)
+    assert getattr(res, outcome)
+    # the converged walk checks the gradient at its last iterate too
+    iterations = len(res.trajectory) - 1 + res.converged
+    assert counting.calls == iterations + 1
+    want = np.array([ev.evaluate(ta, tb) for ta, tb in res.trajectory])
+    assert_same_bits(res.payoffs, want)
+
+
+def test_learn_payoffs_are_bitwise_the_walk_at_each_iterate():
+    for start in [(1.0, 2.0), (0.5, 0.5)]:
+        res = learn(WALK, start, eta=0.05, max_iters=100)
+        want = np.array([WALK.evaluate(ta, tb) for ta, tb in res.trajectory])
+        assert_same_bits(res.payoffs, want)
 
 
 @pytest.mark.parametrize("n", [2, 5, 31])
