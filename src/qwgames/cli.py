@@ -193,7 +193,7 @@ class ExperimentConfig:
     its JSON value is parsed and what the parsed value must satisfy."""
 
     recipe: str = _one_of("race", RECIPE_DEFAULTS, lambda v: _text(v).replace("-", "_"))
-    # 1001 bounds the (L, 2, L, 2) state at 64 MB and the phase table at 32 MB
+    # 1001 bounds the one-state (L, 2, L, 2) amplitudes at 64 MB
     lattice_size: int = _field(
         15, _int, lambda v: 3 <= v <= 1001 and v % 2 == 1, "odd, >= 3 and <= 1001"
     )

@@ -9,24 +9,26 @@ applied without ever materializing the 4L^2 x 4L^2 matrix.  One kernel,
 walk as (B, 4, n^2) with channel c = 2 s_A + s_B, a single walker as
 (B, 2, n) with channel s, on n sites per walker.  The coin rotations are one
 real batched C x C matmul, the shift is one precomputed gather, and the joint
-walk's phase exp(i c V), c the profile's coupling, touches only the
-channel-plane sites where its table V is nonzero.
+walk's phase exp(i c f(d)), c the profile's coupling and f the profile of
+the walkers' distance d, touches only the kind's coin channels and, for a
+contact kind, the sites where d = 0.
 
 A walker that starts at x = 0 occupies after t steps only the t + 1 sites
 of parity t, x = 2j - t with j = 0 ... t, and meets the lattice edge no
 sooner than after h = (L - 1) / 2 steps.  So every walk runs its first
 min(T, h) steps in the coordinate j = (x + t) / 2 on the sites of this light
-cone (`reach`): there |R> moves j -> j + 1, |L> stays at j, and every phase
-table, which depends only on x_A - x_B = 2 (j_A - j_B), is the same at every
+cone (`reach`): there |R> moves j -> j + 1, |L> stays at j, and every
+phase, which depends only on x_A - x_B = 2 (j_A - j_B), is the same at every
 step.  The cone's shift wraps, but the wrap never reads a nonzero amplitude,
 so the cone changes no bit of the result.  A walk of T > h steps then hands
 the cone's state to the lattice's even offsets, where a walker stands at
 t = h, and runs its other T - h steps on the whole lattice with its
 boundary.  What a walk needs beyond the strategies, strength and noise
-draws is planned once per geometry, steps, coins and phase table
-(`_joint_plan`, `_single_legs`).  Callers see the kernel's own layout on
-the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state `evolve`
-and `evolve_single` return the whole lattice, site major.
+draws is planned once per geometry, steps, coins and interaction kind
+(`_joint_plan`, `_single_legs`), the phase from the walkers' distances, not
+a dense (L, 2, L, 2) table.  Callers see the kernel's own layout on the
+`reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state `evolve` and
+`evolve_single` return the whole lattice, site major.
 """
 
 from __future__ import annotations
@@ -150,49 +152,43 @@ def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
     return (coin * L * L + site).reshape(-1)
 
 
-def _cover(idx: np.ndarray) -> slice:
-    """Evenly strided slice covering the sorted indices idx; a superset of
-    them when they are not evenly spaced."""
-    if len(idx) == 0:
-        return slice(0, 0)
-    step = int(np.gcd.reduce(np.diff(idx))) if len(idx) > 1 else 1
-    return slice(int(idx[0]), int(idx[-1]) + 1, step)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, window: tuple):
-    """Strided (channel, site) slices of the (4, n^2) channel-major layout of
-    the n lattice sites range(*window) that cover the nonzero entries of the
-    phase table, and the table there.
-
-    The table is the lattice's own, cut to those sites: a long-range table
-    depends on L through the minimal image.  Off the support every phase
-    factor is exactly 1, so skipping it changes no bit.  The diagonal tables
-    give the stride-(n+1) diagonal of each channel plane (coin-dependent:
-    channels ::3); long range covers all.
+def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, sites: slice):
+    """The phase of walkers on the n lattice offsets sites each, read-only:
+    its support in the (B, 4, n^2) buffer, the profile's distinct values and
+    the support's indices into them, one row viewed once per channel.  A
+    contact kind has the stride-(n + 1) diagonal of its channels and one
+    value; long range, the whole plane, the profile at d = 0 ... d_max and
+    the distances themselves, which depend on L through the minimal image.
+    Off the support every phase factor is exactly 1, so skipping it changes
+    no bit.
     """
-    cut = slice(*window)
-    table = interactions.phase_table(spec, geometry)[cut, :, cut]
-    table = table.transpose(1, 3, 0, 2).reshape(4, -1)
-    channels = _cover(np.flatnonzero(table.any(axis=1)))
-    sites = _cover(np.flatnonzero(table.any(axis=0)))
-    return (slice(None), channels, sites), table[channels, sites]
+    _, _, contact, channels = interactions.CATALOG[spec.kind]
+    x = geometry.positions[sites]
+    if contact:
+        cells, d = slice(None, None, len(x) + 1), np.zeros(len(x), dtype=int)
+    else:
+        cells, d = slice(None), interactions.distance(geometry, x[:, None], x[None, :]).ravel()
+    distinct = interactions.profile(spec, np.arange(d.max() + 1))
+    # factors gathered through the view have the support's own shape, on
+    # which the in-place product of each step runs up to 2x faster than
+    # broadcast over the channels
+    inverse = np.broadcast_to(d, (len(range(4)[channels]), len(d)))
+    return (slice(None), channels, cells), _frozen(distinct), inverse
 
 
 class _Leg(NamedTuple):
     """One leg of a walk in `_lattice`, as `_steps` runs it: the gather of
-    its shift and, on a joint walk with a phase table, its phase as (support
-    index of the table, the table there, its distinct values, the table as
-    indices into them)."""
+    its shift and, on an interacting joint walk, its `_phase_support`."""
 
     sites: int
     steps: int
     perm: np.ndarray
     phase: tuple | None
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=64)
@@ -201,25 +197,16 @@ def _joint_plan(geom: LatticeGeometry, steps: int, coin_a, coin_b, kind, range_e
     walk, read-only and keyed by what they are built from: not the strength,
     noise seed or ensemble, which a sweep or an ensemble varies.
 
-    Each leg's phase table is the lattice's, cut to the sites the walkers
-    reach at the leg's end: on the light cone they hold at every step, as
-    the table depends only on x_A - x_B.  Every kind but none has a table.
+    Each leg's phase is planned on the sites the walkers reach at the leg's
+    end: on the light cone it holds at every step, as it depends only on
+    x_A - x_B.  Every kind but none has a phase.
     """
     start = np.outer(coin_vector(coin_a, "A"), coin_vector(coin_b, "B"))
     spec = InteractionSpec(kind, range_exponent=range_exponent)
     legs, t = [], 0
     for n, k, rule in _lattice(geom, steps):
         t += k
-        phase = None
-        if kind is not InteractionKind.NONE:
-            index, values = _phase_support(spec, geom, reach(geom, t).indices(geom.size))
-            # one exp a profile per distinct value, ~n of a long-range table's
-            # 4 n^2; in Python, as np.unique and np.searchsorted cost peak RSS
-            distinct = sorted(set(values.ravel().tolist()))
-            position = {v: j for j, v in enumerate(distinct)}
-            inverse = np.array([position[v] for v in values.ravel().tolist()])
-            inverse, distinct = inverse.reshape(values.shape), np.array(distinct)
-            phase = (index, *map(_frozen, (values, distinct, inverse)))
+        phase = None if kind is InteractionKind.NONE else _phase_support(spec, geom, reach(geom, t))
         legs.append(_Leg(n, k, _frozen(_shift_permutation(n, rule)), phase))
     return _frozen(start.reshape(4)), tuple(legs)
 
@@ -237,9 +224,9 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
     """Evolve the (B, C, S) channel-major buffer amps in place for steps
     steps, with coined, of the same shape, as scratch: the real (B, C, C)
     coins act as one matmul on the float view (B, C, 2S), then perm gathers
-    the shifted state.  A joint walk passes phase = (support index, table
-    there, per-profile coupling factors there, per-step jitters), and each
-    step ends with the factors and that step's jitter on the support."""
+    the shifted state.  A joint walk passes phase = (support index, profile
+    values there, per-profile coupling factors there, per-step jitters), and
+    each step ends with the factors and that step's jitter on the support."""
     real, coined_real = amps.view(float), coined.view(float)
     shape = len(amps), len(perm)  # perm gathers all C S amplitudes of a profile
     flat, coined_flat = amps.reshape(shape), coined.reshape(shape)
@@ -282,8 +269,10 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=
             state, coined = amps, scratch[:size]
         phase = leg.phase
         if phase is not None:
-            index, values, distinct, inverse = phase
+            index, distinct, inverse = phase
+            # one exp a profile per distinct value, < 2n on a long-range leg
             factors = np.exp(1j * coupling[:, None] * distinct)[:, inverse]
+            values = distinct[inverse]
             # of a walk's one or two legs, the cone takes the first steps' jitters
             phase = index, values, factors, etas[: leg.steps] if leg is cone else etas[-leg.steps :]
         _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)

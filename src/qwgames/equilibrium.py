@@ -196,7 +196,7 @@ def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     the batch, and the row of each mirror; empty unless the walkers' coins
     are equal and the walk is evolved jointly.
 
-    Every phase table and coupling of the catalog is unchanged by swapping
+    Every phase and coupling of the catalog is unchanged by swapping
     the walkers (tests/test_interactions.py pins this), so with equal coins
     P(theta_B, theta_A) is P(theta_A, theta_B) transposed.  Only a mirror in
     the same batch is reused, so every other row is evolved as given and

@@ -2,13 +2,18 @@
 
 Each functional maps the joint basis labels (x_A, x_B, s_A, s_B) and the two
 strategy angles to a phase in radians; the dynamics applies exp(i * phase) as
-a diagonal unitary.  Every catalog entry factors as
+a diagonal unitary.  Every kind factors as
 
-    phase = coupling(theta_A, theta_B) * table(x_A, x_B, s_A, s_B) [+ eta_t]
+    phase = coupling(theta_A, theta_B) * f(|x_A - x_B|) [+ eta_t]
 
-which the evolution engine exploits: the table is geometry-only and the
-coupling is a scalar per strategy profile.  Every entry is unchanged when
-the walkers swap, (x_A, s_A, theta_A) <-> (x_B, s_B, theta_B), which lets
+on its coin channels and 0 on the others, and `CATALOG` declares each
+kind's three parts: its coupling, a signed strength times cos(theta_A -
+theta_B) or 1; its distance profile f, the contact delta(d) or
+1 / (1 + d^alpha); and its channels, all four or s_A = s_B only.  The
+evolution engine exploits the form: `dynamics` plans the phase from the
+walkers' distances once per geometry, and the coupling is a scalar per
+strategy profile.  Every entry is unchanged when the walkers swap,
+(x_A, s_A, theta_A) <-> (x_B, s_B, theta_B), which lets
 `equilibrium._mirrors` reduce a mirrored profile from its partner's P.
 """
 
@@ -78,53 +83,54 @@ class InteractionSpec:
         return InteractionSpec(self.kind, strength, self.range_exponent, self.noise_sigma)
 
 
-def _distance_table(geometry: LatticeGeometry) -> np.ndarray:
-    """|x_A - x_B| as an (L, L) table; minimal image under periodic boundary."""
-    x = geometry.positions
-    d = np.abs(x[:, None] - x[None, :])
+# per kind, the phase coupling(theta_A, theta_B) * f(|x_A - x_B|) on its coin
+# channels c = 2 s_A + s_B: the sign of the strength in the coupling, whether
+# the coupling reads cos(theta_A - theta_B), whether f is the contact delta(d)
+# (else 1 / (1 + d^alpha)), and the channels
+CATALOG = {
+    InteractionKind.NONE: (0.0, False, True, slice(0, 0)),
+    InteractionKind.COLLISION_PHASE: (1.0, True, True, slice(None)),
+    InteractionKind.ATTRACTIVE_COLLISION: (-1.0, False, True, slice(None)),
+    InteractionKind.LONG_RANGE: (1.0, True, False, slice(None)),
+    InteractionKind.COIN_DEPENDENT: (1.0, False, True, slice(None, None, 3)),
+    InteractionKind.NOISY_COLLISION: (1.0, True, True, slice(None)),
+}
+
+
+def distance(geometry: LatticeGeometry, x_a, x_b):
+    """|x_A - x_B| of site labels, broadcast; the minimal image under the
+    periodic boundary."""
+    d = np.abs(np.asarray(x_a) - x_b)
     if geometry.boundary is Boundary.PERIODIC:
         d = np.minimum(d, geometry.size - d)
     return d
 
 
+def profile(spec: InteractionSpec, d) -> np.ndarray:
+    """The kind's distance profile f at the integer distances d: delta(d), or
+    1 / (1 + d^alpha), whose d^alpha may overflow to inf at a large alpha,
+    where f is 0, its limit."""
+    d = np.asarray(d)
+    if CATALOG[spec.kind][2]:
+        return (d == 0).astype(float)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + d**spec.range_exponent)
+
+
 def coupling(spec: InteractionSpec, theta_a, theta_b):
     """Strategy-dependent scalar prefactor of the phase functional."""
-    k = spec.kind
-    if k is InteractionKind.NONE:
-        return np.zeros_like(np.asarray(theta_a, dtype=float) + theta_b)
-    if k in (
-        InteractionKind.COLLISION_PHASE,
-        InteractionKind.LONG_RANGE,
-        InteractionKind.NOISY_COLLISION,
-    ):
-        return spec.strength * np.cos(np.asarray(theta_a) - np.asarray(theta_b))
-    if k is InteractionKind.ATTRACTIVE_COLLISION:
-        return -spec.strength * np.ones_like(np.asarray(theta_a, dtype=float))
-    if k is InteractionKind.COIN_DEPENDENT:
-        return spec.strength * np.ones_like(np.asarray(theta_a, dtype=float))
-    raise ValidationError(f"unsupported interaction kind: {k!r}")
+    sign, angular = CATALOG[spec.kind][:2]
+    diff = np.asarray(theta_a, dtype=float) - theta_b
+    return sign * spec.strength * (np.cos(diff) if angular else np.ones_like(diff))
 
 
 def phase_table(spec: InteractionSpec, geometry: LatticeGeometry) -> np.ndarray:
     """Strategy-independent spatial/coin factor, shape (L, 2, L, 2)."""
-    L = geometry.size
-    k = spec.kind
-    if k is InteractionKind.NONE:
-        return np.zeros((L, 2, L, 2))
-    diag = np.eye(L)
-    if k in (
-        InteractionKind.COLLISION_PHASE,
-        InteractionKind.ATTRACTIVE_COLLISION,
-        InteractionKind.NOISY_COLLISION,
-    ):
-        return np.broadcast_to(diag[:, None, :, None], (L, 2, L, 2)).copy()
-    if k is InteractionKind.LONG_RANGE:
-        table = 1.0 / (1.0 + _distance_table(geometry) ** spec.range_exponent)
-        return np.broadcast_to(table[:, None, :, None], (L, 2, L, 2)).copy()
-    if k is InteractionKind.COIN_DEPENDENT:
-        coin_diag = np.eye(2)
-        return diag[:, None, :, None] * coin_diag[None, :, None, :]
-    raise ValidationError(f"unsupported interaction kind: {k!r}")
+    x = geometry.positions
+    f = profile(spec, distance(geometry, x[:, None], x[None, :]))
+    on = np.zeros(4)
+    on[CATALOG[spec.kind][3]] = 1.0
+    return f[:, None, :, None] * on.reshape(1, 2, 1, 2)
 
 
 def phase(
@@ -140,16 +146,16 @@ def phase(
 ) -> float:
     """Phase (radians) applied to one joint basis state during one step.
 
-    The scalar reference of the factored form above: the kernel reads
-    `phase_table` and `coupling` directly, while the dense test oracles
-    (tests/oracles.py) and the benchmark's output check build their phase
-    unitary from this function one basis state at a time.  eta_t is the
+    The scalar reference of the factored form above, read from the catalog
+    for this one state: the dense test oracles (tests/oracles.py) and the
+    benchmark's output check build their phase unitary from it, while the
+    kernel plans its phase from the walkers' distances.  eta_t is the
     per-step stochastic phase; it contributes only for the noisy functional
     and is owned by the caller's RNG.
     """
-    i = geometry.offset(x_a)
-    j = geometry.offset(x_b)
-    table = float(phase_table(spec, geometry)[i, s_a, j, s_b])
+    geometry.offset(x_a), geometry.offset(x_b)  # both labels on the lattice
+    on = 2 * s_a + s_b in range(4)[CATALOG[spec.kind][3]]
+    table = float(profile(spec, distance(geometry, x_a, x_b))) if on else 0.0
     base = float(coupling(spec, theta_a, theta_b)) * table
     if spec.kind is InteractionKind.NOISY_COLLISION:
         # the per-step jitter rides on the same collision support; a spatially

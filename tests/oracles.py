@@ -142,7 +142,8 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     (theta_a, theta_b)."""
     geom, spec = config.geometry, config.interaction
     thetas = np.array([[theta_a, theta_b]])
-    index, values = _phase_support(spec, geom, (0, geom.size, 1))
+    index, distinct, inverse = _phase_support(spec, geom, slice(None))
+    values = distinct[inverse]
     coup = np.asarray(coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
     factors = np.exp(1j * coup[:, None, None] * values)
     phase = index, values, factors, np.asarray(etas, dtype=float)

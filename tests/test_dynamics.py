@@ -31,6 +31,7 @@ from qwgames.dynamics import (
     reach,
 )
 import qwgames.dynamics as dynamics
+import qwgames.interactions as interactions
 from qwgames.equilibrium import WalkEvaluator, distributions, walk_distributions
 from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import (
@@ -400,16 +401,16 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
     assert [(leg.sites, leg.steps) for leg in legs] == [(8, 7), (15, 13)]
     singles = _single_legs(geom, 20)
     assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
-    # each leg's phase is the x_A = x_B indicator on its n diagonal sites of
-    # the four channel planes and its one distinct value; no noise draws
-    assert [leg.phase[1].shape for leg in legs] == [(4, 8), (4, 15)]
+    # each leg's phase is the x_A = x_B diagonal of the four channel planes,
+    # stride n + 1, with its one distinct value; no noise draws
     for leg in legs:
-        _, values, distinct, inverse = leg.phase
-        assert (values == 1.0).all() and distinct.tolist() == [1.0]
-        assert inverse.shape == values.shape and np.array_equal(distinct[inverse], values)
+        index, distinct, inverse = leg.phase
+        assert index == (slice(None), slice(None), slice(None, None, leg.sites + 1))
+        assert distinct.tolist() == [1.0] and (inverse == 0).all()
+        assert inverse.shape == (4, leg.sites) and inverse.strides[0] == 0
     arrays = [start, *(leg.perm for leg in legs + singles)]
     arrays += [a for leg in legs for a in leg.phase if isinstance(a, np.ndarray)]
-    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
     kept = [legs[1].perm, singles[0].perm, *legs[0].phase[1:]]
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -463,6 +464,45 @@ def test_a_noisy_ensemble_builds_one_plan():
     assert _joint_plan.cache_info().misses == 1
     evaluator.points([[1.1, 2.3]])
     assert _joint_plan.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.7, 400.0])
+@pytest.mark.parametrize("size, steps", [(15, 20), (31, 10), (9, 13), (15, 5), (7, 30)])
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind", list(InteractionKind)[1:], ids=lambda k: k.value)
+def test_each_leg_plans_the_phase_table_of_its_reach_sites(kind, boundary, size, steps, alpha):
+    # the plan reads the walkers' distances, never the dense table; on its
+    # support, distinct[inverse], one row per channel, is bitwise the
+    # table cut to the leg's reach sites, and off it the table is 0
+    geom = LatticeGeometry(size, boundary)
+    spec = InteractionSpec(kind, 1.0, range_exponent=alpha)
+    table = interactions.phase_table(spec, geom)
+    _, legs = _joint_plan(geom, steps, (1, 0), SYMMETRIC, kind, alpha)
+    t = 0
+    for leg in legs:
+        t += leg.steps
+        cut = reach(geom, t)
+        expected = table[cut, :, cut].transpose(1, 3, 0, 2).reshape(4, -1)
+        index, distinct, inverse = leg.phase
+        planned = np.zeros_like(expected)
+        planned[index[1:]] = distinct[inverse]
+        assert planned.tobytes() == expected.tobytes()
+        # the plan keeps one row of indices, viewed once per channel
+        assert len(distinct) < 2 * leg.sites and inverse.strides[0] == 0
+
+
+def test_the_plan_never_builds_a_phase_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("phase_table called")
+
+    monkeypatch.setattr(interactions, "phase_table", refuse)
+    _joint_plan.cache_clear()
+    for kind in InteractionKind:
+        for boundary in Boundary:
+            config = WalkConfig(LatticeGeometry(15, boundary), 20, (1, 0), SYMMETRIC,
+                                InteractionSpec(kind, 0.9, range_exponent=1.5))
+            evolve_batch(config, [[1.1, 2.3]])
+    assert _joint_plan.cache_info().misses == 2 * len(InteractionKind)
 
 
 @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS[1:], ids=lambda k: k.value)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qwgames.interactions import (
     coupling,
     phase,
     phase_table,
+    profile,
 )
 
 GEOM = LatticeGeometry(7)
@@ -101,6 +104,20 @@ def test_long_range_sharp_exponent_localizes():
     assert np.all(table[np.broadcast_to(far, table.shape)] < 1e-15)
 
 
+def test_a_steep_long_range_profile_falls_to_zero_without_a_warning():
+    # 6^400 overflows to inf, and 1 / (1 + inf) = 0 is the profile's limit
+    spec = InteractionSpec(InteractionKind.LONG_RANGE, 1.0, range_exponent=400.0)
+    geom = LatticeGeometry(31, Boundary.REFLECTING)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = profile(spec, np.arange(31))
+        table = phase_table(spec, geom)
+        evolve(WalkConfig(geom, 20, interaction=spec), 0.9, 2.1)
+    assert f[0] == 1.0 and f[1] == 0.5
+    assert (f[2:] < 1e-120).all() and (f[6:] == 0.0).all()
+    assert np.isfinite(table).all() and (table >= 0.0).all()
+
+
 def test_coin_dependent_needs_matching_coins():
     spec = InteractionSpec(InteractionKind.COIN_DEPENDENT, 2.0)
     assert phase(spec, GEOM, 1, 1, 0, 0, 0.5, 0.5) == pytest.approx(2.0)
@@ -133,6 +150,27 @@ def test_noise_sigma_zero_matches_plain_collision_bitwise():
     a = evolve(plain, 0.9, 2.1)
     b = evolve(noisy, 0.9, 2.1)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind", list(InteractionKind), ids=lambda k: k.value)
+def test_phase_is_the_phase_table_entry_of_its_state(kind, boundary):
+    # the scalar reads the catalog for its one state: coupling times the
+    # table entry, plus eta times it for the noisy kind, bitwise
+    geom = LatticeGeometry(7, boundary)
+    spec = InteractionSpec(kind, 0.7, range_exponent=1.5, noise_sigma=0.3)
+    table = phase_table(spec, geom)
+    c, eta = float(coupling(spec, 1.1, 2.3)), 0.25
+    for i, xa in enumerate(geom.positions):
+        for j, xb in enumerate(geom.positions):
+            for sa in (0, 1):
+                for sb in (0, 1):
+                    entry = float(table[i, sa, j, sb])
+                    expected = c * entry
+                    if kind is InteractionKind.NOISY_COLLISION:
+                        expected += eta * entry
+                    got = phase(spec, geom, xa, xb, sa, sb, 1.1, 2.3, eta)
+                    assert got == expected and np.signbit(got) == np.signbit(expected)
 
 
 def test_phase_table_shapes():
