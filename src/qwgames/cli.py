@@ -197,7 +197,10 @@ class ExperimentConfig:
     lattice_size: int = _field(
         15, _int, lambda v: 3 <= v <= 1001 and v % 2 == 1, "odd, >= 3 and <= 1001"
     )
-    steps: int = _field(20, _int, lambda v: v >= 1, ">= 1")
+    # 10,000 steps cross the largest lattice ten times; each step is a pass
+    # over every profile's amplitudes and draws one jitter a realization, so
+    # an unbounded T asks for run time and arrays without end
+    steps: int = _field(20, _int, lambda v: 1 <= v <= 10_000, ">= 1 and <= 10000")
     boundary: str = _one_of("periodic", [b.value for b in Boundary])
     # ((re, im), (re, im)) amplitudes of |R> and |L>
     coin_a: tuple = _field(COIN_CATALOG["right"], _coin, _unit_coin, "a normalized coin state")

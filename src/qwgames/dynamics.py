@@ -23,10 +23,11 @@ step.  The cone's shift wraps, but the wrap never reads a nonzero amplitude,
 so the cone changes no bit of the result.  A walk of T > h steps then hands
 the cone's state to the lattice's even offsets, where a walker stands at
 t = h, and runs its other T - h steps on the whole lattice with its
-boundary.  What a walk needs beyond the strategies, strength and noise
-draws is planned once per geometry, steps, coins and interaction kind
-(`_joint_plan`, `_single_legs`), the phase from the walkers' distances, not
-a dense (L, 2, L, 2) table.  Callers see the kernel's own layout on the
+boundary.  What a walk needs beyond the strategies, coins, strength and
+noise draws is planned once per geometry, steps, number of walkers and
+interaction kind (`_plan`): each leg's gather, the joint one composed from
+the two walkers', and its phase from the walkers' distances, not a dense
+(L, 2, L, 2) table.  Callers see the kernel's own layout on the
 `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state `evolve` and
 `evolve_single` return the whole lattice, site major.
 """
@@ -52,7 +53,7 @@ from .hilbert import (
 from .interactions import InteractionKind, InteractionSpec
 
 # amplitudes evolved together, 4 n^2 a profile on n sites per walker
-# (`chunk_profiles`).  `_run` keeps two complex128 buffers of a chunk (amps
+# (`chunk_profiles`).  `_run` evolves each leg in two complex128 buffers (amps
 # and the scratch), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
 # per-core L2, which leaves room for the gather indices and BLAS's own
 # buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
@@ -65,7 +66,9 @@ class WalkConfig:
 
     A noisy interaction draws its phase jitter from `seed`; a payoff is the
     mean over `ensemble` noise realizations, seeded seed, seed+1, ...  A
-    deterministic walk ignores both.  `_joint_plan` holds neither, nor the strength.
+    deterministic walk ignores both.  The kernel's `_plan` holds neither, nor
+    the strength or the coins, which are checked here to be normalized
+    2-vectors.
     """
 
     geometry: LatticeGeometry
@@ -83,6 +86,8 @@ class WalkConfig:
             raise ValidationError(f"ensemble must be >= 1, got {self.ensemble}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        coin_vector(self.coin_a, "A")
+        coin_vector(self.coin_b, "B")
 
 
 def coin_matrix(theta) -> np.ndarray:
@@ -143,13 +148,13 @@ def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
     """Flat gather indices of the two-walker shift on channel-major arrays.
 
     The shift is a permutation of basis states, so one precomputed take()
-    realizes it: destination (s_A, s_B, x_A, x_B) reads the product of the
-    two walkers' sources.
+    realizes it: destination (s_A, s_B, x_A, x_B) reads the source
+    (2L^2 s'_A + L x'_A) + (L^2 s'_B + x'_B), each walker's part composed
+    from its own `_walker_shift`.
     """
     s, x = np.divmod(_walker_shift(L, boundary).reshape(2, L), L)  # (s, x)
-    site = x[:, None, :, None] * L + x[None, :, None, :]
-    coin = 2 * s[:, None, :, None] + s[None, :, None, :]
-    return (coin * L * L + site).reshape(-1)
+    a, b = L * (2 * L * s + x), L * L * s + x
+    return np.add(a[:, None, :, None], b[None, :, None, :]).reshape(-1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -192,32 +197,25 @@ class _Leg(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _joint_plan(geom: LatticeGeometry, steps: int, coin_a, coin_b, kind, range_exponent):
-    """The (4,) start amplitudes at j_A = j_B = 0 and the legs of a joint
-    walk, read-only and keyed by what they are built from: not the strength,
-    noise seed or ensemble, which a sweep or an ensemble varies.
+def _plan(geometry: LatticeGeometry, steps: int, walkers: int, kind=InteractionKind.NONE,
+          range_exponent=2.0) -> tuple:
+    """The legs of a walk of one walker or two, read-only and keyed by what
+    they are built from: not the coins, strength, noise seed or ensemble,
+    which a coin catalog, a sweep or an ensemble varies.
 
     Each leg's phase is planned on the sites the walkers reach at the leg's
     end: on the light cone it holds at every step, as it depends only on
-    x_A - x_B.  Every kind but none has a phase.
+    x_A - x_B.  Every kind but none, a single walker's, has a phase.
     """
-    start = np.outer(coin_vector(coin_a, "A"), coin_vector(coin_b, "B"))
+    shift = _walker_shift if walkers == 1 else _shift_permutation
     spec = InteractionSpec(kind, range_exponent=range_exponent)
     legs, t = [], 0
-    for n, k, rule in _lattice(geom, steps):
+    for n, k, rule in _lattice(geometry, steps):
         t += k
-        phase = None if kind is InteractionKind.NONE else _phase_support(spec, geom, reach(geom, t))
-        legs.append(_Leg(n, k, _frozen(_shift_permutation(n, rule)), phase))
-    return _frozen(start.reshape(4)), tuple(legs)
-
-
-@lru_cache(maxsize=64)
-def _single_legs(geometry: LatticeGeometry, steps: int) -> tuple:
-    """The legs of a free single walker, with its one-walker shift."""
-    return tuple(
-        _Leg(n, k, _frozen(_walker_shift(n, rule)), None)
-        for n, k, rule in _lattice(geometry, steps)
-    )
+        cut = reach(geometry, t)
+        phase = None if kind is InteractionKind.NONE else _phase_support(spec, geometry, cut)
+        legs.append(_Leg(n, k, _frozen(shift(n, rule)), phase))
+    return tuple(legs)
 
 
 def _steps(amps, coined, coins, perm, steps: int, phase=None):
@@ -248,25 +246,21 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=
     from the (C,) start amplitudes at site 0 of the cone, under the real
     (B, C, C) coins; a joint walk passes its (B,) coupling and T jitters.
 
-    A call makes two arrays, the result and a scratch: the scratch is each
-    leg's coined buffer and, on a walk past the cone, holds both of the cone
-    leg's buffers; at t = h the cone's site j is the lattice's offset 2j."""
+    Each leg evolves its own pair of buffers, the state and the coined
+    scratch, made as one array: as two arrays each, they page-faulted on
+    every chunk of a 61x61 race sweep, which ran 12-30 % slower on a 2-vCPU
+    Xeon.  The result is a view of the last pair.  At t = h the cone's site
+    j is the lattice's offset 2j."""
     B, C = coins.shape[:2]
-    w = C // 2
-    cone, last = legs[0], legs[-1]
-    m, size = B * C * cone.sites**w, B * C * last.sites**w
-    amps = np.zeros((B, C, last.sites**w), dtype=complex)
-    scratch = np.empty(size if cone is last else max(size, 2 * m), dtype=complex)
-    state, coined = amps, scratch[:size]
-    if cone is not last:
-        state, coined = scratch[:m].reshape(B, C, cone.sites**w), scratch[m : 2 * m]
-        state.fill(0)
-    state[:, :, 0] = start
+    w, cone = C // 2, legs[0]
     for leg in legs:
-        if leg is not cone:
+        amps, coined = np.empty((2, B, C, leg.sites**w), dtype=complex)
+        amps.fill(0)
+        if leg is cone:
+            amps[:, :, 0] = start
+        else:
             even = (slice(None),) * 2 + (slice(None, None, 2),) * w
             amps.reshape(B, C, *[leg.sites] * w)[even] = state.reshape(B, C, *[cone.sites] * w)
-            state, coined = amps, scratch[:size]
         phase = leg.phase
         if phase is not None:
             index, distinct, inverse = phase
@@ -275,7 +269,8 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=
             values = distinct[inverse]
             # of a walk's one or two legs, the cone takes the first steps' jitters
             phase = index, values, factors, etas[: leg.steps] if leg is cone else etas[-leg.steps :]
-        _steps(state, coined.reshape(state.shape), coins, leg.perm, leg.steps, phase)
+        _steps(amps, coined, coins, leg.perm, leg.steps, phase)
+        state = amps
     return amps
 
 
@@ -318,9 +313,10 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarra
     evolve calls.  `equilibrium` hands it cache-sized chunks with each
     realization's jitters, drawn once for the batch.
     """
-    thetas, spec, steps = check_profiles(thetas), config.interaction, config.steps
-    coins = config.coin_a, config.coin_b
-    start, legs = _joint_plan(config.geometry, steps, *coins, spec.kind, spec.range_exponent)
+    thetas, spec = check_profiles(thetas), config.interaction
+    legs = _plan(config.geometry, config.steps, 2, spec.kind, spec.range_exponent)
+    coin_a, coin_b = (np.asarray(c, complex) for c in (config.coin_a, config.coin_b))
+    start = (coin_a[:, None] * coin_b).reshape(4)  # the (4,) channels 2 s_A + s_B
     if etas is None:
         etas = jitters(config)
     coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
@@ -345,7 +341,7 @@ def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.nd
     (B, 2, n) buffers, through the legs of `_lattice`."""
     thetas = _angles(thetas).reshape(-1)
     start = coin_vector(coin, "single")
-    return _run(_single_legs(geometry, steps), start, coin_matrix(thetas))
+    return _run(_plan(geometry, steps, 1), start, coin_matrix(thetas))
 
 
 def evolve_single(geometry: LatticeGeometry, steps: int, theta: float, coin) -> np.ndarray:

@@ -11,7 +11,8 @@ Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout,
 except `kernel_steps`: the production kernel run on the whole lattice for
 every step, the bitwise reference of the light cone and of its handoff to
-the lattice.
+the lattice, through the two-walker gather that
+`product_shift_permutation` builds from each walker's `_walker_shift`.
 """
 
 import csv
@@ -22,8 +23,8 @@ from qwgames.dynamics import (
     WalkConfig,
     _coin_krons,
     _phase_support,
-    _shift_permutation,
     _steps,
+    _walker_shift,
     coin_matrix,
 )
 from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, coin_vector, measure_joint
@@ -136,6 +137,17 @@ def recurrence_evolve(
     return np.stack([psi_r, psi_l], axis=1)
 
 
+def product_shift_permutation(L: int, boundary) -> np.ndarray:
+    """Flat gather indices of the two-walker shift on (2, 2, L, L)
+    channel-major arrays, built as the product of the two walkers' sources:
+    destination (s_A, s_B, x_A, x_B) reads coin 2 s'_A + s'_B at site
+    x'_A L + x'_B."""
+    s, x = np.divmod(_walker_shift(L, boundary).reshape(2, L), L)  # (s, x)
+    site = x[:, None, :, None] * L + x[None, :, None, :]
+    coin = 2 * s[:, None, :, None] + s[None, :, None, :]
+    return (coin * L * L + site).reshape(-1)
+
+
 def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     """(L, 2, L, 2) state psi after one `_steps` call on the whole lattice,
     one kernel step per noise jitter in etas, under the strategy pair
@@ -148,7 +160,7 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     factors = np.exp(1j * coup[:, None, None] * values)
     phase = index, values, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
-    perm = _shift_permutation(geom.size, geom.boundary)
+    perm = product_shift_permutation(geom.size, geom.boundary)
     _steps(amps, np.empty_like(amps), _coin_krons(thetas), perm, len(etas), phase)
     return amps.reshape(2, 2, geom.size, geom.size).transpose(2, 0, 3, 1)
 

@@ -367,6 +367,22 @@ def test_lattice_size_bound_admits_1001():
     assert validate(ExperimentConfig.from_dict({"lattice_size": 1001}))[0] == []
 
 
+@pytest.mark.parametrize("steps", [10_001, 562_520_422_144])
+def test_steps_past_its_bound_exits_1(tmp_path, capsys, steps):
+    # refused before a walk draws its per-step jitters
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": steps}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: steps: must be >= 1 and <= 10000, got {steps}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_steps_bound_admits_10000():
+    assert validate(ExperimentConfig.from_dict({"steps": 10_000}))[0] == []
+
+
 def test_write_csv_writes_the_per_cell_bytes(tmp_path):
     xs = np.arange(-3, 4)
     p = np.linspace(0.0, 1.0, 7) / 3

@@ -13,6 +13,7 @@ from oracles import (
     full_lattice_distributions,
     kernel_steps,
     make_initial_state,
+    product_shift_permutation,
     random_joint_state,
     recurrence_evolve,
     site_major_singles,
@@ -20,8 +21,8 @@ from oracles import (
 from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import (
     WalkConfig,
-    _joint_plan,
-    _single_legs,
+    _plan,
+    _shift_permutation,
     chunk_profiles,
     coin_matrix,
     evolve,
@@ -72,8 +73,13 @@ def test_angles_outside_the_domain_are_rejected(thetas):
 
 @pytest.mark.parametrize("steps", [1, 3])  # on the light cone and past it
 def test_walks_reject_a_coin_that_is_not_normalized(steps):
+    # a walk checks its coins once, when it is built
+    with pytest.raises(ValidationError, match="player A is not normalized"):
+        WalkConfig(GEOM5, steps, (0.6, 0.6), (1, 0))
     with pytest.raises(ValidationError, match="player B is not normalized"):
-        evolve_batch(WalkConfig(GEOM5, steps, (1, 0), (1, 1)), [[0.0, 0.0]])
+        WalkConfig(GEOM5, steps, (1, 0), (1, 1))
+    with pytest.raises(ValidationError, match="player B must be a 2-vector"):
+        WalkConfig(GEOM5, steps, (1, 0), (1, 0, 0))
     with pytest.raises(ValidationError, match="player single is not normalized"):
         evolve_singles(GEOM5, steps, [0.0], (0.6, 0.6))
 
@@ -107,6 +113,17 @@ def test_shift_moves_right_coin_right():
     # A carries |R> and moves +1; B carries |L> and moves -1
     assert out[o + 1, 0, o - 1, 1] == pytest.approx(1.0)
     assert np.count_nonzero(out) == 1
+
+
+@pytest.mark.parametrize("size", [3, 15, 31])
+@pytest.mark.parametrize("rule", [None, *Boundary], ids=lambda r: getattr(r, "value", "cone"))
+def test_joint_shift_is_the_product_of_the_walkers_sources(rule, size):
+    # the gather composed from the two walkers' parts is the one built from
+    # the (2, 2, L, L) products of their coins and sites
+    perm = _shift_permutation(size, rule)
+    reference = product_shift_permutation(size, rule)
+    assert perm.dtype == reference.dtype and np.array_equal(perm, reference)
+    assert np.array_equal(np.sort(perm), np.arange(4 * size * size))
 
 
 def test_interaction_preserves_moduli():
@@ -397,9 +414,9 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
     geom = LatticeGeometry(15, boundary)
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.4)
     config = WalkConfig(geom, 20, (1, 0), SYMMETRIC, spec, seed=5)
-    start, legs = _joint_plan(geom, 20, (1, 0), SYMMETRIC, spec.kind, spec.range_exponent)
+    legs = _plan(geom, 20, 2, spec.kind, spec.range_exponent)
     assert [(leg.sites, leg.steps) for leg in legs] == [(8, 7), (15, 13)]
-    singles = _single_legs(geom, 20)
+    singles = _plan(geom, 20, 1)
     assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
     # each leg's phase is the x_A = x_B diagonal of the four channel planes,
     # stride n + 1, with its one distinct value; no noise draws
@@ -408,9 +425,10 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
         assert index == (slice(None), slice(None), slice(None, None, leg.sites + 1))
         assert distinct.tolist() == [1.0] and (inverse == 0).all()
         assert inverse.shape == (4, leg.sites) and inverse.strides[0] == 0
-    arrays = [start, *(leg.perm for leg in legs + singles)]
+    assert all(leg.phase is None for leg in singles)
+    arrays = [leg.perm for leg in legs + singles]
     arrays += [a for leg in legs for a in leg.phase if isinstance(a, np.ndarray)]
-    assert len(arrays) == 9 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
     kept = [legs[1].perm, singles[0].perm, *legs[0].phase[1:]]
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -434,23 +452,30 @@ def test_walk_plan_is_read_only_and_follows_the_seed(boundary):
 
 
 def test_strength_seed_and_ensemble_share_one_plan(monkeypatch):
-    # a strength sweep and a noise ensemble change neither the geometry, the
-    # coins nor the phase table, so every such walk runs the same plan
+    # a strength sweep, a noise ensemble and the coin catalog change neither
+    # the geometry nor the phase table, so every such walk runs the same plan
     plans = []
 
     def spy(*key):
-        plans.append(_joint_plan(*key))
+        plans.append(_plan(*key))
         return plans[-1]
 
-    monkeypatch.setattr(dynamics, "_joint_plan", spy)
+    monkeypatch.setattr(dynamics, "_plan", spy)
     geom = LatticeGeometry(15)
+    coins = [tuple(complex(re, im) for re, im in c) for c in COIN_CATALOG.values()]
     for strength in (0.1, np.pi):
         spec = InteractionSpec(InteractionKind.NOISY_COLLISION, strength, noise_sigma=0.4)
         for seed in (5, 6):
             for ensemble in (1, 65):
-                config = WalkConfig(geom, 20, (1, 0), SYMMETRIC, spec, seed, ensemble)
-                evolve_batch(config, [[1.1, 2.3]])
-    assert len(plans) == 8 and all(plan is plans[0] for plan in plans)
+                for coin_a, coin_b in zip(coins, coins[::-1]):
+                    config = WalkConfig(geom, 20, coin_a, coin_b, spec, seed, ensemble)
+                    evolve_batch(config, [[1.1, 2.3]])
+    assert len(plans) == 40 and all(plan is plans[0] for plan in plans)
+    # a free walker of any coin runs the one single-walker plan
+    for coin in coins:
+        evolve_singles(geom, 20, [1.1], coin)
+    assert len(plans) == 45 and all(plan is plans[40] for plan in plans[40:])
+    assert plans[40] is not plans[0]
 
 
 def test_a_noisy_ensemble_builds_one_plan():
@@ -459,11 +484,11 @@ def test_a_noisy_ensemble_builds_one_plan():
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.5)
     config = WalkConfig(LatticeGeometry(15), 20, (1, 0), SYMMETRIC, spec, seed=3, ensemble=65)
     evaluator = WalkEvaluator(config, GameSpec(GameKind.RACE))
-    _joint_plan.cache_clear()
+    _plan.cache_clear()
     evaluator.points([[1.1, 2.3], [0.4, 0.4]])
-    assert _joint_plan.cache_info().misses == 1
+    assert _plan.cache_info().misses == 1
     evaluator.points([[1.1, 2.3]])
-    assert _joint_plan.cache_info().misses == 1
+    assert _plan.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.7, 400.0])
@@ -477,7 +502,7 @@ def test_each_leg_plans_the_phase_table_of_its_reach_sites(kind, boundary, size,
     geom = LatticeGeometry(size, boundary)
     spec = InteractionSpec(kind, 1.0, range_exponent=alpha)
     table = interactions.phase_table(spec, geom)
-    _, legs = _joint_plan(geom, steps, (1, 0), SYMMETRIC, kind, alpha)
+    legs = _plan(geom, steps, 2, kind, alpha)
     t = 0
     for leg in legs:
         t += leg.steps
@@ -496,13 +521,13 @@ def test_the_plan_never_builds_a_phase_table(monkeypatch):
         raise AssertionError("phase_table called")
 
     monkeypatch.setattr(interactions, "phase_table", refuse)
-    _joint_plan.cache_clear()
+    _plan.cache_clear()
     for kind in InteractionKind:
         for boundary in Boundary:
             config = WalkConfig(LatticeGeometry(15, boundary), 20, (1, 0), SYMMETRIC,
                                 InteractionSpec(kind, 0.9, range_exponent=1.5))
             evolve_batch(config, [[1.1, 2.3]])
-    assert _joint_plan.cache_info().misses == 2 * len(InteractionKind)
+    assert _plan.cache_info().misses == 2 * len(InteractionKind)
 
 
 @pytest.mark.parametrize("kind", DETERMINISTIC_KINDS[1:], ids=lambda k: k.value)
