@@ -555,15 +555,8 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
     points = _interior_first(find_stationary(surface, evaluator))
     ca, cb = (points[0].theta_a, points[0].theta_b) if points else (PI / 2, PI / 2)
 
-    starts = []
-    for k in range(config.n_starts):
-        ang = 2 * PI * k / config.n_starts
-        starts.append(
-            (
-                min(max(ca + config.start_radius * np.cos(ang), 0.0), PI),
-                min(max(cb + config.start_radius * np.sin(ang), 0.0), PI),
-            )
-        )
+    ang, r = 2 * PI * np.arange(config.n_starts) / config.n_starts, config.start_radius
+    starts = np.clip(np.column_stack([ca + r * np.cos(ang), cb + r * np.sin(ang)]), 0.0, PI)
     rows = []
     for sid, start in enumerate(starts):
         res = learn(evaluator, start, config.eta, max_iters=config.max_iters)

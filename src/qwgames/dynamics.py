@@ -23,13 +23,15 @@ step.  The cone's shift wraps, but the wrap never reads a nonzero amplitude,
 so the cone changes no bit of the result.  A walk of T > h steps then hands
 the cone's state to the lattice's even offsets, where a walker stands at
 t = h, and runs its other T - h steps on the whole lattice with its
-boundary.  What a walk needs beyond the strategies, coins, strength and
-noise draws is planned once per geometry, steps, number of walkers and
-interaction kind (`_plan`): each leg's gather, the joint one composed from
-the two walkers', and its phase from the walkers' distances, not a dense
-(L, 2, L, 2) table.  Callers see the kernel's own layout on the
-`reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state `evolve` and
-`evolve_single` return the whole lattice, site major.
+boundary, in the same one pair of buffers.  What a walk needs beyond the
+strategies, coins, strength and noise draws is planned once per geometry,
+steps, number of walkers and interaction kind (`_plan`): each leg's sites,
+from `reach`, its gather, the joint one composed from the two walkers', and
+its phase from the walkers' distances, not a dense (L, 2, L, 2) table.  A
+noisy walk's draws are one (R, T) table, a row of per-step jitters for each
+of its R noise realizations (`jitters`).  Callers see the kernel's own
+layout on the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state
+`evolve` and `evolve_single` return the whole lattice, site major.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ from .hilbert import (
 )
 from .interactions import InteractionKind, InteractionSpec
 
-# amplitudes evolved together, 4 n^2 a profile on n sites per walker
-# (`chunk_profiles`).  `_run` evolves each leg in two complex128 buffers (amps
-# and the scratch), 32 B per amplitude: 512 KiB here, a quarter of a 2 MB
-# per-core L2, which leaves room for the gather indices and BLAS's own
-# buffers.  Of 8,192 ... 57,600 it was the fastest on the 61x61 sweep.
+# amplitudes evolved together, 4 n^2 a profile on the n sites per walker of
+# the walk's last leg (`chunk_profiles`).  `_run` holds one pair of
+# complex128 buffers (amps and the scratch) of that size for every leg, 32 B
+# per amplitude: 512 KiB here, a quarter of a 2 MB per-core L2, which leaves
+# room for the gather indices and BLAS's own buffers.  Of 8,192 ... 57,600 it
+# was the fastest on the 61x61 sweep.
 CHUNK_AMPLITUDES = 16_384
 
 
@@ -98,22 +101,11 @@ def coin_matrix(theta) -> np.ndarray:
     return np.stack([c, -s, s, c], -1).reshape(*theta.shape, 2, 2)
 
 
-def _lattice(geometry: LatticeGeometry, steps: int) -> list[tuple[int, int, Boundary | None]]:
-    """The legs `_steps` evolves a walk of T = steps steps on, each as
-    (sites per walker, steps, shift rule): the light cone's first min(T, h)
-    steps, h = (L - 1) / 2, on its sites j = (x + t) / 2 from j = 0 (rule
-    None); past h, the other T - h steps on the whole lattice and its
-    boundary, from the cone's state on the lattice's even offsets."""
-    h = geometry.half
-    if steps <= h:
-        return [(steps + 1, steps, None)]
-    return [(h + 1, h, None), (geometry.size, steps - h, geometry.boundary)]
-
-
 def chunk_profiles(geometry: LatticeGeometry, steps: int) -> int:
     """Profiles per cache-sized chunk of a batched evolution of steps steps,
-    which ends with 4 n^2 amplitudes per profile on n sites per walker."""
-    n = _lattice(geometry, steps)[-1][0]
+    which ends with 4 n^2 amplitudes per profile on the n `reach` sites
+    of each walker."""
+    n = len(range(geometry.size)[reach(geometry, steps)])
     return max(1, CHUNK_AMPLITUDES // (4 * n * n))
 
 
@@ -187,8 +179,8 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, sites: slic
 
 
 class _Leg(NamedTuple):
-    """One leg of a walk in `_lattice`, as `_steps` runs it: the gather of
-    its shift and, on an interacting joint walk, its `_phase_support`."""
+    """One leg of a walk, as `_steps` runs it: the gather of its shift and,
+    on an interacting joint walk, its `_phase_support`."""
 
     sites: int
     steps: int
@@ -203,18 +195,22 @@ def _plan(geometry: LatticeGeometry, steps: int, walkers: int, kind=InteractionK
     they are built from: not the coins, strength, noise seed or ensemble,
     which a coin catalog, a sweep or an ensemble varies.
 
-    Each leg's phase is planned on the sites the walkers reach at the leg's
-    end: on the light cone it holds at every step, as it depends only on
-    x_A - x_B.  Every kind but none, a single walker's, has a phase.
+    The light cone's first min(T, h) steps, h = (L - 1) / 2, run on its
+    sites j = (x + t) / 2 from j = 0 (shift rule None); past h, the other
+    T - h steps run on the whole lattice and its boundary.  Each leg runs on
+    the n sites the walkers reach at its end (`reach`), and its phase is
+    planned there: on the light cone it holds at every step, as it depends
+    only on x_A - x_B.  Every kind but none, a single walker's, has a phase.
     """
     shift = _walker_shift if walkers == 1 else _shift_permutation
     spec = InteractionSpec(kind, range_exponent=range_exponent)
-    legs, t = [], 0
-    for n, k, rule in _lattice(geometry, steps):
-        t += k
-        cut = reach(geometry, t)
+    h, legs, t = geometry.half, [], 0
+    for end, rule in [(min(steps, h), None), (steps, geometry.boundary)][: 1 + (steps > h)]:
+        cut = reach(geometry, end)
+        n = len(range(geometry.size)[cut])
         phase = None if kind is InteractionKind.NONE else _phase_support(spec, geometry, cut)
-        legs.append(_Leg(n, k, _frozen(shift(n, rule)), phase))
+        legs.append(_Leg(n, end - t, _frozen(shift(n, rule)), phase))
+        t = end
     return tuple(legs)
 
 
@@ -246,21 +242,27 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=
     from the (C,) start amplitudes at site 0 of the cone, under the real
     (B, C, C) coins; a joint walk passes its (B,) coupling and T jitters.
 
-    Each leg evolves its own pair of buffers, the state and the coined
-    scratch, made as one array: as two arrays each, they page-faulted on
-    every chunk of a 61x61 race sweep, which ran 12-30 % slower on a 2-vCPU
-    Xeon.  The result is a view of the last pair.  At t = h the cone's site
-    j is the lattice's offset 2j."""
+    The walk holds one pair of buffers, the state and the coined scratch,
+    made as one array of the last leg's size: as two arrays each, they
+    page-faulted on every chunk of a 61x61 race sweep, which ran 12-30 %
+    slower on a 2-vCPU Xeon.  Each leg works in views of the head of each
+    half.  Past the cone the halves swap: the lattice leg reads the cone's
+    state from the head of its scratch, the cone's site j into the
+    lattice's offset 2j, where a walker stands at t = h.  The result is a
+    view of the pair."""
     B, C = coins.shape[:2]
     w, cone = C // 2, legs[0]
-    for leg in legs:
-        amps, coined = np.empty((2, B, C, leg.sites**w), dtype=complex)
+    pair = np.empty((2, B * C * legs[-1].sites**w), dtype=complex)
+    for k, leg in enumerate(legs):
+        S = leg.sites**w
+        amps, coined = (half[: B * C * S].reshape(B, C, S) for half in (pair[k], pair[1 - k]))
         amps.fill(0)
         if leg is cone:
             amps[:, :, 0] = start
         else:
             even = (slice(None),) * 2 + (slice(None, None, 2),) * w
-            amps.reshape(B, C, *[leg.sites] * w)[even] = state.reshape(B, C, *[cone.sites] * w)
+            state = pair[0, : B * C * cone.sites**w].reshape(B, C, *[cone.sites] * w)
+            amps.reshape(B, C, *[leg.sites] * w)[even] = state
         phase = leg.phase
         if phase is not None:
             index, distinct, inverse = phase
@@ -270,7 +272,6 @@ def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=
             # of a walk's one or two legs, the cone takes the first steps' jitters
             phase = index, values, factors, etas[: leg.steps] if leg is cone else etas[-leg.steps :]
         _steps(amps, coined, coins, leg.perm, leg.steps, phase)
-        state = amps
     return amps
 
 
@@ -292,13 +293,15 @@ def check_profiles(thetas) -> np.ndarray:
 
 
 def jitters(config: WalkConfig) -> np.ndarray:
-    """The T per-step jitters of the walk's noise realization config.seed,
-    uniform on [-sigma, sigma]; zeros for a deterministic walk."""
+    """The walk's (R, T) jitter table: row k holds the T per-step jitters of
+    noise realization k, uniform on [-sigma, sigma] and seeded
+    config.seed + k, for the R = config.ensemble realizations; one row of
+    zeros for a deterministic walk."""
     spec = config.interaction
     if not spec.noisy:
-        return np.zeros(config.steps)
-    sigma = spec.noise_sigma
-    return np.random.default_rng(config.seed).uniform(-sigma, sigma, config.steps)
+        return np.zeros((1, config.steps))
+    sigma, seeds = spec.noise_sigma, range(config.seed, config.seed + config.ensemble)
+    return np.array([np.random.default_rng(s).uniform(-sigma, sigma, config.steps) for s in seeds])
 
 
 def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarray:
@@ -307,18 +310,18 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarra
     thetas: (B, 2) array of (theta_A, theta_B) pairs; returns the final
     (B, 4, n, n) channel-major amplitudes on the n `reach` sites of each
     walker, off which the walk's are zero: the kernel's buffer.  A noisy
-    walk runs the one realization config.seed: its jitters, one a step and
-    shared by the batch (common random numbers), are etas, by default
+    walk runs one noise realization: its jitters, one a step and shared by
+    the batch (common random numbers), are etas, by default row 0 of
     `jitters(config)`, so a batched sweep is bit-identical to per-profile
-    evolve calls.  `equilibrium` hands it cache-sized chunks with each
-    realization's jitters, drawn once for the batch.
+    evolve calls.  `equilibrium` hands it cache-sized chunks with each row
+    of the walk's jitter table, drawn once for the batch.
     """
     thetas, spec = check_profiles(thetas), config.interaction
     legs = _plan(config.geometry, config.steps, 2, spec.kind, spec.range_exponent)
     coin_a, coin_b = (np.asarray(c, complex) for c in (config.coin_a, config.coin_b))
     start = (coin_a[:, None] * coin_b).reshape(4)  # the (4,) channels 2 s_A + s_B
     if etas is None:
-        etas = jitters(config)
+        etas = jitters(config)[0]
     coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
     n = legs[-1].sites
     return _run(legs, start, _coin_krons(thetas), coupling, etas).reshape(-1, 4, n, n)
@@ -338,7 +341,7 @@ def evolve_singles(geometry: LatticeGeometry, steps: int, thetas, coin) -> np.nd
     """Final (B, 2, n) channel-major amplitudes of B non-interacting single
     walkers, one per angle in thetas, on the n `reach` sites, with the
     coin/shift conventions of the joint walk: the `_steps` kernel on
-    (B, 2, n) buffers, through the legs of `_lattice`."""
+    (B, 2, n) buffers, through the legs of `_plan`."""
     thetas = _angles(thetas).reshape(-1)
     start = coin_vector(coin, "single")
     return _run(_plan(geometry, steps, 1), start, coin_matrix(thetas))

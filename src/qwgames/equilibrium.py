@@ -24,7 +24,7 @@ function.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,27 +108,25 @@ class LearnResult:
     message: str
 
 
-def _joint_blocks(walks: list[WalkConfig], thetas: np.ndarray):
-    """The P of the joint walk averaged over the realizations walks, one
-    `chunk_profiles` chunk of thetas at a time, each a (b, n, n) block on
-    the `reach` sites.  Each realization's jitters are drawn once for the
-    batch; its chunk is evolved, checked, and summed into the first one's in
-    seed order, and the sum is divided by their count (by 1, exactly, for
-    one realization).  The amplitudes of a whole batch never exist at once."""
-    first = walks[0]
-    draws = [jitters(walk) for walk in walks]
-    size = chunk_profiles(first.geometry, first.steps)
+def _joint_blocks(walk: WalkConfig, draws: np.ndarray, thetas: np.ndarray):
+    """The P of the joint walk averaged over the rows of its jitter table
+    draws, one `chunk_profiles` chunk of thetas at a time, each a (b, n, n)
+    block on the `reach` sites.  Each chunk is evolved under every row,
+    checked, and summed into the first row's in seed order, and the sum is
+    divided by their count (by 1, exactly, for one row).  The amplitudes of
+    a whole batch never exist at once."""
+    size = chunk_profiles(walk.geometry, walk.steps)
     for lo in range(0, len(thetas), size):
         chunk = thetas[lo : lo + size]
         block = None
-        for walk, etas in zip(walks, draws):
+        for etas in draws:
             probs = born(evolve_batch(walk, chunk, etas))
             check_distributions(probs)
             if block is None:
                 block = probs
             else:
                 block += probs
-        block /= len(walks)
+        block /= len(draws)
         yield block
 
 
@@ -154,21 +152,13 @@ def _product_blocks(walk: WalkConfig, thetas: np.ndarray):
         yield block
 
 
-def realizations(walk: WalkConfig) -> list[WalkConfig]:
-    """The walk's noise realizations, seeded walk.seed, walk.seed+1, ...; a
-    deterministic walk is its own one realization, not a copy."""
-    if not walk.interaction.noisy:
-        return [walk]
-    return [replace(walk, seed=walk.seed + k) for k in range(walk.ensemble)]
-
-
 def _blocks(walk: WalkConfig, thetas: np.ndarray):
     """The P every payoff of the walk reduces, one block at a time:
-    `_product_blocks` for an inert walk, else `_joint_blocks` over the noise
-    realizations."""
+    `_product_blocks` for an inert walk, else `_joint_blocks` over the rows
+    of its jitter table, drawn once for the batch."""
     if walk.interaction.inert:
         return _product_blocks(walk, thetas)
-    return _joint_blocks(realizations(walk), thetas)
+    return _joint_blocks(walk, jitters(walk), thetas)
 
 
 def _stacked(walk: WalkConfig, blocks) -> np.ndarray:
@@ -178,10 +168,10 @@ def _stacked(walk: WalkConfig, blocks) -> np.ndarray:
 
 
 def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P(x_A, x_B) per profile of one noise realization on the n `reach`
-    sites of each walker, shape (B, n, n), from the joint kernel; P is zero
-    on the rest of the lattice."""
-    return _stacked(walk, _joint_blocks([walk], thetas))
+    """P(x_A, x_B) per profile of the walk's first noise realization on the
+    n `reach` sites of each walker, shape (B, n, n), from the joint kernel;
+    P is zero on the rest of the lattice."""
+    return _stacked(walk, _joint_blocks(walk, jitters(walk)[:1], thetas))
 
 
 def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:

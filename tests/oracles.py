@@ -16,6 +16,7 @@ the lattice, through the two-walker gather that
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
@@ -173,6 +174,16 @@ def noise_draws(config: WalkConfig) -> np.ndarray:
         return np.zeros(config.steps)
     rng = np.random.default_rng(config.seed)
     return rng.uniform(-spec.noise_sigma, spec.noise_sigma, config.steps)
+
+
+def realizations(walk: WalkConfig) -> list[WalkConfig]:
+    """The walk's noise realizations as copies of the walk, seeded
+    walk.seed, walk.seed+1, ...; a deterministic walk is its own one
+    realization, not a copy.  Row k of the walk's jitter table is
+    `noise_draws` of copy k."""
+    if not walk.interaction.noisy:
+        return [walk]
+    return [replace(walk, seed=walk.seed + k) for k in range(walk.ensemble)]
 
 
 def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:

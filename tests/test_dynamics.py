@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -390,6 +391,26 @@ def test_a_batch_of_no_profiles_evolves_to_empty_amplitudes(steps):
     config = WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec)
     assert evolve_batch(config, np.zeros((0, 2))).shape == (0, 4, n, n)
     assert evolve_singles(geom, steps, [], SYMMETRIC).shape == (0, 2, n)
+
+
+def test_a_walk_past_the_cone_holds_one_buffer_pair():
+    # T = 60 on L = 101 runs 50 steps on the cone and 10 on the lattice; the
+    # cone works in the head of the lattice's pair, so no second pair is
+    # held.  The remainder is the gather's own index copy, one int64 a
+    # lattice amplitude (`take` copies a read-only index array).
+    geom = LatticeGeometry(101)
+    spec = InteractionSpec(InteractionKind.COLLISION_PHASE, 1.0)
+    config = WalkConfig(geom, 60, interaction=spec)
+    thetas = np.array([[1.1, 2.3]])
+    evolve_batch(config, thetas)  # the walk's plan is built once
+    pair = 2 * 4 * geom.size**2 * np.dtype(complex).itemsize  # 1.31 MB
+    tracemalloc.start()
+    try:
+        evolve_batch(config, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * pair
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)

@@ -16,6 +16,8 @@ from oracles import (
     full_lattice_distributions,
     golden_max,
     mirror_pairs,
+    noise_draws,
+    realizations,
 )
 from qwgames.equilibrium import (
     BOUNDARY_TOL,
@@ -31,7 +33,6 @@ from qwgames.equilibrium import (
     gradients,
     jacobian_at,
     learn,
-    realizations,
     shared_surfaces,
     surface_from_evaluator,
     vector_field,
@@ -266,9 +267,26 @@ def test_walk_evaluator_ensemble_averages_noise():
 )
 def test_deterministic_walk_is_its_one_realization(spec):
     config = WalkConfig(LatticeGeometry(11), 4, interaction=spec, ensemble=3)
-    # the walk itself, not a copy: ensemble and seed draw nothing here
+    # ensemble and seed draw nothing here: one row of zeros
+    table = jitters(config)
+    assert table.shape == (1, 4) and not table.any()
     (walk,) = realizations(config)
     assert walk is config
+
+
+@pytest.mark.parametrize("seed, ensemble", [(0, 1), (2, 3), (7, 9)])
+def test_jitter_rows_are_the_draws_of_each_realization(seed, ensemble):
+    spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
+    config = WalkConfig(LatticeGeometry(11), 6, interaction=spec, seed=seed, ensemble=ensemble)
+    table = jitters(config)
+    assert table.shape == (ensemble, 6)
+    # row k is the default_rng(seed + k) draws of realization k, bit for bit
+    want = np.stack([noise_draws(walk) for walk in realizations(config)])
+    assert table.tobytes() == want.tobytes()
+    # evolve_batch runs row 0 unless given other jitters
+    thetas = np.array([[1.1, 2.3], [0.4, 0.4]])
+    want = evolve_batch(config, thetas, table[0])
+    assert evolve_batch(config, thetas).tobytes() == want.tobytes()
 
 
 # the complex pair right (x) symmetric, whose first-order coupling is nonzero
@@ -606,23 +624,19 @@ def test_each_realization_draws_its_jitters_once_per_batch(monkeypatch):
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5)
     config = WalkConfig(LatticeGeometry(11), 6, *RIGHT_SYMMETRIC, spec, seed=2, ensemble=3)
     thetas = StrategyGrid(12).profiles
-    draws = []
+    tables = []
 
     def counted(walk):
-        draws.append(walk.seed)
-        return jitters(walk)
+        tables.append(jitters(walk))
+        return tables[-1]
 
     monkeypatch.setattr(equilibrium, "jitters", counted)
     sizes = count_evolved_profiles(monkeypatch)
     WalkEvaluator(config, GameSpec(GameKind.RACE)).points(thetas)
-    assert draws == [2, 3, 4]
+    # one table a batch, a row per realization
+    assert [table.shape for table in tables] == [(3, 6)]
     # 144 profiles in chunks of 33, each evolved for every realization
     assert sizes == [size for size in (33, 33, 33, 33, 12) for _ in range(3)]
-    # the drawn jitters are those evolve_batch draws itself
-    chunk = thetas[:5]
-    assert evolve_batch(config, chunk, jitters(config)).tobytes() == (
-        evolve_batch(config, chunk).tobytes()
-    )
 
 
 def test_a_sweep_holds_one_block_of_p_not_the_grid():
