@@ -27,7 +27,9 @@ boundary, in the same one pair of buffers.  What a walk needs beyond the
 strategies, coins, strength and noise draws is planned once per geometry,
 steps, number of walkers and interaction kind (`_plan`): each leg's sites,
 from `reach`, its gather, the joint one composed from the two walkers', and
-its phase from the walkers' distances, not a dense (L, 2, L, 2) table.  A
+its phase from the walkers' distances, not a dense (L, 2, L, 2) table.  The
+phase arrays are read-only; the gather stays writeable, as `take` copies a
+read-only index array on every step, and only `_steps` reads it.  A
 noisy walk's draws are one (R, T) table, a row of per-step jitters for each
 of its R noise realizations (`jitters`).  Callers see the kernel's own
 layout on the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state
@@ -36,7 +38,7 @@ layout on the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -149,11 +151,6 @@ def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
     return np.add(a[:, None, :, None], b[None, :, None, :]).reshape(-1)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, sites: slice):
     """The phase of walkers on the n lattice offsets sites each, read-only:
     its support in the (B, 4, n^2) buffer, the profile's distinct values and
@@ -171,11 +168,12 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, sites: slic
     else:
         cells, d = slice(None), interactions.distance(geometry, x[:, None], x[None, :]).ravel()
     distinct = interactions.profile(spec, np.arange(d.max() + 1))
+    distinct.flags.writeable = False
     # factors gathered through the view have the support's own shape, on
     # which the in-place product of each step runs up to 2x faster than
     # broadcast over the channels
     inverse = np.broadcast_to(d, (len(range(4)[channels]), len(d)))
-    return (slice(None), channels, cells), _frozen(distinct), inverse
+    return (slice(None), channels, cells), distinct, inverse
 
 
 class _Leg(NamedTuple):
@@ -191,8 +189,8 @@ class _Leg(NamedTuple):
 @lru_cache(maxsize=64)
 def _plan(geometry: LatticeGeometry, steps: int, walkers: int, kind=InteractionKind.NONE,
           range_exponent=2.0) -> tuple:
-    """The legs of a walk of one walker or two, read-only and keyed by what
-    they are built from: not the coins, strength, noise seed or ensemble,
+    """The legs of a walk of one walker or two, keyed by what they are
+    built from: not the coins, strength, noise seed or ensemble,
     which a coin catalog, a sweep or an ensemble varies.
 
     The light cone's first min(T, h) steps, h = (L - 1) / 2, run on its
@@ -209,7 +207,7 @@ def _plan(geometry: LatticeGeometry, steps: int, walkers: int, kind=InteractionK
         cut = reach(geometry, end)
         n = len(range(geometry.size)[cut])
         phase = None if kind is InteractionKind.NONE else _phase_support(spec, geometry, cut)
-        legs.append(_Leg(n, end - t, _frozen(shift(n, rule)), phase))
+        legs.append(_Leg(n, end - t, shift(n, rule), phase))
         t = end
     return tuple(legs)
 
@@ -312,16 +310,16 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarra
     walker, off which the walk's are zero: the kernel's buffer.  A noisy
     walk runs one noise realization: its jitters, one a step and shared by
     the batch (common random numbers), are etas, by default row 0 of
-    `jitters(config)`, so a batched sweep is bit-identical to per-profile
-    evolve calls.  `equilibrium` hands it cache-sized chunks with each row
-    of the walk's jitter table, drawn once for the batch.
+    `jitters(config)`, drawn alone, so a batched sweep is bit-identical to
+    per-profile evolve calls.  `equilibrium` hands it cache-sized chunks
+    with each row of the walk's jitter table, drawn once for the batch.
     """
     thetas, spec = check_profiles(thetas), config.interaction
     legs = _plan(config.geometry, config.steps, 2, spec.kind, spec.range_exponent)
     coin_a, coin_b = (np.asarray(c, complex) for c in (config.coin_a, config.coin_b))
     start = (coin_a[:, None] * coin_b).reshape(4)  # the (4,) channels 2 s_A + s_B
     if etas is None:
-        etas = jitters(config)[0]
+        etas = jitters(replace(config, ensemble=1))[0]
     coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
     n = legs[-1].sites
     return _run(legs, start, _coin_krons(thetas), coupling, etas).reshape(-1, 4, n, n)

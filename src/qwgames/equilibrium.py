@@ -24,7 +24,7 @@ function.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,7 +171,7 @@ def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     """P(x_A, x_B) per profile of the walk's first noise realization on the
     n `reach` sites of each walker, shape (B, n, n), from the joint kernel;
     P is zero on the rest of the lattice."""
-    return _stacked(walk, _joint_blocks(walk, jitters(walk)[:1], thetas))
+    return _stacked(walk, _joint_blocks(walk, jitters(replace(walk, ensemble=1)), thetas))
 
 
 def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
@@ -213,7 +213,8 @@ def _ensemble_points(walk: WalkConfig, games, thetas, diagnostics: bool = False)
     when asked, and then dropped, so no (B, n, n) stack exists.  The
     diagnostics do not depend on the game: every game's aux holds the same
     arrays.  A row with a mirror in the batch is not evolved: its columns
-    are reduced from the mirror's block transposed, a view of the block."""
+    are reduced from its mirror's rows of the block alone, transposed, so
+    every row of the batch is reduced once."""
     thetas = check_profiles(thetas)
     geom = walk.geometry
     mirrored, partner = _mirrors(walk, thetas)
@@ -222,24 +223,19 @@ def _ensemble_points(walk: WalkConfig, games, thetas, diagnostics: bool = False)
     rows = np.flatnonzero(evolved)
     slot = (np.cumsum(evolved) - 1)[partner]  # each mirror's row among the evolved
     names = DIAGNOSTICS if diagnostics else ()
-
-    def reduce(probs) -> list:
-        """Every column of one block: each game's u_a and u_b, then the
-        diagnostics asked for."""
-        columns = [u for game in games for u in payoffs(probs, geom, game)]
-        if diagnostics:
-            columns += transport(probs, geom).values()
-        return columns
-
     out = np.empty((2 * len(games) + len(names), len(thetas)))
     lo = 0
     for block in _blocks(walk, thetas[evolved]):
         hi = lo + len(block)
-        out[:, rows[lo:hi]] = reduce(block)
         here = (lo <= slot) & (slot < hi)
+        parts = [(block, rows[lo:hi])]
         if here.any():
-            swapped = np.array(reduce(block.transpose(0, 2, 1)))
-            out[:, mirrored[here]] = swapped[:, slot[here] - lo]
+            parts.append((block[slot[here] - lo].transpose(0, 2, 1), mirrored[here]))
+        for probs, at in parts:
+            columns = [u for game in games for u in payoffs(probs, geom, game)]
+            if diagnostics:
+                columns += transport(probs, geom).values()
+            out[:, at] = columns
         lo = hi
     aux = dict(zip(names, out[2 * len(games) :]))
     return [(out[2 * k], out[2 * k + 1], aux) for k in range(len(games))]
@@ -408,9 +404,10 @@ def find_stationary(surface: PayoffSurface, evaluator) -> list[StationaryPoint]:
     Only the first MAX_CANDIDATES intersections, column by column, are
     refined, with a warning when more were found.
 
-    Non-convergent refinements are reported with status "unrefined"; points
-    that end up on the domain boundary are flagged "boundary" and exempt from
-    the interior first-order residual bound.
+    A lane stops once each player's gradient is below GRAD_TOL or points out
+    of the domain at the bound it sits on (a constrained maximum), else after
+    MAX_ROUNDS; it is then "unrefined".  Points on the domain boundary are
+    flagged "boundary" and exempt from the interior residual bound.
     """
     vals = surface.grid.values
     mask_a, mask_b = _best_response_masks(surface, TIE_TOL)
@@ -439,8 +436,10 @@ def find_stationary(surface: PayoffSurface, evaluator) -> list[StationaryPoint]:
             np.maximum(0.0, tb[live] - w),
             np.minimum(PI, tb[live] + w),
         )
-        grad[live] = gradients(evaluator, np.column_stack([ta[live], tb[live]]))
-        live = live[~np.all(np.abs(grad[live]) < GRAD_TOL, axis=1)]
+        pts = np.column_stack([ta[live], tb[live]])
+        grad[live] = g = gradients(evaluator, pts)
+        held = np.where(g < 0, pts < BOUNDARY_TOL, PI - pts < BOUNDARY_TOL)
+        live = live[~np.all((np.abs(g) < GRAD_TOL) | held, axis=1)]
         if not live.size:
             break
     u_a, u_b, _ = evaluator.points(np.column_stack([ta, tb]))

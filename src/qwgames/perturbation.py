@@ -83,11 +83,11 @@ def _slope_matrix(
 
 
 def _richardson(lambdas: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Limit of the slopes along their last axis (one row or a stack)."""
-    if abs(lambdas[-1] - lambdas[-2] / 2) < 1e-12 * lambdas[-2]:
-        # Richardson step for a halving schedule: slope = G + c*lambda + ...
-        return 2.0 * slopes[..., -1] - slopes[..., -2]
-    return slopes[..., -1]
+    """Limit of the slopes along their last axis (one row or a stack): with
+    slope = G + c lambda + ..., the intercept at 0 of the line through the
+    last two strengths' slopes, 2 s[-1] - s[-2] on a halving schedule."""
+    r = lambdas[-2] / lambdas[-1]
+    return (r * slopes[..., -1] - slopes[..., -2]) / (r - 1)
 
 
 def first_order_slope(

@@ -658,6 +658,25 @@ def test_a_sweep_holds_one_block_of_p_not_the_grid():
     assert traced_peak(61) - traced_peak(21) < 1_000_000
 
 
+def test_a_mirrored_sweep_reduces_each_row_once(monkeypatch):
+    # 45 of the 9 x 9 grid's profiles are evolved, in blocks of 33 and 12;
+    # each mirrored row is reduced from its partner's rows alone, transposed
+    config = WalkConfig(
+        LatticeGeometry(11), 6, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    )
+    reduced = {"payoffs": [], "transport": []}
+    for name, rows in reduced.items():
+        def counted(probs, geometry, *game, reduce=getattr(equilibrium, name), rows=rows):
+            rows.append(len(probs))
+            return reduce(probs, geometry, *game)
+
+        monkeypatch.setattr(equilibrium, name, counted)
+    sizes = count_evolved_profiles(monkeypatch)
+    WalkEvaluator(config, GameSpec(GameKind.RACE)).points(StrategyGrid(9).profiles, True)
+    assert sizes == [33, 12]
+    assert sum(reduced["payoffs"]) == sum(reduced["transport"]) == 81
+
+
 def test_race_sweep_evolves_the_upper_triangle(monkeypatch):
     # the race recipe's 61 x 61 surface at its default walk
     config = WalkConfig(
@@ -862,6 +881,14 @@ def loop_best_responses(surface, tol=TIE_TOL):
     return br_a, br_b
 
 
+def settled(theta, grad, grad_tol):
+    """One player's refinement is done: its gradient is below grad_tol, or
+    points out of [0, pi] at the bound the player sits on."""
+    if abs(grad) < grad_tol:
+        return True
+    return theta < BOUNDARY_TOL if grad < 0 else np.pi - theta < BOUNDARY_TOL
+
+
 def sequential_find_stationary(
     surface, evaluator, grad_h=1e-3, grad_tol=1e-3, max_iters=200, max_candidates=64
 ):
@@ -884,7 +911,7 @@ def sequential_find_stationary(
                 lambda t: evaluator.evaluate(ta, t)[1], max(0.0, tb - w), min(np.pi, tb + w)
             )
             ga, gb = fd_gradients(evaluator, [[ta, tb]], grad_h)[0]
-            if abs(ga) < grad_tol and abs(gb) < grad_tol:
+            if settled(ta, ga, grad_tol) and settled(tb, gb, grad_tol):
                 status = "refined"
                 break
         if min(ta, np.pi - ta) < BOUNDARY_TOL or min(tb, np.pi - tb) < BOUNDARY_TOL:
@@ -927,11 +954,48 @@ def test_find_stationary_matches_sequential_refinement(kwargs, monkeypatch):
     want, rounds = sequential_find_stationary(surface, ev, **kwargs)
     assert got == want
     if not kwargs:
-        # lanes leave the lockstep in different rounds; some never converge
-        assert len(set(rounds)) > 3 and max(rounds) == 200
+        # lanes leave the lockstep in different rounds; those on an edge
+        # stop at their constrained maxima, not after 200 rounds
+        assert len(set(rounds)) > 3 and max(rounds) < 200
         assert {p.status for p in want} == {"refined", "boundary"}
     if "max_iters" in kwargs:
         assert "unrefined" in {p.status for p in want}
+
+
+def kink(ta, tb):
+    """Steep kinks at each player's interior maximum: the searches reach
+    them, but no gradient there falls below GRAD_TOL."""
+    return -1e6 * abs(ta - 1.1), -1e6 * abs(tb - 2.1)
+
+
+def test_a_lane_without_a_small_gradient_runs_every_round():
+    surface = tied_surface(3)
+    ev = FunctionEvaluator(kink)
+    got = find_stationary(surface, ev)
+    want, rounds = sequential_find_stationary(surface, ev)
+    assert got == want and rounds == [200] * 9
+    assert [p.status for p in got] == ["unrefined"]
+
+
+def test_a_constrained_maximum_stops_refining_at_once(monkeypatch):
+    # A's payoff rises towards 0 and B's towards pi, so each player's best
+    # response is an end of [0, pi] where its gradient does not vanish: the
+    # corner (0, pi) is a constrained maximum, whose lane stops in a round
+    ev = FunctionEvaluator(lambda ta, tb: (-ta, tb))
+    surface = surface_from_evaluator(ev, StrategyGrid(5))
+    rounds = []
+
+    def counted(evaluator, pts):
+        rounds.append(len(pts))
+        return gradients(evaluator, pts)
+
+    monkeypatch.setattr(equilibrium, "gradients", counted)
+    (point,) = find_stationary(surface, ev)
+    assert rounds == [1]
+    assert point.status == "boundary"
+    assert point.theta_a < BOUNDARY_TOL and np.pi - point.theta_b < BOUNDARY_TOL
+    np.testing.assert_allclose(point.grad_residual, (-1.0, 1.0), rtol=1e-9)
+    assert [point] == sequential_find_stationary(surface, ev)[0]
 
 
 def test_find_stationary_matches_sequential_refinement_on_interior_game():

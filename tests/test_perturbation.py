@@ -24,7 +24,7 @@ RACE = GameSpec(GameKind.RACE)
 SMALL = WalkConfig(
     LatticeGeometry(21), 6, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
 )
-SCHEDULES = [(0.1, 0.05), (0.1, 0.03, 0.02)]  # halving: Richardson step; not: last slope
+SCHEDULES = [(0.1, 0.05), (0.1, 0.03, 0.02)]  # halving, and not
 BAD_SCHEDULES = [(0.1,), (0.05, 0.1), (0.1, 0.0)]
 
 
@@ -113,8 +113,8 @@ def whole_grid_g(config, game, grid, schedule):
 
     u0 = u_a(0.0)
     s = [(u_a(lam) - u0) / lam for lam in schedule]
-    g = 2.0 * s[-1] - s[-2] if schedule[-1] == schedule[-2] / 2 else s[-1]
-    return g.reshape(grid.n, grid.n)
+    r = schedule[-2] / schedule[-1]
+    return ((r * s[-1] - s[-2]) / (r - 1)).reshape(grid.n, grid.n)
 
 
 # The whole-grid batch reduces each mirrored profile from its partner's
@@ -179,13 +179,18 @@ def test_g_estimate_grid_evaluates_one_batch_per_strength(monkeypatch, schedule)
     assert evolved == [15] * len(schedule)
 
 
-def test_richardson_step_only_for_a_halving_schedule():
+def test_richardson_is_the_intercept_of_the_last_two_slopes():
+    # slope = G + c lambda + ...: on a halving schedule the intercept is
+    # 2 s2 - s1 bit for bit; on another it is the line's value at 0, where
+    # the real-coin walk's G is 0 (u is even in lambda)
     point = (1.0, 2.0)
     halving = first_order_slope(SMALL, RACE, point, SCHEDULES[0])
     assert halving.g_estimate == 2.0 * halving.slopes[-1] - halving.slopes[-2]
     other = first_order_slope(SMALL, RACE, point, SCHEDULES[1])
-    assert other.g_estimate == other.slopes[-1]
-    assert halving.g_estimate != halving.slopes[-1]
+    (l1, l2), (s1, s2) = other.lambdas[-2:], other.slopes[-2:]
+    assert other.g_estimate == (l1 / l2 * s2 - s1) / (l1 / l2 - 1)
+    for estimate in (halving, other):
+        assert abs(estimate.g_estimate) < 0.01 * abs(estimate.slopes[-1])
 
 
 def test_noisy_residual_and_slopes_are_the_ensemble_mean():
