@@ -16,7 +16,6 @@ from .equilibrium import (
     jacobian_at,
     learn,
     surface_from_evaluator,
-    vector_field,
 )
 from .games import GameKind, GameSpec, payoff
 from .hilbert import (
@@ -47,5 +46,4 @@ __all__ = [
     "measure_joint",
     "payoff",
     "surface_from_evaluator",
-    "vector_field",
 ]

@@ -7,10 +7,10 @@ defaults materialized, and identical resolved config + seed gives
 byte-identical outputs.
 
 CSV schemas: distributions `x_A,x_B,p`; surfaces `theta_A,theta_B,value`;
-trajectories `start,iter,theta_A,theta_B,u_A,u_B`. Every CSV file is a header
-row, then one row per record with CRLF row ends; a float prints as %.17g (an
-integer-valued one as an integer), a string as is. All-float tables are
-formatted in one call per table (hilbert.write_float_csv).
+trajectories `start,iter,theta_A,theta_B,u_A,u_B`. Every CSV table is
+written by hilbert.write_csv: a header row, then one row per record with CRLF
+row ends; a float prints as %.17g (an integer-valued one as an integer), a
+string as is.
 
 Each command-line flag sets one config field (FLAGS) and overrides the
 config file; the value is parsed and checked as the field's JSON value is.
@@ -24,7 +24,6 @@ point found (race / tug-of-war only).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -45,11 +44,11 @@ from .equilibrium import (
     WalkEvaluator,
     best_responses,
     find_stationary,
+    gradients,
     jacobian_at,
     learn,
     shared_surfaces,
     surface_from_evaluator,
-    vector_field,
     walk_distributions,
 )
 from .games import GameKind, GameSpec, table_from_csv
@@ -59,7 +58,7 @@ from .hilbert import (
     LatticeGeometry,
     distribution_to_csv,
     reach,
-    write_float_csv,
+    write_csv,
 )
 from .interactions import InteractionKind, InteractionSpec
 
@@ -215,11 +214,17 @@ class ExperimentConfig:
     game: str = _one_of("race", [g.value for g in GameKind])
     table_a_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
     table_b_path: str | None = _field(None, _path, lambda v: v != "", "a non-empty path or null")
-    grid_n: int = _field(61, _int, lambda v: v >= 2, ">= 2")
+    # 1001 points, as many as the largest lattice has sites: a sweep evolves
+    # and holds n^2 profiles, so an unbounded n asks for arrays without end
+    # (grid_n = 10^6 asked for 7.28 TiB)
+    grid_n: int = _field(61, _int, lambda v: 2 <= v <= 1001, ">= 2 and <= 1001")
     eta: float = _field(0.05, parse_angle, lambda v: 0 < v < INF, "finite and > 0")
     max_iters: int = _field(500, _int, lambda v: v >= 0, ">= 0")
     ensemble: int = _field(1, _int, lambda v: v >= 1, ">= 1")
-    n_starts: int = _field(8, _int, lambda v: v >= 1, ">= 1")
+    # 1,000 gradient ascents of up to max_iters steps each, 125 times the
+    # default's; learning runs them all after its surface and search, so an
+    # unbounded count fails late (n_starts = 10^12 asked for 7.28 TiB)
+    n_starts: int = _field(8, _int, lambda v: 1 <= v <= 1000, ">= 1 and <= 1000")
     start_radius: float = _field(0.3, parse_angle, lambda v: 0 <= v < INF, "finite and >= 0")
     phi_sweep: tuple = _field(
         tuple(k * PI / 8 for k in range(9)), _angles,
@@ -337,23 +342,6 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
 # -- output helpers ----------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header, rows):
-    """One CSV table. A float array goes through write_float_csv; rows that
-    mix in strings or blank cells go through csv.writer, floats (numpy's too)
-    through _fmt, which writes the same bytes for a float."""
-    if isinstance(rows, np.ndarray):
-        write_float_csv(path, header, rows)
-        return
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
-
-
 SURFACE_HEADER = ["theta_A", "theta_B", "value"]
 
 
@@ -428,11 +416,11 @@ def _write_distribution(walk: WalkConfig, theta_a, theta_b, path) -> np.ndarray:
 def _run_competitive(config: ExperimentConfig, out: str) -> int:
     evaluator, grid, surface = _surface(config)
     walk = evaluator.config
-    _write_csv(os.path.join(out, "surface_uA.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_a))
-    _write_csv(os.path.join(out, "surface_uB.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_b))
+    write_csv(os.path.join(out, "surface_uA.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_a))
+    write_csv(os.path.join(out, "surface_uB.csv"), SURFACE_HEADER, _grid_rows(grid, surface.u_b))
     br_a, br_b = best_responses(surface)
     vals = grid.values
-    _write_csv(
+    write_csv(
         os.path.join(out, "best_response.csv"),
         ["player", "theta_opponent", "theta_best"],
         [["A", vals[j], vals[i]] for j, rows in enumerate(br_a) for i in rows]
@@ -451,7 +439,7 @@ def _run_competitive(config: ExperimentConfig, out: str) -> int:
     probs = _write_distribution(
         walk, best.theta_a, best.theta_b, os.path.join(out, "ne_distribution.csv")
     )
-    _write_csv(
+    write_csv(
         os.path.join(out, "ne_marginals.csv"), ["x", "p_A", "p_B"],
         np.column_stack([walk.geometry.positions, probs.sum(axis=1), probs.sum(axis=0)]),
     )
@@ -466,7 +454,7 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         ("separation_surface.csv", surface.aux["mean_separation"]),
         ("meeting_surface.csv", surface.aux["meeting_probability"]),
     ):
-        _write_csv(os.path.join(out, name), SURFACE_HEADER, _grid_rows(grid, values))
+        write_csv(os.path.join(out, name), SURFACE_HEADER, _grid_rows(grid, values))
 
     i, j = _optimum(surface)
     ta, tb = grid.values[i], grid.values[j]
@@ -486,11 +474,11 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         walk_phi = replace(walk, interaction=walk.interaction.with_strength(float(phi)))
         u_a, _, aux = WalkEvaluator(walk_phi, game).points([[ta, tb]], diagnostics=True)
         sweep.append([phi, aux["meeting_probability"][0], u_a[0]])
-    _write_csv(
+    write_csv(
         os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"],
         np.array(sweep),
     )
-    _write_csv(
+    write_csv(
         os.path.join(out, "cross_section.csv"), ["theta_A", "value"],
         np.column_stack([grid.values, surface.u_a[:, j]]),
     )
@@ -506,18 +494,18 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
     thetas = StrategyGrid(config.grid_n).values
 
     f_vals = pert.drift_sweep(geom, walk.steps, thetas, walk.coin_a)
-    _write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], np.column_stack([thetas, f_vals]))
+    write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], np.column_stack([thetas, f_vals]))
 
     grid13 = StrategyGrid(13)
     residual = pert.separability_residual(walk, game, grid13)
     _dump_json(os.path.join(out, "separability.json"), {"max_residual": residual})
 
     g = pert.g_estimate_grid(walk, game, grid13, config.lambda_schedule[:2])
-    _write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
+    write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
 
     base = (config.base_theta_a, config.base_theta_b)
     est = pert.first_order_slope(walk, game, base, config.lambda_schedule)
-    _write_csv(
+    write_csv(
         os.path.join(out, "convergence_table.csv"),
         ["lambda", "slope", "difference", "ratio"],
         [
@@ -545,11 +533,10 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
 def _run_learning(config: ExperimentConfig, out: str) -> int:
     grid_n = min(config.grid_n, LEARNING_GRID)
     evaluator, grid, surface = _surface(replace(config, grid_n=grid_n))
-    ga, gb = vector_field(evaluator, grid)
-    _write_csv(
+    write_csv(
         os.path.join(out, "vector_field.csv"),
         ["theta_A", "theta_B", "dUA_dthetaA", "dUB_dthetaB"],
-        _grid_rows(grid, ga, gb),
+        np.column_stack([grid.profiles, gradients(evaluator, grid.profiles)]),
     )
 
     points = _interior_first(find_stationary(surface, evaluator))
@@ -562,7 +549,7 @@ def _run_learning(config: ExperimentConfig, out: str) -> int:
         res = learn(evaluator, start, config.eta, max_iters=config.max_iters)
         for it, ((ta, tb), (ua, ub)) in enumerate(zip(res.trajectory, res.payoffs)):
             rows.append([sid, it, ta, tb, ua, ub])
-    _write_csv(
+    write_csv(
         os.path.join(out, "trajectories.csv"),
         ["start", "iter", "theta_A", "theta_B", "u_A", "u_B"],
         np.array(rows),
@@ -637,7 +624,7 @@ def _run_calibrate(config: ExperimentConfig, out: str) -> int:
         "meeting_probability", "mean_separation",
     ]
     table = [[r.get(f, "") for f in columns] for r in rows]
-    _write_csv(os.path.join(out, "calibration.csv"), columns, table)
+    write_csv(os.path.join(out, "calibration.csv"), columns, table)
     return 0
 
 

@@ -16,15 +16,15 @@ for noisy interactions, and built from two single-walker walks when the
 interaction is inert), streamed one cache-sized block at a time (`_blocks`)
 and reduced to payoff columns as it is evolved; its aux holds the transport
 diagnostics only when a caller asks for them.  `walk_distributions` is the
-stack of the same blocks.  Any object with these two methods serves: the
-synthetic-game tests drive the same searches with an analytic payoff
-function.
+stack of the same blocks, the P a distribution file writes.  Any object
+with these two methods serves: the synthetic-game tests drive the same
+searches with an analytic payoff function.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,13 +108,15 @@ class LearnResult:
     message: str
 
 
-def _joint_blocks(walk: WalkConfig, draws: np.ndarray, thetas: np.ndarray):
+def _joint_blocks(walk: WalkConfig, thetas: np.ndarray):
     """The P of the joint walk averaged over the rows of its jitter table
-    draws, one `chunk_profiles` chunk of thetas at a time, each a (b, n, n)
-    block on the `reach` sites.  Each chunk is evolved under every row,
-    checked, and summed into the first row's in seed order, and the sum is
-    divided by their count (by 1, exactly, for one row).  The amplitudes of
-    a whole batch never exist at once."""
+    (`jitters`, drawn once for the batch), one `chunk_profiles` chunk of
+    thetas at a time, each a (b, n, n) block on the `reach` sites.  Each
+    chunk is evolved under every row, checked, and summed into the first
+    row's in seed order, and the sum is divided by their count (by 1,
+    exactly, for one row).  The amplitudes of a whole batch never exist at
+    once."""
+    draws = jitters(walk)
     size = chunk_profiles(walk.geometry, walk.steps)
     for lo in range(0, len(thetas), size):
         chunk = thetas[lo : lo + size]
@@ -154,31 +156,18 @@ def _product_blocks(walk: WalkConfig, thetas: np.ndarray):
 
 def _blocks(walk: WalkConfig, thetas: np.ndarray):
     """The P every payoff of the walk reduces, one block at a time:
-    `_product_blocks` for an inert walk, else `_joint_blocks` over the rows
-    of its jitter table, drawn once for the batch."""
+    `_product_blocks` for an inert walk, else `_joint_blocks`."""
     if walk.interaction.inert:
         return _product_blocks(walk, thetas)
-    return _joint_blocks(walk, jitters(walk), thetas)
-
-
-def _stacked(walk: WalkConfig, blocks) -> np.ndarray:
-    """The blocks of P as one (B, n, n) stack on the walk's n `reach` sites."""
-    n = len(range(walk.geometry.size)[reach(walk.geometry, walk.steps)])
-    return np.concatenate([np.empty((0, n, n)), *blocks])
-
-
-def distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """P(x_A, x_B) per profile of the walk's first noise realization on the
-    n `reach` sites of each walker, shape (B, n, n), from the joint kernel;
-    P is zero on the rest of the lattice."""
-    return _stacked(walk, _joint_blocks(walk, jitters(replace(walk, ensemble=1)), thetas))
+    return _joint_blocks(walk, thetas)
 
 
 def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
-    """The P every payoff of the walk reduces, (B, n, n) on the `reach`
-    sites: the stack of `_blocks`, which the payoffs reduce a block at a
-    time."""
-    return _stacked(walk, _blocks(walk, thetas))
+    """The P every payoff of the walk reduces, (B, n, n) on the walk's n
+    `reach` sites: the stack of `_blocks`, which the payoffs reduce a block
+    at a time."""
+    n = len(range(walk.geometry.size)[reach(walk.geometry, walk.steps)])
+    return np.concatenate([np.empty((0, n, n)), *_blocks(walk, thetas)])
 
 
 def _mirrors(walk: WalkConfig, thetas: np.ndarray):
@@ -353,13 +342,6 @@ def gradients(evaluator, pts) -> np.ndarray:
     u = np.zeros(w1.shape)
     u[used] = np.where(np.nonzero(used)[1] == 0, u_a, u_b)
     return np.vecdot(u, w1)
-
-
-def vector_field(evaluator, grid: StrategyGrid):
-    """Gradient pairs over the whole grid, shaped (n, n) each."""
-    g = gradients(evaluator, grid.profiles)
-    n = grid.n
-    return g[:, 0].reshape(n, n), g[:, 1].reshape(n, n)
 
 
 def _golden_max(f, lo, hi, tol: float = 1e-6) -> np.ndarray:

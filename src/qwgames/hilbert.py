@@ -8,6 +8,8 @@ symmetrically, x in {-(L-1)/2, ..., +(L-1)/2}, and off(x) = x + (L - 1) / 2
 is a label's array offset in [0, L).  `born` takes either stack to P.  Only
 the one-state functions `evolve`, `evolve_single` and `measure_joint` keep
 the site-major (L, 2, L, 2) and (L, 2) layouts over (x_A, s_A, x_B, s_B).
+`write_csv` writes every CSV table, a distribution's (`distribution_to_csv`)
+and each one the command line writes.
 """
 
 from __future__ import annotations
@@ -132,24 +134,33 @@ def measure_joint(amps: np.ndarray, geometry: LatticeGeometry) -> JointDistribut
     return JointDistribution(born(channel_major)[0], geometry)
 
 
-# rows formatted per call of write_float_csv, ~0.3 MB of text at three
-# floats a row: L = 1001's 1,002,001-row distribution, formatted at once,
-# took peak RSS from 38 to 231 MB (76 MB in blocks)
+# rows formatted per call of write_csv, ~0.3 MB of text at three floats a
+# row: L = 1001's 1,002,001-row distribution, formatted at once, took peak
+# RSS from 38 to 231 MB (76 MB in blocks)
 CSV_BLOCK_ROWS = 4096
 
 
-def write_float_csv(path, header, table):
-    """Write an all-float table as CSV, one format call per block of
-    CSV_BLOCK_ROWS rows: the header row, then each row's values as %.17g
-    (an integer value prints as an integer, -7.0 as -7), with CRLF row
-    ends, the bytes csv.writer gives."""
-    table = np.asarray(table, dtype=float).reshape(len(table), len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+def write_csv(path, header, rows):
+    """Write a table as CSV: the header row, then one row per record, with
+    CRLF row ends, the bytes csv.writer gives.  A number prints as %.17g (an
+    integer value as an integer, -7.0 as -7), a string as is: every string
+    cell is a fixed label (a player, game, boundary or coin name, or "" for a
+    blank cell) with no comma, quote or line break, so none needs quoting.
+    An all-float array is formatted one call per block of CSV_BLOCK_ROWS
+    rows; a list of rows, one call per row."""
+    if isinstance(rows, np.ndarray):
+        table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        line = ",".join(["%.17g"] * len(header)) + "\r\n"
+        blocks = (table[lo : lo + CSV_BLOCK_ROWS] for lo in range(0, len(table), CSV_BLOCK_ROWS))
+        text = ((line * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    else:
+        text = (
+            (",".join("%s" if isinstance(v, str) else "%.17g" for v in row) + "\r\n") % tuple(row)
+            for row in rows
+        )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[lo : lo + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        fh.writelines(text)
 
 
 def distribution_to_csv(probs: np.ndarray, geometry: LatticeGeometry, path):
@@ -157,4 +168,4 @@ def distribution_to_csv(probs: np.ndarray, geometry: LatticeGeometry, path):
     labels, not offsets)."""
     xs = geometry.positions
     columns = [np.repeat(xs, xs.size), np.tile(xs, xs.size), np.ravel(probs)]
-    write_float_csv(path, ["x_A", "x_B", "p"], np.column_stack(columns))
+    write_csv(path, ["x_A", "x_B", "p"], np.column_stack(columns))

@@ -4,8 +4,9 @@ a site-major single-walker loop), the lockstep stationary-point search (a
 one-lane golden-section search) and the batched finite differences (a scalar
 3-point stencil per point, and the same stencil of those gradients), and the
 evaluator adapter that drives the searches with an analytic payoff function.
-Also the per-cell CSV writer that the block-formatted float table writer is
-checked against byte for byte.
+Also `distributions`, the P of a walk's first noise realization from one
+unchunked `evolve_batch` call, and the per-cell CSV writer that the
+package's one CSV writer is checked against byte for byte.
 
 Kept deliberately naive (O(L^4) matrices, explicit loops); nothing here is
 shared with the production code paths beyond the documented index layout,
@@ -27,8 +28,11 @@ from qwgames.dynamics import (
     _steps,
     _walker_shift,
     coin_matrix,
+    evolve_batch,
 )
-from qwgames.hilbert import Boundary, LatticeGeometry, RIGHT, LEFT, coin_vector, measure_joint
+from qwgames.hilbert import (
+    Boundary, LatticeGeometry, RIGHT, LEFT, born, coin_vector, measure_joint,
+)
 from qwgames.interactions import InteractionSpec, coupling, phase
 
 
@@ -184,6 +188,13 @@ def realizations(walk: WalkConfig) -> list[WalkConfig]:
     if not walk.interaction.noisy:
         return [walk]
     return [replace(walk, seed=walk.seed + k) for k in range(walk.ensemble)]
+
+
+def distributions(walk: WalkConfig, thetas) -> np.ndarray:
+    """P(x_A, x_B) per profile of the walk's first noise realization on the
+    n `reach` sites of each walker, shape (B, n, n): the joint kernel over
+    the whole batch at once, unchunked; P is zero on the rest of the lattice."""
+    return born(evolve_batch(walk, thetas))
 
 
 def full_lattice_distributions(config: WalkConfig, thetas) -> np.ndarray:

@@ -14,13 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import FunctionEvaluator, dense_joint_step, make_initial_state, recurrence_evolve
+from oracles import (
+    FunctionEvaluator, dense_joint_step, distributions, make_initial_state, recurrence_evolve,
+)
 from qwgames.cli import ExperimentConfig, run_recipe
 from qwgames.dynamics import WalkConfig, evolve, evolve_single, evolve_singles
 from qwgames.equilibrium import (
     StrategyGrid,
     WalkEvaluator,
-    distributions,
     find_stationary,
     jacobian_at,
     learn,

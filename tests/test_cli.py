@@ -383,16 +383,44 @@ def test_steps_bound_admits_10000():
     assert validate(ExperimentConfig.from_dict({"steps": 10_000}))[0] == []
 
 
+@pytest.mark.parametrize(
+    "data, need",
+    [
+        ({"grid_n": 1002}, ">= 2 and <= 1001"),
+        ({"grid_n": 1_000_000}, ">= 2 and <= 1001"),
+        ({"recipe": "perturbation", "grid_n": 10**11}, ">= 2 and <= 1001"),
+        ({"recipe": "learning", "n_starts": 1001}, ">= 1 and <= 1000"),
+        ({"recipe": "learning", "n_starts": 10**12}, ">= 1 and <= 1000"),
+    ],
+)
+def test_grid_and_starts_past_their_bounds_exit_1(tmp_path, capsys, data, need):
+    # refused before any walk is evolved or any array is built
+    (name, value), = [(k, v) for k, v in data.items() if k != "recipe"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {name}: must be {need}, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_and_starts_bounds_admit_1001_and_1000():
+    assert validate(ExperimentConfig.from_dict({"grid_n": 1001}))[0] == []
+    assert validate(ExperimentConfig.from_dict({"recipe": "learning", "n_starts": 1000}))[0] == []
+
+
 def test_write_csv_writes_the_per_cell_bytes(tmp_path):
     xs = np.arange(-3, 4)
     p = np.linspace(0.0, 1.0, 7) / 3
     mixed = [["A", 0.1, np.float64(2.0)], ["B", -0.0, np.nan], ["", 1e308, ""]]
+    # convergence_table.csv's shape: blank cells in float columns, and an integer
+    blanks = [[0.1, np.float64(1 / 3), "", ""], [0.05, 2, -0.5, ""], [0.025, 1e-7, 0.25, 0.5]]
     for name, header, rows, cells in [
         # a float array (integer labels included) and rows that mix in strings
         ("array", ["x", "p_A", "p_B"], np.column_stack([xs, p, p[::-1]]), zip(xs, p, p[::-1])),
         ("mixed", ["player", "a", "b"], mixed, mixed),
+        ("blanks", ["lambda", "slope", "difference", "ratio"], blanks, blanks),
     ]:
-        cli._write_csv(tmp_path / f"{name}.csv", header, rows)
+        cli.write_csv(tmp_path / f"{name}.csv", header, rows)
         write_csv_cells(tmp_path / f"{name}.ref", header, cells)
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.ref").read_bytes()
 

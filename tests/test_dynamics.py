@@ -11,6 +11,7 @@ from oracles import (
     dense_interaction,
     dense_joint_step,
     dense_single_step,
+    distributions,
     full_lattice_distributions,
     kernel_steps,
     make_initial_state,
@@ -35,7 +36,7 @@ from qwgames.dynamics import (
 import qwgames.dynamics as dynamics
 import qwgames.equilibrium as equilibrium
 import qwgames.interactions as interactions
-from qwgames.equilibrium import WalkEvaluator, distributions, walk_distributions
+from qwgames.equilibrium import WalkEvaluator, walk_distributions
 from qwgames.games import GameKind, GameSpec
 from qwgames.hilbert import (
     Boundary,
@@ -377,7 +378,7 @@ def test_batch_matches_individual_evolutions():
 def test_chunked_batch_is_bitwise_per_profile_evolve(boundary, kind):
     geom = LatticeGeometry(31, boundary)
     size = chunk_profiles(geom, 6)
-    # one unchunked batch wider than two of `distributions`' chunks: its rows
+    # one unchunked batch wider than two of `walk_distributions`' chunks: its rows
     # do not depend on the batch they run in, so chunking changes no bit
     n = 2 * size + size // 2 + 1
     assert n > 2 * size and n % size != 0

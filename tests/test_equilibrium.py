@@ -13,6 +13,7 @@ from oracles import (
     FunctionEvaluator,
     fd_gradients,
     fd_jacobian,
+    distributions,
     full_lattice_distributions,
     golden_max,
     mirror_pairs,
@@ -28,14 +29,12 @@ from qwgames.equilibrium import (
     WalkEvaluator,
     _golden_max,
     best_responses,
-    distributions,
     find_stationary,
     gradients,
     jacobian_at,
     learn,
     shared_surfaces,
     surface_from_evaluator,
-    vector_field,
 )
 import qwgames.equilibrium as equilibrium
 from qwgames.dynamics import (
@@ -98,13 +97,13 @@ def test_gradients_match_analytic():
         assert gb == pytest.approx(-2 * (tb - B_STAR) + (ta - A_STAR), abs=1e-6)
 
 
-def test_vector_field_shapes_and_values():
+def test_grid_gradients_shapes_and_values():
     grid = StrategyGrid(5)
-    ga, gb = vector_field(QUAD, grid)
-    assert ga.shape == gb.shape == (5, 5)
+    g = gradients(QUAD, grid.profiles)
+    assert g.shape == (25, 2)
     ta = grid.values[2]
     tb = grid.values[1]
-    assert ga[2, 1] == pytest.approx(-2 * (ta - A_STAR) + (tb - B_STAR), abs=1e-6)
+    assert g[2 * 5 + 1, 0] == pytest.approx(-2 * (ta - A_STAR) + (tb - B_STAR), abs=1e-6)
 
 
 def test_find_stationary_recovers_interior_fixed_point():
@@ -339,7 +338,7 @@ def test_distributions_chunk_by_the_reach_window(monkeypatch):
     config = WalkConfig(geom, 10, interaction=spec)
     sizes = count_evolved_profiles(monkeypatch)
     thetas = np.random.default_rng(3).uniform(0, np.pi, (70, 2))
-    probs = distributions(config, thetas)
+    probs = equilibrium.walk_distributions(config, thetas)
     assert sizes == [33, 33, 4]
     assert probs.shape == (70, 11, 11)
     assert probs.any(axis=(1, 2)).all()
@@ -1173,12 +1172,10 @@ def test_learn_payoffs_are_bitwise_the_walk_at_each_iterate():
 
 
 @pytest.mark.parametrize("n", [2, 5, 31])
-def test_vector_field_is_one_call_without_the_centre_probes(n):
+def test_grid_gradients_are_one_call_without_the_centre_probes(n):
     # interior angles take 2 probes per axis, the two ends 3
     ev = CountingEvaluator(waves)
     grid = StrategyGrid(n)
-    ga, gb = vector_field(ev, grid)
+    g = gradients(ev, grid.profiles)
     assert (ev.calls, ev.profiles) == (1, 4 * n * n + 4 * n)
-    want = fd_gradients(ev, grid.profiles, H)
-    assert_same_bits(ga.ravel(), want[:, 0])
-    assert_same_bits(gb.ravel(), want[:, 1])
+    assert_same_bits(g, fd_gradients(ev, grid.profiles, H))

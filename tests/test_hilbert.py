@@ -13,7 +13,7 @@ from qwgames.hilbert import (
     check_distributions,
     distribution_to_csv,
     measure_joint,
-    write_float_csv,
+    write_csv,
 )
 from oracles import channel_major, make_initial_state, random_joint_state, write_csv_cells
 
@@ -139,9 +139,9 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1.797693134862315
 
 
 def _same_bytes(tmp_path, header, table, cells):
-    """write_float_csv of `table` against the per-cell writer of `cells`."""
+    """write_csv of `table` against the per-cell writer of `cells`."""
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_float_csv(new, header, table)
+    write_csv(new, header, table)
     write_csv_cells(ref, header, cells)
     assert new.read_bytes() == ref.read_bytes()
     return new.read_bytes()
@@ -190,7 +190,7 @@ def test_float_csv_text_of_each_special_value(tmp_path):
 
 def test_float_csv_rejects_a_table_that_does_not_match_its_header(tmp_path):
     with pytest.raises(ValueError):
-        write_float_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((3, 3)))
+        write_csv(tmp_path / "t.csv", ["a", "b"], np.zeros((3, 3)))
 
 
 @settings(max_examples=60, deadline=None)

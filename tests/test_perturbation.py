@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import distributions
 import qwgames.equilibrium as equilibrium
 from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import WalkConfig
-from qwgames.equilibrium import StrategyGrid, WalkEvaluator, distributions
+from qwgames.equilibrium import StrategyGrid, WalkEvaluator
 from qwgames.games import GameKind, GameSpec, payoffs
 from qwgames.hilbert import Boundary, LatticeGeometry, ValidationError
 from qwgames.interactions import InteractionKind, InteractionSpec
