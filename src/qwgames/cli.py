@@ -220,7 +220,11 @@ class ExperimentConfig:
     grid_n: int = _field(61, _int, lambda v: 2 <= v <= 1001, ">= 2 and <= 1001")
     eta: float = _field(0.05, parse_angle, lambda v: 0 < v < INF, "finite and > 0")
     max_iters: int = _field(500, _int, lambda v: v >= 0, ">= 0")
-    ensemble: int = _field(1, _int, lambda v: v >= 1, ">= 1")
+    # 1,000 noise realizations, 1,000 times the default's: every realization
+    # draws its own jitters before the first chunk and evolves every chunk
+    # again, so an unbounded count fails late (jitters alone took 2.4 s at
+    # 20,000, and 10^9 would ask for hours and hundreds of GB)
+    ensemble: int = _field(1, _int, lambda v: 1 <= v <= 1000, ">= 1 and <= 1000")
     # 1,000 gradient ascents of up to max_iters steps each, 125 times the
     # default's; learning runs them all after its surface and search, so an
     # unbounded count fails late (n_starts = 10^12 asked for 7.28 TiB)
@@ -469,14 +473,13 @@ def _run_rendezvous(config: ExperimentConfig, out: str) -> int:
         },
     )
 
-    sweep = []
-    for phi in config.phi_sweep:
-        walk_phi = replace(walk, interaction=walk.interaction.with_strength(float(phi)))
-        u_a, _, aux = WalkEvaluator(walk_phi, game).points([[ta, tb]], diagnostics=True)
-        sweep.append([phi, aux["meeting_probability"][0], u_a[0]])
+    phis = np.array(config.phi_sweep, dtype=float)
+    u_a, _, aux = WalkEvaluator(walk, game).points(
+        np.tile([ta, tb], (len(phis), 1)), diagnostics=True, strengths=phis
+    )
     write_csv(
         os.path.join(out, "phi_sweep.csv"), ["phi", "meeting_probability", "payoff"],
-        np.array(sweep),
+        np.column_stack([phis, aux["meeting_probability"], u_a]),
     )
     write_csv(
         os.path.join(out, "cross_section.csv"), ["theta_A", "value"],
@@ -497,14 +500,10 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
     write_csv(os.path.join(out, "f_sweep.csv"), ["theta", "F"], np.column_stack([thetas, f_vals]))
 
     grid13 = StrategyGrid(13)
-    residual = pert.separability_residual(walk, game, grid13)
-    _dump_json(os.path.join(out, "separability.json"), {"max_residual": residual})
-
-    g = pert.g_estimate_grid(walk, game, grid13, config.lambda_schedule[:2])
-    write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
-
     base = (config.base_theta_a, config.base_theta_b)
-    est = pert.first_order_slope(walk, game, base, config.lambda_schedule)
+    residual, g, est, cert = pert.weak_coupling(walk, game, grid13, base, config.lambda_schedule)
+    _dump_json(os.path.join(out, "separability.json"), {"max_residual": residual})
+    write_csv(os.path.join(out, "g_grid.csv"), SURFACE_HEADER, _grid_rows(grid13, g))
     write_csv(
         os.path.join(out, "convergence_table.csv"),
         ["lambda", "slope", "difference", "ratio"],
@@ -515,7 +514,6 @@ def _run_perturbation(config: ExperimentConfig, out: str) -> int:
         ],
     )
 
-    cert = pert.nonseparability_certificate(walk, game)
     _dump_json(
         os.path.join(out, "certificate.json"),
         {

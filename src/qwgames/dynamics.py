@@ -19,19 +19,28 @@ sooner than after h = (L - 1) / 2 steps.  So every walk runs its first
 min(T, h) steps in the coordinate j = (x + t) / 2 on the sites of this light
 cone (`reach`): there |R> moves j -> j + 1, |L> stays at j, and every
 phase, which depends only on x_A - x_B = 2 (j_A - j_B), is the same at every
-step.  The cone's shift wraps, but the wrap never reads a nonzero amplitude,
-so the cone changes no bit of the result.  A walk of T > h steps then hands
-the cone's state to the lattice's even offsets, where a walker stands at
-t = h, and runs its other T - h steps on the whole lattice with its
-boundary, in the same one pair of buffers.  What a walk needs beyond the
-strategies, coins, strength and noise draws is planned once per geometry,
-steps, number of walkers and interaction kind (`_plan`): each leg's sites,
-from `reach`, its gather, the joint one composed from the two walkers', and
-its phase from the walkers' distances, not a dense (L, 2, L, 2) table.  The
-phase arrays are read-only; the gather stays writeable, as `take` copies a
-read-only index array on every step, and only `_steps` reads it.  A
-noisy walk's draws are one (R, T) table, a row of per-step jitters for each
-of its R noise realizations (`jitters`).  Callers see the kernel's own
+step.  The cone runs in legs whose sites double, n = 2, 4, 8, ... and last
+min(T, h) + 1, a leg of n sites up to t = n - 1, each handing its state to
+the next at the same j, so an early step costs what the sites it can reach
+cost.  A leg's shift wraps, but the wrap never reads a nonzero amplitude,
+and a column of the coin matmul does not depend on the width of the
+matrix, so the legs change no bit of the result.  A walk of T > h steps
+then hands the cone's state to the lattice's even offsets, where a walker
+stands at t = h, and runs its other T - h steps on the whole lattice with
+its boundary, in the same one pair of buffers.  What a walk needs beyond
+the strategies, coins, strength and noise draws is planned once per
+geometry, steps, number of walkers and interaction kind (`_plan`): each
+leg's sites, from `reach`, its gather, the joint one composed from the two
+walkers', and its phase from the walkers' distances, not a dense
+(L, 2, L, 2) table.  The phase arrays are read-only; the gather stays
+writeable, as `take` copies a read-only index array on every step, and
+only `_steps` reads it.  A noisy walk's draws are one (R, T) table, a row
+of per-step jitters for each of its R noise realizations (`jitters`).
+
+A batch is one stream of cache-sized chunks (`chunk_walks`), set up once:
+the plan, the start state, the coin products, each profile's coupling, its
+own strength's or the walk's, and one buffer pair that every chunk works
+in; `evolve_batch` is its one-chunk call.  Callers see the kernel's own
 layout on the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state
 `evolve` and `evolve_single` return the whole lattice, site major.
 """
@@ -39,7 +48,7 @@ layout on the `reach` sites, (B, 4, n, n) and (B, 2, n); only the one-state
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +66,7 @@ from .hilbert import (
 from .interactions import InteractionKind, InteractionSpec
 
 # amplitudes evolved together, 4 n^2 a profile on the n sites per walker of
-# the walk's last leg (`chunk_profiles`).  `_run` holds one pair of
+# the walk's last leg (`chunk_profiles`).  A batch holds one pair of
 # complex128 buffers (amps and the scratch) of that size for every leg, 32 B
 # per amplitude: 512 KiB here, a quarter of a 2 MB per-core L2, which leaves
 # room for the gather indices and BLAS's own buffers.  Of 8,192 ... 57,600 it
@@ -152,14 +161,13 @@ def _shift_permutation(L: int, boundary: Boundary | None) -> np.ndarray:
 
 
 def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, sites: slice):
-    """The phase of walkers on the n lattice offsets sites each, read-only:
-    its support in the (B, 4, n^2) buffer, the profile's distinct values and
-    the support's indices into them, one row viewed once per channel.  A
-    contact kind has the stride-(n + 1) diagonal of its channels and one
-    value; long range, the whole plane, the profile at d = 0 ... d_max and
-    the distances themselves, which depend on L through the minimal image.
-    Off the support every phase factor is exactly 1, so skipping it changes
-    no bit.
+    """The phase of walkers on the n lattice offsets sites each: its support
+    in the (B, 4, n^2) buffer and the walkers' distances there, one
+    read-only row viewed once per channel.  A contact kind has the
+    stride-(n + 1) diagonal of its channels, at distance 0; long range, the
+    whole plane and the distances themselves, which depend on L through the
+    minimal image.  Off the support every phase factor is exactly 1, so
+    skipping it changes no bit.
     """
     _, _, contact, channels = interactions.CATALOG[spec.kind]
     x = geometry.positions[sites]
@@ -167,23 +175,22 @@ def _phase_support(spec: InteractionSpec, geometry: LatticeGeometry, sites: slic
         cells, d = slice(None, None, len(x) + 1), np.zeros(len(x), dtype=int)
     else:
         cells, d = slice(None), interactions.distance(geometry, x[:, None], x[None, :]).ravel()
-    distinct = interactions.profile(spec, np.arange(d.max() + 1))
-    distinct.flags.writeable = False
     # factors gathered through the view have the support's own shape, on
     # which the in-place product of each step runs up to 2x faster than
     # broadcast over the channels
-    inverse = np.broadcast_to(d, (len(range(4)[channels]), len(d)))
-    return (slice(None), channels, cells), distinct, inverse
+    return (slice(None), channels, cells), np.broadcast_to(d, (len(range(4)[channels]), len(d)))
 
 
 class _Leg(NamedTuple):
-    """One leg of a walk, as `_steps` runs it: the gather of its shift and,
-    on an interacting joint walk, its `_phase_support`."""
+    """One leg of a walk, as `_steps` runs it: the gather of its shift, on
+    an interacting joint walk its `_phase_support`, and the entry, each
+    walker's slice of the leg's sites that the state before it fills."""
 
     sites: int
     steps: int
     perm: np.ndarray
     phase: tuple | None
+    entry: slice
 
 
 @lru_cache(maxsize=64)
@@ -194,21 +201,35 @@ def _plan(geometry: LatticeGeometry, steps: int, walkers: int, kind=InteractionK
     which a coin catalog, a sweep or an ensemble varies.
 
     The light cone's first min(T, h) steps, h = (L - 1) / 2, run on its
-    sites j = (x + t) / 2 from j = 0 (shift rule None); past h, the other
-    T - h steps run on the whole lattice and its boundary.  Each leg runs on
-    the n sites the walkers reach at its end (`reach`), and its phase is
-    planned there: on the light cone it holds at every step, as it depends
-    only on x_A - x_B.  Every kind but none, a single walker's, has a phase.
+    sites j = (x + t) / 2 from j = 0 (shift rule None), in legs whose sites
+    double, n = 2, 4, 8, ... and last min(T, h) + 1: a leg of n sites ends
+    at t = n - 1, and the next one takes its state at the same j.  Past h,
+    the other T - h steps run on the whole lattice and its boundary, from
+    the cone's site j at the lattice's offset 2j.  Each leg runs on the n
+    sites the walkers reach at its end (`reach`), and its phase is planned
+    there: on the light cone it holds at every step, as it depends only on
+    x_A - x_B.  Every kind but none, a single walker's, has a phase.
     """
     shift = _walker_shift if walkers == 1 else _shift_permutation
     spec = InteractionSpec(kind, range_exponent=range_exponent)
-    h, legs, t = geometry.half, [], 0
-    for end, rule in [(min(steps, h), None), (steps, geometry.boundary)][: 1 + (steps > h)]:
-        cut = reach(geometry, end)
+    cone = min(steps, geometry.half)
+    ends = [(2**k - 1, None) for k in range(1, cone.bit_length() + 1) if 2**k - 1 < cone]
+    ends += [(cone, None), (steps, geometry.boundary)][: 1 + (steps > cone)]
+    cuts = [reach(geometry, end) for end, _ in ends]
+    supports = [None] * len(ends)
+    if kind is not InteractionKind.NONE:
+        supports = [_phase_support(spec, geometry, cut) for cut in cuts]
+        # the profile at d = 0 ... d_max, one value for a contact kind, which
+        # every leg's distances index
+        distinct = interactions.profile(spec, np.arange(max(d.max() for _, d in supports) + 1))
+        distinct.flags.writeable = False
+        supports = [(index, distinct, d) for index, d in supports]
+    legs, t, entry = [], 0, slice(1)
+    for (end, rule), cut, phase in zip(ends, cuts, supports):
         n = len(range(geometry.size)[cut])
-        phase = None if kind is InteractionKind.NONE else _phase_support(spec, geometry, cut)
-        legs.append(_Leg(n, end - t, shift(n, rule), phase))
-        t = end
+        entry = entry if rule is None else slice(0, None, 2)  # the cone's j at offset 2j
+        legs.append(_Leg(n, end - t, shift(n, rule), phase, entry))
+        t, entry = end, slice(n)
     return tuple(legs)
 
 
@@ -216,14 +237,15 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
     """Evolve the (B, C, S) channel-major buffer amps in place for steps
     steps, with coined, of the same shape, as scratch: the real (B, C, C)
     coins act as one matmul on the float view (B, C, 2S), then perm gathers
-    the shifted state.  A joint walk passes phase = (support index, profile
-    values there, per-profile coupling factors there, per-step jitters), and
-    each step ends with the factors and that step's jitter on the support."""
+    the shifted state.  A joint walk passes phase = (support index, the
+    profile's distinct values, the support's indices into them, per-profile
+    coupling factors there, per-step jitters), and each step ends with the
+    factors and that step's jitter on the support."""
     real, coined_real = amps.view(float), coined.view(float)
     shape = len(amps), len(perm)  # perm gathers all C S amplitudes of a profile
     flat, coined_flat = amps.reshape(shape), coined.reshape(shape)
     if phase is not None:
-        index, values, factors, etas = phase
+        index, distinct, inverse, factors, etas = phase
         support = amps[index]
     for t in range(steps):
         np.matmul(coins, real, out=coined_real)
@@ -232,45 +254,49 @@ def _steps(amps, coined, coins, perm, steps: int, phase=None):
             continue
         support *= factors
         if etas[t] != 0.0:
-            support *= np.exp(1j * etas[t] * values)
+            support *= np.exp(1j * etas[t] * distinct)[inverse]
 
 
-def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, coupling=None, etas=None):
-    """(B, C, n^w) amplitudes of B walks of w = C / 2 walkers after the legs,
-    from the (C,) start amplitudes at site 0 of the cone, under the real
-    (B, C, C) coins; a joint walk passes its (B,) coupling and T jitters.
+def _phases(legs: tuple, coupling: np.ndarray) -> list | None:
+    """Per leg, the phase factors of the (b,) couplings on its support, None
+    for a walk without a phase: one exp a profile per distinct value of the
+    walk's profile, < 2n on long range, gathered by each leg's distances."""
+    if legs[0].phase is None:
+        return None
+    exps = np.exp(1j * coupling[:, None] * legs[0].phase[1])
+    return [exps[:, leg.phase[2]] for leg in legs]
 
-    The walk holds one pair of buffers, the state and the coined scratch,
-    made as one array of the last leg's size: as two arrays each, they
-    page-faulted on every chunk of a 61x61 race sweep, which ran 12-30 %
-    slower on a 2-vCPU Xeon.  Each leg works in views of the head of each
-    half.  Past the cone the halves swap: the lattice leg reads the cone's
-    state from the head of its scratch, the cone's site j into the
-    lattice's offset 2j, where a walker stands at t = h.  The result is a
-    view of the pair."""
+
+def _run(legs: tuple, start: np.ndarray, coins: np.ndarray, phases=None, etas=None, pair=None):
+    """(B, C, n, ...) amplitudes, one n-site axis per walker, of B walks of
+    w = C / 2 walkers after the legs, from the (C,) start amplitudes at site
+    0 of the cone, under the real (B, C, C) coins; a joint walk passes its
+    legs' `_phases` and T jitters.
+
+    The walk works in one pair of buffers, the state and the coined
+    scratch, made as one array of the last leg's size unless the caller
+    passes a larger one: `chunk_walks` passes one pair for every chunk of a
+    batch.  As two arrays a leg, and later as one pair a chunk, they
+    page-faulted again on every chunk of a 61x61 race sweep.  Each leg, the
+    cone's doubling ones and the lattice's, works in views of the head of
+    each half, and the halves swap from leg to leg: a leg reads the state
+    before it from the head of its scratch into its `_Leg.entry` sites, and
+    takes its steps' jitters.  The result is a view of the pair."""
     B, C = coins.shape[:2]
-    w, cone = C // 2, legs[0]
-    pair = np.empty((2, B * C * legs[-1].sites**w), dtype=complex)
+    w = C // 2
+    if pair is None:
+        pair = np.empty((2, B * C * legs[-1].sites**w), dtype=complex)
+    state, t = start.reshape(C, *[1] * w), 0
     for k, leg in enumerate(legs):
+        halves = pair[k % 2], pair[1 - k % 2]
         S = leg.sites**w
-        amps, coined = (half[: B * C * S].reshape(B, C, S) for half in (pair[k], pair[1 - k]))
+        amps, coined = (half[: B * C * S].reshape(B, C, S) for half in halves)
         amps.fill(0)
-        if leg is cone:
-            amps[:, :, 0] = start
-        else:
-            even = (slice(None),) * 2 + (slice(None, None, 2),) * w
-            state = pair[0, : B * C * cone.sites**w].reshape(B, C, *[cone.sites] * w)
-            amps.reshape(B, C, *[leg.sites] * w)[even] = state
-        phase = leg.phase
-        if phase is not None:
-            index, distinct, inverse = phase
-            # one exp a profile per distinct value, < 2n on a long-range leg
-            factors = np.exp(1j * coupling[:, None] * distinct)[:, inverse]
-            values = distinct[inverse]
-            # of a walk's one or two legs, the cone takes the first steps' jitters
-            phase = index, values, factors, etas[: leg.steps] if leg is cone else etas[-leg.steps :]
+        amps.reshape(B, C, *[leg.sites] * w)[(slice(None),) * 2 + (leg.entry,) * w] = state
+        phase = None if leg.phase is None else (*leg.phase, phases[k], etas[t : t + leg.steps])
         _steps(amps, coined, coins, leg.perm, leg.steps, phase)
-    return amps
+        state, t = amps.reshape(B, C, *[leg.sites] * w), t + leg.steps
+    return state
 
 
 def _angles(thetas) -> np.ndarray:
@@ -302,6 +328,35 @@ def jitters(config: WalkConfig) -> np.ndarray:
     return np.array([np.random.default_rng(s).uniform(-sigma, sigma, config.steps) for s in seeds])
 
 
+def chunk_walks(config: WalkConfig, thetas, strengths=None, size: int | None = None):
+    """The walks of a batch of B profiles, one chunk of size profiles at a
+    time (`chunk_profiles` by default): for each chunk, its walk, a function
+    of the T per-step jitters that the chunk shares (common random numbers),
+    which returns the chunk's final (b, 4, n, n) channel-major amplitudes on
+    the n `reach` sites of each walker.  strengths gives each profile its own
+    interaction strength, by default the config's.
+
+    Everything but the jitters is set up once for the batch: the plan, the
+    start state, the coin products, the couplings and one buffer pair that
+    every chunk's walk works in, so the amplitudes one call returns are
+    overwritten by the next.  Each chunk's phase factors are computed when
+    the chunk is reached, from the batch's couplings: held for the whole
+    batch, they raised a 61x61 race sweep's peak resident memory.  A row
+    does not depend on the chunk it runs in, so chunking changes no bit.
+    """
+    thetas, spec = check_profiles(thetas), config.interaction
+    legs = _plan(config.geometry, config.steps, 2, spec.kind, spec.range_exponent)
+    coin_a, coin_b = (np.asarray(c, complex) for c in (config.coin_a, config.coin_b))
+    start = (coin_a[:, None] * coin_b).reshape(4)  # the (4,) channels 2 s_A + s_B
+    coins = _coin_krons(thetas)
+    coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1], strengths)
+    size = size or chunk_profiles(config.geometry, config.steps)
+    pair = np.empty((2, min(size, len(thetas)) * 4 * legs[-1].sites**2), dtype=complex)
+    for lo in range(0, max(len(thetas), 1), size):
+        chunk = slice(lo, lo + size)
+        yield partial(_run, legs, start, coins[chunk], _phases(legs, coupling[chunk]), pair=pair)
+
+
 def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarray:
     """Evolve one initial state under B strategy profiles simultaneously.
 
@@ -310,19 +365,13 @@ def evolve_batch(config: WalkConfig, thetas: np.ndarray, etas=None) -> np.ndarra
     walker, off which the walk's are zero: the kernel's buffer.  A noisy
     walk runs one noise realization: its jitters, one a step and shared by
     the batch (common random numbers), are etas, by default row 0 of
-    `jitters(config)`, drawn alone, so a batched sweep is bit-identical to
-    per-profile evolve calls.  `equilibrium` hands it cache-sized chunks
-    with each row of the walk's jitter table, drawn once for the batch.
+    `jitters(config)`, drawn alone.  The batch is one chunk of `chunk_walks`,
+    so its rows are bitwise those of a chunked stream.
     """
-    thetas, spec = check_profiles(thetas), config.interaction
-    legs = _plan(config.geometry, config.steps, 2, spec.kind, spec.range_exponent)
-    coin_a, coin_b = (np.asarray(c, complex) for c in (config.coin_a, config.coin_b))
-    start = (coin_a[:, None] * coin_b).reshape(4)  # the (4,) channels 2 s_A + s_B
     if etas is None:
         etas = jitters(replace(config, ensemble=1))[0]
-    coupling = interactions.coupling(spec, thetas[:, 0], thetas[:, 1])
-    n = legs[-1].sites
-    return _run(legs, start, _coin_krons(thetas), coupling, etas).reshape(-1, 4, n, n)
+    (walk,) = chunk_walks(config, thetas, size=max(len(thetas), 1))
+    return walk(etas)
 
 
 def evolve(config: WalkConfig, theta_a: float, theta_b: float) -> np.ndarray:

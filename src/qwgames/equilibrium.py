@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import WalkConfig, check_profiles, chunk_profiles, evolve_batch, evolve_singles
+from .dynamics import WalkConfig, check_profiles, chunk_profiles, chunk_walks, evolve_singles
 from .dynamics import jitters
 from .games import DIAGNOSTICS, GameSpec, payoffs
 from .games import diagnostics as transport
 from .hilbert import ValidationError, born, check_distributions, reach
+from .interactions import InteractionKind
 
 PI = np.pi
 
@@ -108,21 +109,19 @@ class LearnResult:
     message: str
 
 
-def _joint_blocks(walk: WalkConfig, thetas: np.ndarray):
+def _joint_blocks(walk: WalkConfig, thetas: np.ndarray, strengths=None):
     """The P of the joint walk averaged over the rows of its jitter table
-    (`jitters`, drawn once for the batch), one `chunk_profiles` chunk of
-    thetas at a time, each a (b, n, n) block on the `reach` sites.  Each
-    chunk is evolved under every row, checked, and summed into the first
-    row's in seed order, and the sum is divided by their count (by 1,
-    exactly, for one row).  The amplitudes of a whole batch never exist at
-    once."""
+    (`jitters`, drawn once for the batch), one chunk of `chunk_walks` at a
+    time, each a (b, n, n) block on the `reach` sites; strengths, one a
+    profile, by default the walk's.  Each chunk is evolved under every row,
+    checked, and summed into the first row's in seed order, and the sum is
+    divided by their count (by 1, exactly, for one row).  The amplitudes of
+    a whole batch never exist at once."""
     draws = jitters(walk)
-    size = chunk_profiles(walk.geometry, walk.steps)
-    for lo in range(0, len(thetas), size):
-        chunk = thetas[lo : lo + size]
+    for chunk in chunk_walks(walk, thetas, strengths):
         block = None
         for etas in draws:
-            probs = born(evolve_batch(walk, chunk, etas))
+            probs = born(chunk(etas))
             check_distributions(probs)
             if block is None:
                 block = probs
@@ -170,21 +169,37 @@ def walk_distributions(walk: WalkConfig, thetas: np.ndarray) -> np.ndarray:
     return np.concatenate([np.empty((0, n, n)), *_blocks(walk, thetas)])
 
 
-def _mirrors(walk: WalkConfig, thetas: np.ndarray):
-    """The rows with theta_A > theta_B whose mirror (theta_B, theta_A) is in
-    the batch, and the row of each mirror; empty unless the walkers' coins
-    are equal and the walk is evolved jointly.
+def _mirrors(walk: WalkConfig, thetas: np.ndarray, strengths: np.ndarray):
+    """The rows with theta_A > theta_B whose mirror (theta_B, theta_A) at
+    the same strength is in the batch, and the row of each mirror; empty
+    unless the walkers' coins are equal.  The batch is rows the walk
+    evolves jointly.
 
     Every phase and coupling of the catalog is unchanged by swapping
     the walkers (tests/test_interactions.py pins this), so with equal coins
     P(theta_B, theta_A) is P(theta_A, theta_B) transposed.  Only a mirror in
     the same batch is reused, so every other row is evolved as given and
-    keeps its bits.  An inert walk's single walks already serve each angle
+    keeps its bits.  An inert row's single walks already serve each angle
     once."""
-    lower = np.flatnonzero(thetas[:, 0] < thetas[:, 1])
-    if walk.coin_a != walk.coin_b or walk.interaction.inert or not lower.size:
+    if walk.coin_a != walk.coin_b:
         return np.empty((2, 0), dtype=int)
+    groups = dict.fromkeys(strengths.tolist())  # -0.0 is 0.0
+    if len(groups) <= 1:
+        return _mirror_pairs(thetas)
+    pairs = []
+    for strength in groups:
+        rows = np.flatnonzero(strengths == strength)
+        pairs.append(rows[_mirror_pairs(thetas[rows])])
+    return np.concatenate(pairs, axis=1)
+
+
+def _mirror_pairs(thetas: np.ndarray) -> np.ndarray:
+    """(2, m) rows with theta_A > theta_B and the row of each one's mirror
+    in thetas, by a lookup of the rows with theta_A < theta_B."""
+    lower = np.flatnonzero(thetas[:, 0] < thetas[:, 1])
     upper = np.flatnonzero(thetas[:, 0] > thetas[:, 1])
+    if not (lower.size and upper.size):
+        return np.empty((2, 0), dtype=int)
     # a (theta_A, theta_B) row viewed as one complex number sorts and
     # compares as the pair does; of equal rows, the last one is the mirror
     keys = thetas[lower].view(complex)[:, 0]
@@ -195,37 +210,62 @@ def _mirrors(walk: WalkConfig, thetas: np.ndarray):
     return np.stack([upper[found], lower[order[at[found]]]])
 
 
-def _ensemble_points(walk: WalkConfig, games, thetas, diagnostics: bool = False) -> list:
+def _row_blocks(walk: WalkConfig, thetas: np.ndarray, strengths: np.ndarray, free: np.ndarray):
+    """(P, rows) pairs that cover each row of the batch once: a row
+    inert at its strength, or free of its interaction, from
+    `_product_blocks`; every other row from one `_joint_blocks` stream at
+    its own strength, except a row with a mirror in the stream, which is
+    its mirror's rows of the block transposed (`_mirrors`)."""
+    spec = walk.interaction
+    # a row is inert as `InteractionSpec.inert` says at its strength
+    joint = ~free & (spec.noisy | ((spec.kind is not InteractionKind.NONE) & (strengths != 0.0)))
+    rows = np.flatnonzero(~joint)
+    if rows.size:
+        lo = 0
+        for block in _product_blocks(walk, thetas[rows]):
+            yield block, rows[lo : lo + len(block)]
+            lo += len(block)
+    rows = np.flatnonzero(joint)
+    mirrored, partner = rows[_mirrors(walk, thetas[rows], strengths[rows])]
+    joint[mirrored] = False
+    rows = np.flatnonzero(joint)
+    slot = (np.cumsum(joint) - 1)[partner]  # each mirror's row among the evolved
+    if rows.size:
+        lo = 0
+        for block in _joint_blocks(walk, thetas[rows], strengths[rows]):
+            hi = lo + len(block)
+            yield block, rows[lo:hi]
+            here = (lo <= slot) & (slot < hi)
+            if here.any():
+                yield block[slot[here] - lo].transpose(0, 2, 1), mirrored[here]
+            lo = hi
+
+
+def _ensemble_points(
+    walk: WalkConfig, games, thetas, diagnostics: bool = False, strengths=None, free=None
+) -> list:
     """`points(thetas)` of each game on one walk, each reduced from the
-    walk's one P a block at a time (`_blocks`): every block is reduced to
-    each game's (u_a, u_b) columns, and to the `games.diagnostics` columns
-    when asked, and then dropped, so no (B, n, n) stack exists.  The
+    walk's one P a block at a time (`_row_blocks`): every block is reduced
+    to each game's (u_a, u_b) columns, and to the `games.diagnostics`
+    columns when asked, and then dropped, so no (B, n, n) stack exists.  The
     diagnostics do not depend on the game: every game's aux holds the same
-    arrays.  A row with a mirror in the batch is not evolved: its columns
-    are reduced from its mirror's rows of the block alone, transposed, so
-    every row of the batch is reduced once."""
+    arrays.  Each row runs at its own strength, by default the walk's, or
+    free of the interaction where free says so."""
     thetas = check_profiles(thetas)
-    geom = walk.geometry
-    mirrored, partner = _mirrors(walk, thetas)
-    evolved = np.ones(len(thetas), dtype=bool)
-    evolved[mirrored] = False
-    rows = np.flatnonzero(evolved)
-    slot = (np.cumsum(evolved) - 1)[partner]  # each mirror's row among the evolved
+    B = len(thetas)
+    if strengths is None:
+        strengths = np.full(B, walk.interaction.strength)
+    strengths = np.asarray(strengths, dtype=float)
+    free = np.asarray(np.zeros(B, bool) if free is None else free, dtype=bool)
+    if strengths.shape != (B,) or free.shape != (B,) or not np.isfinite(strengths).all():
+        raise ValidationError(f"need a finite strength and a free flag for each of {B} profiles")
     names = DIAGNOSTICS if diagnostics else ()
-    out = np.empty((2 * len(games) + len(names), len(thetas)))
-    lo = 0
-    for block in _blocks(walk, thetas[evolved]):
-        hi = lo + len(block)
-        here = (lo <= slot) & (slot < hi)
-        parts = [(block, rows[lo:hi])]
-        if here.any():
-            parts.append((block[slot[here] - lo].transpose(0, 2, 1), mirrored[here]))
-        for probs, at in parts:
-            columns = [u for game in games for u in payoffs(probs, geom, game)]
-            if diagnostics:
-                columns += transport(probs, geom).values()
-            out[:, at] = columns
-        lo = hi
+    out = np.empty((2 * len(games) + len(names), B))
+    for probs, at in _row_blocks(walk, thetas, strengths, free):
+        columns = [u for game in games for u in payoffs(probs, walk.geometry, game)]
+        if diagnostics:
+            columns += transport(probs, walk.geometry).values()
+        out[:, at] = columns
     aux = dict(zip(names, out[2 * len(games) :]))
     return [(out[2 * k], out[2 * k + 1], aux) for k in range(len(games))]
 
@@ -238,19 +278,25 @@ class WalkEvaluator:
     realizations, seeded config.seed, config.seed+1, ...; the same
     realizations serve every strategy pair, so finite differences see common
     random numbers.  A deterministic walk is its own one realization.  A
-    walk whose interaction is inert takes the product path,
-    `_product_blocks`; one with equal coins evolves a profile once when its
-    mirror is in the same batch (`_mirrors`).
+    row whose interaction is inert takes the product path,
+    `_product_blocks`; with equal coins a profile is evolved once when its
+    mirror at the same strength is in the same batch (`_mirrors`).
     """
 
     def __init__(self, config: WalkConfig, game: GameSpec):
         self.config = config
         self.game = game
 
-    def points(self, thetas, diagnostics: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+    def points(
+        self, thetas, diagnostics: bool = False, strengths=None, free=None
+    ) -> tuple[np.ndarray, np.ndarray, dict]:
         """u_A, u_B and, when asked, the named `games.diagnostics` of each
-        profile, each (B,); aux is empty otherwise."""
-        return _ensemble_points(self.config, [self.game], thetas, diagnostics)[0]
+        profile, each (B,); aux is empty otherwise.  strengths, one a
+        profile, sets each row's interaction strength, by default the
+        config's; a row where free is true runs the walk with its
+        interaction removed, the separable prediction (for a noisy walk not
+        the strength-0 walk, which keeps its jitter)."""
+        return _ensemble_points(self.config, [self.game], thetas, diagnostics, strengths, free)[0]
 
     def evaluate(self, theta_a: float, theta_b: float) -> tuple[float, float]:
         u_a, u_b, _ = self.points([[theta_a, theta_b]])

@@ -117,11 +117,13 @@ def profile(spec: InteractionSpec, d) -> np.ndarray:
         return 1.0 / (1.0 + d**spec.range_exponent)
 
 
-def coupling(spec: InteractionSpec, theta_a, theta_b):
-    """Strategy-dependent scalar prefactor of the phase functional."""
+def coupling(spec: InteractionSpec, theta_a, theta_b, strength=None):
+    """Strategy-dependent scalar prefactor of the phase functional, at
+    spec.strength or at strength, which may hold one value per profile."""
     sign, angular = CATALOG[spec.kind][:2]
     diff = np.asarray(theta_a, dtype=float) - theta_b
-    return sign * spec.strength * (np.cos(diff) if angular else np.ones_like(diff))
+    strength = spec.strength if strength is None else np.asarray(strength, dtype=float)
+    return sign * strength * (np.cos(diff) if angular else np.ones_like(diff))
 
 
 def phase_table(spec: InteractionSpec, geometry: LatticeGeometry) -> np.ndarray:

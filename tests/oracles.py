@@ -33,7 +33,7 @@ from qwgames.dynamics import (
 from qwgames.hilbert import (
     Boundary, LatticeGeometry, RIGHT, LEFT, born, coin_vector, measure_joint,
 )
-from qwgames.interactions import InteractionSpec, coupling, phase
+from qwgames.interactions import InteractionSpec, coupling, phase, profile
 
 
 def make_initial_state(geometry: LatticeGeometry, coin_a, coin_b) -> np.ndarray:
@@ -159,11 +159,11 @@ def kernel_steps(config: WalkConfig, theta_a, theta_b, etas, psi) -> np.ndarray:
     (theta_a, theta_b)."""
     geom, spec = config.geometry, config.interaction
     thetas = np.array([[theta_a, theta_b]])
-    index, distinct, inverse = _phase_support(spec, geom, slice(None))
-    values = distinct[inverse]
+    index, inverse = _phase_support(spec, geom, slice(None))
+    distinct = profile(spec, np.arange(inverse.max(initial=0) + 1))
     coup = np.asarray(coupling(spec, thetas[:, 0], thetas[:, 1]), dtype=float)
-    factors = np.exp(1j * coup[:, None, None] * values)
-    phase = index, values, factors, np.asarray(etas, dtype=float)
+    factors = np.exp(1j * coup[:, None, None] * distinct[inverse])
+    phase = index, distinct, inverse, factors, np.asarray(etas, dtype=float)
     amps = psi.transpose(1, 3, 0, 2).reshape(1, 4, -1).copy()  # channel-major
     perm = product_shift_permutation(geom.size, geom.boundary)
     _steps(amps, np.empty_like(amps), _coin_krons(thetas), perm, len(etas), phase)

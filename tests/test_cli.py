@@ -5,7 +5,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwgames import cli
+from qwgames import cli, dynamics, equilibrium
 from qwgames.cli import (
     COIN_CATALOG,
     ConfigError,
@@ -287,6 +287,28 @@ def test_race_recipe_file_contract(tmp_path):
     assert points
 
 
+@pytest.mark.parametrize("kind, sigma", [("collision_phase", 0.0), ("noisy_collision", 0.5)])
+def test_phi_sweep_is_bitwise_one_walk_per_strength(tmp_path, kind, sigma):
+    # one points call with a strength a row writes what a walk per strength
+    # writes, a zero strength (the product path of a deterministic walk) too
+    data = {
+        "recipe": "rendezvous", "grid_n": 5, "interaction_kind": kind, "noise_sigma": sigma,
+        "ensemble": 2, "coin_b": COIN_CATALOG["symmetric"], "phi_sweep": [-1.0, 0.0, 0.5, "pi"],
+    }
+    cfg = ExperimentConfig.from_dict({**data, "out_dir": str(tmp_path / "out")})
+    assert run_recipe(cfg) == 0
+    optimum = json.loads((tmp_path / "out" / "optimum.json").read_text())
+    walk, game = cfg.walk_config(), cfg.game_spec()
+    rows = []
+    for phi in cfg.phi_sweep:
+        at_phi = replace(walk, interaction=walk.interaction.with_strength(phi))
+        ev = equilibrium.WalkEvaluator(at_phi, game)
+        u_a, _, aux = ev.points([[optimum["theta_A"], optimum["theta_B"]]], diagnostics=True)
+        rows.append([phi, aux["meeting_probability"][0], u_a[0]])
+    written = np.loadtxt(tmp_path / "out" / "phi_sweep.csv", delimiter=",", skiprows=1)
+    assert written.tobytes() == np.array(rows).tobytes()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     out = tmp_path / "run"
     assert run_recipe(_small_race(out)) == 0
@@ -406,6 +428,31 @@ def test_grid_and_starts_past_their_bounds_exit_1(tmp_path, capsys, data, need):
 def test_grid_and_starts_bounds_admit_1001_and_1000():
     assert validate(ExperimentConfig.from_dict({"grid_n": 1001}))[0] == []
     assert validate(ExperimentConfig.from_dict({"recipe": "learning", "n_starts": 1000}))[0] == []
+
+
+NOISY_KIND = {"interaction_kind": "noisy_collision", "noise_sigma": 0.5}
+
+
+@pytest.mark.parametrize("ensemble", [1001, 20_000, 10**9])
+@pytest.mark.parametrize("recipe", ["race", "perturbation"])
+def test_ensemble_past_its_bound_exits_1(tmp_path, capsys, monkeypatch, recipe, ensemble):
+    # refused before any realization's jitters are drawn
+    def refuse(*args):
+        raise AssertionError("jitters drawn")
+
+    monkeypatch.setattr(dynamics, "jitters", refuse)
+    monkeypatch.setattr(equilibrium, "jitters", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**NOISY_KIND, "recipe": recipe, "ensemble": ensemble}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: ensemble: must be >= 1 and <= 1000, got {ensemble}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_ensemble_bound_admits_1000():
+    assert validate(ExperimentConfig.from_dict({**NOISY_KIND, "ensemble": 1000}))[0] == []
 
 
 def test_write_csv_writes_the_per_cell_bytes(tmp_path):

@@ -15,6 +15,7 @@ from oracles import (
     full_lattice_distributions,
     kernel_steps,
     make_initial_state,
+    noise_draws,
     product_shift_permutation,
     random_joint_state,
     recurrence_evolve,
@@ -454,14 +455,15 @@ def test_walkers_leave_the_sites_off_parity_exactly_zero(boundary):
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
 def test_walk_plan_phase_is_read_only_and_follows_the_seed(boundary):
-    # T = 20 on L = 15: 7 steps on the 8 cone sites, then 13 on the lattice
+    # T = 20 on L = 15: 7 steps on the cone, in legs of 2, 4 and 8 sites,
+    # then 13 on the lattice
     geom = LatticeGeometry(15, boundary)
     spec = InteractionSpec(InteractionKind.NOISY_COLLISION, 1.3, noise_sigma=0.4)
     config = WalkConfig(geom, 20, (1, 0), SYMMETRIC, spec, seed=5)
     legs = _plan(geom, 20, 2, spec.kind, spec.range_exponent)
-    assert [(leg.sites, leg.steps) for leg in legs] == [(8, 7), (15, 13)]
+    assert [(leg.sites, leg.steps) for leg in legs] == [(2, 1), (4, 2), (8, 4), (15, 13)]
     singles = _plan(geom, 20, 1)
-    assert [(leg.sites, leg.steps) for leg in singles] == [(8, 7), (15, 13)]
+    assert [(leg.sites, leg.steps) for leg in singles] == [(2, 1), (4, 2), (8, 4), (15, 13)]
     # each leg's phase is the x_A = x_B diagonal of the four channel planes,
     # stride n + 1, with its one distinct value; no noise draws
     for leg in legs:
@@ -473,7 +475,7 @@ def test_walk_plan_phase_is_read_only_and_follows_the_seed(boundary):
     # the phase arrays are read-only; the gathers stay writeable, so that
     # `take` reads them without copying them every step
     phases = [a for leg in legs for a in leg.phase if isinstance(a, np.ndarray)]
-    assert len(phases) == 4 and not any(a.flags.writeable for a in phases)
+    assert len(phases) == 8 and not any(a.flags.writeable for a in phases)
     for array in legs[0].phase[1:]:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -562,7 +564,7 @@ def test_each_leg_plans_the_phase_table_of_its_reach_sites(kind, boundary, size,
         planned[index[1:]] = distinct[inverse]
         assert planned.tobytes() == expected.tobytes()
         # the plan keeps one row of indices, viewed once per channel
-        assert len(distinct) < 2 * leg.sites and inverse.strides[0] == 0
+        assert len(distinct) < 2 * legs[-1].sites and inverse.strides[0] == 0
 
 
 def test_the_plan_never_builds_a_phase_table(monkeypatch):
@@ -622,6 +624,38 @@ def test_reach_window_is_bitwise_the_full_lattice(kind, boundary, coins, size, s
     assert got.tobytes() == full[:, window, window].tobytes()
     full[:, window, window] = 0.0
     assert not full.any()  # P is zero off the reach sites
+
+
+# T from one step to past the cone on L = 15 (h = 7), and on L = 9 (h = 4)
+@pytest.mark.parametrize(
+    "size, steps", [(15, 1), (15, 2), (15, 3), (15, 4), (15, 6), (15, 7), (15, 11), (9, 4), (9, 6)]
+)
+@pytest.mark.parametrize("kind", list(InteractionKind)[1:], ids=lambda k: k.value)
+def test_cone_legs_double_and_match_the_dense_oracle(kind, size, steps):
+    # the cone's legs have 2, 4, 8, ... sites and last min(T, h) + 1, each
+    # running up to t = n - 1, then the lattice's leg takes the other steps
+    geom = LatticeGeometry(size)
+    cone = min(steps, geom.half)
+    want = [n for n in (2, 4, 8) if n < cone + 1] + [cone + 1]
+    for walkers in (1, 2):
+        legs = _plan(geom, steps, walkers, kind, 1.5)
+        assert [leg.sites for leg in legs] == want + [size] * (steps > cone)
+        assert [leg.steps for leg in legs[: len(want)]] == list(np.diff([1, *want]))
+        assert sum(leg.steps for leg in legs) == steps
+    spec = InteractionSpec(kind, 1.3, range_exponent=1.5, noise_sigma=0.4)
+    config = WalkConfig(geom, steps, (1, 0), SYMMETRIC, spec, seed=5)
+    ta, tb = 1.1, 2.3
+    u0 = np.kron(dense_single_step(geom, ta), dense_single_step(geom, tb))
+    psi = make_initial_state(geom, (1, 0), SYMMETRIC).reshape(-1)
+    for eta in noise_draws(config):
+        psi = np.diagonal(dense_interaction(spec, geom, ta, tb, eta)) * (u0 @ psi)
+    np.testing.assert_allclose(evolve(config, ta, tb), psi.reshape(size, 2, size, 2), atol=1e-12)
+    single = np.zeros(2 * size, dtype=complex)
+    single[2 * geom.offset(0)] = 1
+    for _ in range(steps):
+        single = dense_single_step(geom, ta) @ single
+    got = evolve_single(geom, steps, ta, (1, 0))
+    np.testing.assert_allclose(got, single.reshape(size, 2), atol=1e-12)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)

@@ -2,6 +2,7 @@
 stationary points, Jacobians, and learning behavior are known in closed form.
 """
 
+import resource
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -36,6 +37,7 @@ from qwgames.equilibrium import (
     shared_surfaces,
     surface_from_evaluator,
 )
+import qwgames.dynamics as dynamics
 import qwgames.equilibrium as equilibrium
 from qwgames.dynamics import (
     WalkConfig,
@@ -297,6 +299,7 @@ NO_OP_KINDS = [
     InteractionKind.LONG_RANGE,
     InteractionKind.COIN_DEPENDENT,
 ]
+RACE = GameSpec(GameKind.RACE)
 THREE_GAMES = [GameSpec(k) for k in (GameKind.RACE, GameKind.RENDEZVOUS, GameKind.TUG_OF_WAR)]
 
 
@@ -313,17 +316,27 @@ def stack_points(probs, geometry, game):
 
 
 def count_evolved_profiles(monkeypatch) -> list:
-    """Patch the joint kernel as the evaluators see it; returns the list that
-    collects the batch size of every call."""
+    """Patch the kernel's walk; returns the list that collects the profiles
+    of every joint walk it runs, one entry per chunk and noise realization
+    (the product path's single walkers are not counted)."""
     sizes = []
 
-    def counted(config, thetas, *etas):
-        sizes.append(len(thetas))
-        return evolve_batch(config, thetas, *etas)
+    def counted(legs, start, coins, *args, **kwargs):
+        if coins.shape[1] == 4:
+            sizes.append(len(coins))
+        return run(legs, start, coins, *args, **kwargs)
 
-    evolve_batch = equilibrium.evolve_batch
-    monkeypatch.setattr(equilibrium, "evolve_batch", counted)
+    run = dynamics._run
+    monkeypatch.setattr(dynamics, "_run", counted)
     return sizes
+
+
+def joint_mirrors(walk, thetas):
+    """`_mirrors` of a batch at the walk's own strength: empty for an inert
+    walk, whose rows take the product path."""
+    if walk.interaction.inert:
+        return np.empty((2, 0), dtype=int)
+    return equilibrium._mirrors(walk, thetas, np.full(len(thetas), walk.interaction.strength))
 
 
 def test_distributions_chunk_by_the_reach_window(monkeypatch):
@@ -529,7 +542,7 @@ def test_mirrors_are_the_pairs_of_a_lookup_by_row():
     batches += [rng.uniform(0, np.pi, size=(50, 2)), np.zeros((0, 2)), [[2.0, 1.0], [1.0, 1.0]]]
     for thetas in batches:
         thetas = np.asarray(thetas, dtype=float)
-        got = equilibrium._mirrors(walk, thetas)
+        got = joint_mirrors(walk, thetas)
         want = mirror_pairs(thetas)
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -538,7 +551,7 @@ def whole_stack_points(walk, games, thetas):
     """Each game's (u_a, u_b, aux) reduced from the walk's whole P stack at
     once: the stack of the rows `_mirrors` leaves to evolve, and each
     mirrored row from the whole stack transposed at its mirror's row."""
-    mirrored, partner = equilibrium._mirrors(walk, thetas)
+    mirrored, partner = joint_mirrors(walk, thetas)
     evolved = np.ones(len(thetas), dtype=bool)
     evolved[mirrored] = False
     probs = equilibrium.walk_distributions(walk, thetas[evolved])
@@ -598,7 +611,7 @@ def test_blocking_does_not_change_bits(name):
     grid = StrategyGrid(12)
     thetas = grid.profiles
     # the rows evolved, 78 with mirrors and 144 without, span 3 chunks or more
-    evolved = len(thetas) - len(equilibrium._mirrors(walk, thetas)[0])
+    evolved = len(thetas) - len(joint_mirrors(walk, thetas)[0])
     assert evolved > 2 * chunk_profiles(walk.geometry, walk.steps)
     assert (evolved == 78) == (name == "equal-coins")
     want = whole_stack_points(walk, games, thetas)
@@ -684,6 +697,141 @@ def test_race_sweep_evolves_the_upper_triangle(monkeypatch):
     sizes = count_evolved_profiles(monkeypatch)
     surface_from_evaluator(WalkEvaluator(config, GameSpec(GameKind.RACE)), StrategyGrid(61))
     assert sum(sizes) == 61 * 62 // 2 == 1891
+
+
+# strengths of the per-row tests: 0 (inert for a deterministic kind, still
+# jittered for a noisy one), two signs and the recipes' pi
+ROW_STRENGTHS = [0.0, 0.3, -1.1, np.pi]
+
+
+def per_row_batch(seed: int):
+    """A shuffled batch of profiles at each of ROW_STRENGTHS and free of the
+    interaction: every profile with its mirror, a diagonal row and two
+    profiles without a mirror, at each strength and free."""
+    rng = np.random.default_rng(seed)
+    profiles = np.array(
+        [[0.4, 2.1], [2.1, 0.4], [1.3, 1.3], [np.pi, 0.0], [0.0, np.pi], [2.5, 1.0]]
+    )
+    thetas = np.tile(profiles, (len(ROW_STRENGTHS) + 1, 1))
+    strengths = np.repeat([*ROW_STRENGTHS, 0.7], len(profiles))
+    free = np.repeat([False] * len(ROW_STRENGTHS) + [True], len(profiles))
+    order = rng.permutation(len(thetas))
+    return thetas[order], strengths[order], free[order]
+
+
+PER_ROW_WALKS = {
+    f"{kind.value}-{boundary.value}-{coins}-{steps}": WalkConfig(
+        LatticeGeometry(11, boundary), steps, *pair,
+        InteractionSpec(kind, 1.0, range_exponent=1.5, noise_sigma=0.5), seed=4,
+        ensemble=2 if kind is InteractionKind.NOISY_COLLISION else 1,
+    )
+    for kind in InteractionKind
+    for boundary in Boundary
+    for coins, pair in [("unequal", RIGHT_SYMMETRIC), ("equal", (COINS["symmetric"],) * 2)]
+    for steps in (4, 8)  # on the light cone of L = 11, and past it
+}
+
+
+@pytest.mark.parametrize("name", list(PER_ROW_WALKS))
+def test_per_row_strengths_are_bitwise_per_strength_walks(name):
+    # each row is the walk at its own strength, or the walk with the
+    # interaction removed, bit for bit, in one call; a noisy walk at
+    # strength 0 keeps its jitter, so it is not the separable prediction
+    walk = PER_ROW_WALKS[name]
+    thetas, strengths, free = per_row_batch(7)
+    games = [*THREE_GAMES, RANDOM_TABLES]
+    for game in games:
+        got = WalkEvaluator(walk, game).points(thetas, True, strengths=strengths, free=free)
+        want = (np.empty(len(thetas)), np.empty(len(thetas)), {})
+        for strength in [*ROW_STRENGTHS, None]:
+            rows = free if strength is None else ~free & (strengths == strength)
+            spec = walk.interaction
+            spec = InteractionSpec() if strength is None else spec.with_strength(strength)
+            alone = WalkEvaluator(replace(walk, interaction=spec), game).points(thetas[rows], True)
+            want[0][rows], want[1][rows] = alone[:2]
+            for key, column in alone[2].items():
+                want[2].setdefault(key, np.empty(len(thetas)))[rows] = column
+        assert_columns(got, want)
+    if walk.interaction.noisy:
+        ev = WalkEvaluator(walk, GameSpec(GameKind.RENDEZVOUS))
+        u_a = ev.points(thetas, strengths=np.zeros(len(thetas)))[0]
+        separable = ev.points(thetas, free=np.ones(len(thetas), bool))[0]
+        assert np.max(np.abs(u_a - separable)) > 1e-3
+
+
+def test_per_row_strengths_default_to_the_walks_and_are_checked():
+    walk = WalkConfig(
+        LatticeGeometry(11), 6, *RIGHT_SYMMETRIC,
+        InteractionSpec(InteractionKind.COLLISION_PHASE, 1.2),
+    )
+    ev = WalkEvaluator(walk, RACE)
+    thetas = StrategyGrid(4).profiles
+    plain = ev.points(thetas, True)
+    assert_columns(ev.points(thetas, True, strengths=np.full(16, 1.2), free=np.zeros(16)), plain)
+    for strengths, free in [([1.0] * 15, None), (None, [True] * 17), ([np.nan] + [1.0] * 15, None),
+                            ([np.inf] * 16, None)]:
+        with pytest.raises(ValidationError):
+            ev.points(thetas, strengths=strengths, free=free)
+
+
+def test_mirrors_never_pair_rows_of_different_strengths(monkeypatch):
+    # a profile's mirror at another strength is another walk: only the rows
+    # of equal strength pair, each strength's pairs those of a lookup by row
+    walk = WalkConfig(LatticeGeometry(11), 6, interaction=InteractionSpec(
+        InteractionKind.COLLISION_PHASE, 1.0))
+    rng = np.random.default_rng(9)
+    thetas = rng.choice([0.0, 0.5, 1.0, np.pi], size=(300, 2))
+    strengths = rng.choice([0.1, -0.0, 0.0, 0.05], size=300)
+    mirrored, partner = equilibrium._mirrors(walk, thetas, strengths)
+    assert np.array_equal(strengths[mirrored], strengths[partner])
+    assert np.array_equal(thetas[mirrored], thetas[partner, ::-1])
+    for strength in (0.1, 0.0, 0.05):  # -0.0 is 0.0
+        rows = np.flatnonzero(strengths == strength)
+        want = rows[mirror_pairs(thetas[rows])]
+        got = np.stack([mirrored, partner])[:, np.isin(mirrored, rows)]
+        assert np.array_equal(got[:, np.argsort(got[0])], want[:, np.argsort(want[0])])
+    # a profile and its mirror at two strengths are both evolved, and at one
+    # strength the mirror is reduced from its partner
+    sizes = count_evolved_profiles(monkeypatch)
+    ev = WalkEvaluator(walk, RACE)
+    pair = [[0.4, 2.1], [2.1, 0.4]]
+    u_two = ev.points(pair, strengths=[0.1, 0.2])[0]
+    assert sizes == [2]
+    sizes.clear()
+    u_one = ev.points(pair, strengths=[0.1, 0.1])[0]
+    assert sizes == [1]
+    assert u_two[0] == u_one[0] and u_two[1] != u_one[1]
+
+
+def test_a_warm_sweep_holds_one_buffer_pair(monkeypatch):
+    # the race recipe's 61 x 61 sweep evolves 1,891 profiles in 106 chunks,
+    # all in one pair of buffers (259 KB); a warm repeat faults in little
+    # more than that pair and the batch's own arrays, not every chunk's
+    # buffers again (about 64 pages each)
+    walk = WalkConfig(
+        LatticeGeometry(15), 20, interaction=InteractionSpec(InteractionKind.COLLISION_PHASE, np.pi)
+    )
+    ev = WalkEvaluator(walk, RACE)
+    thetas = StrategyGrid(61).profiles
+    pairs = []
+
+    def counted(*args, pair=None, **kwargs):
+        pairs.append(pair)
+        return run(*args, pair=pair, **kwargs)
+
+    run = dynamics._run
+    monkeypatch.setattr(dynamics, "_run", counted)
+    ev.points(thetas)
+    assert len(pairs) == 106 and all(pair is pairs[0] for pair in pairs)
+    assert pairs[0].nbytes == 2 * 18 * 4 * 15**2 * 16
+    monkeypatch.undo()
+    ev.points(thetas)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        ev.points(thetas)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) < 1_000, faults
 
 
 def test_function_evaluator_points_are_two_columns_and_no_aux():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import distributions
-import qwgames.equilibrium as equilibrium
+import qwgames.dynamics as dynamics
 from qwgames.cli import COIN_CATALOG
 from qwgames.dynamics import WalkConfig
 from qwgames.equilibrium import StrategyGrid, WalkEvaluator
@@ -15,9 +15,9 @@ from qwgames.perturbation import (
     drift_sweep,
     first_order_slope,
     g_estimate_grid,
-    _separable_prediction,
     nonseparability_certificate,
     separability_residual,
+    weak_coupling,
 )
 
 RACE = GameSpec(GameKind.RACE)
@@ -27,6 +27,13 @@ SMALL = WalkConfig(
 )
 SCHEDULES = [(0.1, 0.05), (0.1, 0.03, 0.02)]  # halving, and not
 BAD_SCHEDULES = [(0.1,), (0.05, 0.1), (0.1, 0.0)]
+
+
+def separable_prediction(config, game, thetas):
+    """u_A of the walk with its interaction removed, which takes the
+    product path."""
+    free = replace(config, interaction=InteractionSpec())
+    return WalkEvaluator(free, game).points(thetas)[0]
 
 
 def test_drift_of_frozen_coin_is_ballistic():
@@ -51,7 +58,7 @@ def test_separability_residual_vanishes_without_interaction():
     assert separability_residual(config, RACE, grid) == 0.0
     # so the joint kernel is what shows that the walk really factorizes
     joint = payoffs(distributions(config, grid.profiles), config.geometry, RACE)[0]
-    assert np.max(np.abs(joint - _separable_prediction(config, RACE, grid.profiles))) < 1e-12
+    assert np.max(np.abs(joint - separable_prediction(config, RACE, grid.profiles))) < 1e-12
 
 
 def test_separability_residual_small_at_tiny_coupling():
@@ -158,26 +165,29 @@ def test_every_slope_routine_rejects_a_bad_schedule(schedule):
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)
-def test_g_estimate_grid_evaluates_one_batch_per_strength(monkeypatch, schedule):
+def test_g_estimate_grid_evaluates_one_batch(monkeypatch, schedule):
     sizes, evolved = [], []
-    points, evolve_batch = WalkEvaluator.points, equilibrium.evolve_batch
+    points, run = WalkEvaluator.points, dynamics._run
 
-    def counted(self, thetas):
+    def counted(self, thetas, *args, **kwargs):
         sizes.append(len(thetas))
-        return points(self, thetas)
+        return points(self, thetas, *args, **kwargs)
 
-    def counted_evolve(config, thetas, *etas):
-        evolved.append(len(thetas))
-        return evolve_batch(config, thetas, *etas)
+    def counted_run(legs, start, coins, *args, **kwargs):
+        if coins.shape[1] == 4:
+            evolved.append(len(coins))
+        return run(legs, start, coins, *args, **kwargs)
 
     monkeypatch.setattr(WalkEvaluator, "points", counted)
-    monkeypatch.setattr(equilibrium, "evolve_batch", counted_evolve)
+    monkeypatch.setattr(dynamics, "_run", counted_run)
     g_estimate_grid(SMALL, RACE, StrategyGrid(5), schedule)
-    assert sizes == [25] * (1 + len(schedule))
+    assert sizes == [25 * (1 + len(schedule))]
     # the walk is exchange-symmetric: 15 of the 25 profiles are evolved per
-    # coupled strength, the rest reduced from their mirrors; strength 0 is
-    # inert and takes the product path
-    assert evolved == [15] * len(schedule)
+    # coupled strength, the rest reduced from their mirrors at the same
+    # strength, in one stream of chunks; strength 0 is inert and takes the
+    # product path
+    assert sum(evolved) == 15 * len(schedule)
+    assert len(evolved) == -(-15 * len(schedule) // dynamics.chunk_profiles(SMALL.geometry, 6))
 
 
 def test_richardson_is_the_intercept_of_the_last_two_slopes():
@@ -201,7 +211,7 @@ def test_noisy_residual_and_slopes_are_the_ensemble_mean():
 
     def by_hand(cfg):
         u = WalkEvaluator(cfg, RACE).points(grid.profiles)[0]
-        residual = float(np.max(np.abs(u - _separable_prediction(cfg, RACE, grid.profiles))))
+        residual = float(np.max(np.abs(u - separable_prediction(cfg, RACE, grid.profiles))))
         return residual, whole_grid_g(cfg, RACE, grid, schedule)
 
     results = {}
@@ -252,3 +262,60 @@ def test_first_order_term_vanishes_for_real_coins_only(coins, real, boundary, st
             assert u_plus.tobytes() == u_minus.tobytes(), kind
         else:
             assert np.max(np.abs(u_plus - u_minus)) > 1e-6, kind
+
+
+WEAK_WALKS = {
+    "collision": SMALL,
+    "noisy-ensemble-2": WalkConfig(
+        LatticeGeometry(11), 4, *catalog_coins("right", "symmetric"),
+        InteractionSpec(InteractionKind.NOISY_COLLISION, 1.0, noise_sigma=0.5), seed=2, ensemble=2,
+    ),
+    "long-range-reflecting": WalkConfig(
+        LatticeGeometry(15, Boundary.REFLECTING), 9, *catalog_coins("plus", "plus"),
+        InteractionSpec(InteractionKind.LONG_RANGE, 0.7, range_exponent=1.5),
+    ),
+    "coin-dependent-past-the-cone": WalkConfig(
+        LatticeGeometry(9), 7, *catalog_coins("right", "symmetric"),
+        InteractionSpec(InteractionKind.COIN_DEPENDENT, 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WEAK_WALKS))
+def test_weak_coupling_is_bitwise_the_four_analyses(name, monkeypatch):
+    walk, grid, point = WEAK_WALKS[name], StrategyGrid(5), (1.0, 2.0)
+    schedule = (0.1, 0.05, 0.025)
+    want = (
+        separability_residual(walk, RACE, grid),
+        g_estimate_grid(walk, RACE, grid, schedule[:2]),
+        first_order_slope(walk, RACE, point, schedule),
+        nonseparability_certificate(walk, RACE),
+    )
+    calls = []
+    points = WalkEvaluator.points
+
+    def counted(self, thetas, *args, **kwargs):
+        calls.append(len(thetas))
+        return points(self, thetas, *args, **kwargs)
+
+    monkeypatch.setattr(WalkEvaluator, "points", counted)
+    got = weak_coupling(walk, RACE, grid, point, schedule)
+    # one call over the union: 2 x 25 + 3 x 25 + 4 + 4 x 4 rows
+    assert calls == [50 + 75 + 4 + 16]
+    assert got.residual == want[0]
+    assert got.g_grid.tobytes() == want[1].tobytes()
+    for field in ("g_estimate", "lambdas", "slopes", "differences", "ratios"):
+        assert np.asarray(getattr(got.slope, field)).tobytes() == np.asarray(
+            getattr(want[2], field)).tobytes()
+    assert got.slope.in_perturbative_regime == want[2].in_perturbative_regime
+    assert got.certificate == want[3]
+    if walk.interaction.noisy:
+        # the residual is against the walk without its interaction, not the
+        # strength-0 walk, which keeps its jitter
+        free = replace(walk, interaction=InteractionSpec())
+        zero = replace(walk, interaction=walk.interaction.with_strength(0.0))
+        u = WalkEvaluator(walk, RACE).points(grid.profiles)[0]
+        separable = separable_prediction(free, RACE, grid.profiles)
+        assert got.residual == float(np.max(np.abs(u - separable)))
+        u0 = WalkEvaluator(zero, RACE).points(grid.profiles)[0]
+        assert got.residual != float(np.max(np.abs(u - u0)))
